@@ -31,7 +31,7 @@ from .loss import LossReport, fs_loss, ws_loss
 from .model import ModelParams, ScoreMatrix, aggregate_image_level, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
-from .supervision import SupervisionTag, route
+from .supervision import SupervisionTag
 from .synth_world import (
     Detection,
     GroundTruthTriplet,
@@ -85,7 +85,6 @@ __all__ = [
     "pair_features",
     "pair_iou",
     "rare_classes",
-    "route",
     "run_class_split",
     "run_experiment",
     "run_ratio_sweep",

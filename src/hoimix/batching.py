@@ -10,7 +10,7 @@ images once, before training, into homogeneous two-image batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ def build_pairs(
 
 
 def confidence_product(pair: HumanObjectPair) -> float:
-    """Default easy-negative score: product of the two detector confidences.
+    """Easy-negative score: product of the two detector confidences.
 
     Available before any training and stable across epochs, unlike
     model-dependent scores.
@@ -115,22 +115,18 @@ def confidence_product(pair: HumanObjectPair) -> float:
 
 
 def element_swap(
-    pairs1: list[HumanObjectPair],
-    pairs2: list[HumanObjectPair],
-    scorer: Optional[Callable[[HumanObjectPair], float]] = None,
+    pairs1: list[HumanObjectPair], pairs2: list[HumanObjectPair]
 ) -> list[HumanObjectPair]:
     """Cross-image pair augmentation for two weakly-labeled images.
 
     Forms the full (H1+H2) x (O1+O2) pool of pairs across both images, then
-    prunes easy negatives by ascending scorer value until exactly
+    prunes easy negatives by ascending confidence_product until exactly
     H1*O1 + H2*O2 pairs remain, the original pair count of the two images.
     Score ties are resolved by pruning swapped pairs before same-image
     pairs, then by (image ids, detection indices) for determinism.
     """
     if not pairs1 or not pairs2:
         raise ValueError("element_swap needs non-empty pair lists from both images")
-    if scorer is None:
-        scorer = confidence_product
 
     image1 = pairs1[0].source[0]
     image2 = pairs2[0].source[0]
@@ -171,7 +167,7 @@ def element_swap(
     keep = len(pairs1) + len(pairs2)
     candidates.sort(
         key=lambda p: (
-            -scorer(p),
+            -confidence_product(p),
             p.swapped,
             p.source[0],
             p.source[1],
@@ -284,7 +280,6 @@ def assemble_minibatch(
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
     element_swap_enabled: bool = False,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
 ) -> MiniBatch:
     """Build the training batch for one schedule entry.
@@ -325,8 +320,8 @@ def assemble_minibatch(
 
     Y = np.vstack(
         [
-            make_fs_targets(pairs_a, gt_a, n_classes, iou_threshold),
-            make_fs_targets(pairs_b, gt_b, n_classes, iou_threshold),
+            make_fs_targets(pairs_a, gt_a, n_classes),
+            make_fs_targets(pairs_b, gt_b, n_classes),
         ]
     )
     pairs = pairs_a + pairs_b

@@ -25,7 +25,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     blobs = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])  # tobytes() is C order; keeps 0-d shapes
         raw = arr.tobytes()
         entries[name] = {
             "dtype": arr.dtype.str,
@@ -45,20 +45,39 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a file written by save_arrays.
+
+    Raises ValueError naming the path when the file is cut short, carries
+    trailing bytes, or has a header that does not describe its body.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len))
-        body = fh.read()
+        data = fh.read()
+    header_start = len(MAGIC) + 8
+    if not data.startswith(MAGIC) or len(data) < header_start:
+        raise ValueError(f"{path}: not a checkpoint file (bad or short preamble)")
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    body = data[header_start + header_len :]
+    try:
+        header = json.loads(data[header_start : header_start + header_len])
+        entries = [
+            (name, int(e["offset"]), int(e["nbytes"]), np.dtype(e["dtype"]), e["shape"])
+            for name, e in header["tensors"].items()
+        ]
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+    listed = sum(nbytes for _, _, nbytes, _, _ in entries)
+    if len(body) != listed:
+        raise ValueError(f"{path}: body holds {len(body)} bytes, header lists {listed}")
     arrays = {}
-    for name, entry in header["tensors"].items():
-        raw = body[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arrays[name] = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(
-            entry["shape"]
-        ).copy()
-    return arrays, header["meta"]
+    for name, offset, nbytes, dtype, shape in entries:
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(body):
+            raise ValueError(f"{path}: tensor {name} extends outside the body")
+        try:
+            arrays[name] = np.frombuffer(body[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: tensor {name}: {exc}") from exc
+    return arrays, meta
 
 
 def save_checkpoint(
@@ -74,15 +93,11 @@ def save_checkpoint(
     if state is not None:
         arrays.update(state_to_arrays(state))
         meta["optimizer_t"] = state.t
-    save_checkpoint_meta_check(meta)
-    save_arrays(path, arrays, meta)
-
-
-def save_checkpoint_meta_check(meta: dict) -> None:
     try:
         json.dumps(meta, sort_keys=True)
     except TypeError as exc:
         raise ValueError(f"checkpoint metadata is not JSON-serializable: {exc}") from exc
+    save_arrays(path, arrays, meta)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, MomentumState | None, dict]:

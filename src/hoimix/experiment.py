@@ -23,7 +23,7 @@ from .evaluation import CSV_HEADER, EvalReport, evaluate, report_csv_row
 from .loss import fs_loss, ws_loss
 from .model import ModelParams, aggregate_image_level, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
-from .supervision import SupervisionTag, route
+from .supervision import SupervisionTag
 from .synth_world import (
     GroundTruthTriplet,
     SynthImage,
@@ -237,20 +237,16 @@ def train(
             log.skipped += 1
             continue
         batch = batches[t % len(batches)]
-        pseudo = tag == SupervisionTag.US
-        r = route(tag, pseudo_labeled=pseudo)
         scores = forward(params, batch.features)
         try:
-            if r.loss_kind == "region":
-                report, d_P = fs_loss(scores.P, batch.fs_targets)
-                grads = backward(params, batch.features, d_P)
+            if tag.region_level:
+                report, upstream = fs_loss(scores.P, batch.fs_targets)
             else:
-                p = aggregate_image_level(scores.P)
-                report, d_p = ws_loss(p, batch.ws_targets)
-                grads = backward(params, batch.features, d_p)
+                report, upstream = ws_loss(aggregate_image_level(scores.P), batch.ws_targets)
+            grads = backward(params, scores, upstream)
         except ValueError as exc:
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc
-        step(params, grads, tag, state, cfg.optimizer, pseudo_labeled=pseudo)
+        step(params, grads, tag, state, cfg.optimizer)
         log.losses.append((t, tag.value, report.value))
         if test_images is not None and (t + 1) % eval_every == 0:
             log.evals.append(

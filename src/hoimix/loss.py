@@ -20,7 +20,6 @@ PROB_CLAMP = 1e-7
 class LossReport:
     value: float
     supervision: SupervisionTag
-    n_terms: int
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value < 0.0:
@@ -38,42 +37,34 @@ def _bce(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def fs_loss(
-    P: np.ndarray, Y: np.ndarray, average_classes: bool = False
-) -> tuple[LossReport, np.ndarray]:
+def fs_loss(P: np.ndarray, Y: np.ndarray) -> tuple[LossReport, np.ndarray]:
     """Region-level loss: sum over classes of the pair-averaged BCE.
 
     Returns the report and dL/dP, with entries
     (p_ij - y_ij) / (N * p_ij * (1 - p_ij)) evaluated on clamped p.
-    `average_classes` additionally divides by the class count; the default
-    keeps the plain class sum.
     """
     P = np.asarray(P, dtype=np.float64)
     Y = _check_binary(Y, "Y")
     if P.shape != Y.shape or P.ndim != 2:
         raise ValueError(f"shape mismatch: P {P.shape} vs Y {Y.shape}")
     n = P.shape[0]
-    scale = n * (P.shape[1] if average_classes else 1)
     p = np.clip(P, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = float(_bce(Y, p).sum() / scale)
-    grad = (p - Y) / (scale * p * (1.0 - p))
-    return LossReport(value=value, supervision=SupervisionTag.FS, n_terms=P.size), grad
+    value = float(_bce(Y, p).sum() / n)
+    grad = (p - Y) / (n * p * (1.0 - p))
+    return LossReport(value=value, supervision=SupervisionTag.FS), grad
 
 
-def ws_loss(
-    p: np.ndarray, y: np.ndarray, average_classes: bool = False
-) -> tuple[LossReport, np.ndarray]:
+def ws_loss(p: np.ndarray, y: np.ndarray) -> tuple[LossReport, np.ndarray]:
     """Image-level loss: sum over classes of BCE against the label vector.
 
     Returns the report and dL/dp, with entries (p_j - y_j) / (p_j (1 - p_j))
-    evaluated on clamped p. `average_classes` as in fs_loss.
+    evaluated on clamped p.
     """
     p = np.asarray(p, dtype=np.float64)
     y = _check_binary(y, "y")
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError(f"shape mismatch: p {p.shape} vs y {y.shape}")
-    scale = p.shape[0] if average_classes else 1
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = float(_bce(y, pc).sum() / scale)
-    grad = (pc - y) / (scale * pc * (1.0 - pc))
-    return LossReport(value=value, supervision=SupervisionTag.WS, n_terms=p.size), grad
+    value = float(_bce(y, pc).sum())
+    grad = (pc - y) / (pc * (1.0 - pc))
+    return LossReport(value=value, supervision=SupervisionTag.WS), grad

@@ -63,18 +63,14 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: arr.copy() for name, arr in self.items()})
 
-    def check_finite(self) -> None:
-        for name, arr in self.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in parameter {name}")
-
 
 @dataclass(eq=False)
 class ScoreMatrix:
-    """Raw head scores, both normalizations, and their element-wise product."""
+    """Forward activations: the encoder's input and output, both
+    normalizations, and their element-wise product."""
 
-    raw_c: np.ndarray    # (N, C) classification scores
-    raw_s: np.ndarray    # (N, C) selection scores
+    features: np.ndarray  # (N, feature_dim) float64 input
+    hidden: np.ndarray   # (N, hidden_dim) ReLU encoder output
     sigma_c: np.ndarray  # (N, C), each row sums to 1
     sigma_s: np.ndarray  # (N, C), each column sums to 1
     P: np.ndarray        # (N, C), sigma_c * sigma_s
@@ -92,12 +88,6 @@ def _softmax_cols(x: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=0, keepdims=True)
 
 
-def _encode(params: ModelParams, features: np.ndarray):
-    pre = features @ params.w_enc + params.b_enc
-    hidden = np.maximum(pre, 0.0)
-    return pre, hidden
-
-
 def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
     """Run the two-branch computation on an (N, feature_dim) matrix.
 
@@ -107,7 +97,7 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
 
     Returns:
         ScoreMatrix with row-stochastic sigma_c, column-stochastic sigma_s,
-        and P = sigma_c * sigma_s.
+        P = sigma_c * sigma_s, and the activations backward needs.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -118,12 +108,10 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
         raise ValueError(
             f"feature dim {features.shape[1]} does not match model dim {params.feature_dim}"
         )
-    _, hidden = _encode(params, features)
-    raw_c = hidden @ params.w_cls + params.b_cls
-    raw_s = hidden @ params.w_sel + params.b_sel
-    sigma_c = _softmax_rows(raw_c)
-    sigma_s = _softmax_cols(raw_s)
-    return ScoreMatrix(raw_c=raw_c, raw_s=raw_s, sigma_c=sigma_c, sigma_s=sigma_s, P=sigma_c * sigma_s)
+    hidden = np.maximum(features @ params.w_enc + params.b_enc, 0.0)
+    sigma_c = _softmax_rows(hidden @ params.w_cls + params.b_cls)
+    sigma_s = _softmax_cols(hidden @ params.w_sel + params.b_sel)
+    return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=sigma_c * sigma_s)
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:
@@ -135,48 +123,44 @@ def aggregate_image_level(P: np.ndarray) -> np.ndarray:
     return np.clip(P.sum(axis=0), 0.0, 1.0)
 
 
-def backward(params: ModelParams, features: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
+def backward(params: ModelParams, scores: ScoreMatrix, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss with respect to every parameter.
 
-    `upstream` is either dL/dP with shape (N, C) or dL/dp with shape (C,),
-    where p = aggregate_image_level(P). The chain runs through the
-    element-wise product, both softmaxes, and the encoder.
+    `scores` is what forward returned for these params; `upstream` is either
+    dL/dP with shape (N, C) or dL/dp with shape (C,), where
+    p = aggregate_image_level(P). The chain runs through the element-wise
+    product, both softmaxes, and the encoder.
     """
-    features = np.asarray(features, dtype=np.float64)
-    pre, hidden = _encode(params, features)
-    raw_c = hidden @ params.w_cls + params.b_cls
-    raw_s = hidden @ params.w_sel + params.b_sel
-    sigma_c = _softmax_rows(raw_c)
-    sigma_s = _softmax_cols(raw_s)
-
+    sigma_c, sigma_s, hidden = scores.sigma_c, scores.sigma_s, scores.hidden
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
-        if upstream.shape[0] != raw_c.shape[1]:
+        if upstream.shape[0] != sigma_c.shape[1]:
             raise ValueError("upstream vector length does not match class count")
         # p_j = sum_i P[i, j], so dL/dP[i, j] = dL/dp[j] for every row i
-        d_P = np.broadcast_to(upstream, raw_c.shape)
-    elif upstream.shape == raw_c.shape:
+        d_P = np.broadcast_to(upstream, sigma_c.shape)
+    elif upstream.shape == sigma_c.shape:
         d_P = upstream
     else:
         raise ValueError(
-            f"upstream shape {upstream.shape} matches neither P {raw_c.shape} nor p"
+            f"upstream shape {upstream.shape} matches neither P {sigma_c.shape} nor p"
         )
 
     d_sigma_c = d_P * sigma_s
     d_sigma_s = d_P * sigma_c
     # softmax Jacobian applied per row (classification) and per column (selection)
-    d_raw_c = sigma_c * (d_sigma_c - (d_sigma_c * sigma_c).sum(axis=1, keepdims=True))
-    d_raw_s = sigma_s * (d_sigma_s - (d_sigma_s * sigma_s).sum(axis=0, keepdims=True))
+    d_score_c = sigma_c * (d_sigma_c - (d_sigma_c * sigma_c).sum(axis=1, keepdims=True))
+    d_score_s = sigma_s * (d_sigma_s - (d_sigma_s * sigma_s).sum(axis=0, keepdims=True))
 
-    d_hidden = d_raw_c @ params.w_cls.T + d_raw_s @ params.w_sel.T
-    d_pre = d_hidden * (pre > 0.0)
+    d_hidden = d_score_c @ params.w_cls.T + d_score_s @ params.w_sel.T
+    # hidden > 0 exactly where the ReLU's input is > 0
+    d_pre = d_hidden * (hidden > 0.0)
     return {
-        "w_enc": features.T @ d_pre,
+        "w_enc": scores.features.T @ d_pre,
         "b_enc": d_pre.sum(axis=0),
-        "w_cls": hidden.T @ d_raw_c,
-        "b_cls": d_raw_c.sum(axis=0),
-        "w_sel": hidden.T @ d_raw_s,
-        "b_sel": d_raw_s.sum(axis=0),
+        "w_cls": hidden.T @ d_score_c,
+        "b_cls": d_score_c.sum(axis=0),
+        "w_sel": hidden.T @ d_score_s,
+        "b_sel": d_score_s.sum(axis=0),
     }
 
 

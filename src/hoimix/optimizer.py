@@ -14,9 +14,8 @@ Policies differ in how gradient history is recorded:
 * SequenceFSFirst / SequenceWSFirst: shared buffer, but one supervision
   type is withheld until a switch iteration (see schedule_filter).
 
-Step sizes are keyed by the batch's supervision tag in every policy.
-Pseudo-labeled US batches carry region-level targets and therefore use the
-FS buffer and step size.
+In every policy, region-level batches (FS, and pseudo-labeled US) step with
+alpha_fs into z_fs, and WS batches with alpha_ws into z_ws.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .supervision import SupervisionTag, route
+from .supervision import SupervisionTag
 
 
 class MomentumPolicy(str, Enum):
@@ -59,9 +58,6 @@ class OptimizerConfig:
         if self.policy in _SEQUENCE_POLICIES and self.sequence_switch_iteration < 0:
             raise ValueError("sequence_switch_iteration must be nonnegative")
 
-    def step_size(self, key: str) -> float:
-        return self.alpha_ws if key == "alpha_ws" else self.alpha_fs
-
 
 @dataclass(eq=False)
 class MomentumState:
@@ -86,9 +82,6 @@ class MomentumState:
     def shared_buffer(self) -> bool:
         return self.z_ws is self.z_fs
 
-    def buffer(self, name: str) -> dict:
-        return self.z_fs if name == "fs" else self.z_ws
-
 
 def step(
     params: ModelParams,
@@ -96,15 +89,12 @@ def step(
     tag: SupervisionTag,
     state: MomentumState,
     cfg: OptimizerConfig,
-    pseudo_labeled: bool = False,
 ) -> tuple[ModelParams, MomentumState]:
     """Apply one momentum update in place; returns the mutated pair.
 
     Single-writer contract: exactly one training loop may own (params, state).
     """
-    r = route(tag, pseudo_labeled=pseudo_labeled)
-    alpha = cfg.step_size(r.step_size_key)
-    z = state.buffer(r.buffer)
+    alpha, z = (cfg.alpha_fs, state.z_fs) if tag.region_level else (cfg.alpha_ws, state.z_ws)
     for name, w in params.items():
         g = grads[name]
         if g.shape != w.shape:

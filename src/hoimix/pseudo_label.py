@@ -6,7 +6,7 @@
   pipeline throughout.
 * Unlabeled data: every (pair, class) whose probability exceeds a threshold
   becomes a pseudo triplet; pseudo-labeled images enter the loss exactly as
-  fully-supervised data and route to the FS momentum buffer.
+  fully-supervised data and use the FS momentum buffer.
 
 Both loops retrain from the same seeded initialization each cycle, refresh
 the pseudo labels, and evaluate, so convergence is observable per cycle; a

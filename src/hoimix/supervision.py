@@ -1,13 +1,12 @@
-"""Supervision tags and the routing table tying together loss and optimizer.
+"""Supervision tags and the one decision that training derives from them.
 
-Every image and every mini-batch carries exactly one tag. The tag decides
-which loss is applied (region-level vs image-level), which momentum buffer
-records the gradient, and which step size is used.
+Every image and every mini-batch carries exactly one tag. Whether the tag is
+region-level decides which loss is applied (region-level vs image-level),
+which momentum buffer records the gradient, and which step size is used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -21,30 +20,9 @@ class SupervisionTag(str, Enum):
     def __str__(self) -> str:  # keeps "FS"/"WS"/"US" verbatim in records
         return self.value
 
-
-@dataclass(frozen=True)
-class Route:
-    loss_kind: str        # "region" or "image"
-    buffer: str           # "fs" or "ws" momentum buffer
-    step_size_key: str    # "alpha_fs" or "alpha_ws"
-
-
-_REGION_ROUTE = Route(loss_kind="region", buffer="fs", step_size_key="alpha_fs")
-_IMAGE_ROUTE = Route(loss_kind="image", buffer="ws", step_size_key="alpha_ws")
-
-
-def route(tag: SupervisionTag, pseudo_labeled: bool = False) -> Route:
-    """Map a supervision tag to (loss kind, momentum buffer, step size).
-
-    Unlabeled batches are only trainable once pseudo labels exist; they then
-    carry region-level targets and use the fully-supervised machinery.
-    """
-    if tag == SupervisionTag.FS:
-        return _REGION_ROUTE
-    if tag == SupervisionTag.WS:
-        return _IMAGE_ROUTE
-    if tag == SupervisionTag.US:
-        if not pseudo_labeled:
-            raise ValueError("US batches cannot be routed without pseudo labels")
-        return _REGION_ROUTE
-    raise ValueError(f"unknown supervision tag: {tag!r}")
+    @property
+    def region_level(self) -> bool:
+        """True when batches carry region-level targets: FS, and US, which
+        reaches training only with pseudo triplets and then uses the
+        fully-supervised loss, momentum buffer and step size."""
+        return self is not SupervisionTag.WS

@@ -93,7 +93,7 @@ def test_criterion_01_gradient_correctness():
         else:
             targets = (rng.random(c) < 0.5).astype(float)
             _, upstream = ws_loss(aggregate_image_level(forward(params, X).P), targets)
-        grads = backward(params, X, upstream)
+        grads = backward(params, forward(params, X), upstream)
         h = 1e-5
         for name, arr in params.items():
             flat = arr.ravel()

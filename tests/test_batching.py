@@ -23,6 +23,7 @@ from hoimix.synth_world import (
     WorldConfig,
     feature_layout,
     generate_world,
+    pair_features,
     split_supervision,
 )
 
@@ -135,14 +136,20 @@ def test_element_swap_prefers_same_image_pairs_on_ties():
     assert all(not p.swapped for p in out)
 
 
-def test_element_swap_custom_scorer():
-    im1 = image(0, 2, 1)
-    im2 = image(1, 1, 2)
-    pairs1 = build_pairs(im1, FEATURE_DIM)
-    pairs2 = build_pairs(im2, FEATURE_DIM)
-    out = element_swap(pairs1, pairs2, scorer=lambda p: float(p.swapped))
+def confident_swap_images():
+    # image 0's humans and image 1's objects are confident, the rest are not:
+    # every swapped (image-0 human, image-1 object) pair outranks every
+    # same-image pair by confidence product
+    im1 = image(0, 2, 1, confs_h=[0.9, 0.8], confs_o=[0.1])
+    im2 = image(1, 1, 2, confs_h=[0.1], confs_o=[0.9, 0.8])
+    return build_pairs(im1, FEATURE_DIM), build_pairs(im2, FEATURE_DIM)
+
+
+def test_element_swap_confident_swapped_pairs_displace_originals():
+    out = element_swap(*confident_swap_images())
     assert len(out) == 4
-    assert all(p.swapped for p in out)  # scorer can force swapped pairs in
+    assert all(p.swapped and p.source == (0, 1) for p in out)
+    assert {(p.human_index, p.object_index) for p in out} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_element_swap_rejects_empty_or_same_image():
@@ -154,14 +161,12 @@ def test_element_swap_rejects_empty_or_same_image():
 
 
 def test_element_swap_features_recomputed_for_swapped_pairs():
-    im1 = image(0, 1, 1)
-    im2 = image(1, 1, 1)
-    out = element_swap(
-        build_pairs(im1, FEATURE_DIM), build_pairs(im2, FEATURE_DIM), scorer=lambda p: float(p.swapped)
-    )
+    out = element_swap(*confident_swap_images())
+    assert all(p.swapped for p in out)
     for p in out:
         assert p.features.shape == (FEATURE_DIM,)
         np.testing.assert_array_equal(p.features[:APP_DIM], p.human.appearance)
+        np.testing.assert_array_equal(p.features, pair_features(p.human, p.object, FEATURE_DIM))
 
 
 def triplet(hx, hy, ox, oy, hoi_class, size=0.1):

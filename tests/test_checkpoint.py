@@ -1,0 +1,101 @@
+import json
+import os
+import re
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from hoimix.checkpoint import MAGIC, load_arrays, save_arrays, save_checkpoint
+from hoimix.model import ModelParams
+
+PREAMBLE = len(MAGIC) + 8
+
+
+def two_tensor_file(path):
+    # "a" holds body bytes 0..24 and "b" bytes 24..40
+    save_arrays(path, {"a": np.arange(3.0), "b": np.arange(2.0)}, {"k": 1})
+    return path.read_bytes()
+
+
+def with_header(data, edit):
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[PREAMBLE : PREAMBLE + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode()
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[PREAMBLE + header_len :]
+
+
+def shift_b(header):
+    header["tensors"]["b"]["offset"] = 32
+
+
+def grow_a(header):
+    header["tensors"]["a"]["nbytes"] = 32
+
+
+CORRUPTIONS = {
+    "trailing_bytes": lambda data: data + b"\0",
+    "truncated_body": lambda data: data[:-8],
+    "cut_in_length_field": lambda data: data[: len(MAGIC) + 3],
+    "cut_in_magic": lambda data: data[:4],
+    "wrong_magic": lambda data: b"X" + data[1:],
+    "cut_in_header": lambda data: data[: PREAMBLE + 5],
+    "bad_json_header": lambda data: data[:PREAMBLE] + b"!" + data[PREAMBLE + 1 :],
+    "nbytes_sum_differs_from_body": lambda data: with_header(data, grow_a),
+    "tensor_outside_body": lambda data: with_header(data, shift_b),
+    "header_without_tensors": lambda data: with_header(data, lambda h: h.pop("tensors")),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_file_rejected_naming_the_path(tmp_path, corruption):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(CORRUPTIONS[corruption](two_tensor_file(path)))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_arrays(path)
+
+
+def test_unedited_header_loads(tmp_path):
+    # with_header itself keeps a valid file valid
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(with_header(two_tensor_file(path), lambda h: None))
+    arrays, meta = load_arrays(path)
+    np.testing.assert_array_equal(arrays["b"], [0.0, 1.0])
+    assert meta == {"k": 1}
+
+
+def test_unserializable_meta_rejected_before_writing(tmp_path):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="JSON-serializable"):
+        save_checkpoint(path, ModelParams.init(3, 2, 2, seed=0), meta={"bad": object()})
+    assert not path.exists()
+
+
+TENSORS = st.dictionaries(
+    keys=st.text(alphabet="abz/_0", min_size=1, max_size=6),
+    values=arrays(
+        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.uint8]),
+        shape=array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors=TENSORS, note=st.text(max_size=8))
+def test_roundtrip_is_bit_exact_on_random_shapes(tensors, note):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.ckpt")
+        save_arrays(path, tensors, {"note": note})
+        loaded, meta = load_arrays(path)
+    assert meta == {"note": note}
+    assert sorted(loaded) == sorted(tensors)
+    for name, arr in tensors.items():
+        got = loaded[name]
+        assert (got.dtype, got.shape) == (arr.dtype, arr.shape)
+        assert got.tobytes() == arr.tobytes()

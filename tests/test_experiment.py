@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -227,6 +228,7 @@ def test_us_images_excluded_until_pseudo_labeled():
 
 
 CLI = [sys.executable, "-m", "hoimix.cli"]
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def cli_config(tmp_path):
@@ -237,7 +239,11 @@ def cli_config(tmp_path):
 
 
 def run_cli(args, cwd):
-    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd)
+    # the child runs in cwd, so a relative PYTHONPATH would no longer find
+    # the package: put the absolute src directory first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_cli_gen_world_train_eval(tmp_path):

@@ -77,7 +77,7 @@ def test_aggregate_bounded_over_random_passes():
 def test_zero_upstream_gives_zero_gradients():
     params = make_params()
     X = np.random.default_rng(3).normal(size=(4, 6))
-    grads = backward(params, X, np.zeros((4, 4)))
+    grads = backward(params, forward(params, X), np.zeros((4, 4)))
     for name, g in grads.items():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -91,7 +91,7 @@ def test_backward_matches_finite_differences_through_P():
     def value(p):
         return float((forward(p, X).P * W).sum())
 
-    grads = backward(params, X, W)
+    grads = backward(params, forward(params, X), W)
     h = 1e-6
     for name, arr in params.items():
         flat = arr.ravel()
@@ -112,8 +112,8 @@ def test_upstream_on_aggregate_broadcasts_over_rows():
     params = make_params()
     X = rng.normal(size=(3, 6))
     v = rng.normal(size=4)
-    g_vec = backward(params, X, v)
-    g_mat = backward(params, X, np.tile(v, (3, 1)))
+    g_vec = backward(params, forward(params, X), v)
+    g_mat = backward(params, forward(params, X), np.tile(v, (3, 1)))
     for name in g_vec:
         np.testing.assert_allclose(g_vec[name], g_mat[name], atol=1e-14)
 

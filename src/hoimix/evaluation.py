@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .batching import build_pairs
-from .geometry import Box, pair_iou
-from .model import ModelParams, infer_pairs
+from .geometry import box_array, pair_iou_matrix
+from .model import ModelParams, forward
+# bound only so that the perfbench tracer can wrap them; evaluation calls neither
+from .geometry import pair_iou  # noqa: F401
+from .model import infer_pairs  # noqa: F401
 from .synth_world import SynthImage
 
 MATCH_IOU = 0.5
@@ -25,17 +29,28 @@ MATCH_IOU = 0.5
 CSV_HEADER = "run_id,ws_fs_us,policy,hes,seed,map_full,map_rare,map_nonrare"
 
 
-@dataclass(frozen=True)
-class HOIPrediction:
-    image_id: int
-    human_box: Box
-    object_box: Box
-    hoi_class: int
-    score: float
+@dataclass(eq=False)
+class BoxPairs:
+    """n (human, object) box pairs and the image each belongs to."""
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError("prediction score must be finite")
+    image_ids: np.ndarray     # (n,) int
+    human_boxes: np.ndarray   # (n, 4), rows as geometry.box_array builds them
+    object_boxes: np.ndarray  # (n, 4)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+
+@dataclass(eq=False)
+class Predictions:
+    """Model scores for every (pair, class) of a test set: one row per pair,
+    in image order and then build_pairs order, one column per class."""
+
+    pairs: BoxPairs
+    scores: np.ndarray  # (n, C), finite
+
+    def __len__(self) -> int:
+        return self.scores.size
 
 
 @dataclass(eq=False)
@@ -50,57 +65,67 @@ class EvalReport:
     rare_class_ids: frozenset[int]
 
 
-def match_and_ap(
-    predictions: list[HOIPrediction],
-    gt_pairs: list[tuple[int, Box, Box]],
-) -> float | None:
+def match_and_ap(scores: np.ndarray, pairs: BoxPairs, gt: BoxPairs) -> float | None:
     """Average precision for a single class.
 
-    Predictions are ranked by descending score (ties broken by insertion
-    order); each is greedily matched to the highest-IoU unmatched
-    ground-truth pair of the same image. Returns None when there is no
-    ground truth for the class.
+    scores[i] is the class score of pairs row i. Predictions are ranked by
+    descending score, ties broken by row order; each is greedily matched to
+    the highest-IoU unmatched ground-truth pair of the same image (the first
+    such pair on IoU ties). Returns None when there is no ground truth for
+    the class.
     """
-    if not gt_pairs:
+    if not len(gt):
         return None
-    order = sorted(range(len(predictions)), key=lambda i: (-predictions[i].score, i))
-    gt_by_image: dict[int, list[int]] = {}
-    for idx, (image_id, _, _) in enumerate(gt_pairs):
-        gt_by_image.setdefault(image_id, []).append(idx)
-    matched = [False] * len(gt_pairs)
+    return _greedy_ap(scores, *_hits(pairs, gt), len(gt))
 
-    tp = np.zeros(len(predictions))
-    fp = np.zeros(len(predictions))
-    for rank, idx in enumerate(order):
-        pred = predictions[idx]
+
+def _hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs row, gt index, IoU) of every same-image prediction and
+    ground-truth pair whose pair IoU reaches MATCH_IOU.
+
+    Only these can make a true positive; every other prediction is a false
+    positive whatever was matched before it.
+    """
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for image_id in np.unique(gt.image_ids):
+        rows = np.flatnonzero(pairs.image_ids == image_id)
+        cols = np.flatnonzero(gt.image_ids == image_id)
+        overlap = pair_iou_matrix(
+            pairs.human_boxes[rows], pairs.object_boxes[rows],
+            gt.human_boxes[cols], gt.object_boxes[cols],
+        )
+        r, c = np.nonzero(overlap >= MATCH_IOU)
+        found.append((rows[r], cols[c], overlap[r, c]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _greedy_ap(
+    scores: np.ndarray, rows: np.ndarray, gt_index: np.ndarray, overlap: np.ndarray, n_gt: int
+) -> float:
+    """All-point AP of one class from its hits (see _hits)."""
+    n = len(scores)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(n)
+
+    tp = np.zeros(n)
+    matched: set[int] = set()
+    hits = sorted(zip(rank[rows].tolist(), gt_index.tolist(), overlap.tolist()))
+    for r, candidates in groupby(hits, key=lambda hit: hit[0]):
         best_iou, best_gt = 0.0, -1
-        for gt_idx in gt_by_image.get(pred.image_id, ()):
-            if matched[gt_idx]:
-                continue
-            overlap = pair_iou(
-                (pred.human_box, pred.object_box), (gt_pairs[gt_idx][1], gt_pairs[gt_idx][2])
-            )
-            if overlap > best_iou:
-                best_iou, best_gt = overlap, gt_idx
-        if best_gt >= 0 and best_iou >= MATCH_IOU:
-            matched[best_gt] = True
-            tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
+        for _, gt_idx, iou in candidates:
+            if gt_idx not in matched and iou > best_iou:
+                best_iou, best_gt = iou, gt_idx
+        if best_gt >= 0:
+            matched.add(best_gt)
+            tp[r] = 1.0
 
     cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
-    recall = cum_tp / len(gt_pairs)
-    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
-
+    recall = np.concatenate([[0.0], cum_tp / n_gt])
+    precision = np.concatenate([[1.0], cum_tp / np.arange(1, n + 1)])
     # all-point interpolation: running max of precision from the right,
     # integrated over recall steps
-    recall = np.concatenate([[0.0], recall])
-    precision = np.concatenate([[1.0], precision])
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    ap = float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
-    return ap
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
+    return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
 
 
 def collect_predictions(
@@ -109,31 +134,28 @@ def collect_predictions(
     *,
     feature_dim: int,
     top_k: int = 30,
-) -> list[HOIPrediction]:
-    """Score every (pair, class) of every image with the model.
-
-    Per-image entries are emitted in ranked order (infer_pairs), so the
-    global sort's insertion-index tiebreak is deterministic.
-    """
-    predictions: list[HOIPrediction] = []
+) -> Predictions:
+    """Score every (pair, class) of every image with the model."""
+    if not images:
+        raise ValueError("cannot score an empty image list")
+    image_ids, humans, objects, scores = [], [], [], []
     for image in images:
         pairs = build_pairs(image, feature_dim, top_k=top_k)
-        features = np.stack([p.features for p in pairs])
-        for i, j, score in infer_pairs(params, features):
-            predictions.append(
-                HOIPrediction(
-                    image_id=image.image_id,
-                    human_box=pairs[i].human.box,
-                    object_box=pairs[i].object.box,
-                    hoi_class=j,
-                    score=score,
-                )
-            )
-    return predictions
+        P = forward(params, np.stack([p.features for p in pairs])).P
+        if not np.isfinite(P).all():
+            raise ValueError(f"non-finite prediction scores for image {image.image_id}")
+        image_ids.append(np.full(len(pairs), image.image_id))
+        humans.append(box_array([p.human.box for p in pairs]))
+        objects.append(box_array([p.object.box for p in pairs]))
+        scores.append(P)
+    return Predictions(
+        BoxPairs(np.concatenate(image_ids), np.concatenate(humans), np.concatenate(objects)),
+        np.concatenate(scores),
+    )
 
 
 def evaluate_predictions(
-    predictions: list[HOIPrediction],
+    predictions: Predictions,
     images: list[SynthImage],
     rare_class_ids: set[int] | frozenset[int],
     n_classes: int,
@@ -141,19 +163,23 @@ def evaluate_predictions(
     """Compute per-class AP and the full / rare / non-rare means."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
-    preds_by_class: dict[int, list[HOIPrediction]] = {c: [] for c in range(n_classes)}
-    for pred in predictions:
-        preds_by_class[pred.hoi_class].append(pred)
-    gt_by_class: dict[int, list[tuple[int, Box, Box]]] = {c: [] for c in range(n_classes)}
-    for image in images:
-        for t in image.gt_triplets:
-            gt_by_class[t.hoi_class].append((image.image_id, t.human_box, t.object_box))
-
+    triplets = [(image.image_id, t) for image in images for t in image.gt_triplets]
+    gt = BoxPairs(
+        np.array([image_id for image_id, _ in triplets], dtype=np.int64),
+        box_array([t.human_box for _, t in triplets]),
+        box_array([t.object_box for _, t in triplets]),
+    )
+    gt_classes = np.array([t.hoi_class for _, t in triplets], dtype=np.intp)
+    # hits against every ground-truth pair at once, then split by class
+    rows, gt_index, overlap = _hits(predictions.pairs, gt)
+    hit_classes = gt_classes[gt_index]
     ap = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        value = match_and_ap(preds_by_class[c], gt_by_class[c])
-        if value is not None:
-            ap[c] = value
+    for c in np.unique(gt_classes).tolist():
+        keep = hit_classes == c
+        ap[c] = _greedy_ap(
+            predictions.scores[:, c], rows[keep], gt_index[keep], overlap[keep],
+            int(np.count_nonzero(gt_classes == c)),
+        )
 
     defined = ~np.isnan(ap)
     rare_mask = np.zeros(n_classes, dtype=bool)

@@ -301,13 +301,17 @@ def run_experiment(
         test_images=test_images if periodic_eval else None,
         rare_ids=rare_ids,
     )
-    report = evaluate(
-        result.params,
-        test_images,
-        rare_ids,
-        feature_dim=cfg.world.feature_dim,
-        top_k=cfg.top_k,
-    )
+    if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
+        # the last periodic eval already scored the final model
+        report = result.log.evals[-1][1]
+    else:
+        report = evaluate(
+            result.params,
+            test_images,
+            rare_ids,
+            feature_dim=cfg.world.feature_dim,
+            top_k=cfg.top_k,
+        )
     row = report_csv_row(
         report,
         run_id,
@@ -483,14 +487,24 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
 
 
 def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
-    """Label-permutation control: shuffle triplet classes across the whole
-    image set, breaking the feature-label association but keeping marginals."""
+    """Label-permutation control: break the feature-label association but
+    keep the label marginals.
+
+    Triplet classes are shuffled across every image that has triplets, and
+    the image-level label sets of images without triplets (weakly-labeled
+    ones) are shuffled among those images.
+    """
+    rng = np.random.default_rng(seed)
     labels = [t.hoi_class for image in images for t in image.gt_triplets]
-    shuffled = list(np.random.default_rng(seed).permutation(labels)) if labels else []
+    shuffled = list(rng.permutation(labels)) if labels else []
+    weak = [k for k, image in enumerate(images) if not image.gt_triplets and image.image_labels]
+    weak_labels = {k: images[weak[j]].image_labels for k, j in zip(weak, rng.permutation(len(weak)))}
     cursor = 0
     out = []
-    for image in images:
+    for k, image in enumerate(images):
         if not image.gt_triplets:
+            if k in weak_labels:
+                image = dataclasses.replace(image, image_labels=weak_labels[k])
             out.append(image)
             continue
         new_triplets = []

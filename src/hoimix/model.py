@@ -164,14 +164,17 @@ def backward(params: ModelParams, scores: ScoreMatrix, upstream: np.ndarray) -> 
     }
 
 
-def infer_pairs(params: ModelParams, features: np.ndarray) -> list[tuple[int, int, float]]:
+def infer_pairs(
+    params: ModelParams, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flattened view of P sorted by descending probability.
 
+    Returns (pair index, class index, probability) arrays of length N * C.
     Ties are broken by (pair index, class index) ascending so the ranking is
-    deterministic. Used for ranking, pseudo-labeling, and mAP evaluation.
+    deterministic.
     """
     P = forward(params, features).P
-    n, c = P.shape
-    entries = [(i, j, float(P[i, j])) for i in range(n) for j in range(c)]
-    entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-    return entries
+    flat = P.ravel()
+    order = np.argsort(-flat, kind="stable")
+    pair_index, class_index = np.divmod(order, P.shape[1])
+    return pair_index, class_index, flat[order]

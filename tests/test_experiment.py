@@ -80,6 +80,27 @@ def test_train_logs_losses_and_periodic_eval():
     assert result.state.t == cfg.iterations
 
 
+def test_periodic_run_does_not_evaluate_the_final_model_twice(monkeypatch):
+    import hoimix.experiment as experiment
+
+    calls = []
+    real_evaluate = experiment.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evaluate", counting_evaluate)
+    run = run_experiment(tiny_cfg(eval_every=100), periodic_eval=True)
+    assert [it for it, _ in run.log.evals] == [100, 200, 300, 400]
+    assert len(calls) == 4
+    assert run.report is run.log.evals[-1][1]
+    # the last periodic eval is not at the final iteration: one more eval
+    calls.clear()
+    run = run_experiment(tiny_cfg(eval_every=150), periodic_eval=True)
+    assert [it for it, _ in run.log.evals] == [150, 300] and len(calls) == 3
+
+
 def test_training_losses_decrease():
     cfg = tiny_cfg(ws_fraction=0.0, fs_fraction=1.0, iterations=800)
     tagged, _, _ = prepare_world(cfg)

@@ -5,12 +5,17 @@ Single-file format: magic, 8-byte little-endian header length, a JSON header
 metadata, then the raw tensor bytes. The file contents are a pure function
 of the stored values, so identical runs produce identical files and reload
 is bit-exact.
+
+Every run output (checkpoints, CSVs, logs, JSON reports) is written through
+`atomic_open`, so a crash mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +23,24 @@ from .model import ModelParams
 from .optimizer import MomentumPolicy, MomentumState, arrays_to_state, state_to_arrays
 
 MAGIC = b"HOIMIXCKPT1\n"
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside `path` for writing; on a clean exit it
+    replaces `path` (os.replace), and on an exception it is removed and
+    `path` keeps its previous contents."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -36,7 +59,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         blobs.append(raw)
         offset += len(raw)
     header = json.dumps({"meta": meta, "tensors": entries}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
@@ -101,12 +124,22 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelParams, MomentumState | None, dict]:
+    """Read a file written by save_checkpoint.
+
+    Raises ValueError naming the path when load_arrays does, when a tensor
+    is missing, or when the tensor shapes disagree with each other.
+    """
     arrays, meta = load_arrays(path)
-    params = ModelParams(
-        **{name: arrays[f"param/{name}"] for name in ModelParams.FIELDS}
-    )
-    state = None
-    if any(key.startswith("momentum/") for key in arrays):
-        policy = MomentumPolicy(meta.get("policy", MomentumPolicy.INDEPENDENT.value))
-        state = arrays_to_state(arrays, int(meta["optimizer_t"]), policy)
+    try:
+        params = ModelParams(**{name: arrays[f"param/{name}"] for name in ModelParams.FIELDS})
+        state = None
+        if any(key.startswith("momentum/") for key in arrays):
+            policy = MomentumPolicy(meta.get("policy", MomentumPolicy.INDEPENDENT.value))
+            state = arrays_to_state(arrays, int(meta["optimizer_t"]), policy)
+            if state.z_ws.dims != params.dims:
+                raise ValueError(f"momentum dims {state.z_ws.dims} differ from parameter dims {params.dims}")
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing entry {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return params, state, meta

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .checkpoint import load_checkpoint
+from .checkpoint import atomic_open, load_checkpoint
 from .evaluation import CSV_HEADER, evaluate, report_csv_row, report_to_dict
 from .experiment import (
     AGGREGATE_HEADER,
@@ -95,7 +95,7 @@ def cmd_eval(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "eval.json")
-    with open(out_path, "w") as fh:
+    with atomic_open(out_path) as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -126,7 +126,7 @@ def cmd_class_split(args) -> int:
     cfg = _load_cfg(args)
     result = run_class_split(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "class_split.json"), "w") as fh:
+    with atomic_open(os.path.join(args.out_dir, "class_split.json")) as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(result["separate"], sort_keys=True))
@@ -157,7 +157,7 @@ def cmd_pseudo_cycle(args) -> int:
     )
     print(f"base map_full={base_report.map_full:.4f}")
     _print_cycles(reports)
-    with open(os.path.join(args.out_dir, "pseudo_cycles.json"), "w") as fh:
+    with atomic_open(os.path.join(args.out_dir, "pseudo_cycles.json")) as fh:
         json.dump(
             {
                 "base_map_full": base_report.map_full,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .batching import MiniBatch, Schedule, assemble_minibatch, batch_schedule
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .evaluation import CSV_HEADER, EvalReport, evaluate, report_csv_row
 from .loss import fs_loss, ws_loss
 from .model import ModelParams, aggregate_image_level, backward, forward
@@ -95,7 +95,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -192,8 +192,20 @@ def train(
     Images tagged US are scheduled only when they have pseudo triplets.
     Resuming: pass the checkpointed params/state and the iteration to start
     from; with the same config the remaining trajectory is reproduced
-    bit-exactly.
+    bit-exactly. Raises ValueError when their dims or the state's buffer
+    count contradict the config.
     """
+    dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
+    if init_params is not None and init_params.dims != dims:
+        raise ValueError(f"init_params dims {init_params.dims} differ from the config's {dims}")
+    if init_state is not None:
+        if init_state.z_ws.dims != dims:
+            raise ValueError(f"init_state dims {init_state.z_ws.dims} differ from the config's {dims}")
+        if init_state.shared_buffer == (cfg.optimizer.policy == MomentumPolicy.INDEPENDENT):
+            raise ValueError(
+                f"init_state has {len(init_state.buffers)} momentum buffer(s), "
+                f"which policy {cfg.optimizer.policy} does not use"
+            )
     init_seed, schedule_seed, _ = _train_seeds(cfg.train_seed)
     include_us = pseudo_triplets is not None
     schedulable = [
@@ -213,12 +225,11 @@ def train(
         raise ValueError("schedule is empty; no supervision group has two images")
     batches = _build_batches(schedulable, schedule, cfg, pseudo_triplets)
 
-    params = init_params if init_params is not None else ModelParams.init(
-        cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, init_seed
-    )
+    params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
     state = init_state if init_state is not None else MomentumState.zeros(
         params, cfg.optimizer.policy
     )
+    grads = params.zeros_like()  # backward rewrites it every iteration
 
     log = TrainingLog(
         header={
@@ -243,7 +254,7 @@ def train(
                 report, upstream = fs_loss(scores.P, batch.fs_targets)
             else:
                 report, upstream = ws_loss(aggregate_image_level(scores.P), batch.ws_targets)
-            grads = backward(params, scores, upstream)
+            backward(params, scores, upstream, grads)
         except ValueError as exc:
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc
         step(params, grads, tag, state, cfg.optimizer)
@@ -336,9 +347,9 @@ def run_experiment(
 
 def write_run_outputs(run: RunResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
         fh.write(CSV_HEADER + "\n" + run.csv_row + "\n")
-    with open(os.path.join(out_dir, "run.log"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "run.log")) as fh:
         fh.write("\n".join(run.log.lines()) + "\n")
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.ckpt"),
@@ -394,9 +405,9 @@ def run_ratio_sweep(
         aggregates.append(",".join([ratio_str, str(len(cell))] + stats))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
+        with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:
             fh.write(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        with open(os.path.join(out_dir, "sweep_aggregate.csv"), "w") as fh:
+        with atomic_open(os.path.join(out_dir, "sweep_aggregate.csv")) as fh:
             fh.write(AGGREGATE_HEADER + "\n" + "\n".join(aggregates) + "\n")
     return rows, aggregates
 

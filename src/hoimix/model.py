@@ -11,23 +11,67 @@ well-defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(eq=False)
-class ModelParams:
-    """Encoder and head parameters; all tensors are float64."""
+def _shapes(feature_dim: int, hidden_dim: int, n_classes: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the ModelParams.FIELDS tensors, in that order."""
+    return (
+        (feature_dim, hidden_dim),
+        (hidden_dim,),
+        (hidden_dim, n_classes),
+        (n_classes,),
+        (hidden_dim, n_classes),
+        (n_classes,),
+    )
 
-    w_enc: np.ndarray  # (feature_dim, hidden_dim)
-    b_enc: np.ndarray  # (hidden_dim,)
-    w_cls: np.ndarray  # (hidden_dim, n_classes) classification head
-    b_cls: np.ndarray  # (n_classes,)
-    w_sel: np.ndarray  # (hidden_dim, n_classes) selection head
-    b_sel: np.ndarray  # (n_classes,)
+
+class ModelParams:
+    """Encoder and head parameters as named views into one flat float64
+    vector `flat`, laid out in FIELDS order.
+
+    The constructor copies the six tensors into a new vector and rejects
+    shapes that disagree with each other; `over` wraps an existing vector
+    without copying. Gradients and momentum buffers have this type too, so
+    an optimizer step is one operation on `flat`. Write through the views
+    (`params.w_enc[...] = x`, `params.flat -= z`); rebinding a name to
+    another array would detach it from `flat` and raises AttributeError.
+    """
 
     FIELDS = ("w_enc", "b_enc", "w_cls", "b_cls", "w_sel", "b_sel")
+
+    def __init__(self, w_enc, b_enc, w_cls, b_cls, w_sel, b_sel) -> None:
+        tensors = (w_enc, b_enc, w_cls, b_cls, w_sel, b_sel)
+        enc_shape, cls_shape = np.shape(w_enc), np.shape(w_cls)
+        if len(enc_shape) != 2 or len(cls_shape) != 2:
+            raise ValueError(f"w_enc and w_cls must be 2-d, got shapes {enc_shape} and {cls_shape}")
+        dims = (enc_shape[0], enc_shape[1], cls_shape[1])
+        for name, tensor, shape in zip(self.FIELDS, tensors, _shapes(*dims)):
+            if np.shape(tensor) != shape:
+                raise ValueError(
+                    f"{name} has shape {np.shape(tensor)}, expected {shape} "
+                    f"for (feature_dim, hidden_dim, n_classes) = {dims}"
+                )
+        flat = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+        self._bind(flat, dims)
+
+    def _bind(self, flat: np.ndarray, dims: tuple[int, int, int]) -> None:
+        views, offset = {}, 0
+        for name, shape in zip(self.FIELDS, _shapes(*dims)):
+            size = math.prod(shape)
+            views[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        self.__dict__.update(flat=flat, dims=dims, **views)
+
+    @classmethod
+    def over(cls, flat: np.ndarray, dims: tuple[int, int, int]) -> "ModelParams":
+        """Named views into `flat` for (feature_dim, hidden_dim, n_classes)."""
+        params = cls.__new__(cls)
+        params._bind(flat, dims)
+        return params
 
     @classmethod
     def init(cls, feature_dim: int, hidden_dim: int, n_classes: int, seed: int) -> "ModelParams":
@@ -44,24 +88,45 @@ class ModelParams:
             b_sel=np.zeros(n_classes),
         )
 
+    def __setattr__(self, name, value) -> None:
+        # `params.flat -= z` stores the same array back; anything else would
+        # detach the name from the vector
+        if self.__dict__.get(name) is not value:
+            raise AttributeError(f"cannot rebind ModelParams.{name}; write into its array instead")
+
     @property
     def feature_dim(self) -> int:
-        return self.w_enc.shape[0]
+        return self.dims[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_enc.shape[1]
+        return self.dims[1]
 
     @property
     def n_classes(self) -> int:
-        return self.w_cls.shape[1]
+        return self.dims[2]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.FIELDS:
+            raise KeyError(name)
+        return self.__dict__[name]
+
+    def __iter__(self):
+        return iter(self.FIELDS)
 
     def items(self):
         for name in self.FIELDS:
-            yield name, getattr(self, name)
+            yield name, self.__dict__[name]
+
+    def values(self):
+        for name in self.FIELDS:
+            yield self.__dict__[name]
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams.over(np.zeros_like(self.flat), self.dims)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.items()})
+        return ModelParams.over(self.flat.copy(), self.dims)
 
 
 @dataclass(eq=False)
@@ -76,16 +141,13 @@ class ScoreMatrix:
     P: np.ndarray        # (N, C), sigma_c * sigma_s
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
-    z = np.exp(x - x.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
-
-
-def _softmax_cols(x: np.ndarray) -> np.ndarray:
-    """Column-wise softmax with max subtraction for stability."""
-    z = np.exp(x - x.max(axis=0, keepdims=True))
-    return z / z.sum(axis=0, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along `axis` with max subtraction for stability, computed in
+    the storage of x, which is returned."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
@@ -108,9 +170,16 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
         raise ValueError(
             f"feature dim {features.shape[1]} does not match model dim {params.feature_dim}"
         )
-    hidden = np.maximum(features @ params.w_enc + params.b_enc, 0.0)
-    sigma_c = _softmax_rows(hidden @ params.w_cls + params.b_cls)
-    sigma_s = _softmax_cols(hidden @ params.w_sel + params.b_sel)
+    # each product is a new array; bias, ReLU and softmax reuse its storage
+    hidden = features @ params.w_enc
+    hidden += params.b_enc
+    np.maximum(hidden, 0.0, out=hidden)
+    raw_c = hidden @ params.w_cls
+    raw_c += params.b_cls
+    raw_s = hidden @ params.w_sel
+    raw_s += params.b_sel
+    sigma_c = _softmax(raw_c, axis=1)
+    sigma_s = _softmax(raw_s, axis=0)
     return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=sigma_c * sigma_s)
 
 
@@ -123,13 +192,20 @@ def aggregate_image_level(P: np.ndarray) -> np.ndarray:
     return np.clip(P.sum(axis=0), 0.0, 1.0)
 
 
-def backward(params: ModelParams, scores: ScoreMatrix, upstream: np.ndarray) -> dict[str, np.ndarray]:
+def backward(
+    params: ModelParams,
+    scores: ScoreMatrix,
+    upstream: np.ndarray,
+    out: ModelParams | None = None,
+) -> ModelParams:
     """Exact gradients of a scalar loss with respect to every parameter.
 
     `scores` is what forward returned for these params; `upstream` is either
     dL/dP with shape (N, C) or dL/dp with shape (C,), where
     p = aggregate_image_level(P). The chain runs through the element-wise
-    product, both softmaxes, and the encoder.
+    product, both softmaxes, and the encoder. The gradients are written into
+    `out` (same dims as params; a training run reuses one) or, when it is
+    None, into a new ModelParams, which is returned.
     """
     sigma_c, sigma_s, hidden = scores.sigma_c, scores.sigma_s, scores.hidden
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -145,23 +221,27 @@ def backward(params: ModelParams, scores: ScoreMatrix, upstream: np.ndarray) -> 
             f"upstream shape {upstream.shape} matches neither P {sigma_c.shape} nor p"
         )
 
-    d_sigma_c = d_P * sigma_s
-    d_sigma_s = d_P * sigma_c
-    # softmax Jacobian applied per row (classification) and per column (selection)
-    d_score_c = sigma_c * (d_sigma_c - (d_sigma_c * sigma_c).sum(axis=1, keepdims=True))
-    d_score_s = sigma_s * (d_sigma_s - (d_sigma_s * sigma_s).sum(axis=0, keepdims=True))
+    # softmax Jacobian applied per row (classification) and per column
+    # (selection), in the storage of dL/dsigma_c and dL/dsigma_s
+    d_score_c = d_P * sigma_s
+    d_score_c -= (d_score_c * sigma_c).sum(axis=1, keepdims=True)
+    d_score_c *= sigma_c
+    d_score_s = d_P * sigma_c
+    d_score_s -= (d_score_s * sigma_s).sum(axis=0, keepdims=True)
+    d_score_s *= sigma_s
 
-    d_hidden = d_score_c @ params.w_cls.T + d_score_s @ params.w_sel.T
+    d_pre = d_score_c @ params.w_cls.T
+    d_pre += d_score_s @ params.w_sel.T
     # hidden > 0 exactly where the ReLU's input is > 0
-    d_pre = d_hidden * (hidden > 0.0)
-    return {
-        "w_enc": scores.features.T @ d_pre,
-        "b_enc": d_pre.sum(axis=0),
-        "w_cls": hidden.T @ d_score_c,
-        "b_cls": d_score_c.sum(axis=0),
-        "w_sel": hidden.T @ d_score_s,
-        "b_sel": d_score_s.sum(axis=0),
-    }
+    d_pre *= hidden > 0.0
+    grads = params.zeros_like() if out is None else out
+    np.matmul(scores.features.T, d_pre, out=grads.w_enc)
+    d_pre.sum(axis=0, out=grads.b_enc)
+    np.matmul(hidden.T, d_score_c, out=grads.w_cls)
+    d_score_c.sum(axis=0, out=grads.b_cls)
+    np.matmul(hidden.T, d_score_s, out=grads.w_sel)
+    d_score_s.sum(axis=0, out=grads.b_sel)
+    return grads
 
 
 def infer_pairs(

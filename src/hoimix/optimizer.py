@@ -15,12 +15,15 @@ Policies differ in how gradient history is recorded:
   type is withheld until a switch iteration (see schedule_filter).
 
 In every policy, region-level batches (FS, and pseudo-labeled US) step with
-alpha_fs into z_fs, and WS batches with alpha_ws into z_ws.
+alpha_fs into z_fs, and WS batches with alpha_ws into z_ws. The buffers are
+the rows of one (k, n) array over the flat parameter vector: two rows under
+Independent, one row that both names view under every other policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,49 +62,56 @@ class OptimizerConfig:
             raise ValueError("sequence_switch_iteration must be nonnegative")
 
 
-@dataclass(eq=False)
 class MomentumState:
     """Per-supervision gradient-history buffers plus a step counter.
 
-    Under non-Independent policies z_ws and z_fs are the same dict object,
-    so both names address one logical buffer.
+    `buffers` is one (k, n) float64 array over the flat parameter vector:
+    under Independent row 0 takes WS steps and row 1 region-level ones
+    (k = 2); under every other policy every step goes into the one row
+    (k = 1). z_ws and z_fs are ModelParams views of their rows, so with one
+    row they are the same view.
     """
 
-    z_ws: dict = field(default_factory=dict)
-    z_fs: dict = field(default_factory=dict)
-    t: int = 0
+    def __init__(self, buffers: np.ndarray, dims: tuple[int, int, int], t: int = 0) -> None:
+        self.buffers = buffers
+        rows = [ModelParams.over(row, dims) for row in buffers]
+        self.z_ws, self.z_fs = rows[0], rows[-1]
+        self.t = t
 
     @classmethod
     def zeros(cls, params: ModelParams, policy: MomentumPolicy) -> "MomentumState":
-        z = {name: np.zeros_like(arr) for name, arr in params.items()}
-        if policy == MomentumPolicy.INDEPENDENT:
-            return cls(z_ws=z, z_fs={name: np.zeros_like(arr) for name, arr in params.items()})
-        return cls(z_ws=z, z_fs=z)
+        rows = 2 if policy == MomentumPolicy.INDEPENDENT else 1
+        return cls(np.zeros((rows, params.flat.size)), params.dims)
 
     @property
     def shared_buffer(self) -> bool:
-        return self.z_ws is self.z_fs
+        return len(self.buffers) == 1
 
 
 def step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams | Mapping[str, np.ndarray],
     tag: SupervisionTag,
     state: MomentumState,
     cfg: OptimizerConfig,
 ) -> tuple[ModelParams, MomentumState]:
     """Apply one momentum update in place; returns the mutated pair.
 
+    `grads` has the dims of `params`; a mapping of the six gradient arrays
+    goes through the ModelParams constructor's shape checks first. The
+    update runs once over the flat vectors, z *= beta; z += alpha * g;
+    w -= z, which rounds exactly like z = beta * z + alpha * g per tensor.
+
     Single-writer contract: exactly one training loop may own (params, state).
     """
-    alpha, z = (cfg.alpha_fs, state.z_fs) if tag.region_level else (cfg.alpha_ws, state.z_ws)
-    for name, w in params.items():
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {name} {w.shape}")
-        z_new = cfg.beta * z[name] + alpha * g
-        z[name] = z_new
-        w -= z_new
+    if not isinstance(grads, ModelParams):
+        grads = ModelParams(**grads)
+    if grads.dims != params.dims:
+        raise ValueError(f"gradient dims {grads.dims} do not match parameter dims {params.dims}")
+    alpha, z = (cfg.alpha_fs, state.z_fs.flat) if tag.region_level else (cfg.alpha_ws, state.z_ws.flat)
+    z *= cfg.beta
+    z += alpha * grads.flat
+    params.flat -= z
     state.t += 1
     return params, state
 
@@ -128,18 +138,13 @@ def state_to_arrays(state: MomentumState) -> dict[str, np.ndarray]:
 
 
 def arrays_to_state(arrays: dict[str, np.ndarray], t: int, policy: MomentumPolicy) -> MomentumState:
-    """Rebuild a MomentumState, restoring buffer aliasing for shared policies."""
-    z_ws = {
-        key.split("/", 2)[2]: arr.copy()
-        for key, arr in arrays.items()
-        if key.startswith("momentum/ws/")
-    }
-    if policy == MomentumPolicy.INDEPENDENT:
-        z_fs = {
-            key.split("/", 2)[2]: arr.copy()
-            for key, arr in arrays.items()
-            if key.startswith("momentum/fs/")
-        }
-    else:
-        z_fs = z_ws
-    return MomentumState(z_ws=z_ws, z_fs=z_fs, t=t)
+    """Rebuild a MomentumState: rows ws and fs under Independent, ws alone
+    under every other policy."""
+    keys = ("ws", "fs") if policy == MomentumPolicy.INDEPENDENT else ("ws",)
+    rows = [
+        ModelParams(**{name: arrays[f"momentum/{key}/{name}"] for name in ModelParams.FIELDS})
+        for key in keys
+    ]
+    if rows[-1].dims != rows[0].dims:
+        raise ValueError(f"momentum buffer dims differ: ws {rows[0].dims}, fs {rows[-1].dims}")
+    return MomentumState(np.stack([row.flat for row in rows]), rows[0].dims, t)

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hoimix.checkpoint import MAGIC, load_arrays, save_arrays, save_checkpoint
+from hoimix.checkpoint import (
+    MAGIC,
+    atomic_open,
+    load_arrays,
+    load_checkpoint,
+    save_arrays,
+    save_checkpoint,
+)
 from hoimix.model import ModelParams
 
 PREAMBLE = len(MAGIC) + 8
@@ -22,20 +29,37 @@ def two_tensor_file(path):
     return path.read_bytes()
 
 
-def with_header(data, edit):
+def checkpoint_file(path):
+    # feature_dim 2, hidden_dim 1, 2 classes: "param/b_cls" holds body bytes
+    # 0..16 and "param/w_sel" the last ones, 72..88
+    save_checkpoint(path, ModelParams.init(2, 1, 2, seed=0))
+    return path.read_bytes()
+
+
+def with_header(data, edit, drop=0):
+    """Rewrite the header with `edit`, and drop the first `drop` body bytes."""
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     header = json.loads(data[PREAMBLE : PREAMBLE + header_len])
     edit(header)
     raw = json.dumps(header, sort_keys=True).encode()
-    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[PREAMBLE + header_len :]
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[PREAMBLE + header_len + drop :]
 
 
-def shift_b(header):
-    header["tensors"]["b"]["offset"] = 32
+def shift_last(header):
+    header["tensors"]["param/w_sel"]["offset"] = 80
 
 
-def grow_a(header):
-    header["tensors"]["a"]["nbytes"] = 32
+def grow_first(header):
+    header["tensors"]["param/b_cls"]["nbytes"] = 24
+
+
+def one_class_b_cls(header):
+    # a well-formed file whose b_cls holds 1 class while the heads hold 2
+    for name, entry in header["tensors"].items():
+        if name == "param/b_cls":
+            entry.update(shape=[1], nbytes=8)
+        else:
+            entry["offset"] -= 8
 
 
 CORRUPTIONS = {
@@ -46,18 +70,44 @@ CORRUPTIONS = {
     "wrong_magic": lambda data: b"X" + data[1:],
     "cut_in_header": lambda data: data[: PREAMBLE + 5],
     "bad_json_header": lambda data: data[:PREAMBLE] + b"!" + data[PREAMBLE + 1 :],
-    "nbytes_sum_differs_from_body": lambda data: with_header(data, grow_a),
-    "tensor_outside_body": lambda data: with_header(data, shift_b),
+    "nbytes_sum_differs_from_body": lambda data: with_header(data, grow_first),
+    "tensor_outside_body": lambda data: with_header(data, shift_last),
     "header_without_tensors": lambda data: with_header(data, lambda h: h.pop("tensors")),
+    "param_shapes_disagree": lambda data: with_header(data, one_class_b_cls, drop=8),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupt_file_rejected_naming_the_path(tmp_path, corruption):
     path = tmp_path / "c.ckpt"
-    path.write_bytes(CORRUPTIONS[corruption](two_tensor_file(path)))
+    path.write_bytes(CORRUPTIONS[corruption](checkpoint_file(path)))
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_arrays(path)
+        load_checkpoint(path)
+
+
+def test_shape_corruption_is_well_formed_otherwise(tmp_path):
+    # the container loads; only the model's shape check rejects the file
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(CORRUPTIONS["param_shapes_disagree"](checkpoint_file(path)))
+    arrays, _ = load_arrays(path)
+    assert arrays["param/b_cls"].shape == (1,)
+    with pytest.raises(ValueError, match="b_cls has shape"):
+        load_checkpoint(path)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "c.ckpt"
+    params = ModelParams.init(3, 2, 2, seed=0)
+    save_checkpoint(path, params)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="disk full"):
+        with atomic_open(path, "wb") as fh:
+            fh.write(before[: len(before) // 2])
+            raise RuntimeError("disk full")
+    assert path.read_bytes() == before
+    loaded, _, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.flat, params.flat)
+    assert os.listdir(tmp_path) == ["c.ckpt"]
 
 
 def test_unedited_header_loads(tmp_path):

@@ -177,8 +177,39 @@ def test_non_finite_params_abort_training():
     params.w_enc[0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises((TrainingDiverged, ValueError)):
+        with pytest.raises(TrainingDiverged):
             train(tagged, cfg, init_params=params)
+
+
+@pytest.mark.parametrize("saved_policy", [MomentumPolicy.SHARED, MomentumPolicy.INDEPENDENT])
+def test_resume_rejects_a_state_of_the_other_buffer_count(saved_policy):
+    cfg = tiny_cfg(iterations=20)
+    tagged, _, _ = prepare_world(cfg)
+    other = (
+        MomentumPolicy.INDEPENDENT if saved_policy == MomentumPolicy.SHARED else MomentumPolicy.SHARED
+    )
+    saved_cfg = dataclasses.replace(
+        cfg, optimizer=dataclasses.replace(cfg.optimizer, policy=saved_policy)
+    )
+    resume_cfg = dataclasses.replace(
+        cfg, iterations=40, optimizer=dataclasses.replace(cfg.optimizer, policy=other)
+    )
+    half = train(tagged, saved_cfg)
+    with pytest.raises(ValueError, match="momentum buffer"):
+        train(tagged, resume_cfg, init_params=half.params, init_state=half.state, start_iteration=20)
+
+
+def test_resume_rejects_params_or_state_of_other_dims():
+    from hoimix.model import ModelParams
+    from hoimix.optimizer import MomentumState
+
+    cfg = tiny_cfg(iterations=20)
+    tagged, _, _ = prepare_world(cfg)
+    wide = ModelParams.init(cfg.world.feature_dim, 27, cfg.world.n_hoi_classes, seed=0)
+    with pytest.raises(ValueError, match="init_params dims"):
+        train(tagged, cfg, init_params=wide)
+    with pytest.raises(ValueError, match="init_state dims"):
+        train(tagged, cfg, init_state=MomentumState.zeros(wide, cfg.optimizer.policy))
 
 
 def test_ratio_sweep_produces_rows_and_aggregates(tmp_path):

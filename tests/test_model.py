@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
 from hoimix.model import (
@@ -206,3 +208,75 @@ def test_checkpoint_files_are_reproducible(tmp_path):
     save_checkpoint(p1, params, meta={"k": 1})
     save_checkpoint(p2, params, meta={"k": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("w_enc", (6,)), ("b_enc", (7,)), ("w_cls", (7, 4)), ("b_cls", (1,)), ("w_sel", (7, 4)), ("b_sel", (3,))],
+)
+def test_constructor_rejects_shapes_that_disagree(name, shape):
+    tensors = dict(make_params(feature_dim=6, hidden=8, n_classes=4).items())
+    tensors[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match=name):
+        ModelParams(**tensors)
+
+
+def test_fields_are_views_into_one_flat_vector():
+    params = make_params(feature_dim=3, hidden=2, n_classes=4)
+    assert params.flat.dtype == np.float64
+    assert params.flat.size == sum(arr.size for arr in params.values())
+    assert list(params) == list(ModelParams.FIELDS)
+    for name, arr in params.items():
+        assert params[name] is arr
+        assert np.shares_memory(arr, params.flat)
+    params.flat[:] = 0.5
+    np.testing.assert_array_equal(params.b_sel, 0.5)
+    with pytest.raises(AttributeError):
+        params.w_enc = np.zeros((3, 2))
+    with pytest.raises(KeyError):
+        params["flat"]
+
+
+def test_copy_keeps_its_views_on_its_own_vector():
+    params = make_params()
+    clone = params.copy()
+    assert clone.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(clone.flat, params.flat)
+    clone.flat[:] = 0.0
+    np.testing.assert_array_equal(clone.w_sel, 0.0)
+    assert np.any(params.w_sel != 0.0)
+
+
+def test_backward_writes_into_the_given_buffer():
+    params = make_params()
+    X = np.random.default_rng(10).normal(size=(4, 6))
+    upstream = np.random.default_rng(11).normal(size=4)
+    fresh = backward(params, forward(params, X), upstream)
+    out = params.zeros_like()
+    out.flat[:] = np.nan
+    assert backward(params, forward(params, X), upstream, out) is out
+    assert out.flat.tobytes() == fresh.flat.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    d=st.integers(1, 8),
+    h=st.integers(1, 10),
+    c=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    param_exponent=st.floats(-50.0, 50.0),
+    feature_exponent=st.floats(-100.0, 100.0),
+)
+def test_columns_of_P_and_the_aggregate_are_bounded(n, d, h, c, seed, param_exponent, feature_exponent):
+    # magnitudes up to 1e50 in the parameters and 1e100 in the features
+    # keep every raw score finite, yet saturate both softmaxes
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(d, h, c, seed)
+    params.flat[:] = rng.normal(size=params.flat.size) * 10.0**param_exponent
+    X = rng.normal(size=(n, d)) * 10.0**feature_exponent
+    P = forward(params, X).P
+    # each column of sigma_s sums to 1 up to rounding, and sigma_c <= 1
+    assert np.all(P.sum(axis=0) <= 1.0 + n * np.finfo(np.float64).eps)
+    p = aggregate_image_level(P)
+    assert np.all((p >= 0.0) & (p <= 1.0))

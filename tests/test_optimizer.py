@@ -13,6 +13,7 @@ from hoimix.optimizer import (
     step,
 )
 from hoimix.supervision import SupervisionTag
+from optimizer_reference import ReferenceOptimizer
 
 
 def scalar_params(value=1.0):
@@ -146,6 +147,49 @@ def test_shape_mismatch_rejected():
     grads["w_enc"] = np.zeros((2, 2))
     with pytest.raises(ValueError):
         step(params, grads, SupervisionTag.FS, state, cfg)
+
+
+@pytest.mark.parametrize("policy", list(MomentumPolicy))
+def test_fused_step_matches_per_tensor_reference_bitwise(policy):
+    rng = np.random.default_rng(len(policy.value))
+    tags = list(SupervisionTag)
+    for trial in range(8):
+        cfg = OptimizerConfig(
+            alpha_ws=float(rng.uniform(1e-3, 0.1)),
+            alpha_fs=float(rng.uniform(1e-3, 0.1)),
+            beta=float(rng.uniform(0.0, 0.99)),
+            policy=policy,
+            sequence_switch_iteration=20,
+        )
+        dims = tuple(int(x) for x in rng.integers(1, 7, size=3))
+        params = ModelParams.init(*dims, seed=trial)
+        state = MomentumState.zeros(params, policy)
+        reference = ReferenceOptimizer(params, cfg)
+        steps = 0
+        for t in range(60):
+            tag = tags[rng.integers(len(tags))]
+            if not schedule_filter(tag, t, cfg):
+                continue
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.uniform(-3, 3)
+            step(params, grads, tag, state, cfg)
+            reference.step(grads, tag)
+            steps += 1
+            for name, arr in params.items():
+                assert arr.tobytes() == reference.weights[name].tobytes()
+                assert state.z_ws[name].tobytes() == reference.z_ws[name].tobytes()
+                assert state.z_fs[name].tobytes() == reference.z_fs[name].tobytes()
+        assert state.t == steps
+
+
+def test_momentum_rows_follow_the_policy():
+    params = ModelParams.init(3, 4, 2, seed=0)
+    for policy in MomentumPolicy:
+        state = MomentumState.zeros(params, policy)
+        rows = 2 if policy == MomentumPolicy.INDEPENDENT else 1
+        assert state.buffers.shape == (rows, params.flat.size)
+        assert np.shares_memory(state.z_ws.flat, state.buffers[0])
+        assert np.shares_memory(state.z_fs.flat, state.buffers[rows - 1])
 
 
 def test_sequence_filter_fs_first():

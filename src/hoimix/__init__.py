@@ -21,6 +21,7 @@ from .batching import (
 from .evaluation import BoxPairs, EvalReport, Predictions, evaluate, match_and_ap
 from .experiment import (
     ExperimentConfig,
+    fit,
     run_class_split,
     run_experiment,
     run_ratio_sweep,
@@ -73,6 +74,7 @@ __all__ = [
     "build_pairs",
     "element_swap",
     "evaluate",
+    "fit",
     "forward",
     "fs_loss",
     "generate_eval_images",

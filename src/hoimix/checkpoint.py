@@ -6,8 +6,9 @@ metadata, then the raw tensor bytes. The file contents are a pure function
 of the stored values, so identical runs produce identical files and reload
 is bit-exact.
 
-Every run output (checkpoints, CSVs, logs, JSON reports) is written through
-`atomic_open`, so a crash mid-write leaves the previous file whole.
+Every output (checkpoints, CSVs, logs, JSON reports, pseudo-label dumps and
+`dataset.jsonl`) is written through `atomic_open`, so a crash mid-write
+leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -127,10 +128,14 @@ def load_checkpoint(path) -> tuple[ModelParams, MomentumState | None, dict]:
     """Read a file written by save_checkpoint.
 
     Raises ValueError naming the path when load_arrays does, when a tensor
-    is missing, or when the tensor shapes disagree with each other.
+    is missing or is not little-endian float64 (the only dtype saved), or
+    when the tensor shapes disagree with each other.
     """
     arrays, meta = load_arrays(path)
     try:
+        for name, arr in arrays.items():
+            if arr.dtype.str != "<f8":
+                raise ValueError(f"tensor {name} has dtype {arr.dtype.str}, not <f8")
         params = ModelParams(**{name: arrays[f"param/{name}"] for name in ModelParams.FIELDS})
         state = None
         if any(key.startswith("momentum/") for key in arrays):

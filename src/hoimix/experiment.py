@@ -4,7 +4,9 @@ A run generates a synthetic world, splits it by supervision, fixes the
 two-image batch schedule once, trains with the configured momentum policy,
 and evaluates mAP on a held-out set sharing the world's latent structure.
 One schedule entry corresponds to one iteration; entries skipped by a
-sequence-training filter still consume their iteration.
+sequence-training filter still consume their iteration. Every experiment
+(full runs, sweeps, the class split, pseudo-label cycles) trains and
+evaluates through `fit`.
 """
 
 from __future__ import annotations
@@ -160,20 +162,18 @@ def _build_batches(
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]],
 ) -> list[MiniBatch]:
     by_id = {image.image_id: image for image in images}
-    batches = []
-    for entry in schedule.entries:
-        batches.append(
-            assemble_minibatch(
-                by_id[entry.image_a],
-                by_id[entry.image_b],
-                n_classes=cfg.world.n_hoi_classes,
-                feature_dim=cfg.world.feature_dim,
-                top_k=cfg.top_k,
-                element_swap_enabled=cfg.element_swap,
-                pseudo_triplets=pseudo_triplets,
-            )
+    return [
+        assemble_minibatch(
+            by_id[entry.image_a],
+            by_id[entry.image_b],
+            n_classes=cfg.world.n_hoi_classes,
+            feature_dim=cfg.world.feature_dim,
+            top_k=cfg.top_k,
+            element_swap_enabled=cfg.element_swap,
+            pseudo_triplets=pseudo_triplets,
         )
-    return batches
+        for entry in schedule.entries
+    ]
 
 
 def train(
@@ -260,18 +260,10 @@ def train(
         step(params, grads, tag, state, cfg.optimizer)
         log.losses.append((t, tag.value, report.value))
         if test_images is not None and (t + 1) % eval_every == 0:
-            log.evals.append(
-                (
-                    t + 1,
-                    evaluate(
-                        params,
-                        test_images,
-                        rare_ids or set(),
-                        feature_dim=cfg.world.feature_dim,
-                        top_k=cfg.top_k,
-                    ),
-                )
+            evaluation = evaluate(
+                params, test_images, rare_ids or set(), feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
             )
+            log.evals.append((t + 1, evaluation))
     return TrainResult(params=params, state=state, log=log, schedule=schedule)
 
 
@@ -282,6 +274,7 @@ class RunResult:
     params: ModelParams
     state: MomentumState
     log: TrainingLog
+    schedule: Schedule
     report: EvalReport
     csv_row: str
 
@@ -298,6 +291,46 @@ def prepare_world(cfg: ExperimentConfig):
     return tagged, test_images, rare_ids
 
 
+def fit(
+    images: list[SynthImage],
+    cfg: ExperimentConfig,
+    test_images: list[SynthImage],
+    rare_ids: set[int],
+    *,
+    run_id: str = "run",
+    periodic_eval: bool = False,
+    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+) -> RunResult:
+    """Train on the given tagged images, then evaluate the final model once."""
+    result = train(
+        images,
+        cfg,
+        test_images=test_images if periodic_eval else None,
+        rare_ids=rare_ids,
+        pseudo_triplets=pseudo_triplets,
+    )
+    if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
+        # the last periodic eval already scored the final model
+        report = result.log.evals[-1][1]
+    else:
+        report = evaluate(
+            result.params, test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
+        )
+    row = report_csv_row(
+        report, run_id, cfg.ratio_string(), cfg.optimizer.policy.value, cfg.element_swap, cfg.train_seed
+    )
+    return RunResult(
+        run_id=run_id,
+        config=cfg,
+        params=result.params,
+        state=result.state,
+        log=result.log,
+        schedule=result.schedule,
+        report=report,
+        csv_row=row,
+    )
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     run_id: str = "run",
@@ -306,40 +339,7 @@ def run_experiment(
 ) -> RunResult:
     """World generation, split, training, final evaluation, optional outputs."""
     tagged, test_images, rare_ids = prepare_world(cfg)
-    result = train(
-        tagged,
-        cfg,
-        test_images=test_images if periodic_eval else None,
-        rare_ids=rare_ids,
-    )
-    if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
-        # the last periodic eval already scored the final model
-        report = result.log.evals[-1][1]
-    else:
-        report = evaluate(
-            result.params,
-            test_images,
-            rare_ids,
-            feature_dim=cfg.world.feature_dim,
-            top_k=cfg.top_k,
-        )
-    row = report_csv_row(
-        report,
-        run_id,
-        cfg.ratio_string(),
-        cfg.optimizer.policy.value,
-        cfg.element_swap,
-        cfg.train_seed,
-    )
-    run = RunResult(
-        run_id=run_id,
-        config=cfg,
-        params=result.params,
-        state=result.state,
-        log=result.log,
-        report=report,
-        csv_row=row,
-    )
+    run = fit(tagged, cfg, test_images, rare_ids, run_id=run_id, periodic_eval=periodic_eval)
     if out_dir is not None:
         write_run_outputs(run, out_dir)
     return run
@@ -469,19 +469,9 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
             if restricted is not None:
                 images_ws.append(restricted)
 
-    def fit(images: list[SynthImage]) -> EvalReport:
-        result = train(images, cfg)
-        return evaluate(
-            result.params,
-            test_images,
-            rare_ids,
-            feature_dim=cfg.world.feature_dim,
-            top_k=cfg.top_k,
-        )
-
-    report_separate_fs = fit(images_fs)
-    report_separate_ws = fit(images_ws)
-    report_joint = fit(images_fs + images_ws)
+    report_separate_fs = fit(images_fs, cfg, test_images, rare_ids).report
+    report_separate_ws = fit(images_ws, cfg, test_images, rare_ids).report
+    report_joint = fit(images_fs + images_ws, cfg, test_images, rare_ids).report
 
     return {
         "classes_fs": classes_fs,

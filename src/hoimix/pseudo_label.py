@@ -23,7 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import HumanObjectPair, build_pairs
-from .evaluation import EvalReport, evaluate
+from .checkpoint import atomic_open
+from .evaluation import EvalReport
+# bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
+from .evaluation import evaluate  # noqa: F401
+from .experiment import ExperimentConfig, fit
 from .model import ModelParams, forward
 from .supervision import SupervisionTag
 from .synth_world import GroundTruthTriplet, SynthImage
@@ -95,7 +99,7 @@ class CycleReport:
 
 def dump_pseudo_triplets(path, pseudo: dict[int, list[GroundTruthTriplet]]) -> None:
     """Audit dump in the dataset's triplet record format, flagged pseudo."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for image_id in sorted(pseudo):
             record = {
                 "image_id": image_id,
@@ -114,7 +118,7 @@ def dump_pseudo_triplets(path, pseudo: dict[int, list[GroundTruthTriplet]]) -> N
 
 def iterate_cycles(
     images: list[SynthImage],
-    cfg,
+    cfg: ExperimentConfig,
     n_cycles: int,
     mode: str = "unlabeled",
     *,
@@ -132,8 +136,6 @@ def iterate_cycles(
     seeded initialization; identical pseudo-label sets between consecutive
     cycles raise the converged flag and stop early.
     """
-    from .experiment import train  # deferred: experiment imports this module
-
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if mode not in ("unlabeled", "multistage"):
@@ -163,28 +165,16 @@ def iterate_cycles(
         pseudo: dict[int, list[GroundTruthTriplet]] = {}
         for img in pseudo_sources:
             if mode == "multistage":
-                triplets = ws_to_pseudo_fs(
-                    params, img, feature_dim=feature_dim, top_k=cfg.top_k
-                )
+                triplets = ws_to_pseudo_fs(params, img, feature_dim=feature_dim, top_k=cfg.top_k)
             else:
                 triplets = us_to_pseudo_fs(
-                    params,
-                    img,
-                    cfg.pseudo_threshold,
-                    feature_dim=feature_dim,
-                    top_k=cfg.top_k,
+                    params, img, cfg.pseudo_threshold, feature_dim=feature_dim, top_k=cfg.top_k
                 )
             if triplets:
                 pseudo[img.image_id] = triplets
         return pseudo
 
-    def score(params: ModelParams) -> EvalReport:
-        return evaluate(
-            params, test_images, rare_ids, feature_dim=feature_dim, top_k=cfg.top_k
-        )
-
-    base = train(base_pool, cfg)
-    base_report = score(base.params)
+    base = fit(base_pool, cfg, test_images, rare_ids)
     pseudo = relabel(base.params)
 
     params = base.params
@@ -195,11 +185,10 @@ def iterate_cycles(
             dump_pseudo_triplets(
                 os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo
             )
-        result = train(cycle_pool, cfg, pseudo_triplets=pseudo)
-        params = result.params
+        run = fit(cycle_pool, cfg, test_images, rare_ids, pseudo_triplets=pseudo)
+        params, report = run.params, run.report
         new_pseudo = relabel(params)
         converged = new_pseudo == pseudo
-        report = score(params)
         reports.append(
             CycleReport(
                 cycle=cycle,
@@ -213,4 +202,4 @@ def iterate_cycles(
         pseudo = new_pseudo
         if converged:
             break
-    return params, reports, base_report
+    return params, reports, base.report

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .geometry import Box, iou
 from .supervision import SupervisionTag
 
@@ -573,7 +574,7 @@ def image_from_record(rec: dict) -> SynthImage:
 
 def save_dataset(images: list[SynthImage], path, human_class_id: int) -> None:
     """Write one JSON record per line; field names are the format contract."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for image in images:
             fh.write(json.dumps(image_to_record(image, human_class_id), sort_keys=True))
             fh.write("\n")

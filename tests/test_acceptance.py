@@ -17,17 +17,16 @@ from hoimix.batching import build_pairs, element_swap
 from hoimix.experiment import (
     ExperimentConfig,
     config_diff,
+    fit,
     permute_labels,
     prepare_world,
     run_experiment,
-    train,
 )
 from hoimix.geometry import Box
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
 from hoimix.model import ModelParams, aggregate_image_level, backward, forward
 from hoimix.optimizer import MomentumPolicy, MomentumState, OptimizerConfig, step
 from hoimix.pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
-from hoimix.evaluation import evaluate
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     Detection,
@@ -383,25 +382,16 @@ def test_criterion_06_map_oracle():
 # 7. learnability floor
 
 
-def _fit_arm(cfg, select=None):
-    """prepare_world -> train -> evaluate, as run_experiment does; `select`
-    maps the tagged training images to the ones this arm trains on."""
-    tagged, test_images, rare_ids = prepare_world(cfg)
-    result = train(tagged if select is None else select(tagged), cfg)
-    report = evaluate(
-        result.params, test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
-    )
-    return report.map_full, result
-
-
 def test_criterion_07_learnability_floor():
     started = time.monotonic()
     wins = 0
     details = []
     for seed in range(5):
         cfg = default_cfg(ws_fraction=0.0, fs_fraction=1.0, train_seed=seed)
-        trained = run_experiment(cfg).report.map_full
-        control, _ = _fit_arm(cfg, lambda tagged: permute_labels(tagged, seed=seed + 991))
+        tagged, test_images, rare_ids = prepare_world(cfg)
+        trained = fit(tagged, cfg, test_images, rare_ids).report.map_full
+        permuted = permute_labels(tagged, seed=seed + 991)
+        control = fit(permuted, cfg, test_images, rare_ids).report.map_full
         win = trained >= 0.5 and trained - control >= 0.3
         wins += win
         details.append(f"s{seed}: {trained:.3f} vs control {control:.3f}")
@@ -458,17 +448,24 @@ def test_criterion_08_mil_trend():
     cosines = []
     for seed in range(5):
         mix_cfg = dataclasses.replace(indep_cfg, train_seed=seed)
-        indep, indep_run = _fit_arm(mix_cfg)
-        shared, _ = _fit_arm(dataclasses.replace(shared_cfg, train_seed=seed))
-        wsonly, wsonly_run = _fit_arm(dataclasses.replace(wsonly_cfg, train_seed=seed))
-        fspart, fspart_run = _fit_arm(
-            mix_cfg, lambda tagged: [i for i in tagged if i.supervision == SupervisionTag.FS]
-        )
-        assert _trained_ids(wsonly_run, SupervisionTag.WS) == _trained_ids(indep_run, SupervisionTag.WS)
-        assert _trained_ids(fspart_run, SupervisionTag.FS) == _trained_ids(indep_run, SupervisionTag.FS)
+        seed_wsonly_cfg = dataclasses.replace(wsonly_cfg, train_seed=seed)
+        # the arms share the world and the test set; the 70/0/30 arm is split
+        # differently, and the Shared arm the same way as the mix
+        tagged, test_images, rare_ids = prepare_world(mix_cfg)
+        wsonly_tagged, _, _ = prepare_world(seed_wsonly_cfg)
+        fs_tagged = [i for i in tagged if i.supervision == SupervisionTag.FS]
+        arms = {
+            "indep": fit(tagged, mix_cfg, test_images, rare_ids),
+            "shared": fit(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_images, rare_ids),
+            "wsonly": fit(wsonly_tagged, seed_wsonly_cfg, test_images, rare_ids),
+            "fspart": fit(fs_tagged, mix_cfg, test_images, rare_ids),
+        }
+        indep_run = arms["indep"]
+        assert _trained_ids(arms["wsonly"], SupervisionTag.WS) == _trained_ids(indep_run, SupervisionTag.WS)
+        assert _trained_ids(arms["fspart"], SupervisionTag.FS) == _trained_ids(indep_run, SupervisionTag.FS)
         cosines.append(_buffer_cosine(indep_run.state))
-        for name, value in zip(runs, (indep, shared, wsonly, fspart)):
-            runs[name].append(value)
+        for name, run in arms.items():
+            runs[name].append(run.report.map_full)
 
     def gain(a, b):
         gap = float(np.mean(runs[a]) - np.mean(runs[b]))

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoimix.batching import (
     ScheduleError,
@@ -134,6 +136,25 @@ def test_element_swap_prefers_same_image_pairs_on_ties():
     out = element_swap(build_pairs(im1, FEATURE_DIM), build_pairs(im2, FEATURE_DIM))
     assert len(out) == 2
     assert all(not p.swapped for p in out)
+
+
+# dyadic confidences, so that equal confidence products are exactly equal
+confidence_lists = st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h1=confidence_lists, o1=confidence_lists, h2=confidence_lists, o2=confidence_lists)
+def test_element_swap_keeps_the_pair_count_and_same_image_pairs_first_on_ties(h1, o1, h2, o2):
+    pairs1 = build_pairs(image(0, len(h1), len(o1), confs_h=h1, confs_o=o1), FEATURE_DIM)
+    pairs2 = build_pairs(image(1, len(h2), len(o2), confs_h=h2, confs_o=o2), FEATURE_DIM)
+    out = element_swap(pairs1, pairs2)
+    assert len(out) == len(pairs1) + len(pairs2)
+    for k, kept in enumerate(out):
+        if kept.swapped:
+            # every same-image pair tied with it is kept, and ahead of it
+            ahead = {id(p) for p in out[:k]}
+            tied = [p for p in pairs1 + pairs2 if confidence_product(p) == confidence_product(kept)]
+            assert all(id(p) in ahead for p in tied)
 
 
 def confident_swap_images():

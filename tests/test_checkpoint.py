@@ -62,6 +62,22 @@ def one_class_b_cls(header):
             entry["offset"] -= 8
 
 
+def narrow_dtypes(data):
+    """The same checkpoint rewritten with float32 parameters and an int8 b_cls."""
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[PREAMBLE : PREAMBLE + header_len])
+    body = data[PREAMBLE + header_len :]
+    arrays = {}
+    for name, e in header["tensors"].items():
+        values = np.frombuffer(body[e["offset"] : e["offset"] + e["nbytes"]]).reshape(e["shape"])
+        arrays[name] = values.astype(np.int8 if name == "param/b_cls" else np.float32)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "narrow.ckpt")
+        save_arrays(path, arrays, header["meta"])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 CORRUPTIONS = {
     "trailing_bytes": lambda data: data + b"\0",
     "truncated_body": lambda data: data[:-8],
@@ -74,6 +90,7 @@ CORRUPTIONS = {
     "tensor_outside_body": lambda data: with_header(data, shift_last),
     "header_without_tensors": lambda data: with_header(data, lambda h: h.pop("tensors")),
     "param_shapes_disagree": lambda data: with_header(data, one_class_b_cls, drop=8),
+    "params_not_float64": narrow_dtypes,
 }
 
 
@@ -92,6 +109,17 @@ def test_shape_corruption_is_well_formed_otherwise(tmp_path):
     arrays, _ = load_arrays(path)
     assert arrays["param/b_cls"].shape == (1,)
     with pytest.raises(ValueError, match="b_cls has shape"):
+        load_checkpoint(path)
+
+
+def test_dtype_corruption_is_well_formed_otherwise(tmp_path):
+    # the container loads; only the checkpoint's dtype check rejects the file
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(CORRUPTIONS["params_not_float64"](checkpoint_file(path)))
+    arrays, _ = load_arrays(path)
+    assert arrays["param/b_cls"].dtype == np.int8
+    assert arrays["param/w_enc"].dtype == np.float32
+    with pytest.raises(ValueError, match="has dtype"):
         load_checkpoint(path)
 
 

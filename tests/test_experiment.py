@@ -12,6 +12,7 @@ from hoimix.experiment import (
     ExperimentConfig,
     TrainingDiverged,
     config_diff,
+    fit,
     load_config,
     permute_labels,
     prepare_world,
@@ -99,6 +100,21 @@ def test_periodic_run_does_not_evaluate_the_final_model_twice(monkeypatch):
     calls.clear()
     run = run_experiment(tiny_cfg(eval_every=150), periodic_eval=True)
     assert [it for it, _ in run.log.evals] == [150, 300] and len(calls) == 3
+
+
+def test_run_experiment_is_fit_on_the_prepared_world():
+    cfg = tiny_cfg()
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    run = fit(tagged, cfg, test_images, rare_ids)
+    assert run.csv_row == run_experiment(cfg).csv_row
+    # the run keeps its schedule, drawn from the images it was given
+    assert len(run.schedule.entries) == run.log.header["schedule_entries"]
+    trained = {i for e in run.schedule.entries for i in (e.image_a, e.image_b)}
+    assert trained <= {im.image_id for im in tagged}
+    fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
+    fs_run = fit(fs_only, cfg, test_images, rare_ids, run_id="fs")
+    assert {e.supervision for e in fs_run.schedule.entries} == {SupervisionTag.FS}
+    assert fs_run.csv_row.startswith("fs,")
 
 
 def test_training_losses_decrease():

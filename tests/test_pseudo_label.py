@@ -139,6 +139,23 @@ def test_pseudo_dump_format(tmp_path):
     assert {"h_box", "o_box", "hoi_class"} <= set(record["gt_triplets"][0])
 
 
+def test_failed_dump_keeps_the_previous_file(tmp_path):
+    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
+    pseudo = {
+        im.image_id: ws_to_pseudo_fs(params, im, feature_dim=SMALL.feature_dim)
+        for im in images[:4]
+    }
+    path = tmp_path / "pseudo.jsonl"
+    dump_pseudo_triplets(path, {k: pseudo[k] for k in list(pseudo)[:2]})
+    before = path.read_bytes()
+    # the last record is not a triplet, so the dump raises after writing the others
+    with pytest.raises(AttributeError):
+        dump_pseudo_triplets(path, {**pseudo, 10**9: [None]})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pseudo.jsonl"]
+
+
 def test_iterate_cycles_reports_and_early_stops():
     cfg = small_cfg()
     tagged, test_images, rare_ids = prepare_world(cfg)
@@ -154,6 +171,30 @@ def test_iterate_cycles_reports_and_early_stops():
     # one more cycle from the same state must not change the labels
     if reports[-1].converged and len(reports) >= 2:
         assert reports[-1].n_pseudo == reports[-1].n_pseudo
+
+
+def test_each_cycle_trains_and_evaluates_once_through_fit(monkeypatch):
+    import hoimix.experiment as experiment
+
+    calls = []
+
+    def counting(name):
+        real = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("train", "evaluate"):
+        monkeypatch.setattr(experiment, name, counting(name))
+    cfg = small_cfg()
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    _, reports, _ = iterate_cycles(
+        tagged, cfg, 2, mode="unlabeled", test_images=test_images, rare_ids=rare_ids
+    )
+    assert calls == ["train", "evaluate"] * (1 + len(reports))
 
 
 def test_iterate_cycles_multistage_mode():

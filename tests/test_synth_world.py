@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
@@ -193,6 +195,25 @@ def test_split_fractions_with_rounding():
     assert counts[SupervisionTag.US] == 0
 
 
+SMALL_WORLD = generate_world(SMALL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, SMALL.n_images),
+    cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_counts_are_within_one_of_their_fractions(n, cuts, seed):
+    low, high = sorted(cuts)
+    fractions = (low, high - low, 1.0 - high)
+    tagged = split_supervision(SMALL_WORLD[:n], *fractions, seed=seed)
+    counts = collections.Counter(im.supervision for im in tagged)
+    for tag, fraction in zip((SupervisionTag.WS, SupervisionTag.FS, SupervisionTag.US), fractions):
+        assert abs(counts[tag] - fraction * n) <= 1
+    assert sum(counts.values()) == n
+
+
 def test_split_all_fs():
     images = generate_world(SMALL)
     tagged = split_supervision(images, 0.0, 1.0, 0.0, seed=5)
@@ -264,6 +285,18 @@ def test_jsonl_roundtrip_preserves_everything(tmp_path):
     assert dataset_bytes(loaded, SMALL) == dataset_bytes(images, SMALL)
     save_dataset(loaded, tmp_path / "again.jsonl", SMALL.human_class_id)
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_failed_save_keeps_the_previous_dataset(tmp_path):
+    images = generate_world(SMALL)
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(images[:5], path, SMALL.human_class_id)
+    before = path.read_bytes()
+    # the last entry is not an image, so the save raises after writing the others
+    with pytest.raises(AttributeError):
+        save_dataset(images[:3] + [None], path, SMALL.human_class_id)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
 
 
 def test_record_fields_match_format_contract(tmp_path):

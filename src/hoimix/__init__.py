@@ -18,7 +18,15 @@ from .batching import (
     make_fs_targets,
     make_ws_targets,
 )
-from .evaluation import BoxPairs, EvalReport, Predictions, evaluate, match_and_ap
+from .evaluation import (
+    BoxPairs,
+    EvalReport,
+    EvalSet,
+    Predictions,
+    evaluate,
+    match_and_ap,
+    prepare_eval_set,
+)
 from .experiment import (
     ExperimentConfig,
     fit,
@@ -52,6 +60,7 @@ __all__ = [
     "BoxPairs",
     "Detection",
     "EvalReport",
+    "EvalSet",
     "ExperimentConfig",
     "GroundTruthTriplet",
     "HumanObjectPair",
@@ -88,6 +97,7 @@ __all__ = [
     "pair_features",
     "pair_iou",
     "pair_iou_matrix",
+    "prepare_eval_set",
     "rare_classes",
     "run_class_split",
     "run_experiment",

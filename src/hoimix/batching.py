@@ -18,7 +18,13 @@ from .geometry import box_array, pair_iou_matrix
 # bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
-from .synth_world import Detection, GroundTruthTriplet, SynthImage, pair_features
+from .synth_world import (
+    Detection,
+    DetectionArrays,
+    GroundTruthTriplet,
+    SynthImage,
+    pair_feature_matrix,
+)
 
 DEFAULT_TOP_K = 30
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -44,14 +50,14 @@ class HumanObjectPair:
 
 @dataclass(eq=False)
 class MiniBatch:
-    """Pairs from exactly two images with homogeneous supervision.
+    """The pair features and targets of exactly two images with homogeneous
+    supervision; a batch holds arrays only, not the pairs of its rows.
 
     FS batches carry a region-level target matrix, WS batches an image-level
     label vector. US batches are only constructible with pseudo region
     targets and carry them in fs_targets.
     """
 
-    pairs: list[HumanObjectPair]
     supervision: SupervisionTag
     features: np.ndarray  # (N, feature_dim)
     image_ids: tuple[int, int]
@@ -67,53 +73,68 @@ class MiniBatch:
                 raise ValueError(f"{self.supervision} batches carry fs_targets only")
 
 
-def _top_k_per_class(detections: Sequence[Detection], top_k: int) -> list[tuple[int, Detection]]:
-    """Keep at most top_k detections per class by confidence, preserving the
-    original ordering of the kept detections."""
-    by_class: dict[int, list[tuple[int, Detection]]] = {}
-    for idx, det in enumerate(detections):
-        by_class.setdefault(det.class_id, []).append((idx, det))
-    keep: set[int] = set()
-    for entries in by_class.values():
-        ranked = sorted(entries, key=lambda e: (-e[1].confidence, e[0]))
-        keep.update(idx for idx, _ in ranked[:top_k])
-    return [(idx, det) for idx, det in enumerate(detections) if idx in keep]
+def _top_k_per_class(detections: DetectionArrays, top_k: int) -> np.ndarray:
+    """Indices of at most top_k detections per class by confidence (ties to
+    the lower index), in their original order."""
+    rows = np.arange(len(detections.class_ids))
+    order = np.lexsort((rows, -detections.confidences, detections.class_ids))
+    classes = detections.class_ids[order]
+    # position in the sorted order minus the position of the class's first entry
+    rank_in_class = rows - np.searchsorted(classes, classes)
+    return np.sort(order[rank_in_class < top_k])
+
+
+@dataclass(eq=False)
+class PairGrid:
+    """Every kept human x kept object pair of one image as arrays, in
+    build_pairs order (human-major)."""
+
+    human_index: np.ndarray  # (n,) index into the image's human detections
+    object_index: np.ndarray
+    humans: DetectionArrays  # row i: the human of pair i
+    objects: DetectionArrays
+    features: np.ndarray     # (n, feature_dim)
+
+
+def pair_grid(image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K) -> PairGrid:
+    """All human x object pairs within one image after top-k filtering."""
+    if not image.human_detections or not image.object_detections:
+        raise ValueError(f"image {image.image_id} has no humans or no objects")
+    all_humans = DetectionArrays.of(image.human_detections)
+    all_objects = DetectionArrays.of(image.object_detections)
+    kept_humans = _top_k_per_class(all_humans, top_k)
+    kept_objects = _top_k_per_class(all_objects, top_k)
+    if not len(kept_humans) or not len(kept_objects):
+        raise ValueError(f"image {image.image_id}: empty human or object set after filtering")
+    human_index = np.repeat(kept_humans, len(kept_objects))
+    object_index = np.tile(kept_objects, len(kept_humans))
+    humans = all_humans.take(human_index)
+    objects = all_objects.take(object_index)
+    features = pair_feature_matrix(humans, objects, feature_dim)
+    return PairGrid(human_index, object_index, humans, objects, features)
 
 
 def build_pairs(
     image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> list[HumanObjectPair]:
-    """All human x object pairs within one image after top-k filtering."""
-    if not image.human_detections or not image.object_detections:
-        raise ValueError(f"image {image.image_id} has no humans or no objects")
-    humans = _top_k_per_class(image.human_detections, top_k)
-    objects = _top_k_per_class(image.object_detections, top_k)
-    if not humans or not objects:
-        raise ValueError(f"image {image.image_id}: empty human or object set after filtering")
-    pairs = []
-    for h_idx, human in humans:
-        for o_idx, obj in objects:
-            pairs.append(
-                HumanObjectPair(
-                    human=human,
-                    object=obj,
-                    human_index=h_idx,
-                    object_index=o_idx,
-                    source=(image.image_id, image.image_id),
-                    features=pair_features(human, obj, feature_dim),
-                    swapped=False,
-                )
-            )
-    return pairs
-
-
-def confidence_product(pair: HumanObjectPair) -> float:
-    """Easy-negative score: product of the two detector confidences.
-
-    Available before any training and stable across epochs, unlike
-    model-dependent scores.
-    """
-    return pair.human.confidence * pair.object.confidence
+    """pair_grid as one HumanObjectPair per pair; each pair's features are a
+    row of the grid's feature matrix."""
+    grid = pair_grid(image, feature_dim, top_k)
+    source = (image.image_id, image.image_id)
+    return [
+        HumanObjectPair(
+            human=image.human_detections[h],
+            object=image.object_detections[o],
+            human_index=h,
+            object_index=o,
+            source=source,
+            features=features,
+            swapped=False,
+        )
+        for h, o, features in zip(
+            grid.human_index.tolist(), grid.object_index.tolist(), grid.features
+        )
+    ]
 
 
 def element_swap(
@@ -122,10 +143,13 @@ def element_swap(
     """Cross-image pair augmentation for two weakly-labeled images.
 
     Forms the full (H1+H2) x (O1+O2) pool of pairs across both images, then
-    prunes easy negatives by ascending confidence_product until exactly
-    H1*O1 + H2*O2 pairs remain, the original pair count of the two images.
-    Score ties are resolved by pruning swapped pairs before same-image
-    pairs, then by (image ids, detection indices) for determinism.
+    prunes easy negatives by ascending confidence product (the product of
+    the two detector confidences, available before any training and stable
+    across epochs) until exactly H1*O1 + H2*O2 pairs remain, the original
+    pair count of the two images. Score ties are resolved by pruning swapped
+    pairs before same-image pairs, then by (image ids, detection indices)
+    for determinism. The pool is ranked on its keys alone; pairs and
+    features are built only for the swapped pairs that are kept.
     """
     if not pairs1 or not pairs2:
         raise ValueError("element_swap needs non-empty pair lists from both images")
@@ -136,48 +160,57 @@ def element_swap(
         raise ValueError("element_swap needs pairs from two distinct images")
     feature_dim = pairs1[0].features.shape[0]
 
-    def collect(pairs: list[HumanObjectPair]):
-        humans: dict[int, Detection] = {}
-        objects: dict[int, Detection] = {}
+    # each image's detections, keyed by (image id, detection index)
+    found_humans: dict[tuple[int, int], Detection] = {}
+    found_objects: dict[tuple[int, int], Detection] = {}
+    for image_id, pairs in ((image1, pairs1), (image2, pairs2)):
         for p in pairs:
-            humans.setdefault(p.human_index, p.human)
-            objects.setdefault(p.object_index, p.object)
-        return humans, objects
+            found_humans.setdefault((image_id, p.human_index), p.human)
+            found_objects.setdefault((image_id, p.object_index), p.object)
+    human_dets, object_dets = list(found_humans.values()), list(found_objects.values())
+    humans, objects = DetectionArrays.of(human_dets), DetectionArrays.of(object_dets)
+    human_ids, object_ids = list(found_humans), list(found_objects)
+    human_keys = np.array(human_ids, dtype=np.int64)
+    object_keys = np.array(object_ids, dtype=np.int64)
 
-    humans1, objects1 = collect(pairs1)
-    humans2, objects2 = collect(pairs2)
-
-    candidates = list(pairs1) + list(pairs2)
-    for h_img, humans in ((image1, humans1), (image2, humans2)):
-        for o_img, objects in ((image1, objects1), (image2, objects2)):
-            if h_img == o_img:
-                continue
-            for h_idx, human in humans.items():
-                for o_idx, obj in objects.items():
-                    candidates.append(
-                        HumanObjectPair(
-                            human=human,
-                            object=obj,
-                            human_index=h_idx,
-                            object_index=o_idx,
-                            source=(h_img, o_img),
-                            features=pair_features(human, obj, feature_dim),
-                            swapped=True,
-                        )
-                    )
-
-    keep = len(pairs1) + len(pairs2)
-    candidates.sort(
-        key=lambda p: (
-            -confidence_product(p),
-            p.swapped,
-            p.source[0],
-            p.source[1],
-            p.human_index,
-            p.object_index,
-        )
+    # the candidates: the given same-image pairs, then every cross-image
+    # (human, object), human-major
+    same = pairs1 + pairs2
+    h_rows = np.repeat(np.arange(len(human_dets)), len(object_dets))
+    o_rows = np.tile(np.arange(len(object_dets)), len(human_dets))
+    cross = human_keys[h_rows, 0] != object_keys[o_rows, 0]
+    h_rows, o_rows = h_rows[cross], o_rows[cross]
+    # columns: human image, human index, object image, object index
+    same_ids = [(p.source[0], p.human_index, p.source[1], p.object_index) for p in same]
+    ids = np.concatenate(
+        [np.array(same_ids, dtype=np.int64), np.hstack([human_keys[h_rows], object_keys[o_rows]])]
     )
-    return candidates[:keep]
+    product = np.concatenate(
+        [
+            [p.human.confidence * p.object.confidence for p in same],
+            humans.confidences[h_rows] * objects.confidences[o_rows],
+        ]
+    )
+    swapped = np.arange(len(ids)) >= len(same)
+    # the key, most significant last: -product, swapped, source ids, detection indices
+    kept = np.lexsort((ids[:, 3], ids[:, 1], ids[:, 2], ids[:, 0], swapped, -product))[: len(same)]
+
+    kept_cross = kept[kept >= len(same)] - len(same)
+    h_kept, o_kept = h_rows[kept_cross], o_rows[kept_cross]
+    features = pair_feature_matrix(humans.take(h_kept), objects.take(o_kept), feature_dim)
+    built = iter(
+        HumanObjectPair(
+            human=human_dets[h],
+            object=object_dets[o],
+            human_index=human_ids[h][1],
+            object_index=object_ids[o][1],
+            source=(human_ids[h][0], object_ids[o][0]),
+            features=f,
+            swapped=True,
+        )
+        for h, o, f in zip(h_kept.tolist(), o_kept.tolist(), features)
+    )
+    return [same[k] if k < len(same) else next(built) for k in kept.tolist()]
 
 
 def make_fs_targets(
@@ -309,7 +342,6 @@ def assemble_minibatch(
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
         features = np.stack([p.features for p in pairs])
         return MiniBatch(
-            pairs=pairs,
             supervision=tag,
             features=features,
             image_ids=(image_a.image_id, image_b.image_id),
@@ -334,7 +366,6 @@ def assemble_minibatch(
     pairs = pairs_a + pairs_b
     features = np.stack([p.features for p in pairs])
     return MiniBatch(
-        pairs=pairs,
         supervision=tag,
         features=features,
         image_ids=(image_a.image_id, image_b.image_id),

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .checkpoint import atomic_open, load_checkpoint
-from .evaluation import CSV_HEADER, evaluate, report_csv_row, report_to_dict
+from .evaluation import CSV_HEADER, evaluate, prepare_eval_set, report_csv_row, report_to_dict
 from .experiment import (
     AGGREGATE_HEADER,
     ExperimentConfig,
@@ -90,9 +90,8 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     params, _, _ = load_checkpoint(args.checkpoint)
     _, test_images, rare_ids = prepare_world(cfg)
-    report = evaluate(
-        params, test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
-    )
+    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    report = evaluate(params, test_set, rare_ids)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "eval.json")
     with atomic_open(out_path) as fh:

@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .batching import build_pairs
+from .batching import pair_grid
 from .geometry import box_array, pair_iou_matrix
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
@@ -51,6 +51,29 @@ class Predictions:
 
     def __len__(self) -> int:
         return self.scores.size
+
+
+@dataclass(eq=False)
+class GroundTruth:
+    """A test set's ground truth, matched once against the box pairs that
+    predictions score: for each class with ground truth, its hits (see
+    _hits) and its number of ground-truth pairs. None of it depends on the
+    model."""
+
+    n_pairs: int  # rows of the box pairs it was matched against
+    classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]
+
+
+@dataclass(eq=False)
+class EvalSet:
+    """A fully-annotated test set prepared for any number of evaluations:
+    each image's pair-feature matrix, and the ground truth matched against
+    every pair."""
+
+    image_ids: tuple[int, ...]
+    features: tuple[np.ndarray, ...]  # per image, rows in build_pairs order
+    pairs: BoxPairs  # every image's pairs, in image order, then build_pairs order
+    truth: GroundTruth
 
 
 @dataclass(eq=False)
@@ -128,39 +151,8 @@ def _greedy_ap(
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
 
 
-def collect_predictions(
-    params: ModelParams,
-    images: list[SynthImage],
-    *,
-    feature_dim: int,
-    top_k: int = 30,
-) -> Predictions:
-    """Score every (pair, class) of every image with the model."""
-    if not images:
-        raise ValueError("cannot score an empty image list")
-    image_ids, humans, objects, scores = [], [], [], []
-    for image in images:
-        pairs = build_pairs(image, feature_dim, top_k=top_k)
-        P = forward(params, np.stack([p.features for p in pairs])).P
-        if not np.isfinite(P).all():
-            raise ValueError(f"non-finite prediction scores for image {image.image_id}")
-        image_ids.append(np.full(len(pairs), image.image_id))
-        humans.append(box_array([p.human.box for p in pairs]))
-        objects.append(box_array([p.object.box for p in pairs]))
-        scores.append(P)
-    return Predictions(
-        BoxPairs(np.concatenate(image_ids), np.concatenate(humans), np.concatenate(objects)),
-        np.concatenate(scores),
-    )
-
-
-def evaluate_predictions(
-    predictions: Predictions,
-    images: list[SynthImage],
-    rare_class_ids: set[int] | frozenset[int],
-    n_classes: int,
-) -> EvalReport:
-    """Compute per-class AP and the full / rare / non-rare means."""
+def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
+    """Match the ground truth of the images against the given box pairs."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
     triplets = [(image.image_id, t) for image in images for t in image.gt_triplets]
@@ -171,15 +163,62 @@ def evaluate_predictions(
     )
     gt_classes = np.array([t.hoi_class for _, t in triplets], dtype=np.intp)
     # hits against every ground-truth pair at once, then split by class
-    rows, gt_index, overlap = _hits(predictions.pairs, gt)
+    rows, gt_index, overlap = _hits(pairs, gt)
     hit_classes = gt_classes[gt_index]
-    ap = np.full(n_classes, np.nan)
+    classes = {}
     for c in np.unique(gt_classes).tolist():
         keep = hit_classes == c
-        ap[c] = _greedy_ap(
-            predictions.scores[:, c], rows[keep], gt_index[keep], overlap[keep],
-            int(np.count_nonzero(gt_classes == c)),
+        classes[c] = (
+            rows[keep], gt_index[keep], overlap[keep], int(np.count_nonzero(gt_classes == c))
         )
+    return GroundTruth(len(pairs), classes)
+
+
+def prepare_eval_set(images: list[SynthImage], *, feature_dim: int, top_k: int = 30) -> EvalSet:
+    """Build the pairs of every test image and match them against the
+    ground truth, once."""
+    if not images:
+        raise ValueError("cannot evaluate on an empty test set")
+    grids = [pair_grid(image, feature_dim, top_k) for image in images]
+    pairs = BoxPairs(
+        np.concatenate([np.full(len(g.features), im.image_id) for im, g in zip(images, grids)]),
+        np.concatenate([g.humans.boxes for g in grids]),
+        np.concatenate([g.objects.boxes for g in grids]),
+    )
+    return EvalSet(
+        tuple(image.image_id for image in images),
+        tuple(g.features for g in grids),
+        pairs,
+        ground_truth(pairs, images),
+    )
+
+
+def collect_predictions(params: ModelParams, test: EvalSet) -> Predictions:
+    """Score every (pair, class) of every test image with the model."""
+    scores = []
+    for image_id, features in zip(test.image_ids, test.features):
+        P = forward(params, features).P
+        if not np.isfinite(P).all():
+            raise ValueError(f"non-finite prediction scores for image {image_id}")
+        scores.append(P)
+    return Predictions(test.pairs, np.concatenate(scores))
+
+
+def evaluate_predictions(
+    predictions: Predictions,
+    truth: GroundTruth,
+    rare_class_ids: set[int] | frozenset[int],
+    n_classes: int,
+) -> EvalReport:
+    """Compute per-class AP and the full / rare / non-rare means."""
+    if len(predictions.pairs) != truth.n_pairs:
+        raise ValueError(
+            f"predictions have {len(predictions.pairs)} pairs; the ground truth "
+            f"was matched against {truth.n_pairs}"
+        )
+    ap = np.full(n_classes, np.nan)
+    for c, (rows, gt_index, overlap, n_gt) in truth.classes.items():
+        ap[c] = _greedy_ap(predictions.scores[:, c], rows, gt_index, overlap, n_gt)
 
     defined = ~np.isnan(ap)
     rare_mask = np.zeros(n_classes, dtype=bool)
@@ -201,16 +240,11 @@ def evaluate_predictions(
 
 
 def evaluate(
-    params: ModelParams,
-    images: list[SynthImage],
-    rare_class_ids: set[int] | frozenset[int],
-    *,
-    feature_dim: int,
-    top_k: int = 30,
+    params: ModelParams, test: EvalSet, rare_class_ids: set[int] | frozenset[int]
 ) -> EvalReport:
-    """Run the model over a fully-annotated test set and score it."""
-    predictions = collect_predictions(params, images, feature_dim=feature_dim, top_k=top_k)
-    return evaluate_predictions(predictions, images, rare_class_ids, params.n_classes)
+    """Run the model over a prepared test set and score it."""
+    predictions = collect_predictions(params, test)
+    return evaluate_predictions(predictions, test.truth, rare_class_ids, params.n_classes)
 
 
 def report_to_dict(report: EvalReport) -> dict:

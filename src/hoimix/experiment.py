@@ -21,7 +21,14 @@ import numpy as np
 
 from .batching import MiniBatch, Schedule, assemble_minibatch, batch_schedule
 from .checkpoint import atomic_open, save_checkpoint
-from .evaluation import CSV_HEADER, EvalReport, evaluate, report_csv_row
+from .evaluation import (
+    CSV_HEADER,
+    EvalReport,
+    EvalSet,
+    evaluate,
+    prepare_eval_set,
+    report_csv_row,
+)
 from .loss import fs_loss, ws_loss
 from .model import ModelParams, aggregate_image_level, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
@@ -180,7 +187,7 @@ def train(
     images: list[SynthImage],
     cfg: ExperimentConfig,
     *,
-    test_images: Optional[list[SynthImage]] = None,
+    test_set: Optional[EvalSet] = None,
     rare_ids: Optional[set[int]] = None,
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
     init_params: Optional[ModelParams] = None,
@@ -190,10 +197,11 @@ def train(
     """Run the training loop over a fixed schedule of two-image batches.
 
     Images tagged US are scheduled only when they have pseudo triplets.
-    Resuming: pass the checkpointed params/state and the iteration to start
-    from; with the same config the remaining trajectory is reproduced
-    bit-exactly. Raises ValueError when their dims or the state's buffer
-    count contradict the config.
+    Given a prepared test_set, the model is evaluated on it every
+    eval_every iterations. Resuming: pass the checkpointed params/state and
+    the iteration to start from; with the same config the remaining
+    trajectory is reproduced bit-exactly. Raises ValueError when their dims
+    or the state's buffer count contradict the config.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -259,11 +267,8 @@ def train(
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc
         step(params, grads, tag, state, cfg.optimizer)
         log.losses.append((t, tag.value, report.value))
-        if test_images is not None and (t + 1) % eval_every == 0:
-            evaluation = evaluate(
-                params, test_images, rare_ids or set(), feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
-            )
-            log.evals.append((t + 1, evaluation))
+        if test_set is not None and (t + 1) % eval_every == 0:
+            log.evals.append((t + 1, evaluate(params, test_set, rare_ids or set())))
     return TrainResult(params=params, state=state, log=log, schedule=schedule)
 
 
@@ -301,11 +306,16 @@ def fit(
     periodic_eval: bool = False,
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
 ) -> RunResult:
-    """Train on the given tagged images, then evaluate the final model once."""
+    """Train on the given tagged images, then evaluate the final model once.
+
+    The test images are prepared for evaluation once, and every periodic
+    eval and the final one reuse them.
+    """
+    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     result = train(
         images,
         cfg,
-        test_images=test_images if periodic_eval else None,
+        test_set=test_set if periodic_eval else None,
         rare_ids=rare_ids,
         pseudo_triplets=pseudo_triplets,
     )
@@ -313,9 +323,7 @@ def fit(
         # the last periodic eval already scored the final model
         report = result.log.evals[-1][1]
     else:
-        report = evaluate(
-            result.params, test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
-        )
+        report = evaluate(result.params, test_set, rare_ids)
     row = report_csv_row(
         report, run_id, cfg.ratio_string(), cfg.optimizer.policy.value, cfg.element_swap, cfg.train_seed
     )

@@ -79,14 +79,15 @@ def box_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # iou's operations in iou's order, broadcast over (n, 1) x (1, m); a
-    # non-positive extent clips to 0, so disjoint boxes give 0 / union = 0.0
-    a = a[:, None, :]
-    b = b[None, :, :]
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """iou of the boxes in matching rows of a and b, which broadcast.
+
+    Uses iou's operations in iou's order, so each entry equals iou of the
+    two boxes bit for bit; disjoint or touching boxes give 0.0, never -0.0.
+    """
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    intersection = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    intersection = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return intersection / (area_a + area_b - intersection)
@@ -101,4 +102,7 @@ def pair_iou_matrix(
     result is (n, m), and each entry equals pair_iou of the two pairs bit
     for bit.
     """
-    return np.minimum(_iou_matrix(human_a, human_b), _iou_matrix(object_a, object_b))
+    return np.minimum(
+        iou_rows(human_a[:, None, :], human_b[None, :, :]),
+        iou_rows(object_a[:, None, :], object_b[None, :, :]),
+    )

@@ -20,11 +20,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .checkpoint import atomic_open
-from .geometry import Box, iou
+from .geometry import Box, box_array, iou_rows
 from .supervision import SupervisionTag
 
 # relative layout encoding: offsets, log size ratios, overlap, detector scores
@@ -156,40 +157,73 @@ def feature_layout(feature_dim: int) -> tuple[int, int, int]:
     return app_dim, spatial_dim, pad
 
 
-def pair_features(human: Detection, obj: Detection, feature_dim: int) -> np.ndarray:
-    """Feature vector for one (human, object) pair.
+@dataclass(frozen=True, eq=False)
+class DetectionArrays:
+    """Detections as arrays, one row per detection."""
+
+    boxes: np.ndarray        # (n, 4), rows as geometry.box_array builds them
+    class_ids: np.ndarray    # (n,) int
+    confidences: np.ndarray  # (n,)
+    appearance: np.ndarray   # (n, app_dim)
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> "DetectionArrays":
+        return cls(
+            box_array([d.box for d in detections]),
+            np.array([d.class_id for d in detections], dtype=np.intp),
+            np.array([d.confidence for d in detections], dtype=np.float64),
+            np.array([d.appearance for d in detections], dtype=np.float64),
+        )
+
+    def take(self, rows: np.ndarray) -> "DetectionArrays":
+        return DetectionArrays(
+            self.boxes[rows], self.class_ids[rows], self.confidences[rows], self.appearance[rows]
+        )
+
+
+def pair_feature_matrix(
+    humans: DetectionArrays, objects: DetectionArrays, feature_dim: int
+) -> np.ndarray:
+    """Feature rows of (human, object) pairs: row i pairs humans row i with
+    objects row i.
 
     Layout: [human appearance | object appearance | spatial block | pad].
     The spatial block is computed from the two boxes' coordinates as-is, so
     it applies unchanged to swapped pairs whose detections come from two
     different images. Deterministic given the world seed.
     """
-    app_dim, spatial_dim, pad = feature_layout(feature_dim)
-    if human.appearance.shape != (app_dim,) or obj.appearance.shape != (app_dim,):
+    app_dim, spatial_dim, _ = feature_layout(feature_dim)
+    if humans.appearance.shape[1:] != (app_dim,) or objects.appearance.shape[1:] != (app_dim,):
         raise ValueError(
             f"appearance dim mismatch: expected {app_dim} per detection for "
             f"feature_dim {feature_dim}"
         )
-    hb, ob = human.box, obj.box
-    hcx, hcy = hb.center()
-    ocx, ocy = ob.center()
+    hb, ob = humans.boxes, objects.boxes
+    hw, hh = hb[:, 2] - hb[:, 0], hb[:, 3] - hb[:, 1]
+    ow, oh = ob[:, 2] - ob[:, 0], ob[:, 3] - ob[:, 1]
     # uniform scale keeps the relative angle intact, unlike per-axis scaling
-    scale = float(np.sqrt(hb.width * hb.height))
-    spatial = np.array(
-        [
-            (ocx - hcx) / scale,
-            (ocy - hcy) / scale,
-            np.log(ob.width / hb.width),
-            np.log(ob.height / hb.height),
-            iou(hb, ob),
-            human.confidence,
-            obj.confidence,
-        ]
-    )[:spatial_dim]
-    out = np.concatenate([human.appearance, obj.appearance, spatial, np.zeros(pad)])
-    if out.shape != (feature_dim,):
-        raise ValueError(f"feature vector has dim {out.shape[0]}, expected {feature_dim}")
+    scale = np.sqrt(hw * hh)
+    spatial = [
+        (0.5 * (ob[:, 0] + ob[:, 2]) - 0.5 * (hb[:, 0] + hb[:, 2])) / scale,
+        (0.5 * (ob[:, 1] + ob[:, 3]) - 0.5 * (hb[:, 1] + hb[:, 3])) / scale,
+        np.log(ow / hw),
+        np.log(oh / hh),
+        iou_rows(hb, ob),
+        humans.confidences,
+        objects.confidences,
+    ][:spatial_dim]
+    out = np.zeros((len(hb), feature_dim))  # the pad columns stay zero
+    out[:, :app_dim] = humans.appearance
+    out[:, app_dim : 2 * app_dim] = objects.appearance
+    out[:, 2 * app_dim : 2 * app_dim + spatial_dim] = np.transpose(spatial)
     return out
+
+
+def pair_features(human: Detection, obj: Detection, feature_dim: int) -> np.ndarray:
+    """Feature vector of one (human, object) pair; see pair_feature_matrix."""
+    return pair_feature_matrix(
+        DetectionArrays.of([human]), DetectionArrays.of([obj]), feature_dim
+    )[0]
 
 
 def _class_embeddings(cfg: WorldConfig, rng: np.random.Generator) -> np.ndarray:

@@ -382,6 +382,7 @@ def test_criterion_06_map_oracle():
 # 7. learnability floor
 
 
+@pytest.mark.slow
 def test_criterion_07_learnability_floor():
     started = time.monotonic()
     wins = 0
@@ -424,6 +425,7 @@ def _buffer_cosine(state):
     return float(z_ws @ z_fs / (np.linalg.norm(z_ws) * np.linalg.norm(z_fs)))
 
 
+@pytest.mark.slow
 def test_criterion_08_mil_trend():
     started = time.monotonic()
     indep_cfg = default_cfg(ws_fraction=0.7, fs_fraction=0.3)
@@ -495,6 +497,7 @@ def test_criterion_08_mil_trend():
 # 9. element-swap trend
 
 
+@pytest.mark.slow
 def test_criterion_09_element_swap_trend():
     started = time.monotonic()
     on_cfg = default_cfg(ws_fraction=1.0, fs_fraction=0.0, element_swap=True)
@@ -521,6 +524,7 @@ def test_criterion_09_element_swap_trend():
 # 10. ratio monotonicity
 
 
+@pytest.mark.slow
 def test_criterion_10_ratio_monotonicity():
     started = time.monotonic()
     ratios = [(1.0, 0.0, 0.0), (0.7, 0.3, 0.0), (0.3, 0.7, 0.0), (0.0, 1.0, 0.0)]
@@ -554,6 +558,7 @@ def test_criterion_10_ratio_monotonicity():
 # 11. determinism
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(tmp_path):
     started = time.monotonic()
     cfg = default_cfg()
@@ -578,6 +583,7 @@ def test_criterion_11_determinism(tmp_path):
 # 12. pseudo-label contracts
 
 
+@pytest.mark.slow
 def test_criterion_12_pseudo_label_contracts():
     started = time.monotonic()
     cfg = default_cfg(

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoimix.batching import (
+    DEFAULT_TOP_K,
     ScheduleError,
     assemble_minibatch,
     batch_schedule,
     build_pairs,
-    confidence_product,
     element_swap,
     make_fs_targets,
     make_ws_targets,
@@ -28,6 +28,7 @@ from hoimix.synth_world import (
     pair_features,
     split_supervision,
 )
+from pair_reference import confidence_product, reference_element_swap, reference_top_k
 
 FEATURE_DIM = 23
 APP_DIM = feature_layout(FEATURE_DIM)[0]
@@ -155,6 +156,70 @@ def test_element_swap_keeps_the_pair_count_and_same_image_pairs_first_on_ties(h1
             ahead = {id(p) for p in out[:k]}
             tied = [p for p in pairs1 + pairs2 if confidence_product(p) == confidence_product(kept)]
             assert all(id(p) in ahead for p in tied)
+
+
+def drawn_image(image_id, humans, objects):
+    """An image from drawn (confidence, class id) detections."""
+    return SynthImage(
+        image_id=image_id,
+        human_detections=tuple(
+            det(0.1 + 0.05 * k, 0.1 + 0.02 * image_id, class_id=cls, confidence=c)
+            for k, (c, cls) in enumerate(humans)
+        ),
+        object_detections=tuple(
+            det(0.5 + 0.05 * k, 0.5 - 0.02 * image_id, class_id=cls, confidence=c)
+            for k, (c, cls) in enumerate(objects)
+        ),
+        gt_triplets=(),
+        image_labels=frozenset(),
+        supervision=SupervisionTag.WS,
+    )
+
+
+# dyadic confidences tie often, within an image and across the two; two
+# classes per side let the top-k filter drop detections from inside the list
+drawn_detections = st.lists(
+    st.tuples(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 1)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h1=drawn_detections,
+    o1=drawn_detections,
+    h2=drawn_detections,
+    o2=drawn_detections,
+    top_k=st.sampled_from([1, 2, DEFAULT_TOP_K]),
+)
+def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
+    pairs1 = build_pairs(drawn_image(0, h1, o1), FEATURE_DIM, top_k=top_k)
+    pairs2 = build_pairs(drawn_image(1, h2, o2), FEATURE_DIM, top_k=top_k)
+    got = element_swap(pairs1, pairs2)
+    want = reference_element_swap(pairs1, pairs2)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.human_index, g.object_index, g.source, g.swapped) == (
+            w.human_index, w.object_index, w.source, w.swapped,
+        )
+        assert g.human is w.human and g.object is w.object
+        assert g.features.tobytes() == w.features.tobytes()
+        if not g.swapped:
+            assert g is w  # same-image pairs are passed through, not rebuilt
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    objects=st.lists(
+        st.tuples(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2)),
+        min_size=1,
+        max_size=8,
+    ),
+    top_k=st.integers(1, 4),
+)
+def test_top_k_matches_the_per_class_sort(objects, top_k):
+    im = drawn_image(0, [(0.9, 3)], objects)
+    kept = [p.object_index for p in build_pairs(im, FEATURE_DIM, top_k=top_k)]
+    assert kept == reference_top_k(im.object_detections, top_k)
 
 
 def confident_swap_images():
@@ -342,7 +407,7 @@ def test_assemble_ws_batch_with_swap():
     assert batch.ws_targets is not None and batch.fs_targets is None
     n_a = len(build_pairs(a, cfg.feature_dim))
     n_b = len(build_pairs(b, cfg.feature_dim))
-    assert len(batch.pairs) == n_a + n_b
+    assert batch.features.shape[0] == n_a + n_b
     assert batch.features.shape == (n_a + n_b, cfg.feature_dim)
     assert set(np.nonzero(batch.ws_targets)[0]) == set(a.image_labels | b.image_labels)
 
@@ -361,7 +426,7 @@ def test_assemble_fs_batch_matches_per_image_targets():
     pairs_b = build_pairs(b, cfg.feature_dim)
     Y_cross = make_fs_targets(pairs_a, b.gt_triplets, 6)
     assert batch.fs_targets[: len(pairs_a)].sum() == Y_a.sum()
-    assert len(batch.pairs) == len(pairs_a) + len(pairs_b)
+    assert batch.features.shape[0] == len(pairs_a) + len(pairs_b)
 
 
 def test_assemble_rejects_mixed_supervision():

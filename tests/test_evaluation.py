@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from eval_reference import HOIPrediction, array_ap, as_predictions, reference_match_and_ap
 from hoimix.evaluation import (
     CSV_HEADER,
+    BoxPairs,
     collect_predictions,
     evaluate,
     evaluate_predictions,
+    ground_truth,
+    prepare_eval_set,
     report_csv_row,
     report_to_dict,
 )
@@ -186,6 +189,13 @@ def oracle_predictions(images):
     return preds
 
 
+def evaluate_on(predictions, images, rare_ids, n_classes):
+    """evaluate_predictions against the images' ground truth, matched to
+    the predictions' own pairs."""
+    truth = ground_truth(predictions.pairs, images)
+    return evaluate_predictions(predictions, truth, rare_ids, n_classes)
+
+
 SMALL = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=7
 )
@@ -193,7 +203,7 @@ SMALL = WorldConfig(
 
 def test_oracle_predictions_reach_full_map():
     images = generate_eval_images(SMALL, 30)
-    report = evaluate_predictions(as_predictions(oracle_predictions(images), 6), images, set(), 6)
+    report = evaluate_on(as_predictions(oracle_predictions(images), 6), images, set(), 6)
     assert report.map_full == 1.0
 
 
@@ -209,14 +219,14 @@ def test_random_scores_far_below_oracle():
                     HOIPrediction(im.image_id, t.human_box, t.object_box,
                                   int(rng.integers(6)), float(rng.random()))
                 )
-        values.append(evaluate_predictions(as_predictions(preds, 6), images, set(), 6).map_full)
+        values.append(evaluate_on(as_predictions(preds, 6), images, set(), 6).map_full)
     assert np.mean(values) < 0.6
     assert np.mean(values) > 0.0
 
 
 def test_map_full_is_unweighted_mean_of_defined_aps():
     images = generate_eval_images(SMALL, 30)
-    report = evaluate_predictions(as_predictions(oracle_predictions(images), 6), images, {0, 1}, 6)
+    report = evaluate_on(as_predictions(oracle_predictions(images), 6), images, {0, 1}, 6)
     defined = [v for v in report.ap_per_class if not math.isnan(v)]
     assert report.map_full == pytest.approx(sum(defined) / len(defined), abs=1e-12)
 
@@ -229,7 +239,7 @@ def test_rare_nonrare_partition_means():
         preds.append(pred(image_id, 90, 90, 95, 95, score=2.0, hoi_class=0))
         preds.append(pred(image_id, 90, 90, 95, 95, score=2.0, hoi_class=3))
     rare_ids = {0, 1}
-    report = evaluate_predictions(as_predictions(preds, 6), images, rare_ids, 6)
+    report = evaluate_on(as_predictions(preds, 6), images, rare_ids, 6)
     ap = report.ap_per_class
     rare_vals = [ap[c] for c in sorted(rare_ids) if not math.isnan(ap[c])]
     nonrare_vals = [ap[c] for c in (2, 3, 4, 5) if not math.isnan(ap[c])]
@@ -240,7 +250,7 @@ def test_rare_nonrare_partition_means():
 
 def test_absent_class_flagged_and_excluded():
     images = generate_eval_images(SMALL, 30)
-    report = evaluate_predictions(as_predictions(oracle_predictions(images), 7), images, set(), 7)
+    report = evaluate_on(as_predictions(oracle_predictions(images), 7), images, set(), 7)
     assert math.isnan(report.ap_per_class[6])
     assert report.map_full == 1.0
 
@@ -249,20 +259,34 @@ def test_evaluate_runs_model_over_images():
     images = generate_world(SMALL)
     test = generate_eval_images(SMALL, 20)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=0)
-    report = evaluate(params, test, rare_classes(images), feature_dim=SMALL.feature_dim)
+    test_set = prepare_eval_set(test, feature_dim=SMALL.feature_dim)
+    report = evaluate(params, test_set, rare_classes(images))
     assert 0.0 <= report.map_full <= 1.0
-    preds = collect_predictions(params, test, feature_dim=SMALL.feature_dim)
+    preds = collect_predictions(params, test_set)
     assert len(set(preds.pairs.image_ids.tolist())) == 20
 
 
 def test_empty_test_set_rejected():
     with pytest.raises(ValueError):
-        evaluate_predictions([], [], set(), 4)
+        prepare_eval_set([], feature_dim=SMALL.feature_dim)
+    no_pairs = BoxPairs(np.empty(0, np.int64), np.empty((0, 4)), np.empty((0, 4)))
+    with pytest.raises(ValueError):
+        ground_truth(no_pairs, [])
+
+
+def test_predictions_must_score_the_pairs_the_truth_was_matched_against():
+    images = generate_eval_images(SMALL, 10)
+    predictions = as_predictions(oracle_predictions(images), 6)
+    truth = ground_truth(predictions.pairs, images)
+    assert evaluate_predictions(predictions, truth, set(), 6).map_full == 1.0
+    fewer = as_predictions(oracle_predictions(images)[1:], 6)
+    with pytest.raises(ValueError):
+        evaluate_predictions(fewer, truth, set(), 6)
 
 
 def test_csv_row_matches_header():
     images = generate_eval_images(SMALL, 20)
-    report = evaluate_predictions(as_predictions(oracle_predictions(images), 6), images, {1}, 6)
+    report = evaluate_on(as_predictions(oracle_predictions(images), 6), images, {1}, 6)
     row = report_csv_row(report, "run7", "70/30/0", "Independent", True, 3)
     fields = row.split(",")
     assert len(fields) == len(CSV_HEADER.split(","))
@@ -278,7 +302,7 @@ def test_report_dict_is_json_friendly():
     import json
 
     images = generate_eval_images(SMALL, 20)
-    report = evaluate_predictions(as_predictions(oracle_predictions(images), 7), images, {1}, 7)
+    report = evaluate_on(as_predictions(oracle_predictions(images), 7), images, {1}, 7)
     payload = json.dumps(report_to_dict(report))
     decoded = json.loads(payload)
     assert decoded["map_full"] == report.map_full
@@ -342,11 +366,12 @@ def test_model_scores_match_reference_per_class():
     reference run per class over the same (pair, class) entries, inserted in
     image order, then pair order."""
     test = generate_eval_images(SMALL, 20)
+    test_set = prepare_eval_set(test, feature_dim=SMALL.feature_dim)
     for seed in range(3):
         params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=seed)
-        preds = collect_predictions(params, test, feature_dim=SMALL.feature_dim)
+        preds = collect_predictions(params, test_set)
         assert len(preds) == preds.scores.shape[0] * 6
-        report = evaluate_predictions(preds, test, set(), 6)
+        report = evaluate_predictions(preds, test_set.truth, set(), 6)
         pairs = preds.pairs
         boxes = [
             (int(i), Box.from_list(h), Box.from_list(o))
@@ -374,4 +399,4 @@ def test_non_finite_scores_rejected():
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=0)
     params.w_cls[0, 2] = np.nan
     with pytest.raises(ValueError):
-        evaluate(params, test, set(), feature_dim=SMALL.feature_dim)
+        evaluate(params, prepare_eval_set(test, feature_dim=SMALL.feature_dim), set())

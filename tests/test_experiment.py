@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hoimix.checkpoint import load_checkpoint
+from hoimix.evaluation import evaluate, prepare_eval_set
 from hoimix.experiment import (
     ExperimentConfig,
     TrainingDiverged,
@@ -72,7 +73,8 @@ def test_config_diff_reports_dotted_fields():
 def test_train_logs_losses_and_periodic_eval():
     cfg = tiny_cfg(eval_every=100)
     tagged, test_images, rare_ids = prepare_world(cfg)
-    result = train(tagged, cfg, test_images=test_images, rare_ids=rare_ids)
+    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    result = train(tagged, cfg, test_set=test_set, rare_ids=rare_ids)
     assert len(result.log.losses) == cfg.iterations
     assert [it for it, _ in result.log.evals] == [100, 200, 300, 400]
     assert result.log.header["iteration_accounting"] == "one schedule entry per iteration"
@@ -100,6 +102,29 @@ def test_periodic_run_does_not_evaluate_the_final_model_twice(monkeypatch):
     calls.clear()
     run = run_experiment(tiny_cfg(eval_every=150), periodic_eval=True)
     assert [it for it, _ in run.log.evals] == [150, 300] and len(calls) == 3
+
+
+def test_fit_builds_the_test_pairs_once_for_every_eval(monkeypatch):
+    import hoimix.evaluation as evaluation
+
+    built = []
+    real_pair_grid = evaluation.pair_grid
+
+    def counting_pair_grid(image, *args, **kwargs):
+        built.append(image.image_id)
+        return real_pair_grid(image, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "pair_grid", counting_pair_grid)
+    cfg = tiny_cfg(iterations=450, eval_every=100)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    run = fit(tagged, cfg, test_images, rare_ids, periodic_eval=True)
+    # 4 periodic evals and a final one at iteration 450
+    assert [it for it, _ in run.log.evals] == [100, 200, 300, 400]
+    assert run.report is not run.log.evals[-1][1]
+    assert built == [im.image_id for im in test_images]
+    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    fresh = evaluate(run.params, test_set, rare_ids)
+    assert run.report.ap_per_class.tobytes() == fresh.ap_per_class.tobytes()
 
 
 def test_run_experiment_is_fit_on_the_prepared_world():

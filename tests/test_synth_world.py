@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoimix.geometry import Box
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     Detection,
+    DetectionArrays,
     SynthImage,
     WorldConfig,
     WorldGenerationError,
@@ -17,11 +19,13 @@ from hoimix.synth_world import (
     generate_world,
     image_to_record,
     load_dataset,
+    pair_feature_matrix,
     pair_features,
     rare_classes,
     save_dataset,
     split_supervision,
 )
+from pair_reference import reference_pair_features
 
 SMALL = WorldConfig(
     n_object_classes=4,
@@ -184,6 +188,81 @@ def test_appearance_dim_mismatch_rejected():
     o = images[0].object_detections[0]
     with pytest.raises(ValueError):
         pair_features(h, o, SMALL.feature_dim + 2)
+
+
+# boxes on an eighth-unit grid, so that boxes touching at an edge or a
+# corner, and boxes nested in one another, are common
+grid_box = st.builds(
+    lambda x, y, w, h: Box(x / 8, y / 8, (x + w) / 8, (y + h) / 8),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+
+def grid_detections(app_dim):
+    return st.lists(
+        st.builds(
+            lambda box, conf, app: Detection(box, 0, conf, np.array(app)),
+            grid_box,
+            st.sampled_from([0.25, 0.5, 1.0]),
+            st.lists(st.floats(-1, 1), min_size=app_dim, max_size=app_dim),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+
+@st.composite
+def two_images_of_detections(draw):
+    # 4 truncates the spatial block to 2 columns, 9 keeps all 7 with no
+    # pad, 16 and 23 add a pad column or a wider appearance
+    feature_dim = draw(st.sampled_from([4, 5, 9, 16, 23]))
+    app_dim = feature_layout(feature_dim)[0]
+    images = [
+        (draw(grid_detections(app_dim)), draw(grid_detections(app_dim))) for _ in range(2)
+    ]
+    return feature_dim, images
+
+
+def assert_rows_match_reference(humans, objects, feature_dim):
+    rows = pair_feature_matrix(DetectionArrays.of(humans), DetectionArrays.of(objects), feature_dim)
+    assert rows.shape == (len(humans), feature_dim)
+    for row, h, o in zip(rows, humans, objects):
+        assert row.tobytes() == reference_pair_features(h, o, feature_dim).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=two_images_of_detections())
+def test_pair_feature_rows_equal_the_per_pair_reference(drawn):
+    feature_dim, ((h1, o1), (h2, o2)) = drawn
+    # every human of both images against every object of both: same-image
+    # pairs and swapped pairs that mix the two images' detections
+    pool = [(h, o) for h in h1 + h2 for o in o1 + o2]
+    assert_rows_match_reference([h for h, _ in pool], [o for _, o in pool], feature_dim)
+
+
+def test_pair_feature_rows_at_touching_and_nested_boxes():
+    app = np.array([0.5])
+    human = Detection(Box(0.0, 0.0, 0.5, 0.5), 0, 0.5, app)
+    objects = [
+        Detection(Box(0.5, 0.0, 1.0, 0.5), 0, 0.5, app),  # shares an edge
+        Detection(Box(0.5, 0.5, 1.0, 1.0), 0, 0.5, app),  # shares a corner
+        Detection(Box(0.5, 0.75, 1.0, 1.0), 0, 0.5, app),  # in line with an edge, apart
+        Detection(Box(0.125, 0.125, 0.25, 0.25), 0, 0.5, app),  # nested inside
+    ]
+    assert_rows_match_reference([human] * 4, objects, 9)
+    rows = pair_feature_matrix(DetectionArrays.of([human] * 4), DetectionArrays.of(objects), 9)
+    overlap = rows[:, 2 + 4]
+    assert overlap.tolist() == [0.0, 0.0, 0.0, 0.0625] and not np.signbit(overlap).any()
+
+
+def test_pair_feature_rows_equal_the_reference_on_a_default_world():
+    cfg = WorldConfig()
+    for image in generate_world(cfg):
+        pool = [(h, o) for h in image.human_detections for o in image.object_detections]
+        assert_rows_match_reference([h for h, _ in pool], [o for _, o in pool], cfg.feature_dim)
 
 
 def test_split_fractions_with_rounding():

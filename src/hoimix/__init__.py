@@ -42,13 +42,12 @@ from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_
 from .pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from .supervision import SupervisionTag
 from .synth_world import (
-    Detection,
+    DetectionArrays,
     GroundTruthTriplet,
     SynthImage,
     WorldConfig,
     generate_eval_images,
     generate_world,
-    pair_features,
     rare_classes,
     split_supervision,
 )
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "BoxPairs",
-    "Detection",
+    "DetectionArrays",
     "EvalReport",
     "EvalSet",
     "ExperimentConfig",
@@ -94,7 +93,6 @@ __all__ = [
     "make_fs_targets",
     "make_ws_targets",
     "match_and_ap",
-    "pair_features",
     "pair_iou",
     "pair_iou_matrix",
     "prepare_eval_set",

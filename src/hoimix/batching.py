@@ -19,7 +19,6 @@ from .geometry import box_array, pair_iou_matrix
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
 from .synth_world import (
-    Detection,
     DetectionArrays,
     GroundTruthTriplet,
     SynthImage,
@@ -32,20 +31,21 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 @dataclass(eq=False)
 class HumanObjectPair:
-    """One candidate pair; swapped is true iff human and object come from
-    different images."""
+    """One candidate pair: row human_index of its human's image's human
+    detections and row object_index of its object's image's object
+    detections."""
 
-    human: Detection
-    object: Detection
+    humans: DetectionArrays  # the human detections of the human's image
+    objects: DetectionArrays  # the object detections of the object's image
     human_index: int
     object_index: int
     source: tuple[int, int]  # (image_id of human, image_id of object)
     features: np.ndarray
-    swapped: bool
 
-    def __post_init__(self) -> None:
-        if self.swapped != (self.source[0] != self.source[1]):
-            raise ValueError("swapped flag inconsistent with source image ids")
+    @property
+    def swapped(self) -> bool:
+        """True iff human and object come from different images."""
+        return self.source[0] != self.source[1]
 
 
 @dataclass(eq=False)
@@ -91,45 +91,41 @@ class PairGrid:
 
     human_index: np.ndarray  # (n,) index into the image's human detections
     object_index: np.ndarray
-    humans: DetectionArrays  # row i: the human of pair i
-    objects: DetectionArrays
+    human_boxes: np.ndarray  # (n, 4), row i: the box of pair i's human
+    object_boxes: np.ndarray
     features: np.ndarray     # (n, feature_dim)
 
 
 def pair_grid(image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K) -> PairGrid:
     """All human x object pairs within one image after top-k filtering."""
-    if not image.human_detections or not image.object_detections:
-        raise ValueError(f"image {image.image_id} has no humans or no objects")
-    all_humans = DetectionArrays.of(image.human_detections)
-    all_objects = DetectionArrays.of(image.object_detections)
-    kept_humans = _top_k_per_class(all_humans, top_k)
-    kept_objects = _top_k_per_class(all_objects, top_k)
+    kept_humans = _top_k_per_class(image.humans, top_k)
+    kept_objects = _top_k_per_class(image.objects, top_k)
     if not len(kept_humans) or not len(kept_objects):
         raise ValueError(f"image {image.image_id}: empty human or object set after filtering")
     human_index = np.repeat(kept_humans, len(kept_objects))
     object_index = np.tile(kept_objects, len(kept_humans))
-    humans = all_humans.take(human_index)
-    objects = all_objects.take(object_index)
-    features = pair_feature_matrix(humans, objects, feature_dim)
-    return PairGrid(human_index, object_index, humans, objects, features)
+    humans, objects = image.humans, image.objects
+    features = pair_feature_matrix(humans, human_index, objects, object_index, feature_dim)
+    return PairGrid(
+        human_index, object_index, humans.boxes[human_index], objects.boxes[object_index], features
+    )
 
 
 def build_pairs(
     image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> list[HumanObjectPair]:
-    """pair_grid as one HumanObjectPair per pair; each pair's features are a
-    row of the grid's feature matrix."""
+    """pair_grid as one HumanObjectPair per pair, the form element_swap
+    takes; each pair's features are a row of the grid's feature matrix."""
     grid = pair_grid(image, feature_dim, top_k)
     source = (image.image_id, image.image_id)
     return [
         HumanObjectPair(
-            human=image.human_detections[h],
-            object=image.object_detections[o],
+            humans=image.humans,
+            objects=image.objects,
             human_index=h,
             object_index=o,
             source=source,
             features=features,
-            swapped=False,
         )
         for h, o, features in zip(
             grid.human_index.tolist(), grid.object_index.tolist(), grid.features
@@ -142,6 +138,7 @@ def element_swap(
 ) -> list[HumanObjectPair]:
     """Cross-image pair augmentation for two weakly-labeled images.
 
+    Takes the same-image pairs of two images, as build_pairs gives them.
     Forms the full (H1+H2) x (O1+O2) pool of pairs across both images, then
     prunes easy negatives by ascending confidence product (the product of
     the two detector confidences, available before any training and stable
@@ -153,73 +150,75 @@ def element_swap(
     """
     if not pairs1 or not pairs2:
         raise ValueError("element_swap needs non-empty pair lists from both images")
-
-    image1 = pairs1[0].source[0]
-    image2 = pairs2[0].source[0]
-    if image1 == image2:
+    first = (pairs1[0], pairs2[0])  # a pair of each image, which holds its detections
+    images = (first[0].source[0], first[1].source[0])
+    if images[0] == images[1]:
         raise ValueError("element_swap needs pairs from two distinct images")
-    feature_dim = pairs1[0].features.shape[0]
+    feature_dim = first[0].features.shape[0]
 
-    # each image's detections, keyed by (image id, detection index)
-    found_humans: dict[tuple[int, int], Detection] = {}
-    found_objects: dict[tuple[int, int], Detection] = {}
-    for image_id, pairs in ((image1, pairs1), (image2, pairs2)):
-        for p in pairs:
-            found_humans.setdefault((image_id, p.human_index), p.human)
-            found_objects.setdefault((image_id, p.object_index), p.object)
-    human_dets, object_dets = list(found_humans.values()), list(found_objects.values())
-    humans, objects = DetectionArrays.of(human_dets), DetectionArrays.of(object_dets)
-    human_ids, object_ids = list(found_humans), list(found_objects)
-    human_keys = np.array(human_ids, dtype=np.int64)
-    object_keys = np.array(object_ids, dtype=np.int64)
-
-    # the candidates: the given same-image pairs, then every cross-image
-    # (human, object), human-major
+    # the detections of both images are numbered image 1's first; the
+    # candidates are (human, object) numbers: the given same-image pairs,
+    # then each image's humans against the other image's objects, human-major
+    n_humans1, n_objects1 = len(first[0].humans), len(first[0].objects)
+    h1 = np.array([p.human_index for p in pairs1])
+    o1 = np.array([p.object_index for p in pairs1])
+    h2 = np.array([p.human_index for p in pairs2]) + n_humans1
+    o2 = np.array([p.object_index for p in pairs2]) + n_objects1
     same = pairs1 + pairs2
-    h_rows = np.repeat(np.arange(len(human_dets)), len(object_dets))
-    o_rows = np.tile(np.arange(len(object_dets)), len(human_dets))
-    cross = human_keys[h_rows, 0] != object_keys[o_rows, 0]
-    h_rows, o_rows = h_rows[cross], o_rows[cross]
-    # columns: human image, human index, object image, object index
-    same_ids = [(p.source[0], p.human_index, p.source[1], p.object_index) for p in same]
-    ids = np.concatenate(
-        [np.array(same_ids, dtype=np.int64), np.hstack([human_keys[h_rows], object_keys[o_rows]])]
+    h_rows, o_rows = [h1, h2], [o1, o2]
+    for h, o in ((np.unique(h1), np.unique(o2)), (np.unique(h2), np.unique(o1))):
+        h_rows.append(np.repeat(h, len(o)))
+        o_rows.append(np.tile(o, len(h)))
+    h, o = np.concatenate(h_rows), np.concatenate(o_rows)
+    # which image each candidate's human and object come from (0 or 1)
+    h_side, o_side = (h >= n_humans1).astype(np.intp), (o >= n_objects1).astype(np.intp)
+    h_index, o_index = h - n_humans1 * h_side, o - n_objects1 * o_side
+    h_image, o_image = np.take(images, h_side), np.take(images, o_side)
+    product = (
+        np.concatenate([first[0].humans.confidences, first[1].humans.confidences])[h]
+        * np.concatenate([first[0].objects.confidences, first[1].objects.confidences])[o]
     )
-    product = np.concatenate(
-        [
-            [p.human.confidence * p.object.confidence for p in same],
-            humans.confidences[h_rows] * objects.confidences[o_rows],
-        ]
-    )
-    swapped = np.arange(len(ids)) >= len(same)
+    swapped = np.arange(len(h)) >= len(same)
     # the key, most significant last: -product, swapped, source ids, detection indices
-    kept = np.lexsort((ids[:, 3], ids[:, 1], ids[:, 2], ids[:, 0], swapped, -product))[: len(same)]
+    kept = np.lexsort((o_index, h_index, o_image, h_image, swapped, -product))[: len(same)]
 
-    kept_cross = kept[kept >= len(same)] - len(same)
-    h_kept, o_kept = h_rows[kept_cross], o_rows[kept_cross]
-    features = pair_feature_matrix(humans.take(h_kept), objects.take(o_kept), feature_dim)
+    cross = kept[kept >= len(same)]
+    features = np.empty((len(cross), feature_dim))
+    for side in (0, 1):  # the human's image; a swapped pair's object is from the other
+        at = h_side[cross] == side
+        features[at] = pair_feature_matrix(
+            first[side].humans, h_index[cross[at]], first[1 - side].objects, o_index[cross[at]],
+            feature_dim,
+        )
     built = iter(
         HumanObjectPair(
-            human=human_dets[h],
-            object=object_dets[o],
-            human_index=human_ids[h][1],
-            object_index=object_ids[o][1],
-            source=(human_ids[h][0], object_ids[o][0]),
+            humans=first[side_h].humans,
+            objects=first[side_o].objects,
+            human_index=hi,
+            object_index=oi,
+            source=(images[side_h], images[side_o]),
             features=f,
-            swapped=True,
         )
-        for h, o, f in zip(h_kept.tolist(), o_kept.tolist(), features)
+        for side_h, side_o, hi, oi, f in zip(
+            h_side[cross].tolist(),
+            o_side[cross].tolist(),
+            h_index[cross].tolist(),
+            o_index[cross].tolist(),
+            features,
+        )
     )
     return [same[k] if k < len(same) else next(built) for k in kept.tolist()]
 
 
 def make_fs_targets(
-    pairs: list[HumanObjectPair],
+    human_boxes: np.ndarray,
+    object_boxes: np.ndarray,
     gt_triplets: Sequence[GroundTruthTriplet],
     n_classes: int,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> np.ndarray:
-    """Region-level binary target matrix.
+    """Region-level binary target matrix of the pairs whose boxes are the
+    rows of human_boxes and object_boxes, (n, 4) each.
 
     Y[i, j] = 1 iff some ground-truth triplet of class j overlaps pair i
     with joint (min of human and object) IoU at or above the threshold.
@@ -228,14 +227,14 @@ def make_fs_targets(
         if not (0 <= t.hoi_class < n_classes):
             raise ValueError(f"hoi_class {t.hoi_class} out of range [0, {n_classes})")
     overlap = pair_iou_matrix(
-        box_array([p.human.box for p in pairs]),
-        box_array([p.object.box for p in pairs]),
+        human_boxes,
+        object_boxes,
         box_array([t.human_box for t in gt_triplets]),
         box_array([t.object_box for t in gt_triplets]),
     )
     rows, cols = np.nonzero(overlap >= iou_threshold)
     classes = np.array([t.hoi_class for t in gt_triplets], dtype=np.intp)
-    Y = np.zeros((len(pairs), n_classes))
+    Y = np.zeros((len(human_boxes), n_classes))
     Y[rows, classes[cols]] = 1.0
     return Y
 
@@ -332,42 +331,33 @@ def assemble_minibatch(
     if image_a.supervision != image_b.supervision:
         raise ValueError("mini-batches must be homogeneous in supervision")
     tag = image_a.supervision
-    pairs_a = build_pairs(image_a, feature_dim, top_k=top_k)
-    pairs_b = build_pairs(image_b, feature_dim, top_k=top_k)
+    image_ids = (image_a.image_id, image_b.image_id)
 
     if tag == SupervisionTag.WS:
-        pairs = (
-            element_swap(pairs_a, pairs_b) if element_swap_enabled else pairs_a + pairs_b
-        )
+        if element_swap_enabled:
+            pairs = element_swap(
+                build_pairs(image_a, feature_dim, top_k), build_pairs(image_b, feature_dim, top_k)
+            )
+            features = np.stack([p.features for p in pairs])
+        else:
+            features = np.vstack(
+                [pair_grid(image, feature_dim, top_k).features for image in (image_a, image_b)]
+            )
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
-        features = np.stack([p.features for p in pairs])
-        return MiniBatch(
-            supervision=tag,
-            features=features,
-            image_ids=(image_a.image_id, image_b.image_id),
-            ws_targets=targets,
-        )
+        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, ws_targets=targets)
 
     if tag == SupervisionTag.US:
         if pseudo_triplets is None:
             raise ValueError("US batches need pseudo triplets")
-        gt_a = pseudo_triplets.get(image_a.image_id, ())
-        gt_b = pseudo_triplets.get(image_b.image_id, ())
+        truth = [pseudo_triplets.get(image.image_id, ()) for image in (image_a, image_b)]
     else:
-        gt_a = image_a.gt_triplets
-        gt_b = image_b.gt_triplets
-
+        truth = [image_a.gt_triplets, image_b.gt_triplets]
+    grids = [pair_grid(image, feature_dim, top_k) for image in (image_a, image_b)]
+    features = np.vstack([grid.features for grid in grids])
     Y = np.vstack(
         [
-            make_fs_targets(pairs_a, gt_a, n_classes),
-            make_fs_targets(pairs_b, gt_b, n_classes),
+            make_fs_targets(grid.human_boxes, grid.object_boxes, gt, n_classes)
+            for grid, gt in zip(grids, truth)
         ]
     )
-    pairs = pairs_a + pairs_b
-    features = np.stack([p.features for p in pairs])
-    return MiniBatch(
-        supervision=tag,
-        features=features,
-        image_ids=(image_a.image_id, image_b.image_id),
-        fs_targets=Y,
-    )
+    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, fs_targets=Y)

@@ -89,6 +89,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     params, _, _ = load_checkpoint(args.checkpoint)
+    dims = (params.feature_dim, params.n_classes)
+    expected = (cfg.world.feature_dim, cfg.world.n_hoi_classes)
+    if dims != expected:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} has (feature_dim, n_classes) = {dims}; "
+            f"the config has {expected}"
+        )
     _, test_images, rare_ids = prepare_world(cfg)
     test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     report = evaluate(params, test_set, rare_ids)

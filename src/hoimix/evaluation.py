@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .batching import pair_grid
+from .batching import DEFAULT_TOP_K, pair_grid
 from .geometry import box_array, pair_iou_matrix
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
@@ -70,7 +70,6 @@ class EvalSet:
     each image's pair-feature matrix, and the ground truth matched against
     every pair."""
 
-    image_ids: tuple[int, ...]
     features: tuple[np.ndarray, ...]  # per image, rows in build_pairs order
     pairs: BoxPairs  # every image's pairs, in image order, then build_pairs order
     truth: GroundTruth
@@ -174,7 +173,9 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
     return GroundTruth(len(pairs), classes)
 
 
-def prepare_eval_set(images: list[SynthImage], *, feature_dim: int, top_k: int = 30) -> EvalSet:
+def prepare_eval_set(
+    images: list[SynthImage], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
+) -> EvalSet:
     """Build the pairs of every test image and match them against the
     ground truth, once."""
     if not images:
@@ -182,11 +183,10 @@ def prepare_eval_set(images: list[SynthImage], *, feature_dim: int, top_k: int =
     grids = [pair_grid(image, feature_dim, top_k) for image in images]
     pairs = BoxPairs(
         np.concatenate([np.full(len(g.features), im.image_id) for im, g in zip(images, grids)]),
-        np.concatenate([g.humans.boxes for g in grids]),
-        np.concatenate([g.objects.boxes for g in grids]),
+        np.concatenate([g.human_boxes for g in grids]),
+        np.concatenate([g.object_boxes for g in grids]),
     )
     return EvalSet(
-        tuple(image.image_id for image in images),
         tuple(g.features for g in grids),
         pairs,
         ground_truth(pairs, images),
@@ -195,12 +195,7 @@ def prepare_eval_set(images: list[SynthImage], *, feature_dim: int, top_k: int =
 
 def collect_predictions(params: ModelParams, test: EvalSet) -> Predictions:
     """Score every (pair, class) of every test image with the model."""
-    scores = []
-    for image_id, features in zip(test.image_ids, test.features):
-        P = forward(params, features).P
-        if not np.isfinite(P).all():
-            raise ValueError(f"non-finite prediction scores for image {image_id}")
-        scores.append(P)
+    scores = [forward(params, features).P for features in test.features]
     return Predictions(test.pairs, np.concatenate(scores))
 
 

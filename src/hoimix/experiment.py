@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .batching import MiniBatch, Schedule, assemble_minibatch, batch_schedule
+from .batching import DEFAULT_TOP_K, MiniBatch, Schedule, assemble_minibatch, batch_schedule
 from .checkpoint import atomic_open, save_checkpoint
 from .evaluation import (
     CSV_HEADER,
@@ -62,7 +62,7 @@ class ExperimentConfig:
     fs_fraction: float = 0.3
     us_fraction: float = 0.0
     element_swap: bool = True
-    top_k: int = 30
+    top_k: int = DEFAULT_TOP_K
     iterations: int = 12000
     eval_every: int = 0  # 0 resolves to max(iterations // 10, 200)
     hidden_dim: int = 64
@@ -256,8 +256,8 @@ def train(
             log.skipped += 1
             continue
         batch = batches[t % len(batches)]
-        scores = forward(params, batch.features)
         try:
+            scores = forward(params, batch.features)
             if tag.region_level:
                 report, upstream = fs_loss(scores.P, batch.fs_targets)
             else:
@@ -404,13 +404,12 @@ def run_ratio_sweep(
             run = run_experiment(cfg, run_id=f"sweep-{cfg.ratio_string()}-s{seed}")
             rows.append(run.csv_row)
             cell.append(run.report)
-        ratio_str = f"{round(ws * 100)}/{round(fs * 100)}/{round(us * 100)}"
         stats = []
         for metric in ("map_full", "map_rare", "map_nonrare"):
             values = np.array([getattr(r, metric) for r in cell])
             stats.append(repr(float(np.nanmean(values))))
             stats.append(repr(float(np.nanstd(values, ddof=1))) if len(cell) > 1 else "0.0")
-        aggregates.append(",".join([ratio_str, str(len(cell))] + stats))
+        aggregates.append(",".join([cfg.ratio_string(), str(len(cell))] + stats))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:

@@ -160,12 +160,13 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
     Returns:
         ScoreMatrix with row-stochastic sigma_c, column-stochastic sigma_s,
         P = sigma_c * sigma_s, and the activations backward needs.
+
+    Raises ValueError when P is not finite: non-finite features or
+    parameters, or finite ones whose products overflow.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("non-finite input features")
     if features.shape[1] != params.feature_dim:
         raise ValueError(
             f"feature dim {features.shape[1]} does not match model dim {params.feature_dim}"
@@ -180,7 +181,10 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
     raw_s += params.b_sel
     sigma_c = _softmax(raw_c, axis=1)
     sigma_s = _softmax(raw_s, axis=0)
-    return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=sigma_c * sigma_s)
+    P = sigma_c * sigma_s
+    if not np.isfinite(P).all():
+        raise ValueError("non-finite scores P")
+    return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=P)
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:

@@ -22,26 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import HumanObjectPair, build_pairs
+from .batching import DEFAULT_TOP_K, PairGrid, pair_grid
 from .checkpoint import atomic_open
 from .evaluation import EvalReport
 # bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
 from .evaluation import evaluate  # noqa: F401
 from .experiment import ExperimentConfig, fit
+from .geometry import Box
 from .model import ModelParams, forward
 from .supervision import SupervisionTag
 from .synth_world import GroundTruthTriplet, SynthImage
 
 
 def select_label_argmax_triplets(
-    P: np.ndarray, labels: frozenset[int] | set[int], pairs: list[HumanObjectPair]
+    P: np.ndarray, labels: frozenset[int] | set[int], grid: PairGrid
 ) -> list[GroundTruthTriplet]:
-    """For each label, the pair maximizing its column of P becomes pseudo
-    ground truth. Ties break to the lowest pair index."""
+    """For each label, the grid pair maximizing its column of P becomes
+    pseudo ground truth. Ties break to the lowest pair index."""
+    humans, objects = grid.human_boxes.tolist(), grid.object_boxes.tolist()
     out = []
     for j in sorted(labels):
         i = int(np.argmax(P[:, j]))
-        out.append(GroundTruthTriplet(pairs[i].human.box, pairs[i].object.box, j))
+        out.append(GroundTruthTriplet(Box(*humans[i]), Box(*objects[i]), j))
     return out
 
 
@@ -50,26 +52,27 @@ def ws_to_pseudo_fs(
     image: SynthImage,
     *,
     feature_dim: int,
-    top_k: int = 30,
+    top_k: int = DEFAULT_TOP_K,
 ) -> list[GroundTruthTriplet]:
     """Pseudo triplets for a weakly-labeled image: one per image-level label."""
     if not image.image_labels:
         return []
-    pairs = build_pairs(image, feature_dim, top_k=top_k)
-    P = forward(params, np.stack([p.features for p in pairs])).P
-    return select_label_argmax_triplets(P, image.image_labels, pairs)
+    grid = pair_grid(image, feature_dim, top_k)
+    P = forward(params, grid.features).P
+    return select_label_argmax_triplets(P, image.image_labels, grid)
 
 
 def threshold_triplets(
-    P: np.ndarray, threshold: float, pairs: list[HumanObjectPair]
+    P: np.ndarray, threshold: float, grid: PairGrid
 ) -> list[GroundTruthTriplet]:
-    """Every (pair, class) with probability strictly above the threshold."""
+    """Every (grid pair, class) with probability strictly above the threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    humans, objects = grid.human_boxes.tolist(), grid.object_boxes.tolist()
     out = []
     rows, cols = np.nonzero(P > threshold)
     for i, j in zip(rows.tolist(), cols.tolist()):
-        out.append(GroundTruthTriplet(pairs[i].human.box, pairs[i].object.box, int(j)))
+        out.append(GroundTruthTriplet(Box(*humans[i]), Box(*objects[i]), int(j)))
     return out
 
 
@@ -79,12 +82,12 @@ def us_to_pseudo_fs(
     threshold: float = 0.5,
     *,
     feature_dim: int,
-    top_k: int = 30,
+    top_k: int = DEFAULT_TOP_K,
 ) -> list[GroundTruthTriplet]:
     """Pseudo triplets for an unlabeled image; may be empty."""
-    pairs = build_pairs(image, feature_dim, top_k=top_k)
-    P = forward(params, np.stack([p.features for p in pairs])).P
-    return threshold_triplets(P, threshold, pairs)
+    grid = pair_grid(image, feature_dim, top_k)
+    P = forward(params, grid.features).P
+    return threshold_triplets(P, threshold, grid)
 
 
 @dataclass(frozen=True)

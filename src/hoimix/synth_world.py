@@ -20,12 +20,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .checkpoint import atomic_open
-from .geometry import Box, box_array, iou_rows
+from .geometry import Box, iou_rows
 from .supervision import SupervisionTag
 
 # relative layout encoding: offsets, log size ratios, overlap, detector scores
@@ -92,21 +91,6 @@ class WorldConfig:
         return self.n_object_classes
 
 
-@dataclass(frozen=True, eq=False)
-class Detection:
-    """One detector output: a box, a class, a confidence, and the noisy
-    class-indicative appearance vector sampled for it at generation time."""
-
-    box: Box
-    class_id: int
-    confidence: float
-    appearance: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
-
-
 @dataclass(frozen=True)
 class GroundTruthTriplet:
     human_box: Box
@@ -117,14 +101,14 @@ class GroundTruthTriplet:
 @dataclass(frozen=True, eq=False)
 class SynthImage:
     image_id: int
-    human_detections: tuple[Detection, ...]
-    object_detections: tuple[Detection, ...]
+    humans: DetectionArrays
+    objects: DetectionArrays
     gt_triplets: tuple[GroundTruthTriplet, ...]
     image_labels: frozenset[int]
     supervision: SupervisionTag = SupervisionTag.FS
 
     def __post_init__(self) -> None:
-        if not self.human_detections or not self.object_detections:
+        if not len(self.humans) or not len(self.objects):
             raise ValueError("every image needs at least one human and one object detection")
 
 
@@ -159,21 +143,46 @@ def feature_layout(feature_dim: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True, eq=False)
 class DetectionArrays:
-    """Detections as arrays, one row per detection."""
+    """Detector outputs as arrays, one row per detection: a box, a class, a
+    confidence, and the noisy class-indicative appearance vector sampled for
+    it at generation time.
 
-    boxes: np.ndarray        # (n, 4), rows as geometry.box_array builds them
+    Rejects rows of mismatched length, boxes without positive area and
+    confidences outside (0, 1].
+    """
+
+    boxes: np.ndarray        # (n, 4) rows of (x_min, y_min, x_max, y_max)
     class_ids: np.ndarray    # (n,) int
     confidences: np.ndarray  # (n,)
     appearance: np.ndarray   # (n, app_dim)
 
-    @classmethod
-    def of(cls, detections: Sequence[Detection]) -> "DetectionArrays":
-        return cls(
-            box_array([d.box for d in detections]),
-            np.array([d.class_id for d in detections], dtype=np.intp),
-            np.array([d.confidence for d in detections], dtype=np.float64),
-            np.array([d.appearance for d in detections], dtype=np.float64),
-        )
+    def __post_init__(self) -> None:
+        n = len(self.boxes)
+        if (
+            self.boxes.shape != (n, 4)
+            or self.class_ids.shape != (n,)
+            or self.confidences.shape != (n,)
+            or self.appearance.ndim != 2
+            or len(self.appearance) != n
+        ):
+            raise ValueError(
+                f"detection rows disagree: boxes {self.boxes.shape}, class_ids "
+                f"{self.class_ids.shape}, confidences {self.confidences.shape}, "
+                f"appearance {self.appearance.shape}"
+            )
+        b, c = self.boxes, self.confidences
+        # written so that NaN fails both checks
+        degenerate = ~((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3]))
+        if degenerate.any():
+            i = int(np.argmax(degenerate))
+            raise ValueError(f"degenerate box in row {i}: {b[i].tolist()} has no positive area")
+        out_of_range = ~((0.0 < c) & (c <= 1.0))
+        if out_of_range.any():
+            i = int(np.argmax(out_of_range))
+            raise ValueError(f"confidence in row {i} must be in (0, 1], got {c[i]}")
+
+    def __len__(self) -> int:
+        return len(self.boxes)
 
     def take(self, rows: np.ndarray) -> "DetectionArrays":
         return DetectionArrays(
@@ -182,10 +191,10 @@ class DetectionArrays:
 
 
 def pair_feature_matrix(
-    humans: DetectionArrays, objects: DetectionArrays, feature_dim: int
+    humans: DetectionArrays, h: np.ndarray, objects: DetectionArrays, o: np.ndarray, feature_dim: int
 ) -> np.ndarray:
-    """Feature rows of (human, object) pairs: row i pairs humans row i with
-    objects row i.
+    """Feature rows of (human, object) pairs: row i pairs humans row h[i]
+    with objects row o[i].
 
     Layout: [human appearance | object appearance | spatial block | pad].
     The spatial block is computed from the two boxes' coordinates as-is, so
@@ -198,7 +207,7 @@ def pair_feature_matrix(
             f"appearance dim mismatch: expected {app_dim} per detection for "
             f"feature_dim {feature_dim}"
         )
-    hb, ob = humans.boxes, objects.boxes
+    hb, ob = humans.boxes[h], objects.boxes[o]
     hw, hh = hb[:, 2] - hb[:, 0], hb[:, 3] - hb[:, 1]
     ow, oh = ob[:, 2] - ob[:, 0], ob[:, 3] - ob[:, 1]
     # uniform scale keeps the relative angle intact, unlike per-axis scaling
@@ -209,21 +218,14 @@ def pair_feature_matrix(
         np.log(ow / hw),
         np.log(oh / hh),
         iou_rows(hb, ob),
-        humans.confidences,
-        objects.confidences,
+        humans.confidences[h],
+        objects.confidences[o],
     ][:spatial_dim]
     out = np.zeros((len(hb), feature_dim))  # the pad columns stay zero
-    out[:, :app_dim] = humans.appearance
-    out[:, app_dim : 2 * app_dim] = objects.appearance
+    out[:, :app_dim] = humans.appearance[h]
+    out[:, app_dim : 2 * app_dim] = objects.appearance[o]
     out[:, 2 * app_dim : 2 * app_dim + spatial_dim] = np.transpose(spatial)
     return out
-
-
-def pair_features(human: Detection, obj: Detection, feature_dim: int) -> np.ndarray:
-    """Feature vector of one (human, object) pair; see pair_feature_matrix."""
-    return pair_feature_matrix(
-        DetectionArrays.of([human]), DetectionArrays.of([obj]), feature_dim
-    )[0]
 
 
 def _class_embeddings(cfg: WorldConfig, rng: np.random.Generator) -> np.ndarray:
@@ -338,7 +340,7 @@ def _coverage_assignments(
     return per_image
 
 
-def _sanitize_box(coords: np.ndarray) -> Box:
+def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
     x0, x1 = sorted((float(coords[0]), float(coords[2])))
     y0, y1 = sorted((float(coords[1]), float(coords[3])))
     x0, x1 = max(0.0, x0), min(1.0, x1)
@@ -349,25 +351,33 @@ def _sanitize_box(coords: np.ndarray) -> Box:
     if y1 - y0 < _MIN_BOX_SIZE:
         mid = min(max(0.5 * (y0 + y1), _MIN_BOX_SIZE), 1.0 - _MIN_BOX_SIZE)
         y0, y1 = mid - 0.5 * _MIN_BOX_SIZE, mid + 0.5 * _MIN_BOX_SIZE
-    return Box(x0, y0, x1, y1)
+    return x0, y0, x1, y1
 
 
-def _jittered(box: Box, sigma: float, rng: np.random.Generator) -> Box:
+def _jittered(
+    box: Box, sigma: float, rng: np.random.Generator
+) -> tuple[float, float, float, float]:
     coords = np.array(box.as_list()) + rng.normal(0.0, sigma, size=4)
     return _sanitize_box(coords)
 
 
-def _make_detection(
-    box: Box,
+def _detection_row(
+    box: tuple[float, float, float, float],
     class_id: int,
     conf_range: tuple[float, float],
-    embeddings: np.ndarray,
-    sigma: float,
+    app_dim: int,
     rng: np.random.Generator,
-) -> Detection:
-    app = embeddings[class_id] + sigma * rng.standard_normal(embeddings.shape[1])
-    conf = float(rng.uniform(*conf_range))
-    return Detection(box=box, class_id=class_id, confidence=conf, appearance=app)
+) -> tuple:
+    """(box, class id, confidence, appearance noise) of one detection."""
+    noise = rng.standard_normal(app_dim)
+    return box, class_id, float(rng.uniform(*conf_range)), noise
+
+
+def _detection_arrays(rows: list[tuple], embeddings: np.ndarray, sigma: float) -> DetectionArrays:
+    """The detections of _detection_row rows, each appearance its class's
+    prototype plus sigma times its noise."""
+    boxes, class_ids, confidences, noise = (np.array(column) for column in zip(*rows))
+    return DetectionArrays(boxes, class_ids, confidences, embeddings[class_ids] + sigma * noise)
 
 
 def _generate_images(
@@ -381,6 +391,7 @@ def _generate_images(
     first_image_id: int = 0,
 ) -> list[SynthImage]:
     sector = 2.0 * np.pi / cfg.n_verb_classes
+    app_dim = embeddings.shape[1]
     images = []
     for i in range(n_images):
         n_humans = int(humans_per_image[i])
@@ -402,28 +413,20 @@ def _generate_images(
             ocx = hcx + radius * np.cos(theta)
             ocy = hcy + radius * np.sin(theta)
             ow, oh = rng.uniform(0.03, 0.09, size=2)
-            object_box = _sanitize_box(np.array([ocx - ow, ocy - oh, ocx + ow, ocy + oh]))
+            object_box = Box(*_sanitize_box(np.array([ocx - ow, ocy - oh, ocx + ow, ocy + oh])))
             triplets.append(GroundTruthTriplet(human_box, object_box, hoi_class))
 
-        sigma = cfg.feature_noise_sigma
+        jitter = cfg.detection_jitter_sigma
         humans = [
-            _make_detection(
-                _jittered(b, cfg.detection_jitter_sigma, rng),
-                cfg.human_class_id,
-                _GT_CONF,
-                embeddings,
-                sigma,
-                rng,
-            )
+            _detection_row(_jittered(b, jitter, rng), cfg.human_class_id, _GT_CONF, app_dim, rng)
             for b in human_boxes
         ]
         objects = [
-            _make_detection(
-                _jittered(t.object_box, cfg.detection_jitter_sigma, rng),
+            _detection_row(
+                _jittered(t.object_box, jitter, rng),
                 taxonomy.object_of(t.hoi_class),
                 _GT_CONF,
-                embeddings,
-                sigma,
+                app_dim,
                 rng,
             )
             for t in triplets
@@ -436,19 +439,18 @@ def _generate_images(
             box = _sanitize_box(np.array([cx - hw, cy - hh, cx + hw, cy + hh]))
             if rng.random() < _DISTRACTOR_HUMAN_PROB:
                 humans.append(
-                    _make_detection(box, cfg.human_class_id, _DISTRACTOR_CONF, embeddings, sigma, rng)
+                    _detection_row(box, cfg.human_class_id, _DISTRACTOR_CONF, app_dim, rng)
                 )
             else:
                 class_id = int(rng.integers(cfg.n_object_classes))
-                objects.append(
-                    _make_detection(box, class_id, _DISTRACTOR_CONF, embeddings, sigma, rng)
-                )
+                objects.append(_detection_row(box, class_id, _DISTRACTOR_CONF, app_dim, rng))
 
+        sigma = cfg.feature_noise_sigma
         images.append(
             SynthImage(
                 image_id=first_image_id + i,
-                human_detections=tuple(humans),
-                object_detections=tuple(objects),
+                humans=_detection_arrays(humans, embeddings, sigma),
+                objects=_detection_arrays(objects, embeddings, sigma),
                 gt_triplets=tuple(triplets),
                 image_labels=frozenset(t.hoi_class for t in triplets),
                 supervision=SupervisionTag.FS,
@@ -550,32 +552,17 @@ def split_supervision(
     return tagged
 
 
-def _detection_to_record(det: Detection) -> dict:
-    return {
-        "box": det.box.as_list(),
-        "class_id": det.class_id,
-        "confidence": det.confidence,
-        "appearance": det.appearance.tolist(),
-    }
-
-
-def _detection_from_record(rec: dict) -> Detection:
-    return Detection(
-        box=Box.from_list(rec["box"]),
-        class_id=int(rec["class_id"]),
-        confidence=float(rec["confidence"]),
-        appearance=np.array(rec["appearance"], dtype=np.float64),
-    )
+def _detection_records(d: DetectionArrays) -> list[dict]:
+    columns = (d.boxes.tolist(), d.class_ids.tolist(), d.confidences.tolist(), d.appearance.tolist())
+    return [dict(zip(("box", "class_id", "confidence", "appearance"), row)) for row in zip(*columns)]
 
 
 def image_to_record(image: SynthImage, human_class_id: int) -> dict:
-    detections = [_detection_to_record(d) for d in image.human_detections]
-    detections += [_detection_to_record(d) for d in image.object_detections]
     return {
         "image_id": image.image_id,
         "supervision": image.supervision.value,
         "human_class_id": human_class_id,
-        "detections": detections,
+        "detections": _detection_records(image.humans) + _detection_records(image.objects),
         "gt_triplets": [
             {"h_box": t.human_box.as_list(), "o_box": t.object_box.as_list(), "hoi_class": t.hoi_class}
             for t in image.gt_triplets
@@ -585,11 +572,14 @@ def image_to_record(image: SynthImage, human_class_id: int) -> dict:
 
 
 def image_from_record(rec: dict) -> SynthImage:
-    human_class = int(rec["human_class_id"])
-    humans, objects = [], []
-    for det_rec in rec["detections"]:
-        det = _detection_from_record(det_rec)
-        (humans if det.class_id == human_class else objects).append(det)
+    records = rec["detections"]
+    detections = DetectionArrays(
+        np.array([d["box"] for d in records], dtype=np.float64),
+        np.array([d["class_id"] for d in records], dtype=np.intp),
+        np.array([d["confidence"] for d in records], dtype=np.float64),
+        np.array([d["appearance"] for d in records], dtype=np.float64),
+    )
+    is_human = detections.class_ids == int(rec["human_class_id"])
     triplets = tuple(
         GroundTruthTriplet(
             Box.from_list(t["h_box"]), Box.from_list(t["o_box"]), int(t["hoi_class"])
@@ -598,8 +588,8 @@ def image_from_record(rec: dict) -> SynthImage:
     )
     return SynthImage(
         image_id=int(rec["image_id"]),
-        human_detections=tuple(humans),
-        object_detections=tuple(objects),
+        humans=detections.take(is_human),
+        objects=detections.take(~is_human),
         gt_triplets=triplets,
         image_labels=frozenset(int(c) for c in rec["image_labels"]),
         supervision=SupervisionTag(rec["supervision"]),
@@ -615,10 +605,18 @@ def save_dataset(images: list[SynthImage], path, human_class_id: int) -> None:
 
 
 def load_dataset(path) -> list[SynthImage]:
+    """Read the records save_dataset writes; a bad record raises ValueError
+    naming path:line."""
     images = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 images.append(image_from_record(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return images

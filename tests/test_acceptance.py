@@ -29,7 +29,6 @@ from hoimix.optimizer import MomentumPolicy, MomentumState, OptimizerConfig, ste
 from hoimix.pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
-    Detection,
     SynthImage,
     WorldConfig,
     feature_layout,
@@ -38,6 +37,7 @@ from hoimix.synth_world import (
 )
 
 from eval_reference import HOIPrediction, array_ap
+from pair_reference import Detection, detection_arrays
 from test_evaluation import brute_force_ap
 
 
@@ -222,8 +222,8 @@ def _swap_image(image_id, n_humans, n_objects, confidences=None):
     )
     return SynthImage(
         image_id=image_id,
-        human_detections=humans,
-        object_detections=objects,
+        humans=detection_arrays(humans),
+        objects=detection_arrays(objects),
         gt_triplets=(),
         image_labels=frozenset(),
         supervision=SupervisionTag.WS,

@@ -15,20 +15,26 @@ from hoimix.batching import (
     element_swap,
     make_fs_targets,
     make_ws_targets,
+    pair_grid,
 )
 from hoimix.geometry import Box
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
-    Detection,
     GroundTruthTriplet,
     SynthImage,
     WorldConfig,
     feature_layout,
     generate_world,
-    pair_features,
     split_supervision,
 )
-from pair_reference import confidence_product, reference_element_swap, reference_top_k
+from pair_reference import (
+    Detection,
+    confidence_product,
+    detection_arrays,
+    reference_element_swap,
+    reference_pair_features,
+    reference_top_k,
+)
 
 FEATURE_DIM = 23
 APP_DIM = feature_layout(FEATURE_DIM)[0]
@@ -55,8 +61,8 @@ def image(image_id, n_humans, n_objects, confs_h=None, confs_o=None, triplets=()
     )
     return SynthImage(
         image_id=image_id,
-        human_detections=humans,
-        object_detections=objects,
+        humans=detection_arrays(humans),
+        objects=detection_arrays(objects),
         gt_triplets=tuple(triplets),
         image_labels=frozenset(labels if labels is not None else (t.hoi_class for t in triplets)),
         supervision=SupervisionTag.WS,
@@ -91,15 +97,15 @@ def test_top_k_is_per_class():
     )
     im = SynthImage(
         image_id=0,
-        human_detections=humans,
-        object_detections=objects,
+        humans=detection_arrays(humans),
+        objects=detection_arrays(objects),
         gt_triplets=(),
         image_labels=frozenset(),
         supervision=SupervisionTag.WS,
     )
     pairs = build_pairs(im, FEATURE_DIM, top_k=1)
     assert len(pairs) == 2  # one object kept per class
-    assert {pairs[0].object.class_id, pairs[1].object.class_id} == {0, 1}
+    assert {int(p.objects.class_ids[p.object_index]) for p in pairs} == {0, 1}
 
 
 def test_element_swap_counting_exhaustive():
@@ -162,13 +168,17 @@ def drawn_image(image_id, humans, objects):
     """An image from drawn (confidence, class id) detections."""
     return SynthImage(
         image_id=image_id,
-        human_detections=tuple(
-            det(0.1 + 0.05 * k, 0.1 + 0.02 * image_id, class_id=cls, confidence=c)
-            for k, (c, cls) in enumerate(humans)
+        humans=detection_arrays(
+            [
+                det(0.1 + 0.05 * k, 0.1 + 0.02 * image_id, class_id=cls, confidence=c)
+                for k, (c, cls) in enumerate(humans)
+            ]
         ),
-        object_detections=tuple(
-            det(0.5 + 0.05 * k, 0.5 - 0.02 * image_id, class_id=cls, confidence=c)
-            for k, (c, cls) in enumerate(objects)
+        objects=detection_arrays(
+            [
+                det(0.5 + 0.05 * k, 0.5 - 0.02 * image_id, class_id=cls, confidence=c)
+                for k, (c, cls) in enumerate(objects)
+            ]
         ),
         gt_triplets=(),
         image_labels=frozenset(),
@@ -201,7 +211,7 @@ def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
         assert (g.human_index, g.object_index, g.source, g.swapped) == (
             w.human_index, w.object_index, w.source, w.swapped,
         )
-        assert g.human is w.human and g.object is w.object
+        assert g.humans is w.humans and g.objects is w.objects
         assert g.features.tobytes() == w.features.tobytes()
         if not g.swapped:
             assert g is w  # same-image pairs are passed through, not rebuilt
@@ -219,7 +229,7 @@ def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
 def test_top_k_matches_the_per_class_sort(objects, top_k):
     im = drawn_image(0, [(0.9, 3)], objects)
     kept = [p.object_index for p in build_pairs(im, FEATURE_DIM, top_k=top_k)]
-    assert kept == reference_top_k(im.object_detections, top_k)
+    assert kept == reference_top_k(im.objects, top_k)
 
 
 def confident_swap_images():
@@ -251,8 +261,11 @@ def test_element_swap_features_recomputed_for_swapped_pairs():
     assert all(p.swapped for p in out)
     for p in out:
         assert p.features.shape == (FEATURE_DIM,)
-        np.testing.assert_array_equal(p.features[:APP_DIM], p.human.appearance)
-        np.testing.assert_array_equal(p.features, pair_features(p.human, p.object, FEATURE_DIM))
+        np.testing.assert_array_equal(p.features[:APP_DIM], p.humans.appearance[p.human_index])
+        np.testing.assert_array_equal(
+            p.features,
+            reference_pair_features(p.humans, p.human_index, p.objects, p.object_index, FEATURE_DIM),
+        )
 
 
 def triplet(hx, hy, ox, oy, hoi_class, size=0.1):
@@ -261,11 +274,20 @@ def triplet(hx, hy, ox, oy, hoi_class, size=0.1):
     )
 
 
+def boxes_of(grid, i):
+    """The human and object boxes of the grid's pair i."""
+    return Box.from_list(grid.human_boxes[i]), Box.from_list(grid.object_boxes[i])
+
+
+def fs_targets(image, gt, n_classes, **kwargs):
+    grid = pair_grid(image, FEATURE_DIM)
+    return make_fs_targets(grid.human_boxes, grid.object_boxes, gt, n_classes, **kwargs)
+
+
 def test_fs_targets_exact_match_sets_single_column():
     im = image(0, 1, 1)
-    pairs = build_pairs(im, FEATURE_DIM)
-    gt = [GroundTruthTriplet(pairs[0].human.box, pairs[0].object.box, 7)]
-    Y = make_fs_targets(pairs, gt, n_classes=10)
+    gt = [GroundTruthTriplet(*boxes_of(pair_grid(im, FEATURE_DIM), 0), 7)]
+    Y = fs_targets(im, gt, n_classes=10)
     assert Y.shape == (1, 10)
     assert Y[0, 7] == 1.0
     assert Y.sum() == 1.0
@@ -282,29 +304,27 @@ def test_fs_targets_min_rule_below_threshold():
     pair_o = Detection(box=o, class_id=0, confidence=0.9, appearance=app)
     im = SynthImage(
         image_id=0,
-        human_detections=(pair_h,),
-        object_detections=(pair_o,),
+        humans=detection_arrays([pair_h]),
+        objects=detection_arrays([pair_o]),
         gt_triplets=(GroundTruthTriplet(h_gt, o_gt, 3),),
         image_labels=frozenset({3}),
         supervision=SupervisionTag.FS,
     )
-    pairs = build_pairs(im, FEATURE_DIM)
-    Y = make_fs_targets(pairs, im.gt_triplets, n_classes=5)
+    Y = fs_targets(im, im.gt_triplets, n_classes=5)
     assert Y.sum() == 0.0
 
 
 def test_fs_targets_no_gt_gives_zero_matrix():
-    pairs = build_pairs(image(0, 2, 2), FEATURE_DIM)
-    Y = make_fs_targets(pairs, [], n_classes=6)
+    Y = fs_targets(image(0, 2, 2), [], n_classes=6)
     assert Y.shape == (4, 6)
     assert Y.sum() == 0.0
 
 
 def test_fs_targets_class_out_of_range_rejected():
-    pairs = build_pairs(image(0, 1, 1), FEATURE_DIM)
-    gt = [GroundTruthTriplet(pairs[0].human.box, pairs[0].object.box, 12)]
+    im = image(0, 1, 1)
+    gt = [GroundTruthTriplet(*boxes_of(pair_grid(im, FEATURE_DIM), 0), 12)]
     with pytest.raises(ValueError):
-        make_fs_targets(pairs, gt, n_classes=10)
+        fs_targets(im, gt, n_classes=10)
 
 
 def test_fs_targets_monotone_in_threshold():
@@ -313,11 +333,10 @@ def test_fs_targets_monotone_in_threshold():
         WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=4)
     )
     for im in images[:10]:
-        pairs = build_pairs(im, FEATURE_DIM)
         thresholds = sorted(rng.uniform(0.1, 0.95, size=4))
         previous = None
         for t in thresholds:
-            Y = make_fs_targets(pairs, im.gt_triplets, n_classes=6, iou_threshold=t)
+            Y = fs_targets(im, im.gt_triplets, n_classes=6, iou_threshold=t)
             if previous is not None:
                 assert np.all(Y <= previous)  # raising threshold never adds a 1
             previous = Y
@@ -420,11 +439,11 @@ def test_assemble_fs_batch_matches_per_image_targets():
     assert batch.supervision == SupervisionTag.FS
     assert batch.fs_targets is not None and batch.ws_targets is None
     pairs_a = build_pairs(a, cfg.feature_dim)
-    Y_a = make_fs_targets(pairs_a, a.gt_triplets, 6)
+    Y_a = fs_targets(a, a.gt_triplets, 6)
     np.testing.assert_array_equal(batch.fs_targets[: len(pairs_a)], Y_a)
     # pairs from image a are never matched against image b's ground truth
     pairs_b = build_pairs(b, cfg.feature_dim)
-    Y_cross = make_fs_targets(pairs_a, b.gt_triplets, 6)
+    Y_cross = fs_targets(a, b.gt_triplets, 6)
     assert batch.fs_targets[: len(pairs_a)].sum() == Y_a.sum()
     assert batch.features.shape[0] == len(pairs_a) + len(pairs_b)
 
@@ -446,9 +465,8 @@ def test_assemble_us_requires_pseudo_triplets():
     us = [im for im in tagged if im.supervision == SupervisionTag.US]
     with pytest.raises(ValueError):
         assemble_minibatch(us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim)
-    pairs0 = build_pairs(us[0], cfg.feature_dim)
     pseudo = {
-        us[0].image_id: [GroundTruthTriplet(pairs0[0].human.box, pairs0[0].object.box, 2)],
+        us[0].image_id: [GroundTruthTriplet(*boxes_of(pair_grid(us[0], cfg.feature_dim), 0), 2)],
         us[1].image_id: [],
     }
     batch = assemble_minibatch(

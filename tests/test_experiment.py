@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hoimix.checkpoint import load_checkpoint
+from hoimix.checkpoint import load_checkpoint, save_checkpoint
+from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
 from hoimix.experiment import (
     ExperimentConfig,
@@ -414,3 +415,15 @@ def test_cli_bad_ratio_rejected(tmp_path):
     cfg_path = cli_config(tmp_path)
     bad = run_cli(["train", "--config", str(cfg_path), "--ratio", "80/40"], tmp_path)
     assert bad.returncode == 1
+
+
+def test_cli_eval_rejects_a_checkpoint_of_other_dims(tmp_path):
+    # a 4-class checkpoint against the default 24-class world
+    ckpt = tmp_path / "four_classes.ckpt"
+    save_checkpoint(ckpt, ModelParams.init(23, 8, 4, seed=0))
+    bad = run_cli(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "e")], tmp_path)
+    assert bad.returncode == 1
+    message = bad.stderr.strip().splitlines()[-1]
+    assert str(ckpt) in message
+    assert "(23, 4)" in message and "(23, 24)" in message
+    assert not (tmp_path / "e").exists()

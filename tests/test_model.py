@@ -72,6 +72,15 @@ def test_non_finite_features_rejected():
         forward(params, bad)
 
 
+def test_overflowing_finite_inputs_rejected():
+    # every input is finite, yet the raw scores overflow to inf - inf
+    params = ModelParams.init(4, 3, 2, 0)
+    params.flat *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(params, np.full((3, 4), 1e3))
+
+
 def test_aggregate_bounded_over_random_passes():
     rng = np.random.default_rng(2)
     params = make_params(n_classes=5)

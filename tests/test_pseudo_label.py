@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hoimix.batching import build_pairs
+from hoimix.batching import pair_grid
 from hoimix.experiment import ExperimentConfig, prepare_world
+from hoimix.geometry import Box
 from hoimix.model import ModelParams
 from hoimix.pseudo_label import (
     dump_pseudo_triplets,
@@ -36,31 +37,40 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
-def pairs_of(image):
-    return build_pairs(image, SMALL.feature_dim)
+def grid_of(image):
+    return pair_grid(image, SMALL.feature_dim)
+
+
+def human_box(grid, i):
+    return Box.from_list(grid.human_boxes[i])
+
+
+def object_box(grid, i):
+    return Box.from_list(grid.object_boxes[i])
 
 
 def test_argmax_selection_per_label():
     images = generate_world(SMALL)
-    pairs = pairs_of(images[0])
-    P = np.zeros((len(pairs), 6))
-    P[:, 2] = np.linspace(0.1, 0.9, len(pairs))
+    grid = grid_of(images[0])
+    n = len(grid.features)
+    P = np.zeros((n, 6))
+    P[:, 2] = np.linspace(0.1, 0.9, n)
     P[0, 4] = 0.7
-    out = select_label_argmax_triplets(P, {2, 4}, pairs)
+    out = select_label_argmax_triplets(P, {2, 4}, grid)
     assert len(out) == 2
     assert out[0].hoi_class == 2
-    assert out[0].human_box == pairs[-1].human.box  # argmax of column 2
+    assert out[0].human_box == human_box(grid, -1)  # argmax of column 2
     assert out[1].hoi_class == 4
-    assert out[1].human_box == pairs[0].human.box
+    assert out[1].human_box == human_box(grid, 0)
 
 
 def test_argmax_ties_break_to_lowest_pair_index():
     images = generate_world(SMALL)
-    pairs = pairs_of(images[0])
-    P = np.full((len(pairs), 6), 0.5)
-    out = select_label_argmax_triplets(P, {1}, pairs)
-    assert out[0].human_box == pairs[0].human.box
-    assert out[0].object_box == pairs[0].object.box
+    grid = grid_of(images[0])
+    P = np.full((len(grid.features), 6), 0.5)
+    out = select_label_argmax_triplets(P, {1}, grid)
+    assert out[0].human_box == human_box(grid, 0)
+    assert out[0].object_box == object_box(grid, 0)
 
 
 def test_ws_to_pseudo_fs_emits_one_triplet_per_label():
@@ -76,8 +86,8 @@ def test_pseudo_boxes_come_from_image_detections():
     images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     for image in images[:10]:
-        human_boxes = {d.box for d in image.human_detections}
-        object_boxes = {d.box for d in image.object_detections}
+        human_boxes = {Box.from_list(b) for b in image.humans.boxes}
+        object_boxes = {Box.from_list(b) for b in image.objects.boxes}
         for t in ws_to_pseudo_fs(params, image, feature_dim=SMALL.feature_dim):
             assert t.human_box in human_boxes
             assert t.object_box in object_boxes
@@ -85,28 +95,28 @@ def test_pseudo_boxes_come_from_image_detections():
 
 def test_threshold_triplets_strictly_above():
     images = generate_world(SMALL)
-    pairs = pairs_of(images[0])
-    P = np.zeros((len(pairs), 6))
+    grid = grid_of(images[0])
+    P = np.zeros((len(grid.features), 6))
     P[0, 1] = 0.5
     P[1, 2] = 0.50001
-    assert threshold_triplets(P, 0.5, pairs) == [
-        type(images[0].gt_triplets[0])(pairs[1].human.box, pairs[1].object.box, 2)
+    assert threshold_triplets(P, 0.5, grid) == [
+        type(images[0].gt_triplets[0])(human_box(grid, 1), object_box(grid, 1), 2)
     ]
 
 
 def test_threshold_all_below_gives_empty():
     images = generate_world(SMALL)
-    pairs = pairs_of(images[0])
-    assert threshold_triplets(np.full((len(pairs), 6), 0.4), 0.5, pairs) == []
+    grid = grid_of(images[0])
+    assert threshold_triplets(np.full((len(grid.features), 6), 0.4), 0.5, grid) == []
 
 
 def test_threshold_boundaries_rejected():
     images = generate_world(SMALL)
-    pairs = pairs_of(images[0])
-    P = np.zeros((len(pairs), 6))
+    grid = grid_of(images[0])
+    P = np.zeros((len(grid.features), 6))
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            threshold_triplets(P, bad, pairs)
+            threshold_triplets(P, bad, grid)
 
 
 def test_us_output_monotone_in_threshold():

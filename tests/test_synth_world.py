@@ -1,5 +1,7 @@
 import collections
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from hoimix.geometry import Box
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
-    Detection,
     DetectionArrays,
     SynthImage,
     WorldConfig,
@@ -20,12 +21,11 @@ from hoimix.synth_world import (
     image_to_record,
     load_dataset,
     pair_feature_matrix,
-    pair_features,
     rare_classes,
     save_dataset,
     split_supervision,
 )
-from pair_reference import reference_pair_features
+from pair_reference import Detection, detection_arrays, reference_pair_features
 
 SMALL = WorldConfig(
     n_object_classes=4,
@@ -96,9 +96,9 @@ def test_range_collapse_gives_exact_counts():
         gt_humans = 1
         gt_objects = 1
         # detections beyond the ground-truth-backed ones are distractors
-        assert len(image.human_detections) + len(image.object_detections) >= gt_humans + gt_objects
-        assert len(image.human_detections) >= 1
-        assert len(image.object_detections) >= 1
+        assert len(image.humans) + len(image.objects) >= gt_humans + gt_objects
+        assert len(image.humans) >= 1
+        assert len(image.objects) >= 1
 
 
 def test_infeasible_config_names_a_field():
@@ -134,13 +134,16 @@ def test_feature_layout_partitions_dimension():
         assert 2 * app + spatial + pad == dim
 
 
+def pair_features(humans, h, objects, o, feature_dim):
+    """Feature vector of the pair (humans row h, objects row o)."""
+    return pair_feature_matrix(humans, [h], objects, [o], feature_dim)[0]
+
+
 def test_features_deterministic_and_correct_dim():
     images = generate_world(SMALL)
     im = images[0]
-    human = im.human_detections[0]
-    obj = im.object_detections[0]
-    f1 = pair_features(human, obj, SMALL.feature_dim)
-    f2 = pair_features(human, obj, SMALL.feature_dim)
+    f1 = pair_features(im.humans, 0, im.objects, 0, SMALL.feature_dim)
+    f2 = pair_features(im.humans, 0, im.objects, 0, SMALL.feature_dim)
     np.testing.assert_array_equal(f1, f2)
     assert f1.shape == (SMALL.feature_dim,)
 
@@ -160,8 +163,8 @@ def test_feature_noise_bounded_for_same_class_detections():
     images = generate_world(cfg)
     by_class = collections.defaultdict(list)
     for im in images:
-        for det in im.object_detections:
-            by_class[det.class_id].append(det.appearance)
+        for class_id, appearance in zip(im.objects.class_ids.tolist(), im.objects.appearance):
+            by_class[class_id].append(appearance)
     checked = 0
     for apps in by_class.values():
         for k in range(len(apps) - 1):
@@ -173,21 +176,18 @@ def test_feature_noise_bounded_for_same_class_detections():
 
 def test_swapped_pair_layout_uses_boxes_as_is():
     images = generate_world(SMALL)
-    h = images[0].human_detections[0]
-    o = images[1].object_detections[0]
-    cross = pair_features(h, o, SMALL.feature_dim)
+    humans = images[0].humans
+    cross = pair_features(humans, 0, images[1].objects, 0, SMALL.feature_dim)
     app, spatial, _ = feature_layout(SMALL.feature_dim)
-    same_human_other_object = pair_features(h, images[0].object_detections[0], SMALL.feature_dim)
+    same_human_other_object = pair_features(humans, 0, images[0].objects, 0, SMALL.feature_dim)
     np.testing.assert_array_equal(cross[:app], same_human_other_object[:app])
     assert not np.array_equal(cross[2 * app :], same_human_other_object[2 * app :])
 
 
 def test_appearance_dim_mismatch_rejected():
     images = generate_world(SMALL)
-    h = images[0].human_detections[0]
-    o = images[0].object_detections[0]
     with pytest.raises(ValueError):
-        pair_features(h, o, SMALL.feature_dim + 2)
+        pair_features(images[0].humans, 0, images[0].objects, 0, SMALL.feature_dim + 2)
 
 
 # boxes on an eighth-unit grid, so that boxes touching at an edge or a
@@ -227,10 +227,12 @@ def two_images_of_detections(draw):
 
 
 def assert_rows_match_reference(humans, objects, feature_dim):
-    rows = pair_feature_matrix(DetectionArrays.of(humans), DetectionArrays.of(objects), feature_dim)
+    """humans and objects are aligned: row k of each makes pair k."""
+    aligned = np.arange(len(humans))
+    rows = pair_feature_matrix(humans, aligned, objects, aligned, feature_dim)
     assert rows.shape == (len(humans), feature_dim)
-    for row, h, o in zip(rows, humans, objects):
-        assert row.tobytes() == reference_pair_features(h, o, feature_dim).tobytes()
+    for k, row in enumerate(rows):
+        assert row.tobytes() == reference_pair_features(humans, k, objects, k, feature_dim).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,7 +242,9 @@ def test_pair_feature_rows_equal_the_per_pair_reference(drawn):
     # every human of both images against every object of both: same-image
     # pairs and swapped pairs that mix the two images' detections
     pool = [(h, o) for h in h1 + h2 for o in o1 + o2]
-    assert_rows_match_reference([h for h, _ in pool], [o for _, o in pool], feature_dim)
+    assert_rows_match_reference(
+        detection_arrays([h for h, _ in pool]), detection_arrays([o for _, o in pool]), feature_dim
+    )
 
 
 def test_pair_feature_rows_at_touching_and_nested_boxes():
@@ -252,8 +256,9 @@ def test_pair_feature_rows_at_touching_and_nested_boxes():
         Detection(Box(0.5, 0.75, 1.0, 1.0), 0, 0.5, app),  # in line with an edge, apart
         Detection(Box(0.125, 0.125, 0.25, 0.25), 0, 0.5, app),  # nested inside
     ]
-    assert_rows_match_reference([human] * 4, objects, 9)
-    rows = pair_feature_matrix(DetectionArrays.of([human] * 4), DetectionArrays.of(objects), 9)
+    humans, objects = detection_arrays([human] * 4), detection_arrays(objects)
+    assert_rows_match_reference(humans, objects, 9)
+    rows = pair_feature_matrix(humans, np.arange(4), objects, np.arange(4), 9)
     overlap = rows[:, 2 + 4]
     assert overlap.tolist() == [0.0, 0.0, 0.0, 0.0625] and not np.signbit(overlap).any()
 
@@ -261,8 +266,12 @@ def test_pair_feature_rows_at_touching_and_nested_boxes():
 def test_pair_feature_rows_equal_the_reference_on_a_default_world():
     cfg = WorldConfig()
     for image in generate_world(cfg):
-        pool = [(h, o) for h in image.human_detections for o in image.object_detections]
-        assert_rows_match_reference([h for h, _ in pool], [o for _, o in pool], cfg.feature_dim)
+        n_humans, n_objects = len(image.humans), len(image.objects)
+        assert_rows_match_reference(
+            image.humans.take(np.repeat(np.arange(n_humans), n_objects)),
+            image.objects.take(np.tile(np.arange(n_objects), n_humans)),
+            cfg.feature_dim,
+        )
 
 
 def test_split_fractions_with_rounding():
@@ -348,12 +357,12 @@ def test_eval_images_share_latent_structure_and_cover_classes():
     # noisy appearance vectors of one class must cluster around one point
     train_means = {}
     for im in train:
-        for det in im.object_detections:
-            train_means.setdefault(det.class_id, []).append(det.appearance)
+        for class_id, appearance in zip(im.objects.class_ids.tolist(), im.objects.appearance):
+            train_means.setdefault(class_id, []).append(appearance)
     for im in test:
-        for det in im.object_detections:
-            mean = np.mean(train_means[det.class_id], axis=0)
-            assert np.linalg.norm(det.appearance - mean) < 1.0
+        for class_id, appearance in zip(im.objects.class_ids.tolist(), im.objects.appearance):
+            mean = np.mean(train_means[class_id], axis=0)
+            assert np.linalg.norm(appearance - mean) < 1.0
 
 
 def test_jsonl_roundtrip_preserves_everything(tmp_path):
@@ -394,16 +403,17 @@ def test_record_fields_match_format_contract(tmp_path):
 
 def test_every_image_has_detections_and_valid_confidence():
     for im in generate_world(SMALL):
-        for det in list(im.human_detections) + list(im.object_detections):
-            assert 0.0 < det.confidence <= 1.0
-            assert det.box.area > 0
+        for detections in (im.humans, im.objects):
+            assert np.all((0.0 < detections.confidences) & (detections.confidences <= 1.0))
+            for box in detections.boxes.tolist():
+                assert Box.from_list(box).area > 0
 
 
 def test_detection_confidence_validated():
     images = generate_world(SMALL)
-    det = images[0].human_detections[0]
+    det = images[0].humans
     with pytest.raises(ValueError):
-        Detection(box=det.box, class_id=0, confidence=0.0, appearance=det.appearance)
+        DetectionArrays(det.boxes, det.class_ids, np.zeros(len(det)), det.appearance)
 
 
 def test_image_requires_detections():
@@ -412,8 +422,101 @@ def test_image_requires_detections():
     with pytest.raises(ValueError):
         SynthImage(
             image_id=1,
-            human_detections=(),
-            object_detections=im.object_detections,
+            humans=im.humans.take(np.array([], dtype=np.intp)),
+            objects=im.objects,
             gt_triplets=(),
             image_labels=frozenset(),
         )
+
+
+def bad_box(record):
+    record["detections"][0]["box"] = [0.5, 0.2, 0.5, 0.4]  # zero width
+
+
+def bad_confidence(record):
+    record["detections"][0]["confidence"] = 0.0
+
+
+def short_appearance(record):
+    record["detections"][0]["appearance"].pop()
+
+
+def missing_key(record):
+    del record["detections"][0]["box"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (None, "Expecting"),  # the line is not JSON
+        (missing_key, "missing key 'box'"),
+        (bad_box, "degenerate box"),
+        (bad_confidence, "confidence"),
+        (short_appearance, "inhomogeneous"),
+    ],
+    ids=["bad_json", "missing_key", "degenerate_box", "zero_confidence", "short_appearance"],
+)
+def test_load_dataset_names_the_line_of_a_bad_record(tmp_path, corrupt, reason):
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(generate_world(SMALL)[:3], path, SMALL.human_class_id)
+    lines = path.read_text().splitlines()
+    if corrupt is None:
+        lines[1] = lines[1][:40]
+    else:
+        record = json.loads(lines[1])
+        corrupt(record)
+        lines[1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")) as err:
+        load_dataset(path)
+    assert reason in str(err.value)
+
+
+def test_detection_arrays_reject_rows_of_mismatched_length():
+    d = generate_world(SMALL)[0].objects
+    with pytest.raises(ValueError, match="rows disagree"):
+        DetectionArrays(d.boxes, d.class_ids, d.confidences[1:], d.appearance)
+    with pytest.raises(ValueError, match="rows disagree"):
+        DetectionArrays(d.boxes, d.class_ids, d.confidences, d.appearance[:, 0])
+    with pytest.raises(ValueError, match="rows disagree"):
+        DetectionArrays(d.boxes[:, :3], d.class_ids, d.confidences, d.appearance)
+
+
+# edges that sit on the checks' boundaries come up often: zero and negative
+# extents, confidences of exactly 0 and 1 and just beyond, and NaN
+coordinate = st.one_of(st.sampled_from([0.0, 0.5, math.nan]), st.floats(-1, 2))
+extent = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -0.25]), st.floats(-1, 1))
+confidence = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, 5e-324, math.nan]), st.floats(-0.5, 1.5)
+)
+detection_row = st.tuples(coordinate, coordinate, extent, extent, confidence)
+
+
+def reference_accepts(row):
+    x, y, w, h, conf = row
+    try:
+        Detection(Box(x, y, x + w, y + h), 0, conf, np.zeros(2))
+    except ValueError:
+        return False
+    return True
+
+
+def arrays_accept(rows):
+    try:
+        DetectionArrays(
+            np.array([(x, y, x + w, y + h) for x, y, w, h, _ in rows]),
+            np.zeros(len(rows), dtype=np.intp),
+            np.array([conf for *_, conf in rows]),
+            np.zeros((len(rows), 2)),
+        )
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(detection_row, min_size=1, max_size=6))
+def test_detection_arrays_accept_exactly_the_rows_the_per_detection_checks_accept(rows):
+    for row in rows:
+        assert arrays_accept([row]) == reference_accepts(row)
+    assert arrays_accept(rows) == all(reference_accepts(row) for row in rows)

@@ -29,9 +29,11 @@ from .evaluation import (
 )
 from .experiment import (
     ExperimentConfig,
+    FitSpec,
     fit,
     run_class_split,
     run_experiment,
+    run_many,
     run_ratio_sweep,
     train,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "EvalReport",
     "EvalSet",
     "ExperimentConfig",
+    "FitSpec",
     "GroundTruthTriplet",
     "HumanObjectPair",
     "LossReport",
@@ -99,6 +102,7 @@ __all__ = [
     "rare_classes",
     "run_class_split",
     "run_experiment",
+    "run_many",
     "run_ratio_sweep",
     "schedule_filter",
     "split_supervision",

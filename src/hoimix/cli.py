@@ -2,7 +2,8 @@
 
 Subcommands: gen-world, train, eval, sweep, class-split, pseudo-cycle.
 Configs are JSON files mirroring the world / optimizer / experiment fields;
---seed overrides the training seed, --out-dir picks the output directory.
+--seed overrides the training seed (for sweep, the first of its seeds),
+--out-dir picks the output directory.
 Any aborted run exits nonzero.
 """
 
@@ -120,7 +121,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     ratios = [parse_ratio(r) for r in args.ratios.split(",")]
-    seeds = list(range(args.n_seeds))
+    first = args.seed if args.seed is not None else 0
+    seeds = list(range(first, first + args.n_seeds))
     rows, aggregates = run_ratio_sweep(cfg, ratios, seeds, out_dir=args.out_dir)
     print(AGGREGATE_HEADER)
     for line in aggregates:

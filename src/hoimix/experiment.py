@@ -6,7 +6,9 @@ and evaluates mAP on a held-out set sharing the world's latent structure.
 One schedule entry corresponds to one iteration; entries skipped by a
 sequence-training filter still consume their iteration. Every experiment
 (full runs, sweeps, the class split, pseudo-label cycles) trains and
-evaluates through `fit`.
+evaluates through `fit`; fits that do not depend on each other (a sweep's
+cells, the class split's three models) run in worker processes through
+`run_many`.
 """
 
 from __future__ import annotations
@@ -284,16 +286,23 @@ class RunResult:
     csv_row: str
 
 
-def prepare_world(cfg: ExperimentConfig):
-    """Generate train/test images, the rare-class split, and the tagging."""
-    train_images = generate_world(cfg.world)
-    rare_ids = rare_classes(train_images)
-    test_images = generate_eval_images(cfg.world, cfg.n_test_images)
+def _build_world(world: WorldConfig, n_test_images: int):
+    """Untagged train images, test images and rare class ids of one world."""
+    train_images = generate_world(world)
+    return train_images, generate_eval_images(world, n_test_images), rare_classes(train_images)
+
+
+def _tag(train_images: list[SynthImage], cfg: ExperimentConfig) -> list[SynthImage]:
     _, _, split_seed = _train_seeds(cfg.train_seed)
-    tagged = split_supervision(
+    return split_supervision(
         train_images, cfg.ws_fraction, cfg.fs_fraction, cfg.us_fraction, split_seed
     )
-    return tagged, test_images, rare_ids
+
+
+def prepare_world(cfg: ExperimentConfig):
+    """Generate train/test images, the rare-class split, and the tagging."""
+    train_images, test_images, rare_ids = _build_world(cfg.world, cfg.n_test_images)
+    return _tag(train_images, cfg), test_images, rare_ids
 
 
 def fit(
@@ -337,6 +346,57 @@ def fit(
         report=report,
         csv_row=row,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class FitSpec:
+    """The arguments of one `fit` call, as one picklable value."""
+
+    images: list[SynthImage]
+    cfg: ExperimentConfig
+    test_images: list[SynthImage]
+    rare_ids: set[int]
+    run_id: str = "run"
+    periodic_eval: bool = False
+    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None
+
+
+def _fit_spec(spec: FitSpec) -> RunResult:
+    return fit(
+        spec.images,
+        spec.cfg,
+        spec.test_images,
+        spec.rare_ids,
+        run_id=spec.run_id,
+        periodic_eval=spec.periodic_eval,
+        pseudo_triplets=spec.pseudo_triplets,
+    )
+
+
+def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
+    """Run independent `fit` calls in a pool of worker processes, one per
+    usable CPU and at most one per spec; return their results in spec order.
+
+    Each result equals that of a serial `fit` of its spec. A failing spec
+    (`TrainingDiverged` included) raises here with the worker's message.
+    The pool is shut down, and its workers waited for, before this returns.
+    Workers are spawned and import the caller's main module, so a script
+    that calls this must do so under `if __name__ == "__main__":`.
+    """
+    if not specs:
+        return []
+    # imported here: the pool modules cost 16-23 ms, which `import hoimix` should not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(specs), len(os.sched_getaffinity(0)))
+    # spawned workers start from a fresh import: forking a process that
+    # holds BLAS threads is unsafe
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(_fit_spec, specs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(
@@ -385,31 +445,40 @@ def run_ratio_sweep(
     out_dir: Optional[str] = None,
 ) -> tuple[list[str], list[str]]:
     """One train+evaluate per (ratio, seed) cell; per-cell rows plus
-    mean/stddev aggregate lines."""
+    mean/stddev aggregate lines.
+
+    A cell at seed s trains with train_seed s on the world of seed
+    cfg_base.world.seed + s. Each seed's world and test images are built
+    once and split per ratio; the cells' fits run in `run_many`.
+    """
+    if not ratios:
+        raise ValueError("ratio sweep needs at least one ratio")
     if not seeds:
         raise ValueError("ratio sweep needs at least one seed")
-    rows: list[str] = []
-    aggregates: list[str] = []
+    worlds = {}
+    for seed in seeds:
+        world = dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed)
+        worlds[seed] = (world, *_build_world(world, cfg_base.n_test_images))
+    specs = []
     for ws, fs, us in ratios:
-        cell = []
         for seed in seeds:
+            world, train_images, test_images, rare_ids = worlds[seed]
             cfg = dataclasses.replace(
-                cfg_base,
-                ws_fraction=ws,
-                fs_fraction=fs,
-                us_fraction=us,
-                train_seed=seed,
-                world=dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed),
+                cfg_base, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
             )
-            run = run_experiment(cfg, run_id=f"sweep-{cfg.ratio_string()}-s{seed}")
-            rows.append(run.csv_row)
-            cell.append(run.report)
+            run_id = f"sweep-{cfg.ratio_string()}-s{seed}"
+            specs.append(FitSpec(_tag(train_images, cfg), cfg, test_images, rare_ids, run_id=run_id))
+    runs = run_many(specs)
+    rows = [run.csv_row for run in runs]
+    aggregates: list[str] = []
+    for start in range(0, len(runs), len(seeds)):
+        cell = runs[start : start + len(seeds)]
         stats = []
         for metric in ("map_full", "map_rare", "map_nonrare"):
-            values = np.array([getattr(r, metric) for r in cell])
+            values = np.array([getattr(run.report, metric) for run in cell])
             stats.append(repr(float(np.nanmean(values))))
             stats.append(repr(float(np.nanstd(values, ddof=1))) if len(cell) > 1 else "0.0")
-        aggregates.append(",".join([cfg.ratio_string(), str(len(cell))] + stats))
+        aggregates.append(",".join([cell[0].config.ratio_string(), str(len(cell))] + stats))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:
@@ -439,9 +508,7 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     """
     if cfg.world.n_hoi_classes < 2:
         raise ValueError("class split needs at least two interaction classes")
-    train_images = generate_world(cfg.world)
-    rare_ids = rare_classes(train_images)
-    test_images = generate_eval_images(cfg.world, cfg.n_test_images)
+    train_images, test_images, rare_ids = _build_world(cfg.world, cfg.n_test_images)
 
     _, _, split_seed = _train_seeds(cfg.train_seed)
     order = np.random.default_rng(split_seed).permutation(cfg.world.n_hoi_classes)
@@ -476,9 +543,16 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
             if restricted is not None:
                 images_ws.append(restricted)
 
-    report_separate_fs = fit(images_fs, cfg, test_images, rare_ids).report
-    report_separate_ws = fit(images_ws, cfg, test_images, rare_ids).report
-    report_joint = fit(images_fs + images_ws, cfg, test_images, rare_ids).report
+    report_separate_fs, report_separate_ws, report_joint = (
+        run.report
+        for run in run_many(
+            [
+                FitSpec(images_fs, cfg, test_images, rare_ids),
+                FitSpec(images_ws, cfg, test_images, rare_ids),
+                FitSpec(images_fs + images_ws, cfg, test_images, rare_ids),
+            ]
+        )
+    )
 
     return {
         "classes_fs": classes_fs,

@@ -88,6 +88,10 @@ class ModelParams:
             b_sel=np.zeros(n_classes),
         )
 
+    def __reduce__(self):
+        # pickling the views one by one would unpickle them onto separate arrays
+        return (ModelParams.over, (self.flat, self.dims))
+
     def __setattr__(self, name, value) -> None:
         # `params.flat -= z` stores the same array back; anything else would
         # detach the name from the vector

@@ -78,6 +78,10 @@ class MomentumState:
         self.z_ws, self.z_fs = rows[0], rows[-1]
         self.t = t
 
+    def __reduce__(self):
+        # rebuild z_ws and z_fs as views of the unpickled buffers
+        return (MomentumState, (self.buffers, self.z_ws.dims, self.t))
+
     @classmethod
     def zeros(cls, params: ModelParams, policy: MomentumPolicy) -> "MomentumState":
         rows = 2 if policy == MomentumPolicy.INDEPENDENT else 1

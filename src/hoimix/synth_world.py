@@ -184,10 +184,27 @@ class DetectionArrays:
     def __len__(self) -> int:
         return len(self.boxes)
 
+    def __reduce__(self):
+        # run_many pickles every image of every spec it sends, and a pickler
+        # holds each array it writes until it is done, so the array count
+        # sets the peak memory of the process feeding the workers: one float
+        # block and the class ids halve it
+        block = np.concatenate([self.boxes, self.confidences[:, None], self.appearance], axis=1)
+        return (_unpickle_detections, (block, self.class_ids))
+
     def take(self, rows: np.ndarray) -> "DetectionArrays":
         return DetectionArrays(
             self.boxes[rows], self.class_ids[rows], self.confidences[rows], self.appearance[rows]
         )
+
+
+def _unpickle_detections(block: np.ndarray, class_ids: np.ndarray) -> DetectionArrays:
+    return DetectionArrays(
+        np.ascontiguousarray(block[:, :4]),
+        class_ids,
+        block[:, 4].copy(),
+        np.ascontiguousarray(block[:, 5:]),
+    )
 
 
 def pair_feature_matrix(

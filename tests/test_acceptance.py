@@ -16,11 +16,12 @@ import pytest
 from hoimix.batching import build_pairs, element_swap
 from hoimix.experiment import (
     ExperimentConfig,
+    FitSpec,
     config_diff,
-    fit,
     permute_labels,
     prepare_world,
     run_experiment,
+    run_many,
 )
 from hoimix.geometry import Box
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
@@ -54,6 +55,12 @@ def finish(number, name, ok, detail, started, budget_s):
 
 def default_cfg(**overrides):
     return dataclasses.replace(ExperimentConfig(), **overrides)
+
+
+def experiment_spec(cfg):
+    """The fit that `run_experiment(cfg)` runs, on a world built here."""
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    return FitSpec(tagged, cfg, test_images, rare_ids)
 
 
 # --------------------------------------------------------------------------
@@ -387,12 +394,18 @@ def test_criterion_07_learnability_floor():
     started = time.monotonic()
     wins = 0
     details = []
+    specs = []
     for seed in range(5):
         cfg = default_cfg(ws_fraction=0.0, fs_fraction=1.0, train_seed=seed)
         tagged, test_images, rare_ids = prepare_world(cfg)
-        trained = fit(tagged, cfg, test_images, rare_ids).report.map_full
         permuted = permute_labels(tagged, seed=seed + 991)
-        control = fit(permuted, cfg, test_images, rare_ids).report.map_full
+        specs += [
+            FitSpec(tagged, cfg, test_images, rare_ids),
+            FitSpec(permuted, cfg, test_images, rare_ids),
+        ]
+    runs = run_many(specs)
+    for seed in range(5):
+        trained, control = (run.report.map_full for run in runs[2 * seed : 2 * seed + 2])
         win = trained >= 0.5 and trained - control >= 0.3
         wins += win
         details.append(f"s{seed}: {trained:.3f} vs control {control:.3f}")
@@ -448,6 +461,7 @@ def test_criterion_08_mil_trend():
     # reproduce it.
     runs = {"indep": [], "shared": [], "wsonly": [], "fspart": []}
     cosines = []
+    specs = []
     for seed in range(5):
         mix_cfg = dataclasses.replace(indep_cfg, train_seed=seed)
         seed_wsonly_cfg = dataclasses.replace(wsonly_cfg, train_seed=seed)
@@ -456,12 +470,15 @@ def test_criterion_08_mil_trend():
         tagged, test_images, rare_ids = prepare_world(mix_cfg)
         wsonly_tagged, _, _ = prepare_world(seed_wsonly_cfg)
         fs_tagged = [i for i in tagged if i.supervision == SupervisionTag.FS]
-        arms = {
-            "indep": fit(tagged, mix_cfg, test_images, rare_ids),
-            "shared": fit(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_images, rare_ids),
-            "wsonly": fit(wsonly_tagged, seed_wsonly_cfg, test_images, rare_ids),
-            "fspart": fit(fs_tagged, mix_cfg, test_images, rare_ids),
-        }
+        specs += [
+            FitSpec(tagged, mix_cfg, test_images, rare_ids),
+            FitSpec(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_images, rare_ids),
+            FitSpec(wsonly_tagged, seed_wsonly_cfg, test_images, rare_ids),
+            FitSpec(fs_tagged, mix_cfg, test_images, rare_ids),
+        ]
+    all_arms = run_many(specs)
+    for seed in range(5):
+        arms = dict(zip(runs, all_arms[4 * seed : 4 * seed + 4]))
         indep_run = arms["indep"]
         assert _trained_ids(arms["wsonly"], SupervisionTag.WS) == _trained_ids(indep_run, SupervisionTag.WS)
         assert _trained_ids(arms["fspart"], SupervisionTag.FS) == _trained_ids(indep_run, SupervisionTag.FS)
@@ -505,9 +522,15 @@ def test_criterion_09_element_swap_trend():
     assert config_diff(on_cfg, off_cfg) == ["element_swap"]
     wins = 0
     details = []
+    runs = run_many(
+        [
+            experiment_spec(dataclasses.replace(cfg, train_seed=seed))
+            for seed in range(5)
+            for cfg in (on_cfg, off_cfg)
+        ]
+    )
     for seed in range(5):
-        on = run_experiment(dataclasses.replace(on_cfg, train_seed=seed)).report.map_full
-        off = run_experiment(dataclasses.replace(off_cfg, train_seed=seed)).report.map_full
+        on, off = (run.report.map_full for run in runs[2 * seed : 2 * seed + 2])
         wins += on >= off
         details.append(f"s{seed}: {on:.3f} vs {off:.3f}")
     finish(
@@ -529,13 +552,17 @@ def test_criterion_10_ratio_monotonicity():
     started = time.monotonic()
     ratios = [(1.0, 0.0, 0.0), (0.7, 0.3, 0.0), (0.3, 0.7, 0.0), (0.0, 1.0, 0.0)]
     means, ses = [], []
-    for ws, fs, us in ratios:
-        values = [
-            run_experiment(
+    runs = run_many(
+        [
+            experiment_spec(
                 default_cfg(ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed)
-            ).report.map_full
+            )
+            for ws, fs, us in ratios
             for seed in range(5)
         ]
+    )
+    for k in range(len(ratios)):
+        values = [run.report.map_full for run in runs[5 * k : 5 * k + 5]]
         means.append(float(np.mean(values)))
         ses.append(float(np.std(values, ddof=1) / np.sqrt(5)))
     ok = all(

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
 from hoimix.experiment import (
     ExperimentConfig,
+    FitSpec,
     TrainingDiverged,
     config_diff,
     fit,
@@ -20,9 +23,11 @@ from hoimix.experiment import (
     prepare_world,
     run_class_split,
     run_experiment,
+    run_many,
     run_ratio_sweep,
     save_config,
     train,
+    write_run_outputs,
 )
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
@@ -281,6 +286,87 @@ def test_ratio_sweep_needs_seeds():
         run_ratio_sweep(tiny_cfg(), [(1.0, 0.0, 0.0)], seeds=[])
 
 
+def test_ratio_sweep_needs_ratios(tmp_path):
+    with pytest.raises(ValueError, match="at least one ratio"):
+        run_ratio_sweep(tiny_cfg(), [], seeds=[0], out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ratio_sweep_cells_are_runs_of_their_configs():
+    cfg = tiny_cfg(iterations=150)
+    ratios = [(1.0, 0.0, 0.0), (0.3, 0.7, 0.0)]
+    rows, _ = run_ratio_sweep(cfg, ratios, seeds=[2, 4])
+    expected = []
+    for ws, fs, us in ratios:
+        for seed in (2, 4):
+            world = dataclasses.replace(cfg.world, seed=cfg.world.seed + seed)
+            cell = dataclasses.replace(
+                cfg, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
+            )
+            expected.append(run_experiment(cell, run_id=f"sweep-{cell.ratio_string()}-s{seed}").csv_row)
+    assert rows == expected
+
+
+def _shared(cfg):
+    return dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, policy=MomentumPolicy.SHARED))
+
+
+def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
+    cfg = tiny_cfg(iterations=200, eval_every=100)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
+    specs = [
+        # the longest fit first, so that it is not the first to finish
+        FitSpec(tagged, dataclasses.replace(cfg, iterations=500), test_images, rare_ids, run_id="long"),
+        FitSpec(tagged, _shared(cfg), test_images, rare_ids, run_id="shared", periodic_eval=True),
+        FitSpec(tagged, cfg, test_images, rare_ids, run_id="indep", periodic_eval=True),
+        FitSpec(fs_only, _shared(cfg), test_images, rare_ids, run_id="shared-fs"),
+    ]
+    runs = run_many(specs)
+    assert multiprocessing.active_children() == []
+    assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
+    for spec, run in zip(specs, runs):
+        serial = fit(
+            spec.images,
+            spec.cfg,
+            spec.test_images,
+            spec.rare_ids,
+            run_id=spec.run_id,
+            periodic_eval=spec.periodic_eval,
+        )
+        assert run.csv_row == serial.csv_row
+        assert run.params.flat.tobytes() == serial.params.flat.tobytes()
+        assert run.state.buffers.tobytes() == serial.state.buffers.tobytes()
+        assert run.state.t == serial.state.t
+        assert run.schedule.entries == serial.schedule.entries
+        assert run.log.losses == serial.log.losses
+        assert [(it, r.map_full) for it, r in run.log.evals] == [
+            (it, r.map_full) for it, r in serial.log.evals
+        ]
+        write_run_outputs(run, str(tmp_path / "pool" / spec.run_id))
+        write_run_outputs(serial, str(tmp_path / "serial" / spec.run_id))
+        for name in ("metrics.csv", "checkpoint.ckpt"):
+            pooled = (tmp_path / "pool" / spec.run_id / name).read_bytes()
+            assert pooled == (tmp_path / "serial" / spec.run_id / name).read_bytes(), name
+
+
+def test_run_many_raises_a_workers_divergence():
+    cfg = tiny_cfg(iterations=50)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    # steps this large overflow the weights within a few iterations
+    diverging = dataclasses.replace(cfg, optimizer=OptimizerConfig(alpha_ws=1e300, alpha_fs=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingDiverged) as serial:
+            fit(tagged, diverging, test_images, rare_ids)
+    specs = [FitSpec(tagged, cfg, test_images, rare_ids), FitSpec(tagged, diverging, test_images, rare_ids)]
+    with pytest.raises(TrainingDiverged) as pooled:
+        run_many(specs)
+    assert str(pooled.value) == str(serial.value)
+    assert str(pooled.value).startswith("aborted at iteration")
+    assert multiprocessing.active_children() == []
+
+
 def test_class_split_reports_four_subset_maps():
     cfg = tiny_cfg(iterations=400, n_test_images=24)
     result = run_class_split(cfg)
@@ -415,6 +501,21 @@ def test_cli_bad_ratio_rejected(tmp_path):
     cfg_path = cli_config(tmp_path)
     bad = run_cli(["train", "--config", str(cfg_path), "--ratio", "80/40"], tmp_path)
     assert bad.returncode == 1
+
+
+def test_cli_sweep_seeds_start_at_the_seed_flag(tmp_path):
+    cfg_path = cli_config(tmp_path)
+    out = tmp_path / "sweep"
+    sweep = run_cli(
+        ["sweep", "--config", str(cfg_path), "--ratios", "50/50", "--n-seeds", "2",
+         "--seed", "5", "--out-dir", str(out)],
+        tmp_path,
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["5", "6"]
+    expected, _ = run_ratio_sweep(load_config(cfg_path), [(0.5, 0.5, 0.0)], seeds=[5, 6])
+    assert rows == expected
 
 
 def test_cli_eval_rejects_a_checkpoint_of_other_dims(tmp_path):

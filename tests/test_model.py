@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,19 @@ def test_copy_keeps_its_views_on_its_own_vector():
     clone.flat[:] = 0.0
     np.testing.assert_array_equal(clone.w_sel, 0.0)
     assert np.any(params.w_sel != 0.0)
+
+
+def test_unpickled_params_keep_their_views_on_one_vector():
+    params = make_params()
+    clone = pickle.loads(pickle.dumps(params))
+    assert clone.dims == params.dims
+    assert clone.flat.tobytes() == params.flat.tobytes()
+    for _, arr in clone.items():
+        assert np.shares_memory(arr, clone.flat)
+    clone.flat[:] = 0.25
+    np.testing.assert_array_equal(clone.w_enc, 0.25)
+    np.testing.assert_array_equal(clone.b_sel, 0.25)
+    assert np.all(params.w_enc != 0.25)
 
 
 def test_backward_writes_into_the_given_buffer():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,24 @@ def test_momentum_rows_follow_the_policy():
         assert state.buffers.shape == (rows, params.flat.size)
         assert np.shares_memory(state.z_ws.flat, state.buffers[0])
         assert np.shares_memory(state.z_fs.flat, state.buffers[rows - 1])
+
+
+@pytest.mark.parametrize("policy", [MomentumPolicy.INDEPENDENT, MomentumPolicy.SHARED])
+def test_unpickled_state_keeps_its_buffers_as_views(policy):
+    params = ModelParams.init(3, 4, 2, seed=0)
+    state = MomentumState.zeros(params, policy)
+    cfg = OptimizerConfig(alpha_ws=0.1, alpha_fs=0.2, policy=policy)
+    step(params, unit_grads(params), SupervisionTag.WS, state, cfg)
+    step(params, unit_grads(params, 2.0), SupervisionTag.FS, state, cfg)
+    clone = pickle.loads(pickle.dumps(state))
+    assert clone.t == state.t == 2
+    assert clone.buffers.tobytes() == state.buffers.tobytes()
+    assert (clone.z_ws is clone.z_fs) == (policy == MomentumPolicy.SHARED)
+    clone.buffers[:] = 0.5
+    for buffer in (clone.z_ws, clone.z_fs):
+        np.testing.assert_array_equal(buffer.flat, 0.5)
+        np.testing.assert_array_equal(buffer.w_enc, 0.5)
+    assert np.all(state.buffers != 0.5)
 
 
 def test_sequence_filter_fs_first():

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -373,6 +374,19 @@ def test_jsonl_roundtrip_preserves_everything(tmp_path):
     assert dataset_bytes(loaded, SMALL) == dataset_bytes(images, SMALL)
     save_dataset(loaded, tmp_path / "again.jsonl", SMALL.human_class_id)
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_pickle_roundtrip_preserves_every_detection_array():
+    images = generate_world(SMALL)
+    loaded = pickle.loads(pickle.dumps(images))
+    for image, back in zip(images, loaded):
+        for role in ("humans", "objects"):
+            before, after = getattr(image, role), getattr(back, role)
+            for name in ("boxes", "class_ids", "confidences", "appearance"):
+                a, b = getattr(before, name), getattr(after, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert b.flags.c_contiguous
+    assert dataset_bytes(loaded, SMALL) == dataset_bytes(images, SMALL)
 
 
 def test_failed_save_keeps_the_previous_dataset(tmp_path):

@@ -48,7 +48,7 @@ class HumanObjectPair:
         return self.source[0] != self.source[1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MiniBatch:
     """The pair features and targets of exactly two images with homogeneous
     supervision; a batch holds arrays only, not the pairs of its rows.
@@ -56,6 +56,11 @@ class MiniBatch:
     FS batches carry a region-level target matrix, WS batches an image-level
     label vector. US batches are only constructible with pseudo region
     targets and carry them in fs_targets.
+
+    A batch is checked once, when it is built: finite non-empty 2-d float64
+    features, and binary targets of matching shape. Its arrays are then
+    read-only, so the losses use a batch's targets without checking them
+    again on each of its reuses.
     """
 
     supervision: SupervisionTag
@@ -68,9 +73,28 @@ class MiniBatch:
         if self.supervision == SupervisionTag.WS:
             if self.ws_targets is None or self.fs_targets is not None:
                 raise ValueError("WS batches carry ws_targets only")
+            name, expected_ndim = "ws_targets", 1
         else:
             if self.fs_targets is None or self.ws_targets is not None:
                 raise ValueError(f"{self.supervision} batches carry fs_targets only")
+            name, expected_ndim = "fs_targets", 2
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        targets = np.asarray(getattr(self, name), dtype=np.float64)
+        if targets.ndim != expected_ndim:
+            raise ValueError(f"{name} must be {expected_ndim}-d, got shape {targets.shape}")
+        if expected_ndim == 2 and targets.shape[0] != features.shape[0]:
+            raise ValueError(
+                f"{name} has {targets.shape[0]} rows for {features.shape[0]} feature rows"
+            )
+        if not np.all((targets == 0.0) | (targets == 1.0)):
+            raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
+        for field_name, array in (("features", features), (name, targets)):
+            array.flags.writeable = False
+            object.__setattr__(self, field_name, array)
 
 
 def _top_k_per_class(detections: DetectionArrays, top_k: int) -> np.ndarray:

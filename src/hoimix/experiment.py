@@ -32,7 +32,7 @@ from .evaluation import (
     report_csv_row,
 )
 from .loss import fs_loss, ws_loss
-from .model import ModelParams, aggregate_image_level, backward, forward
+from .model import ModelParams, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .supervision import SupervisionTag
 from .synth_world import (
@@ -72,6 +72,17 @@ class ExperimentConfig:
     n_test_images: int = 120
     pseudo_threshold: float = 0.5
     pseudo_cycles: int = 3
+
+    def __post_init__(self) -> None:
+        # the supervision fractions are checked by split_supervision, which
+        # takes them together
+        for name in ("iterations", "hidden_dim", "top_k", "n_test_images", "pseudo_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every: must be >= 0, got {self.eval_every}")
+        if not (0.0 < self.pseudo_threshold < 1.0):
+            raise ValueError(f"pseudo_threshold: must be in (0, 1), got {self.pseudo_threshold}")
 
     def resolved_eval_every(self) -> int:
         return self.eval_every if self.eval_every > 0 else max(self.iterations // 10, 200)
@@ -260,10 +271,13 @@ def train(
         batch = batches[t % len(batches)]
         try:
             scores = forward(params, batch.features)
+            # the batch's targets were checked when it was built; forward
+            # checked that P is finite, so ws_loss's clamp is the only clip
+            # the image-level sum needs
             if tag.region_level:
-                report, upstream = fs_loss(scores.P, batch.fs_targets)
+                report, upstream = fs_loss(scores.P, batch)
             else:
-                report, upstream = ws_loss(aggregate_image_level(scores.P), batch.ws_targets)
+                report, upstream = ws_loss(scores.P.sum(axis=0), batch)
             backward(params, scores, upstream, grads)
         except ValueError as exc:
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc

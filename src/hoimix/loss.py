@@ -3,14 +3,19 @@
 Both losses sum over classes. The region-level loss additionally averages
 over the pairs in the batch. Probabilities are clamped away from {0, 1}
 before any logarithm; gradients are evaluated on the clamped values.
+
+The targets are either a raw array, checked to be binary on every call, or
+a MiniBatch, whose targets were checked once when it was built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .batching import MiniBatch
 from .supervision import SupervisionTag
 
 PROB_CLAMP = 1e-7
@@ -22,7 +27,7 @@ class LossReport:
     supervision: SupervisionTag
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value) or self.value < 0.0:
+        if not math.isfinite(self.value) or self.value < 0.0:
             raise ValueError(f"loss value must be finite and nonnegative, got {self.value}")
 
 
@@ -33,38 +38,75 @@ def _check_binary(y: np.ndarray, name: str) -> np.ndarray:
     return y
 
 
-def _bce(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+def _targets(y: np.ndarray | MiniBatch, region_level: bool, name: str) -> np.ndarray:
+    """The targets of a checked batch as they are, or a raw array checked."""
+    if not isinstance(y, MiniBatch):
+        return _check_binary(y, name)
+    targets = y.fs_targets if region_level else y.ws_targets
+    if targets is None:
+        raise ValueError(f"a {y.supervision} batch has no targets for this loss")
+    return targets
 
 
-def fs_loss(P: np.ndarray, Y: np.ndarray) -> tuple[LossReport, np.ndarray]:
+def _clamp(p: np.ndarray) -> np.ndarray:
+    """p clamped to [PROB_CLAMP, 1 - PROB_CLAMP] in a new array: the bits of
+    np.clip, NaN included, without its Python-level dispatch."""
+    out = np.maximum(p, PROB_CLAMP)
+    return np.minimum(out, 1.0 - PROB_CLAMP, out=out)
+
+
+def _bce_sum(y: np.ndarray, p: np.ndarray) -> float:
+    """Sum of -(y log p + (1 - y) log1p(-p)) over all entries.
+
+    The terms are formed in place; negating the sum rounds exactly like
+    summing the negated terms.
+    """
+    terms = np.log(p)
+    terms *= y
+    rest = np.negative(p)
+    np.log1p(rest, out=rest)
+    rest *= 1.0 - y
+    terms += rest
+    return -terms.sum()
+
+
+def fs_loss(P: np.ndarray, Y: np.ndarray | MiniBatch) -> tuple[LossReport, np.ndarray]:
     """Region-level loss: sum over classes of the pair-averaged BCE.
 
-    Returns the report and dL/dP, with entries
-    (p_ij - y_ij) / (N * p_ij * (1 - p_ij)) evaluated on clamped p.
+    Y is the (N, C) target matrix, or an FS or US MiniBatch whose targets
+    were checked when it was built. Returns the report and dL/dP, with
+    entries (p_ij - y_ij) / (N * p_ij * (1 - p_ij)) evaluated on clamped p.
     """
     P = np.asarray(P, dtype=np.float64)
-    Y = _check_binary(Y, "Y")
+    Y = _targets(Y, region_level=True, name="Y")
     if P.shape != Y.shape or P.ndim != 2:
         raise ValueError(f"shape mismatch: P {P.shape} vs Y {Y.shape}")
     n = P.shape[0]
-    p = np.clip(P, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = float(_bce(Y, p).sum() / n)
-    grad = (p - Y) / (n * p * (1.0 - p))
+    p = _clamp(P)
+    value = float(_bce_sum(Y, p) / n)
+    denominator = n * p
+    denominator *= 1.0 - p
+    grad = p - Y
+    grad /= denominator
     return LossReport(value=value, supervision=SupervisionTag.FS), grad
 
 
-def ws_loss(p: np.ndarray, y: np.ndarray) -> tuple[LossReport, np.ndarray]:
+def ws_loss(p: np.ndarray, y: np.ndarray | MiniBatch) -> tuple[LossReport, np.ndarray]:
     """Image-level loss: sum over classes of BCE against the label vector.
 
-    Returns the report and dL/dp, with entries (p_j - y_j) / (p_j (1 - p_j))
-    evaluated on clamped p.
+    y is the (C,) label vector, or a WS MiniBatch whose labels were checked
+    when it was built. p is clamped here, so it may be the unclipped sum of
+    P over pairs. Returns the report and dL/dp, with entries
+    (p_j - y_j) / (p_j (1 - p_j)) evaluated on clamped p.
     """
     p = np.asarray(p, dtype=np.float64)
-    y = _check_binary(y, "y")
+    y = _targets(y, region_level=False, name="y")
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError(f"shape mismatch: p {p.shape} vs y {y.shape}")
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = float(_bce(y, pc).sum())
-    grad = (pc - y) / (pc * (1.0 - pc))
+    pc = _clamp(p)
+    value = float(_bce_sum(y, pc))
+    denominator = 1.0 - pc
+    denominator *= pc
+    grad = pc - y
+    grad /= denominator
     return LossReport(value=value, supervision=SupervisionTag.WS), grad

@@ -209,9 +209,11 @@ def backward(
     """Exact gradients of a scalar loss with respect to every parameter.
 
     `scores` is what forward returned for these params; `upstream` is either
-    dL/dP with shape (N, C) or dL/dp with shape (C,), where
-    p = aggregate_image_level(P). The chain runs through the element-wise
-    product, both softmaxes, and the encoder. The gradients are written into
+    dL/dP with shape (N, C) or dL/dp with shape (C,), where p is the sum of
+    P over pairs (aggregate_image_level(P), before its clip). The chain runs
+    through the element-wise product, both softmaxes, and the encoder. A
+    vector upstream is dL/dP of every row, since p_j = sum_i P[i, j]; the
+    products below broadcast it. The gradients are written into
     `out` (same dims as params; a training run reuses one) or, when it is
     None, into a new ModelParams, which is returned.
     """
@@ -220,21 +222,17 @@ def backward(
     if upstream.ndim == 1:
         if upstream.shape[0] != sigma_c.shape[1]:
             raise ValueError("upstream vector length does not match class count")
-        # p_j = sum_i P[i, j], so dL/dP[i, j] = dL/dp[j] for every row i
-        d_P = np.broadcast_to(upstream, sigma_c.shape)
-    elif upstream.shape == sigma_c.shape:
-        d_P = upstream
-    else:
+    elif upstream.shape != sigma_c.shape:
         raise ValueError(
             f"upstream shape {upstream.shape} matches neither P {sigma_c.shape} nor p"
         )
 
     # softmax Jacobian applied per row (classification) and per column
     # (selection), in the storage of dL/dsigma_c and dL/dsigma_s
-    d_score_c = d_P * sigma_s
+    d_score_c = upstream * sigma_s
     d_score_c -= (d_score_c * sigma_c).sum(axis=1, keepdims=True)
     d_score_c *= sigma_c
-    d_score_s = d_P * sigma_c
+    d_score_s = upstream * sigma_c
     d_score_s -= (d_score_s * sigma_s).sum(axis=0, keepdims=True)
     d_score_s *= sigma_s
 

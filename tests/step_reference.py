@@ -1,0 +1,89 @@
+"""Reference for the training step, as it ran before batches were checked
+once when built.
+
+Each iteration runs forward, then aggregate_image_level on the WS path,
+then the losses as they were first written (targets checked on every call,
+np.clip, one temporary per operation) on raw target arrays, then backward
+with a WS upstream broadcast to the shape of P, then the momentum step.
+`experiment.train` must reproduce its parameters, momentum buffers, step
+count and logged losses byte for byte.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from hoimix.batching import Schedule
+from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds
+from hoimix.loss import PROB_CLAMP
+from hoimix.model import ModelParams, aggregate_image_level, backward, forward
+from hoimix.optimizer import MomentumState, schedule_filter, step
+from hoimix.synth_world import GroundTruthTriplet, SynthImage
+
+
+def _check_binary(y: np.ndarray, name: str) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
+    return y
+
+
+def _bce(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+
+
+def reference_fs_loss(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    P = np.asarray(P, dtype=np.float64)
+    Y = _check_binary(Y, "Y")
+    if P.shape != Y.shape or P.ndim != 2:
+        raise ValueError(f"shape mismatch: P {P.shape} vs Y {Y.shape}")
+    n = P.shape[0]
+    p = np.clip(P, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    value = float(_bce(Y, p).sum() / n)
+    grad = (p - Y) / (n * p * (1.0 - p))
+    return value, grad
+
+
+def reference_ws_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    p = np.asarray(p, dtype=np.float64)
+    y = _check_binary(y, "y")
+    if p.shape != y.shape or p.ndim != 1:
+        raise ValueError(f"shape mismatch: p {p.shape} vs y {y.shape}")
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    value = float(_bce(y, pc).sum())
+    grad = (pc - y) / (pc * (1.0 - pc))
+    return value, grad
+
+
+def reference_train(
+    images: list[SynthImage],
+    cfg: ExperimentConfig,
+    schedule: Schedule,
+    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+) -> tuple[ModelParams, MomentumState, list[tuple[int, str, float]]]:
+    """Train from a fresh init over the schedule `train` chose for the same
+    images and config; returns the params, the momentum state and the
+    logged (iteration, tag, loss) of every iteration that stepped."""
+    batches = _build_batches(images, schedule, cfg, pseudo_triplets)
+    init_seed, _, _ = _train_seeds(cfg.train_seed)
+    params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, init_seed)
+    state = MomentumState.zeros(params, cfg.optimizer.policy)
+    losses = []
+    for t in range(cfg.iterations):
+        tag = schedule.entries[t % len(schedule.entries)].supervision
+        if not schedule_filter(tag, t, cfg.optimizer):
+            continue
+        batch = batches[t % len(batches)]
+        scores = forward(params, batch.features)
+        if tag.region_level:
+            value, upstream = reference_fs_loss(scores.P, np.array(batch.fs_targets))
+        else:
+            value, upstream = reference_ws_loss(
+                aggregate_image_level(scores.P), np.array(batch.ws_targets)
+            )
+            upstream = np.broadcast_to(upstream, scores.P.shape)
+        step(params, backward(params, scores, upstream), tag, state, cfg.optimizer)
+        losses.append((t, tag.value, value))
+    return params, state, losses

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hoimix.batching import (
     DEFAULT_TOP_K,
+    MiniBatch,
     ScheduleError,
     assemble_minibatch,
     batch_schedule,
@@ -475,3 +476,52 @@ def test_assemble_us_requires_pseudo_triplets():
     assert batch.supervision == SupervisionTag.US
     assert batch.fs_targets is not None
     assert batch.fs_targets[0, 2] == 1.0
+
+
+def minibatch(tag, features, targets):
+    key = "ws_targets" if tag == SupervisionTag.WS else "fs_targets"
+    return MiniBatch(supervision=tag, features=features, image_ids=(0, 1), **{key: targets})
+
+
+@pytest.mark.parametrize(
+    "tag, features, targets, message",
+    [
+        (SupervisionTag.FS, np.ones((2, 3)), np.array([[0.0, 0.5], [1.0, 0.0]]), "binary"),
+        (SupervisionTag.WS, np.ones((2, 3)), np.array([0.0, 2.0]), "binary"),
+        (SupervisionTag.WS, np.array([[1.0, np.nan, 0.0]]), np.array([1.0]), "finite"),
+        (SupervisionTag.FS, np.array([[np.inf, 0.0]]), np.array([[1.0]]), "finite"),
+        (SupervisionTag.FS, np.ones((3, 2)), np.zeros((2, 4)), "2 rows for 3 feature rows"),
+        (SupervisionTag.US, np.ones((3, 2)), np.zeros((4, 4)), "4 rows for 3 feature rows"),
+        (SupervisionTag.WS, np.ones((3, 2)), np.zeros((1, 4)), "must be 1-d"),
+        (SupervisionTag.FS, np.ones((3, 2)), np.zeros(4), "must be 2-d"),
+        (SupervisionTag.FS, np.ones((0, 2)), np.zeros((0, 4)), "non-empty 2-d"),
+        (SupervisionTag.WS, np.ones(3), np.zeros(4), "non-empty 2-d"),
+    ],
+)
+def test_minibatch_rejects_unchecked_arrays(tag, features, targets, message):
+    with pytest.raises(ValueError, match=message):
+        minibatch(tag, features, targets)
+
+
+@pytest.mark.parametrize("tag", [SupervisionTag.FS, SupervisionTag.WS])
+def test_built_minibatch_is_read_only(tag):
+    targets = np.array([[1.0, 0.0], [0.0, 0.0]]) if tag.region_level else np.array([0.0, 1.0])
+    batch = minibatch(tag, np.ones((2, 3)), targets)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.features[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        (batch.fs_targets if tag.region_level else batch.ws_targets)[0] = 0.5
+    with pytest.raises(AttributeError):
+        batch.features = np.zeros((2, 3))
+
+
+def test_assembled_batches_are_read_only():
+    cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
+    tagged = split_supervision(generate_world(cfg), 0.5, 0.5, 0.0, seed=0)
+    for tag in (SupervisionTag.WS, SupervisionTag.FS):
+        a, b = [im for im in tagged if im.supervision == tag][:2]
+        batch = assemble_minibatch(
+            a, b, n_classes=6, feature_dim=cfg.feature_dim, element_swap_enabled=True
+        )
+        targets = batch.fs_targets if tag.region_level else batch.ws_targets
+        assert not batch.features.flags.writeable and not targets.flags.writeable

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hoimix.loss
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
 from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
@@ -32,6 +33,7 @@ from hoimix.experiment import (
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import WorldConfig, generate_world, split_supervision
+from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=31
@@ -417,6 +419,88 @@ def test_permute_labels_shuffles_weak_image_labels():
     assert [im.gt_triplets for im in permute_labels(strong, seed=0)] == [
         im.gt_triplets for im in permuted if im.supervision != SupervisionTag.WS
     ]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iterations", 0),
+        ("hidden_dim", 0),
+        ("top_k", 0),
+        ("n_test_images", 0),
+        ("eval_every", -1),
+        ("pseudo_threshold", 0.0),
+        ("pseudo_threshold", 1.5),
+        ("pseudo_cycles", 0),
+    ],
+)
+def test_config_rejects_out_of_range_fields_naming_them(field, value, tmp_path):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        tiny_cfg(**{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**tiny_cfg().to_dict(), field: value}))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        load_config(path)
+
+
+def _us_mix():
+    cfg = tiny_cfg(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
+    tagged, _, _ = prepare_world(cfg)
+    # the US images' stripped ground truth stands in for pseudo triplets
+    truth = {img.image_id: img.gt_triplets for img in generate_world(cfg.world)}
+    pseudo = {
+        img.image_id: truth[img.image_id]
+        for img in tagged
+        if img.supervision == SupervisionTag.US
+    }
+    return cfg, tagged, pseudo
+
+
+@pytest.mark.parametrize("setting", ["shared", "sequence_fs_first", "no_swap", "us_mix"])
+def test_train_matches_the_reference_step_bytewise(setting):
+    pseudo = None
+    if setting == "us_mix":
+        cfg, tagged, pseudo = _us_mix()
+    else:
+        optimizer = OptimizerConfig(alpha_ws=0.012, alpha_fs=0.05)
+        overrides = {
+            "shared": dict(optimizer=dataclasses.replace(optimizer, policy=MomentumPolicy.SHARED)),
+            "sequence_fs_first": dict(
+                optimizer=dataclasses.replace(
+                    optimizer,
+                    policy=MomentumPolicy.SEQUENCE_FS_FIRST,
+                    sequence_switch_iteration=120,
+                )
+            ),
+            "no_swap": dict(element_swap=False),
+        }[setting]
+        cfg = tiny_cfg(iterations=300, **overrides)
+        tagged, _, _ = prepare_world(cfg)
+    result = train(tagged, cfg, pseudo_triplets=pseudo)
+    params, state, losses = reference_train(tagged, cfg, result.schedule, pseudo)
+    assert result.params.flat.tobytes() == params.flat.tobytes()
+    assert result.state.buffers.tobytes() == state.buffers.tobytes()
+    assert result.state.t == state.t
+    assert result.log.losses == losses
+    tags = {tag for _, tag, _ in losses}
+    assert tags == ({"WS", "FS", "US"} if setting == "us_mix" else {"WS", "FS"})
+    if setting == "sequence_fs_first":
+        assert result.log.skipped > 0
+
+
+def test_train_checks_no_targets_in_the_loop(monkeypatch):
+    calls = []
+    check = hoimix.loss._check_binary
+
+    def counting(y, name):
+        calls.append(name)
+        return check(y, name)
+
+    monkeypatch.setattr(hoimix.loss, "_check_binary", counting)
+    cfg, tagged, pseudo = _us_mix()
+    result = train(tagged, cfg, pseudo_triplets=pseudo)
+    assert len(result.log.losses) == cfg.iterations
+    assert calls == []
 
 
 def test_us_images_excluded_until_pseudo_labeled():

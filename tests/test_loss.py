@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hoimix.batching import MiniBatch
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
+from hoimix.model import aggregate_image_level
 from hoimix.supervision import SupervisionTag
+from step_reference import reference_fs_loss, reference_ws_loss
 
 
 def scalar_bce(y, p):
@@ -134,3 +140,84 @@ def test_loss_finite_at_clamped_extremes():
     assert np.isfinite(report.value)
     assert np.all(np.isfinite(grad))
 
+
+
+def bits(report_and_grad):
+    report, grad = report_and_grad
+    return np.float64(report.value).tobytes(), grad.tobytes()
+
+
+def test_losses_take_a_checked_batch_in_place_of_its_targets():
+    rng = np.random.default_rng(4)
+    P = rng.uniform(0.0, 1.0, size=(5, 3))
+    Y = (rng.random((5, 3)) < 0.4).astype(float)
+    y = np.array([1.0, 0.0, 1.0])
+    fs = MiniBatch(SupervisionTag.FS, np.ones((5, 2)), (0, 1), fs_targets=Y)
+    ws = MiniBatch(SupervisionTag.WS, np.ones((5, 2)), (0, 1), ws_targets=y)
+    assert bits(fs_loss(P, fs)) == bits(fs_loss(P, Y))
+    assert bits(ws_loss(P.sum(axis=0), ws)) == bits(ws_loss(P.sum(axis=0), y))
+    with pytest.raises(ValueError, match="no targets"):
+        fs_loss(P, ws)
+    with pytest.raises(ValueError, match="no targets"):
+        ws_loss(P.sum(axis=0), fs)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fs_loss(P[:, :2], fs)
+
+
+probabilities = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, PROB_CLAMP, 1.0 - PROB_CLAMP, 5e-324, np.nextafter(1.0, 2.0)]),
+    st.floats(-1.0, 2.0),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    P=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=probabilities),
+    seed=st.integers(0, 2**16),
+)
+def test_losses_compute_the_bits_of_the_reference_formulas(P, seed):
+    # the reference is the loss as first written: np.clip, then one
+    # temporary per operation; the loss must round exactly like it
+    rng = np.random.default_rng(seed)
+    Y = (rng.random(P.shape) < 0.5).astype(float)
+    p, y = P[0], Y[0]
+    cases = ((fs_loss, reference_fs_loss, (P, Y)), (ws_loss, reference_ws_loss, (p, y)))
+    for loss, reference, args in cases:
+        value, grad = reference(*args)
+        if not np.isfinite(value) or value < 0.0:
+            with pytest.raises(ValueError, match="loss value"):
+                loss(*args)
+            continue
+        report, got = loss(*args)
+        assert np.float64(report.value).tobytes() == np.float64(value).tobytes()
+        assert got.tobytes() == grad.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    P=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.floats(0.0, 1.0),
+    ),
+    columns=st.lists(
+        st.sampled_from(["as drawn", "zero", "one", "just above one"]), min_size=5, max_size=5
+    ),
+    ulps=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_ws_loss_clamp_makes_the_aggregate_clip_redundant(P, columns, ulps, seed):
+    # training passes P.sum(axis=0) to ws_loss; its clamp must give the bits
+    # that clipping to [0, 1] first gave
+    P = P.copy()
+    for j in range(P.shape[1]):
+        if columns[j] != "as drawn":
+            P[:, j] = 0.0
+        if columns[j] == "one":
+            P[0, j] = 1.0
+        elif columns[j] == "just above one":
+            P[-1, j] = 1.0 + ulps * np.finfo(np.float64).eps
+    y = (np.random.default_rng(seed).random(P.shape[1]) < 0.5).astype(float)
+    assert bits(ws_loss(P.sum(axis=0), y)) == bits(ws_loss(aggregate_image_level(P), y))

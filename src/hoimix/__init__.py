@@ -39,7 +39,7 @@ from .experiment import (
 )
 from .geometry import Box, iou, pair_iou, pair_iou_matrix
 from .loss import LossReport, fs_loss, ws_loss
-from .model import ModelParams, ScoreMatrix, aggregate_image_level, backward, forward, infer_pairs
+from .model import ModelParams, ScoreMatrix, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from .supervision import SupervisionTag
@@ -79,7 +79,6 @@ __all__ = [
     "SupervisionTag",
     "SynthImage",
     "WorldConfig",
-    "aggregate_image_level",
     "backward",
     "batch_schedule",
     "build_pairs",

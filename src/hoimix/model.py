@@ -110,21 +110,9 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.dims[2]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self.FIELDS:
-            raise KeyError(name)
-        return self.__dict__[name]
-
-    def __iter__(self):
-        return iter(self.FIELDS)
-
     def items(self):
         for name in self.FIELDS:
             yield name, self.__dict__[name]
-
-    def values(self):
-        for name in self.FIELDS:
-            yield self.__dict__[name]
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams.over(np.zeros_like(self.flat), self.dims)
@@ -191,15 +179,6 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
     return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=P)
 
 
-def aggregate_image_level(P: np.ndarray) -> np.ndarray:
-    """Sum P over the pair axis to get per-class image probabilities.
-
-    Each column of sigma_s sums to 1 and sigma_c <= 1, so the sum is bounded
-    by 1; the clip only removes float dust at the boundary.
-    """
-    return np.clip(P.sum(axis=0), 0.0, 1.0)
-
-
 def backward(
     params: ModelParams,
     scores: ScoreMatrix,
@@ -210,12 +189,12 @@ def backward(
 
     `scores` is what forward returned for these params; `upstream` is either
     dL/dP with shape (N, C) or dL/dp with shape (C,), where p is the sum of
-    P over pairs (aggregate_image_level(P), before its clip). The chain runs
-    through the element-wise product, both softmaxes, and the encoder. A
-    vector upstream is dL/dP of every row, since p_j = sum_i P[i, j]; the
-    products below broadcast it. The gradients are written into
-    `out` (same dims as params; a training run reuses one) or, when it is
-    None, into a new ModelParams, which is returned.
+    P over pairs. The chain runs through the element-wise product, both
+    softmaxes, and the encoder. A vector upstream is dL/dP of every row,
+    since p_j = sum_i P[i, j]; the products below broadcast it. The
+    gradients are written into `out` (same dims as params; a training run
+    reuses one) or, when it is None, into a new ModelParams, which is
+    returned.
     """
     sigma_c, sigma_s, hidden = scores.sigma_c, scores.sigma_s, scores.hidden
     upstream = np.asarray(upstream, dtype=np.float64)

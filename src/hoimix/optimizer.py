@@ -22,7 +22,6 @@ Independent, one row that both names view under every other policy.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,22 +93,19 @@ class MomentumState:
 
 def step(
     params: ModelParams,
-    grads: ModelParams | Mapping[str, np.ndarray],
+    grads: ModelParams,
     tag: SupervisionTag,
     state: MomentumState,
     cfg: OptimizerConfig,
 ) -> tuple[ModelParams, MomentumState]:
     """Apply one momentum update in place; returns the mutated pair.
 
-    `grads` has the dims of `params`; a mapping of the six gradient arrays
-    goes through the ModelParams constructor's shape checks first. The
-    update runs once over the flat vectors, z *= beta; z += alpha * g;
-    w -= z, which rounds exactly like z = beta * z + alpha * g per tensor.
+    `grads` has the dims of `params`. The update runs once over the flat
+    vectors, z *= beta; z += alpha * g; w -= z, which rounds exactly like
+    z = beta * z + alpha * g per tensor.
 
     Single-writer contract: exactly one training loop may own (params, state).
     """
-    if not isinstance(grads, ModelParams):
-        grads = ModelParams(**grads)
     if grads.dims != params.dims:
         raise ValueError(f"gradient dims {grads.dims} do not match parameter dims {params.dims}")
     alpha, z = (cfg.alpha_fs, state.z_fs.flat) if tag.region_level else (cfg.alpha_ws, state.z_ws.flat)

@@ -13,6 +13,19 @@ fraction of classes appears in fewer than 10 images.
 Everything is a pure function of the config seed: appearance noise is drawn
 once per detection at generation time, so feature extraction is
 deterministic and works unchanged for cross-image (swapped) pairs.
+
+Draw order is part of the world: changing it makes a different world.
+Per image the stream gives, in this order, the human boxes (4 uniforms
+each); per triplet an integer picking its human, then 4 uniforms (angle,
+radius, half sizes); per human, then per object ground-truth detection 4
+jitter normals with its appearance noise, then a uniform confidence; per
+distractor 4 box uniforms and a human/object coin, an integer class for an
+object, its appearance noise and a uniform confidence. The class plan
+fills its leftover slots with one uniform each, as rng.choice(p=...) does.
+Code may merge draws of one kind that are already consecutive into one
+call (a uniform is one random() each, standard_normal(k) is k scalar
+draws), but must never reorder draws across kinds, and never replace an
+integers() call by arithmetic on a double: integers rejects and redraws.
 """
 
 from __future__ import annotations
@@ -330,10 +343,16 @@ def _plan_class_assignments(
         ranks = rng.permutation(len(nonrare_ids))
         weights = 1.0 / (ranks + 1.0)
         weights /= weights.sum()
-        for img in range(n_images):
-            while remaining[img] > 0:
-                per_image[img].append(int(rng.choice(nonrare_ids, p=weights)))
-                remaining[img] -= 1
+        # one rng.choice(nonrare_ids, p=weights) per leftover slot, drawn as
+        # one block: choice maps random() through this cdf the same way
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(int(remaining.sum()))
+        fill = np.asarray(nonrare_ids)[cdf.searchsorted(u, side="right")].tolist()
+        cursor = 0
+        for classes, n in zip(per_image, remaining.tolist()):
+            classes.extend(fill[cursor : cursor + n])
+            cursor += n
 
     for classes in per_image:
         rng.shuffle(classes)
@@ -357,9 +376,15 @@ def _coverage_assignments(
     return per_image
 
 
-def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
-    x0, x1 = sorted((float(coords[0]), float(coords[2])))
-    y0, y1 = sorted((float(coords[1]), float(coords[3])))
+def _sanitize_box(
+    x0: float, y0: float, x1: float, y1: float
+) -> tuple[float, float, float, float]:
+    """Order each axis, clip to the unit canvas and widen a side shorter
+    than _MIN_BOX_SIZE about its clipped center (Python float arithmetic)."""
+    if x1 < x0:
+        x0, x1 = x1, x0
+    if y1 < y0:
+        y0, y1 = y1, y0
     x0, x1 = max(0.0, x0), min(1.0, x1)
     y0, y1 = max(0.0, y0), min(1.0, y1)
     if x1 - x0 < _MIN_BOX_SIZE:
@@ -371,28 +396,9 @@ def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
     return x0, y0, x1, y1
 
 
-def _jittered(
-    box: Box, sigma: float, rng: np.random.Generator
-) -> tuple[float, float, float, float]:
-    coords = np.array(box.as_list()) + rng.normal(0.0, sigma, size=4)
-    return _sanitize_box(coords)
-
-
-def _detection_row(
-    box: tuple[float, float, float, float],
-    class_id: int,
-    conf_range: tuple[float, float],
-    app_dim: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """(box, class id, confidence, appearance noise) of one detection."""
-    noise = rng.standard_normal(app_dim)
-    return box, class_id, float(rng.uniform(*conf_range)), noise
-
-
 def _detection_arrays(rows: list[tuple], embeddings: np.ndarray, sigma: float) -> DetectionArrays:
-    """The detections of _detection_row rows, each appearance its class's
-    prototype plus sigma times its noise."""
+    """The detections of (box, class id, confidence, appearance noise) rows,
+    each appearance its class's prototype plus sigma times its noise."""
     boxes, class_ids, confidences, noise = (np.array(column) for column in zip(*rows))
     return DetectionArrays(boxes, class_ids, confidences, embeddings[class_ids] + sigma * noise)
 
@@ -407,15 +413,23 @@ def _generate_images(
     rng: np.random.Generator,
     first_image_id: int = 0,
 ) -> list[SynthImage]:
+    """The images, drawn in the order the module docstring fixes. A uniform
+    draw on [lo, hi) is lo + (hi - lo) * u for u = random(), as numpy
+    computes it, and numpy's normal(0, s) is 0.0 + s * z."""
     sector = 2.0 * np.pi / cfg.n_verb_classes
     app_dim = embeddings.shape[1]
+    jitter, sigma = cfg.detection_jitter_sigma, cfg.feature_noise_sigma
+    human_id = cfg.human_class_id
+    (gt_lo, gt_hi), (distractor_lo, distractor_hi) = _GT_CONF, _DISTRACTOR_CONF
     images = []
     for i in range(n_images):
         n_humans = int(humans_per_image[i])
+        u = rng.random(4 * n_humans).tolist()
         human_boxes = []
-        for _ in range(n_humans):
-            cx, cy = rng.uniform(0.4, 0.6, size=2)
-            hw, hh = rng.uniform(0.05, 0.12, size=2)
+        for k in range(0, 4 * n_humans, 4):
+            ucx, ucy, uw, uh = u[k : k + 4]
+            cx, cy = 0.4 + (0.6 - 0.4) * ucx, 0.4 + (0.6 - 0.4) * ucy
+            hw, hh = 0.05 + (0.12 - 0.05) * uw, 0.05 + (0.12 - 0.05) * uh
             human_boxes.append(Box(cx - hw, cy - hh, cx + hw, cy + hh))
 
         triplets = []
@@ -423,46 +437,46 @@ def _generate_images(
             verb = taxonomy.verb_of(hoi_class)
             human_box = human_boxes[int(rng.integers(n_humans))]
             hcx, hcy = human_box.center()
+            ut, ur, uw, uh = rng.random(4).tolist()
             # sample the angle well inside the verb's sector so detection
             # jitter cannot move a pair across the sector boundary
-            theta = -np.pi + (verb + 0.15 + 0.7 * rng.random()) * sector
-            radius = rng.uniform(0.12, 0.3)
-            ocx = hcx + radius * np.cos(theta)
-            ocy = hcy + radius * np.sin(theta)
-            ow, oh = rng.uniform(0.03, 0.09, size=2)
-            object_box = Box(*_sanitize_box(np.array([ocx - ow, ocy - oh, ocx + ow, ocy + oh])))
+            theta = -np.pi + (verb + 0.15 + 0.7 * ut) * sector
+            radius = 0.12 + (0.3 - 0.12) * ur
+            ocx = hcx + radius * float(np.cos(theta))
+            ocy = hcy + radius * float(np.sin(theta))
+            ow, oh = 0.03 + (0.09 - 0.03) * uw, 0.03 + (0.09 - 0.03) * uh
+            object_box = Box(*_sanitize_box(ocx - ow, ocy - oh, ocx + ow, ocy + oh))
             triplets.append(GroundTruthTriplet(human_box, object_box, hoi_class))
 
-        jitter = cfg.detection_jitter_sigma
-        humans = [
-            _detection_row(_jittered(b, jitter, rng), cfg.human_class_id, _GT_CONF, app_dim, rng)
-            for b in human_boxes
+        humans, objects = [], []
+        ground_truth = [(humans, box, human_id) for box in human_boxes] + [
+            (objects, t.object_box, taxonomy.object_of(t.hoi_class)) for t in triplets
         ]
-        objects = [
-            _detection_row(
-                _jittered(t.object_box, jitter, rng),
-                taxonomy.object_of(t.hoi_class),
-                _GT_CONF,
-                app_dim,
-                rng,
+        for rows, box, class_id in ground_truth:
+            # one block: the 4 box jitters, then the appearance noise
+            z = rng.standard_normal(4 + app_dim)
+            j0, j1, j2, j3 = z[:4].tolist()
+            jittered = _sanitize_box(
+                box.x_min + (0.0 + jitter * j0),
+                box.y_min + (0.0 + jitter * j1),
+                box.x_max + (0.0 + jitter * j2),
+                box.y_max + (0.0 + jitter * j3),
             )
-            for t in triplets
-        ]
+            rows.append((jittered, class_id, gt_lo + (gt_hi - gt_lo) * rng.random(), z[4:]))
 
-        n_distractors = round(_DISTRACTORS_PER_GT * (n_humans + len(triplets)))
-        for _ in range(n_distractors):
-            cx, cy = rng.uniform(0.15, 0.85, size=2)
-            hw, hh = rng.uniform(0.03, 0.12, size=2)
-            box = _sanitize_box(np.array([cx - hw, cy - hh, cx + hw, cy + hh]))
-            if rng.random() < _DISTRACTOR_HUMAN_PROB:
-                humans.append(
-                    _detection_row(box, cfg.human_class_id, _DISTRACTOR_CONF, app_dim, rng)
-                )
+        for _ in range(round(_DISTRACTORS_PER_GT * (n_humans + len(triplets)))):
+            ucx, ucy, uw, uh, coin = rng.random(5).tolist()
+            cx, cy = 0.15 + (0.85 - 0.15) * ucx, 0.15 + (0.85 - 0.15) * ucy
+            hw, hh = 0.03 + (0.12 - 0.03) * uw, 0.03 + (0.12 - 0.03) * uh
+            box = _sanitize_box(cx - hw, cy - hh, cx + hw, cy + hh)
+            if coin < _DISTRACTOR_HUMAN_PROB:
+                rows, class_id = humans, human_id
             else:
-                class_id = int(rng.integers(cfg.n_object_classes))
-                objects.append(_detection_row(box, class_id, _DISTRACTOR_CONF, app_dim, rng))
+                rows, class_id = objects, int(rng.integers(cfg.n_object_classes))
+            noise = rng.standard_normal(app_dim)
+            conf = distractor_lo + (distractor_hi - distractor_lo) * rng.random()
+            rows.append((box, class_id, conf, noise))
 
-        sigma = cfg.feature_noise_sigma
         images.append(
             SynthImage(
                 image_id=first_image_id + i,

@@ -30,5 +30,5 @@ class ReferenceOptimizer:
         cfg = self.cfg
         alpha, z = (cfg.alpha_fs, self.z_fs) if tag.region_level else (cfg.alpha_ws, self.z_ws)
         for name, w in self.weights.items():
-            z[name] = cfg.beta * z[name] + alpha * grads[name]
+            z[name] = cfg.beta * z[name] + alpha * getattr(grads, name)
             w -= z[name]

@@ -18,9 +18,18 @@ import numpy as np
 from hoimix.batching import Schedule
 from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
-from hoimix.model import ModelParams, aggregate_image_level, backward, forward
+from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
 from hoimix.synth_world import GroundTruthTriplet, SynthImage
+
+
+def aggregate_image_level(P: np.ndarray) -> np.ndarray:
+    """Sum P over the pair axis to get per-class image probabilities.
+
+    Each column of sigma_s sums to 1 and sigma_c <= 1, so the sum is bounded
+    by 1; the clip only removes float dust at the boundary.
+    """
+    return np.clip(P.sum(axis=0), 0.0, 1.0)
 
 
 def _check_binary(y: np.ndarray, name: str) -> np.ndarray:

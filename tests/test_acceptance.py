@@ -25,7 +25,7 @@ from hoimix.experiment import (
 )
 from hoimix.geometry import Box
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
-from hoimix.model import ModelParams, aggregate_image_level, backward, forward
+from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumPolicy, MomentumState, OptimizerConfig, step
 from hoimix.pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from hoimix.supervision import SupervisionTag
@@ -39,6 +39,7 @@ from hoimix.synth_world import (
 
 from eval_reference import HOIPrediction, array_ap
 from pair_reference import Detection, detection_arrays
+from step_reference import aggregate_image_level
 from test_evaluation import brute_force_ap
 
 
@@ -103,7 +104,7 @@ def test_criterion_01_gradient_correctness():
         h = 1e-5
         for name, arr in params.items():
             flat = arr.ravel()
-            g = grads[name].ravel()
+            g = getattr(grads, name).ravel()
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
@@ -173,7 +174,9 @@ def test_criterion_03_momentum_isolation():
         params = ModelParams.init(3, 4, 2, seed=trial)
         state = MomentumState.zeros(params, cfg.policy)
         tags = [SupervisionTag.WS if rng.random() < 0.5 else SupervisionTag.FS for _ in range(25)]
-        stream = [{n: rng.normal(size=a.shape) for n, a in params.items()} for _ in tags]
+        stream = [
+            ModelParams(**{n: rng.normal(size=a.shape) for n, a in params.items()}) for _ in tags
+        ]
         for tag, grads in zip(tags, stream):
             step(params, grads, tag, state, cfg)
         for replay_tag, buffer_name in ((SupervisionTag.FS, "z_fs"), (SupervisionTag.WS, "z_ws")):
@@ -182,16 +185,15 @@ def test_criterion_03_momentum_isolation():
             for tag, grads in zip(tags, stream):
                 if tag == replay_tag:
                     step(rp, grads, tag, rs, cfg)
-            for name in getattr(state, buffer_name):
-                exact &= bool(
-                    np.array_equal(getattr(state, buffer_name)[name], getattr(rs, buffer_name)[name])
-                )
+            for name, arr in getattr(state, buffer_name).items():
+                exact &= bool(np.array_equal(arr, getattr(getattr(rs, buffer_name), name)))
     # WS-only stream leaves the FS buffer at exactly zero
     params = ModelParams.init(3, 4, 2, seed=0)
     state = MomentumState.zeros(params, cfg.policy)
     for _ in range(50):
-        step(params, {n: rng.normal(size=a.shape) for n, a in params.items()}, SupervisionTag.WS, state, cfg)
-    zero_fs = all(np.all(arr == 0.0) for arr in state.z_fs.values())
+        grads = ModelParams(**{n: rng.normal(size=a.shape) for n, a in params.items()})
+        step(params, grads, SupervisionTag.WS, state, cfg)
+    zero_fs = all(np.all(arr == 0.0) for _, arr in state.z_fs.items())
     finish(
         3,
         "momentum-isolation",
@@ -433,8 +435,7 @@ def _trained_ids(result, tag):
 
 
 def _buffer_cosine(state):
-    z_ws = np.concatenate([z.ravel() for z in state.z_ws.values()])
-    z_fs = np.concatenate([state.z_fs[name].ravel() for name in state.z_ws])
+    z_ws, z_fs = state.z_ws.flat, state.z_fs.flat
     return float(z_ws @ z_fs / (np.linalg.norm(z_ws) * np.linalg.norm(z_fs)))
 
 
@@ -610,12 +611,29 @@ def test_criterion_11_determinism(tmp_path):
 # 12. pseudo-label contracts
 
 
+def criterion_12_cfg(iterations=8000):
+    return default_cfg(
+        ws_fraction=0.3, fs_fraction=0.4, us_fraction=0.3, iterations=iterations, pseudo_cycles=3
+    )
+
+
+def test_pseudo_cycle_base_report_is_the_plain_run_of_the_config():
+    # criterion 12 reads its 30/40/0 control from iterate_cycles' base fit;
+    # it must be the fit a plain run of the same config makes
+    cfg = criterion_12_cfg(iterations=300)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    _, _, base = iterate_cycles(
+        tagged, cfg, 1, mode="unlabeled", test_images=test_images, rare_ids=rare_ids
+    )
+    plain = run_experiment(cfg).report
+    assert base.ap_per_class.tobytes() == plain.ap_per_class.tobytes()
+    assert base.map_full == plain.map_full
+
+
 @pytest.mark.slow
 def test_criterion_12_pseudo_label_contracts():
     started = time.monotonic()
-    cfg = default_cfg(
-        ws_fraction=0.3, fs_fraction=0.4, us_fraction=0.3, iterations=8000, pseudo_cycles=3
-    )
+    cfg = criterion_12_cfg()
     tagged, test_images, rare_ids = prepare_world(cfg)
 
     probe = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, 0)
@@ -640,8 +658,10 @@ def test_criterion_12_pseudo_label_contracts():
     cycle_ok = len(reports) >= 1 and all(np.isfinite(r.map_full) for r in reports)
 
     # 30/40/0 control: a plain run of the same config never schedules the
-    # unlabeled images (no pseudo labels), so it is exactly the no-US arm
-    control = run_experiment(cfg).report.map_full
+    # unlabeled images (no pseudo labels), so it is exactly the no-US arm,
+    # which is the base fit iterate_cycles returns (see
+    # test_pseudo_cycle_base_report_is_the_plain_run_of_the_config)
+    control = base.map_full
     final = reports[-1].map_full
     for r in reports:
         report_line(12, f"pseudo-cycle-{r.cycle}", True,

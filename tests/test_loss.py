@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from hoimix.batching import MiniBatch
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
-from hoimix.model import aggregate_image_level
 from hoimix.supervision import SupervisionTag
-from step_reference import reference_fs_loss, reference_ws_loss
+from step_reference import aggregate_image_level, reference_fs_loss, reference_ws_loss
 
 
 def scalar_bce(y, p):

@@ -30,7 +30,7 @@ def scalar_params(value=1.0):
 
 
 def unit_grads(params, value=1.0):
-    return {name: np.full_like(arr, value) for name, arr in params.items()}
+    return ModelParams(**{name: np.full_like(arr, value) for name, arr in params.items()})
 
 
 def test_first_step_matches_hand_evaluation():
@@ -38,7 +38,7 @@ def test_first_step_matches_hand_evaluation():
     params = scalar_params(1.0)
     state = MomentumState.zeros(params, cfg.policy)
     step(params, unit_grads(params), SupervisionTag.FS, state, cfg)
-    assert state.z_fs["w_enc"][0, 0] == pytest.approx(0.1, abs=0.0)
+    assert state.z_fs.w_enc[0, 0] == pytest.approx(0.1, abs=0.0)
     assert params.w_enc[0, 0] == pytest.approx(0.9, abs=0.0)
 
 
@@ -48,7 +48,7 @@ def test_second_step_accumulates_momentum():
     state = MomentumState.zeros(params, cfg.policy)
     step(params, unit_grads(params), SupervisionTag.FS, state, cfg)
     step(params, unit_grads(params), SupervisionTag.FS, state, cfg)
-    assert state.z_fs["w_enc"][0, 0] == pytest.approx(0.9 * 0.1 + 0.1, abs=0.0)
+    assert state.z_fs.w_enc[0, 0] == pytest.approx(0.9 * 0.1 + 0.1, abs=0.0)
     assert params.w_enc[0, 0] == pytest.approx(1.0 - 0.1 - 0.19, abs=1e-15)
     assert state.t == 2
 
@@ -59,11 +59,11 @@ def test_ws_steps_leave_fs_buffer_untouched():
     state = MomentumState.zeros(params, cfg.policy)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        grads = {name: rng.normal(size=arr.shape) for name, arr in params.items()}
+        grads = ModelParams(**{name: rng.normal(size=arr.shape) for name, arr in params.items()})
         step(params, grads, SupervisionTag.WS, state, cfg)
-    for name in state.z_fs:
-        np.testing.assert_array_equal(state.z_fs[name], 0.0)
-    assert any(np.any(state.z_ws[name] != 0.0) for name in state.z_ws)
+    for _, arr in state.z_fs.items():
+        np.testing.assert_array_equal(arr, 0.0)
+    assert any(np.any(arr != 0.0) for _, arr in state.z_ws.items())
 
 
 def test_buffer_isolation_via_replay():
@@ -74,7 +74,8 @@ def test_buffer_isolation_via_replay():
         state = MomentumState.zeros(params, cfg.policy)
         tags = [SupervisionTag.WS if rng.random() < 0.5 else SupervisionTag.FS for _ in range(30)]
         grad_stream = [
-            {name: rng.normal(size=arr.shape) for name, arr in params.items()} for _ in tags
+            ModelParams(**{name: rng.normal(size=arr.shape) for name, arr in params.items()})
+            for _ in tags
         ]
         for tag, grads in zip(tags, grad_stream):
             step(params, grads, tag, state, cfg)
@@ -84,8 +85,8 @@ def test_buffer_isolation_via_replay():
         for tag, grads in zip(tags, grad_stream):
             if tag == SupervisionTag.FS:
                 step(replay_params, grads, tag, replay_state, cfg)
-        for name in state.z_fs:
-            np.testing.assert_array_equal(state.z_fs[name], replay_state.z_fs[name])
+        for name, arr in state.z_fs.items():
+            np.testing.assert_array_equal(arr, getattr(replay_state.z_fs, name))
 
 
 def test_shared_policy_aliases_one_buffer():
@@ -94,8 +95,8 @@ def test_shared_policy_aliases_one_buffer():
     assert state.z_ws is state.z_fs
     cfg = OptimizerConfig(policy=MomentumPolicy.SHARED)
     step(params, unit_grads(params), SupervisionTag.WS, state, cfg)
-    for name in state.z_fs:
-        np.testing.assert_array_equal(state.z_fs[name], state.z_ws[name])
+    for name, arr in state.z_fs.items():
+        np.testing.assert_array_equal(arr, getattr(state.z_ws, name))
 
 
 def test_single_stream_shared_equals_independent_bitwise():
@@ -108,7 +109,7 @@ def test_single_stream_shared_equals_independent_bitwise():
         state = MomentumState.zeros(params, policy)
         if grad_stream is None:
             grad_stream = [
-                {name: rng.normal(size=arr.shape) for name, arr in params.items()}
+                ModelParams(**{name: rng.normal(size=arr.shape) for name, arr in params.items()})
                 for _ in range(40)
             ]
         for grads in grad_stream:
@@ -123,7 +124,8 @@ def test_zero_gradient_zero_state_is_identity():
     params = ModelParams.init(4, 4, 3, seed=1)
     before = params.copy()
     state = MomentumState.zeros(params, cfg.policy)
-    step(params, {name: np.zeros_like(arr) for name, arr in params.items()}, SupervisionTag.FS, state, cfg)
+    zeros = ModelParams(**{name: np.zeros_like(arr) for name, arr in params.items()})
+    step(params, zeros, SupervisionTag.FS, state, cfg)
     for name, arr in params.items():
         np.testing.assert_array_equal(arr, getattr(before, name))
 
@@ -134,10 +136,10 @@ def test_us_step_writes_fs_buffer_with_fs_step_size():
     params = scalar_params(1.0)
     state = MomentumState.zeros(params, cfg.policy)
     step(params, unit_grads(params), SupervisionTag.US, state, cfg)
-    assert state.z_fs["w_enc"][0, 0] == 0.25
+    assert state.z_fs.w_enc[0, 0] == 0.25
     assert params.w_enc[0, 0] == 0.75
-    for name in state.z_ws:
-        np.testing.assert_array_equal(state.z_ws[name], 0.0)
+    for _, arr in state.z_ws.items():
+        np.testing.assert_array_equal(arr, 0.0)
     assert state.t == 1
 
 
@@ -145,8 +147,7 @@ def test_shape_mismatch_rejected():
     cfg = OptimizerConfig()
     params = ModelParams.init(3, 3, 2, seed=0)
     state = MomentumState.zeros(params, cfg.policy)
-    grads = unit_grads(params)
-    grads["w_enc"] = np.zeros((2, 2))
+    grads = unit_grads(ModelParams.init(2, 3, 2, seed=0))
     with pytest.raises(ValueError):
         step(params, grads, SupervisionTag.FS, state, cfg)
 
@@ -179,8 +180,8 @@ def test_fused_step_matches_per_tensor_reference_bitwise(policy):
             steps += 1
             for name, arr in params.items():
                 assert arr.tobytes() == reference.weights[name].tobytes()
-                assert state.z_ws[name].tobytes() == reference.z_ws[name].tobytes()
-                assert state.z_fs[name].tobytes() == reference.z_fs[name].tobytes()
+                assert getattr(state.z_ws, name).tobytes() == reference.z_ws[name].tobytes()
+                assert getattr(state.z_fs, name).tobytes() == reference.z_fs[name].tobytes()
         assert state.t == steps
 
 
@@ -247,15 +248,17 @@ def test_state_serialization_preserves_aliasing_and_values(tmp_path):
         state = MomentumState.zeros(params, policy)
         rng = np.random.default_rng(4)
         for tag in (SupervisionTag.WS, SupervisionTag.FS, SupervisionTag.WS):
-            step(params, {n: rng.normal(size=a.shape) for n, a in params.items()}, tag, state, cfg)
+            grads = ModelParams(**{n: rng.normal(size=a.shape) for n, a in params.items()})
+            step(params, grads, tag, state, cfg)
         path = tmp_path / f"{policy.value}.ckpt"
         save_checkpoint(path, params, state, meta={"policy": policy.value})
         loaded_params, loaded_state, _ = load_checkpoint(path)
         assert loaded_state.t == state.t
         assert loaded_state.shared_buffer == (policy != MomentumPolicy.INDEPENDENT)
-        for name in state.z_ws:
-            np.testing.assert_array_equal(loaded_state.z_ws[name], state.z_ws[name])
-            np.testing.assert_array_equal(loaded_state.z_fs[name], state.z_fs[name])
+        for name, arr in state.z_ws.items():
+            np.testing.assert_array_equal(getattr(loaded_state.z_ws, name), arr)
+        for name, arr in state.z_fs.items():
+            np.testing.assert_array_equal(getattr(loaded_state.z_fs, name), arr)
 
 
 def test_resume_reproduces_trajectory_bit_exactly(tmp_path):
@@ -264,7 +267,7 @@ def test_resume_reproduces_trajectory_bit_exactly(tmp_path):
     params = ModelParams.init(4, 5, 3, seed=3)
     state = MomentumState.zeros(params, cfg.policy)
     tags = [SupervisionTag.WS if rng.random() < 0.6 else SupervisionTag.FS for _ in range(40)]
-    stream = [{n: rng.normal(size=a.shape) for n, a in params.items()} for _ in tags]
+    stream = [ModelParams(**{n: rng.normal(size=a.shape) for n, a in params.items()}) for _ in tags]
     for tag, grads in zip(tags[:20], stream[:20]):
         step(params, grads, tag, state, cfg)
     path = tmp_path / "mid.ckpt"
@@ -277,6 +280,7 @@ def test_resume_reproduces_trajectory_bit_exactly(tmp_path):
         step(resumed_params, grads, tag, resumed_state, cfg)
     for name, arr in params.items():
         np.testing.assert_array_equal(arr, getattr(resumed_params, name))
-    for name in state.z_ws:
-        np.testing.assert_array_equal(state.z_ws[name], resumed_state.z_ws[name])
-        np.testing.assert_array_equal(state.z_fs[name], resumed_state.z_fs[name])
+    for name, arr in state.z_ws.items():
+        np.testing.assert_array_equal(arr, getattr(resumed_state.z_ws, name))
+    for name, arr in state.z_fs.items():
+        np.testing.assert_array_equal(arr, getattr(resumed_state.z_fs, name))

@@ -10,6 +10,7 @@ evaluation, all driven by a reproducible synthetic detection world.
 from .batching import (
     HumanObjectPair,
     MiniBatch,
+    PairGrid,
     Schedule,
     ScheduleEntry,
     batch_schedule,
@@ -17,6 +18,7 @@ from .batching import (
     element_swap,
     make_fs_targets,
     make_ws_targets,
+    pair_grids,
 )
 from .evaluation import (
     BoxPairs,
@@ -72,6 +74,7 @@ __all__ = [
     "MomentumPolicy",
     "MomentumState",
     "OptimizerConfig",
+    "PairGrid",
     "Predictions",
     "Schedule",
     "ScheduleEntry",
@@ -95,6 +98,7 @@ __all__ = [
     "make_fs_targets",
     "make_ws_targets",
     "match_and_ap",
+    "pair_grids",
     "pair_iou",
     "pair_iou_matrix",
     "prepare_eval_set",

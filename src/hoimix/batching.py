@@ -5,6 +5,13 @@ filter), synthesizes cross-image hard negatives for weakly-labeled pairs by
 swapping humans and objects between the two images, and constructs
 region-level and image-level training targets. The batch schedule pairs
 images once, before training, into homogeneous two-image batches.
+
+Pairs and region-level targets are built for many images in one pass
+(`pair_grids`, `make_fs_targets`). Training builds them for a block of
+BLOCK_ENTRIES consecutive schedule entries at a time (`prepare_block`), and
+`assemble_minibatch` copies one entry's batch out of its block. The pass is
+blocked to bound its peak memory: one pass over the whole schedule would
+hold every image's pairs and feature temporaries at once.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import box_array, pair_iou_matrix
+from .geometry import box_array, iou_rows
 # bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
@@ -27,6 +34,9 @@ from .synth_world import (
 
 DEFAULT_TOP_K = 30
 DEFAULT_IOU_THRESHOLD = 0.5
+# schedule entries whose pairs and targets are built in one pass; larger
+# blocks are faster, but a block's pairs are all held at once
+BLOCK_ENTRIES = 64
 
 
 @dataclass(eq=False)
@@ -97,50 +107,108 @@ class MiniBatch:
             object.__setattr__(self, field_name, array)
 
 
-def _top_k_per_class(detections: DetectionArrays, top_k: int) -> np.ndarray:
-    """Indices of at most top_k detections per class by confidence (ties to
-    the lower index), in their original order."""
-    rows = np.arange(len(detections.class_ids))
-    order = np.lexsort((rows, -detections.confidences, detections.class_ids))
-    classes = detections.class_ids[order]
-    # position in the sorted order minus the position of the class's first entry
-    rank_in_class = rows - np.searchsorted(classes, classes)
-    return np.sort(order[rank_in_class < top_k])
+def _top_k_per_class(owner: np.ndarray, detections: DetectionArrays, top_k: int) -> np.ndarray:
+    """Rows of at most top_k detections per (image, class) by confidence
+    (ties to the lower row), in row order; owner[r] is the image of row r."""
+    rows = np.arange(len(owner))
+    order = np.lexsort((rows, -detections.confidences, detections.class_ids, owner))
+    image, classes = owner[order], detections.class_ids[order]
+    starts = np.flatnonzero(
+        np.concatenate([[True], (image[1:] != image[:-1]) | (classes[1:] != classes[:-1])])
+    )
+    # position in the sorted order minus the position of its group's first entry
+    rank = rows - np.repeat(starts, np.diff(np.append(starts, len(rows))))
+    return np.sort(order[rank < top_k])
+
+
+def _kept(detections: Sequence[DetectionArrays], top_k: int):
+    """The detections of several images stacked into one set, the first
+    row of each image in it, the rows the top-k filter keeps, and how many
+    of them each image has."""
+    stacked = DetectionArrays(
+        *(
+            np.concatenate([getattr(d, name) for d in detections])
+            for name in ("boxes", "class_ids", "confidences", "appearance")
+        )
+    )
+    first = np.cumsum([0] + [len(d) for d in detections])
+    owner = np.repeat(np.arange(len(detections)), np.diff(first))
+    kept = _top_k_per_class(owner, stacked, top_k)
+    return stacked, first, kept, np.bincount(owner[kept], minlength=len(detections))
 
 
 @dataclass(eq=False)
 class PairGrid:
-    """Every kept human x kept object pair of one image as arrays, in
-    build_pairs order (human-major)."""
+    """Every kept human x kept object pair of a run of images as arrays.
 
-    human_index: np.ndarray  # (n,) index into the image's human detections
+    Image k's pairs are rows offsets[k]:offsets[k + 1], human-major: each
+    kept human, in detection order, against every kept object.
+    """
+
+    image_ids: np.ndarray     # (n_images,)
+    offsets: np.ndarray       # (n_images + 1,), from 0 to the number of pairs
+    human_index: np.ndarray   # (n,) index into the pair's image's human detections
     object_index: np.ndarray
-    human_boxes: np.ndarray  # (n, 4), row i: the box of pair i's human
+    human_boxes: np.ndarray   # (n, 4), row i: the box of pair i's human
     object_boxes: np.ndarray
-    features: np.ndarray     # (n, feature_dim)
+    features: np.ndarray      # (n, feature_dim)
+
+    def rows(self, k: int) -> slice:
+        """The rows of image k's pairs."""
+        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
+
+    def image(self, k: int) -> "PairGrid":
+        """Image k's pairs as a grid of their own, of views into this one."""
+        at = self.rows(k)
+        return PairGrid(
+            self.image_ids[k : k + 1],
+            np.array([0, at.stop - at.start]),
+            self.human_index[at],
+            self.object_index[at],
+            self.human_boxes[at],
+            self.object_boxes[at],
+            self.features[at],
+        )
 
 
-def pair_grid(image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K) -> PairGrid:
-    """All human x object pairs within one image after top-k filtering."""
-    kept_humans = _top_k_per_class(image.humans, top_k)
-    kept_objects = _top_k_per_class(image.objects, top_k)
-    if not len(kept_humans) or not len(kept_objects):
-        raise ValueError(f"image {image.image_id}: empty human or object set after filtering")
-    human_index = np.repeat(kept_humans, len(kept_objects))
-    object_index = np.tile(kept_objects, len(kept_humans))
-    humans, objects = image.humans, image.objects
-    features = pair_feature_matrix(humans, human_index, objects, object_index, feature_dim)
+def pair_grids(
+    images: Sequence[SynthImage], feature_dim: int, top_k: int = DEFAULT_TOP_K
+) -> PairGrid:
+    """The human x object pairs of every image after top-k filtering, in
+    one pass over the detections of all of them; image k of the grid is
+    images[k]."""
+    if not images:
+        raise ValueError("pair_grids needs at least one image")
+    humans, h_first, kept_h, n_h = _kept([image.humans for image in images], top_k)
+    objects, o_first, kept_o, n_o = _kept([image.objects for image in images], top_k)
+    empty = (n_h == 0) | (n_o == 0)
+    if empty.any():
+        image_id = images[int(np.argmax(empty))].image_id
+        raise ValueError(f"image {image_id}: empty human or object set after filtering")
+    offsets = np.concatenate([[0], np.cumsum(n_h * n_o)])
+    owner = np.repeat(np.arange(len(images)), n_h * n_o)
+    # pair p of image k pairs its kept human p // n_o[k] with its kept object p % n_o[k]
+    p, n_o_row = np.arange(offsets[-1]) - offsets[owner], n_o[owner]
+    h = kept_h[(np.cumsum(n_h) - n_h)[owner] + p // n_o_row]
+    o = kept_o[(np.cumsum(n_o) - n_o)[owner] + p % n_o_row]
     return PairGrid(
-        human_index, object_index, humans.boxes[human_index], objects.boxes[object_index], features
+        np.array([image.image_id for image in images]),
+        offsets,
+        h - h_first[owner],
+        o - o_first[owner],
+        humans.boxes[h],
+        objects.boxes[o],
+        pair_feature_matrix(humans, h, objects, o, feature_dim),
     )
 
 
-def build_pairs(
-    image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K
-) -> list[HumanObjectPair]:
-    """pair_grid as one HumanObjectPair per pair, the form element_swap
+def build_pairs(image: SynthImage, grid: PairGrid) -> list[HumanObjectPair]:
+    """The rows of the image's own grid (one image of pair_grids, see
+    PairGrid.image) as one HumanObjectPair per pair, the form element_swap
     takes; each pair's features are a row of the grid's feature matrix."""
-    grid = pair_grid(image, feature_dim, top_k)
+    ids = grid.image_ids.tolist()
+    if ids != [image.image_id]:
+        raise ValueError(f"grid of images {ids} is not image {image.image_id}'s")
     source = (image.image_id, image.image_id)
     return [
         HumanObjectPair(
@@ -235,31 +303,38 @@ def element_swap(
 
 
 def make_fs_targets(
-    human_boxes: np.ndarray,
-    object_boxes: np.ndarray,
-    gt_triplets: Sequence[GroundTruthTriplet],
+    grid: PairGrid,
+    truths: Sequence[Sequence[GroundTruthTriplet]],
     n_classes: int,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> np.ndarray:
-    """Region-level binary target matrix of the pairs whose boxes are the
-    rows of human_boxes and object_boxes, (n, 4) each.
+    """Region-level binary target matrix of every pair of the grid, whose
+    image k has the ground truth truths[k].
 
-    Y[i, j] = 1 iff some ground-truth triplet of class j overlaps pair i
-    with joint (min of human and object) IoU at or above the threshold.
+    Y[i, j] = 1 iff some ground-truth triplet of class j of pair i's own
+    image overlaps pair i with joint (min of human and object) IoU at or
+    above the threshold; a pair is never matched against another image's
+    ground truth.
     """
-    for t in gt_triplets:
-        if not (0 <= t.hoi_class < n_classes):
-            raise ValueError(f"hoi_class {t.hoi_class} out of range [0, {n_classes})")
-    overlap = pair_iou_matrix(
-        human_boxes,
-        object_boxes,
-        box_array([t.human_box for t in gt_triplets]),
-        box_array([t.object_box for t in gt_triplets]),
+    flat = [t for image_truth in truths for t in image_truth]
+    classes = np.array([t.hoi_class for t in flat], dtype=np.intp)
+    bad = (classes < 0) | (classes >= n_classes)
+    if bad.any():
+        raise ValueError(f"hoi_class {classes[np.argmax(bad)]} out of range [0, {n_classes})")
+    # every (pair row, ground-truth row) of one image, pair-major
+    n_truth = np.array([len(image_truth) for image_truth in truths], dtype=np.intp)
+    n_pairs = np.diff(grid.offsets)
+    per_row = np.repeat(n_truth, n_pairs)
+    row = np.repeat(np.arange(len(per_row)), per_row)
+    first_col = np.repeat(np.cumsum(n_truth) - n_truth, n_pairs)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row - first_col, per_row)
+    overlap = np.minimum(
+        iou_rows(grid.human_boxes[row], box_array([t.human_box for t in flat])[col]),
+        iou_rows(grid.object_boxes[row], box_array([t.object_box for t in flat])[col]),
     )
-    rows, cols = np.nonzero(overlap >= iou_threshold)
-    classes = np.array([t.hoi_class for t in gt_triplets], dtype=np.intp)
-    Y = np.zeros((len(human_boxes), n_classes))
-    Y[rows, classes[cols]] = 1.0
+    hit = overlap >= iou_threshold
+    Y = np.zeros((len(grid.features), n_classes))
+    Y[row[hit], classes[col[hit]]] = 1.0
     return Y
 
 
@@ -335,53 +410,72 @@ def batch_schedule(
     return Schedule(entries=tuple(mixed), leftovers=tuple(leftovers), seed=seed)
 
 
-def assemble_minibatch(
-    image_a: SynthImage,
-    image_b: SynthImage,
+@dataclass(eq=False)
+class BatchBlock:
+    """The pairs and region-level targets of a block of schedule entries,
+    built in one pass: entry e's images are images[2e] and images[2e + 1],
+    and they are images 2e and 2e + 1 of the grid."""
+
+    images: list[SynthImage]
+    grid: PairGrid
+    fs_targets: np.ndarray  # (pairs, n_classes), zero on the pairs of WS images
+
+
+def prepare_block(
+    entries: Sequence[tuple[SynthImage, SynthImage]],
     *,
     n_classes: int,
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
-    element_swap_enabled: bool = False,
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
-) -> MiniBatch:
-    """Build the training batch for one schedule entry.
+) -> BatchBlock:
+    """Build the pair grid and the region-level targets of every image of
+    the entries at once. FS images are matched against their ground truth,
+    US images against their pseudo triplets, keyed by image id."""
+    images = [image for entry in entries for image in entry]
+    truths = []
+    for image in images:
+        if image.supervision == SupervisionTag.US:
+            if pseudo_triplets is None:
+                raise ValueError("US batches need pseudo triplets")
+            truths.append(pseudo_triplets.get(image.image_id, ()))
+        else:
+            truths.append(image.gt_triplets if image.supervision == SupervisionTag.FS else ())
+    grid = pair_grids(images, feature_dim, top_k)
+    return BatchBlock(images, grid, make_fs_targets(grid, truths, n_classes))
 
-    FS targets are matched per image (a pair is never matched against the
-    other image's ground truth). Element swapping applies only to WS
-    batches. US batches require pseudo triplets, keyed by image id, and are
-    assembled like FS batches against them.
+
+def assemble_minibatch(
+    block: BatchBlock, entry: int, *, element_swap_enabled: bool = False
+) -> MiniBatch:
+    """Build the training batch of the block's entry from the block's arrays.
+
+    Element swapping applies only to WS batches. A batch owns copies of its
+    rows, so that it does not keep its block alive.
     """
+    image_a, image_b = block.images[2 * entry], block.images[2 * entry + 1]
     if image_a.supervision != image_b.supervision:
         raise ValueError("mini-batches must be homogeneous in supervision")
     tag = image_a.supervision
     image_ids = (image_a.image_id, image_b.image_id)
+    grid = block.grid
+    rows = slice(grid.rows(2 * entry).start, grid.rows(2 * entry + 1).stop)
 
     if tag == SupervisionTag.WS:
         if element_swap_enabled:
             pairs = element_swap(
-                build_pairs(image_a, feature_dim, top_k), build_pairs(image_b, feature_dim, top_k)
+                build_pairs(image_a, grid.image(2 * entry)),
+                build_pairs(image_b, grid.image(2 * entry + 1)),
             )
             features = np.stack([p.features for p in pairs])
         else:
-            features = np.vstack(
-                [pair_grid(image, feature_dim, top_k).features for image in (image_a, image_b)]
-            )
+            features = grid.features[rows].copy()
+        n_classes = block.fs_targets.shape[1]
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
         return MiniBatch(supervision=tag, features=features, image_ids=image_ids, ws_targets=targets)
-
-    if tag == SupervisionTag.US:
-        if pseudo_triplets is None:
-            raise ValueError("US batches need pseudo triplets")
-        truth = [pseudo_triplets.get(image.image_id, ()) for image in (image_a, image_b)]
-    else:
-        truth = [image_a.gt_triplets, image_b.gt_triplets]
-    grids = [pair_grid(image, feature_dim, top_k) for image in (image_a, image_b)]
-    features = np.vstack([grid.features for grid in grids])
-    Y = np.vstack(
-        [
-            make_fs_targets(grid.human_boxes, grid.object_boxes, gt, n_classes)
-            for grid, gt in zip(grids, truth)
-        ]
+    return MiniBatch(
+        supervision=tag,
+        features=grid.features[rows].copy(),
+        image_ids=image_ids,
+        fs_targets=block.fs_targets[rows].copy(),
     )
-    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, fs_targets=Y)

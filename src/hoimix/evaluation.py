@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .batching import DEFAULT_TOP_K, pair_grid
+from .batching import DEFAULT_TOP_K, pair_grids
 from .geometry import box_array, pair_iou_matrix
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
@@ -176,18 +176,16 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
 def prepare_eval_set(
     images: list[SynthImage], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> EvalSet:
-    """Build the pairs of every test image and match them against the
-    ground truth, once."""
+    """Build the pairs of every test image, in one pass, and match them
+    against the ground truth, once."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
-    grids = [pair_grid(image, feature_dim, top_k) for image in images]
+    grid = pair_grids(images, feature_dim, top_k)
     pairs = BoxPairs(
-        np.concatenate([np.full(len(g.features), im.image_id) for im, g in zip(images, grids)]),
-        np.concatenate([g.human_boxes for g in grids]),
-        np.concatenate([g.object_boxes for g in grids]),
+        np.repeat(grid.image_ids, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes
     )
     return EvalSet(
-        tuple(g.features for g in grids),
+        tuple(grid.features[grid.rows(k)] for k in range(len(images))),
         pairs,
         ground_truth(pairs, images),
     )

@@ -21,7 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .batching import DEFAULT_TOP_K, MiniBatch, Schedule, assemble_minibatch, batch_schedule
+from .batching import (
+    BLOCK_ENTRIES,
+    DEFAULT_TOP_K,
+    MiniBatch,
+    Schedule,
+    assemble_minibatch,
+    batch_schedule,
+    prepare_block,
+)
 from .checkpoint import atomic_open, save_checkpoint
 from .evaluation import (
     CSV_HEADER,
@@ -181,19 +189,24 @@ def _build_batches(
     cfg: ExperimentConfig,
     pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]],
 ) -> list[MiniBatch]:
+    """One batch per schedule entry, in schedule order; pairs and targets
+    are built a block of BLOCK_ENTRIES entries at a time."""
     by_id = {image.image_id: image for image in images}
-    return [
-        assemble_minibatch(
-            by_id[entry.image_a],
-            by_id[entry.image_b],
+    batches = []
+    for start in range(0, len(schedule.entries), BLOCK_ENTRIES):
+        entries = schedule.entries[start : start + BLOCK_ENTRIES]
+        block = prepare_block(
+            [(by_id[e.image_a], by_id[e.image_b]) for e in entries],
             n_classes=cfg.world.n_hoi_classes,
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
-            element_swap_enabled=cfg.element_swap,
             pseudo_triplets=pseudo_triplets,
         )
-        for entry in schedule.entries
-    ]
+        batches.extend(
+            assemble_minibatch(block, k, element_swap_enabled=cfg.element_swap)
+            for k in range(len(block.images) // 2)
+        )
+    return batches
 
 
 def train(

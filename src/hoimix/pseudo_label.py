@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import DEFAULT_TOP_K, PairGrid, pair_grid
+from .batching import PairGrid, pair_grids
 from .checkpoint import atomic_open
 from .evaluation import EvalReport
 # bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
@@ -48,16 +48,12 @@ def select_label_argmax_triplets(
 
 
 def ws_to_pseudo_fs(
-    params: ModelParams,
-    image: SynthImage,
-    *,
-    feature_dim: int,
-    top_k: int = DEFAULT_TOP_K,
+    params: ModelParams, image: SynthImage, grid: PairGrid
 ) -> list[GroundTruthTriplet]:
-    """Pseudo triplets for a weakly-labeled image: one per image-level label."""
+    """Pseudo triplets for a weakly-labeled image, whose own pairs are the
+    grid: one per image-level label."""
     if not image.image_labels:
         return []
-    grid = pair_grid(image, feature_dim, top_k)
     P = forward(params, grid.features).P
     return select_label_argmax_triplets(P, image.image_labels, grid)
 
@@ -77,15 +73,10 @@ def threshold_triplets(
 
 
 def us_to_pseudo_fs(
-    params: ModelParams,
-    image: SynthImage,
-    threshold: float = 0.5,
-    *,
-    feature_dim: int,
-    top_k: int = DEFAULT_TOP_K,
+    params: ModelParams, grid: PairGrid, threshold: float = 0.5
 ) -> list[GroundTruthTriplet]:
-    """Pseudo triplets for an unlabeled image; may be empty."""
-    grid = pair_grid(image, feature_dim, top_k)
+    """Pseudo triplets for an unlabeled image whose own pairs are the grid;
+    may be empty."""
     P = forward(params, grid.features).P
     return threshold_triplets(P, threshold, grid)
 
@@ -144,8 +135,6 @@ def iterate_cycles(
     if mode not in ("unlabeled", "multistage"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    feature_dim = cfg.world.feature_dim
-
     if mode == "multistage":
         base_pool = [img for img in images if img.supervision == SupervisionTag.FS]
         pseudo_sources = [img for img in images if img.supervision == SupervisionTag.WS]
@@ -164,15 +153,20 @@ def iterate_cycles(
         pseudo_sources = [img for img in images if img.supervision == SupervisionTag.US]
         cycle_pool = base_pool + pseudo_sources
 
+    # the pairs of the pseudo sources do not depend on the model: they are
+    # built once, in one pass, for every relabelling
+    grids = []
+    if pseudo_sources:
+        sources = pair_grids(pseudo_sources, cfg.world.feature_dim, cfg.top_k)
+        grids = [sources.image(k) for k in range(len(pseudo_sources))]
+
     def relabel(params: ModelParams) -> dict[int, list[GroundTruthTriplet]]:
         pseudo: dict[int, list[GroundTruthTriplet]] = {}
-        for img in pseudo_sources:
+        for img, grid in zip(pseudo_sources, grids):
             if mode == "multistage":
-                triplets = ws_to_pseudo_fs(params, img, feature_dim=feature_dim, top_k=cfg.top_k)
+                triplets = ws_to_pseudo_fs(params, img, grid)
             else:
-                triplets = us_to_pseudo_fs(
-                    params, img, cfg.pseudo_threshold, feature_dim=feature_dim, top_k=cfg.top_k
-                )
+                triplets = us_to_pseudo_fs(params, grid, cfg.pseudo_threshold)
             if triplets:
                 pseudo[img.image_id] = triplets
         return pseudo

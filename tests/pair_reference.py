@@ -1,5 +1,6 @@
-"""Per-detection and per-pair references for detections, pair features, the
-top-k filter and element swapping.
+"""Per-detection, per-pair and per-image references for detections, pair
+features, the top-k filter, pair grids, region-level targets, element
+swapping and batch assembly.
 
 The references are the original implementation: one Detection object per
 detection, which checks its confidence while its Box checks its area; one
@@ -7,20 +8,38 @@ pair-feature computation per (human, object) pair, with a scalar iou; a
 per-class top-k filter that sorts each class in Python; and an element_swap
 that builds a HumanObjectPair with its features for every cross-image
 candidate before it sorts them all. The per-pair references read one row
-of a DetectionArrays at a time. The array path in hoimix must reproduce
-their output byte for byte, and accept exactly the detections they accept.
+of a DetectionArrays at a time. The per-image references build one image's
+pair grid and region-level targets at a time, and assemble one schedule
+entry's batch from them. The array path in hoimix must reproduce their
+output byte for byte, and accept exactly the detections they accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from hoimix.batching import HumanObjectPair
-from hoimix.geometry import Box, box_array, iou
-from hoimix.synth_world import DetectionArrays, feature_layout
+from hoimix.batching import (
+    DEFAULT_IOU_THRESHOLD,
+    DEFAULT_TOP_K,
+    HumanObjectPair,
+    MiniBatch,
+    PairGrid,
+    build_pairs,
+    element_swap,
+    make_ws_targets,
+)
+from hoimix.geometry import Box, box_array, iou, pair_iou_matrix
+from hoimix.supervision import SupervisionTag
+from hoimix.synth_world import (
+    DetectionArrays,
+    GroundTruthTriplet,
+    SynthImage,
+    feature_layout,
+    pair_feature_matrix,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,3 +173,104 @@ def reference_element_swap(
         )
     )
     return candidates[:keep]
+
+
+def top_k_per_class(detections: DetectionArrays, top_k: int) -> np.ndarray:
+    """Indices of at most top_k detections per class by confidence (ties to
+    the lower index), in their original order; one image's detections."""
+    rows = np.arange(len(detections.class_ids))
+    order = np.lexsort((rows, -detections.confidences, detections.class_ids))
+    classes = detections.class_ids[order]
+    # position in the sorted order minus the position of the class's first entry
+    rank_in_class = rows - np.searchsorted(classes, classes)
+    return np.sort(order[rank_in_class < top_k])
+
+
+def pair_grid(image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K) -> PairGrid:
+    """All human x object pairs within one image after top-k filtering, as
+    the grid of that image alone."""
+    kept_humans = top_k_per_class(image.humans, top_k)
+    kept_objects = top_k_per_class(image.objects, top_k)
+    if not len(kept_humans) or not len(kept_objects):
+        raise ValueError(f"image {image.image_id}: empty human or object set after filtering")
+    human_index = np.repeat(kept_humans, len(kept_objects))
+    object_index = np.tile(kept_objects, len(kept_humans))
+    humans, objects = image.humans, image.objects
+    features = pair_feature_matrix(humans, human_index, objects, object_index, feature_dim)
+    return PairGrid(
+        np.array([image.image_id]),
+        np.array([0, len(human_index)]),
+        human_index,
+        object_index,
+        humans.boxes[human_index],
+        objects.boxes[object_index],
+        features,
+    )
+
+
+def fs_targets(
+    human_boxes: np.ndarray,
+    object_boxes: np.ndarray,
+    gt_triplets: Sequence[GroundTruthTriplet],
+    n_classes: int,
+    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+) -> np.ndarray:
+    """Region-level binary target matrix of one image's pairs, whose boxes
+    are the rows of human_boxes and object_boxes, against its ground truth."""
+    for t in gt_triplets:
+        if not (0 <= t.hoi_class < n_classes):
+            raise ValueError(f"hoi_class {t.hoi_class} out of range [0, {n_classes})")
+    overlap = pair_iou_matrix(
+        human_boxes,
+        object_boxes,
+        box_array([t.human_box for t in gt_triplets]),
+        box_array([t.object_box for t in gt_triplets]),
+    )
+    rows, cols = np.nonzero(overlap >= iou_threshold)
+    classes = np.array([t.hoi_class for t in gt_triplets], dtype=np.intp)
+    Y = np.zeros((len(human_boxes), n_classes))
+    Y[rows, classes[cols]] = 1.0
+    return Y
+
+
+def reference_assemble_minibatch(
+    image_a: SynthImage,
+    image_b: SynthImage,
+    *,
+    n_classes: int,
+    feature_dim: int,
+    top_k: int = DEFAULT_TOP_K,
+    element_swap_enabled: bool = False,
+    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+) -> MiniBatch:
+    """The batch of one schedule entry, from the grids and targets of its two
+    images built one image at a time."""
+    if image_a.supervision != image_b.supervision:
+        raise ValueError("mini-batches must be homogeneous in supervision")
+    tag = image_a.supervision
+    image_ids = (image_a.image_id, image_b.image_id)
+    grids = [pair_grid(image, feature_dim, top_k) for image in (image_a, image_b)]
+
+    if tag == SupervisionTag.WS:
+        if element_swap_enabled:
+            pairs = element_swap(build_pairs(image_a, grids[0]), build_pairs(image_b, grids[1]))
+            features = np.stack([p.features for p in pairs])
+        else:
+            features = np.vstack([grid.features for grid in grids])
+        targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
+        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, ws_targets=targets)
+
+    if tag == SupervisionTag.US:
+        if pseudo_triplets is None:
+            raise ValueError("US batches need pseudo triplets")
+        truth = [pseudo_triplets.get(image.image_id, ()) for image in (image_a, image_b)]
+    else:
+        truth = [image_a.gt_triplets, image_b.gt_triplets]
+    features = np.vstack([grid.features for grid in grids])
+    Y = np.vstack(
+        [
+            fs_targets(grid.human_boxes, grid.object_boxes, gt, n_classes)
+            for grid, gt in zip(grids, truth)
+        ]
+    )
+    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, fs_targets=Y)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hoimix.batching import build_pairs, element_swap
+from hoimix.batching import build_pairs, element_swap, pair_grids
 from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
@@ -239,13 +239,17 @@ def _swap_image(image_id, n_humans, n_objects, confidences=None):
     )
 
 
+def _swap_pairs(image):
+    return build_pairs(image, pair_grids([image], 23).image(0))
+
+
 def test_criterion_04_element_swap_counting():
     started = time.monotonic()
     cases = 0
     ok = True
     for h1, o1, h2, o2 in itertools.product(range(1, 5), repeat=4):
-        pairs1 = build_pairs(_swap_image(0, h1, o1), 23)
-        pairs2 = build_pairs(_swap_image(1, h2, o2), 23)
+        pairs1 = _swap_pairs(_swap_image(0, h1, o1))
+        pairs2 = _swap_pairs(_swap_image(1, h2, o2))
         out = element_swap(pairs1, pairs2)
         ok &= len(out) == h1 * o1 + h2 * o2
         same_image = [p for p in out if not p.swapped]
@@ -258,8 +262,8 @@ def test_criterion_04_element_swap_counting():
         c1 = list(rng.uniform(0.1, 0.99, size=h1 + o1))
         c2 = list(rng.uniform(0.1, 0.99, size=h2 + o2))
         out_spread = element_swap(
-            build_pairs(_swap_image(0, h1, o1, c1), 23),
-            build_pairs(_swap_image(1, h2, o2, c2), 23),
+            _swap_pairs(_swap_image(0, h1, o1, c1)),
+            _swap_pairs(_swap_image(1, h2, o2, c2)),
         )
         ok &= len(out_spread) == h1 * o1 + h2 * o2
         ok &= all(p.swapped == (p.source[0] != p.source[1]) for p in out_spread)
@@ -637,17 +641,19 @@ def test_criterion_12_pseudo_label_contracts():
     tagged, test_images, rare_ids = prepare_world(cfg)
 
     probe = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, 0)
-    ws_images = [im for im in tagged if im.supervision == SupervisionTag.WS]
+    ws_images = [im for im in tagged if im.supervision == SupervisionTag.WS][:20]
+    ws_grids = pair_grids(ws_images, cfg.world.feature_dim)
     count_ok = all(
-        len(ws_to_pseudo_fs(probe, im, feature_dim=cfg.world.feature_dim)) == len(im.image_labels)
-        for im in ws_images[:20]
+        len(ws_to_pseudo_fs(probe, im, ws_grids.image(k))) == len(im.image_labels)
+        for k, im in enumerate(ws_images)
     )
 
-    us_images = [im for im in tagged if im.supervision == SupervisionTag.US]
+    us_images = [im for im in tagged if im.supervision == SupervisionTag.US][:10]
+    us_grids = pair_grids(us_images, cfg.world.feature_dim)
     monotone_ok = True
-    for im in us_images[:10]:
+    for k in range(len(us_images)):
         sizes = [
-            len(us_to_pseudo_fs(probe, im, t, feature_dim=cfg.world.feature_dim))
+            len(us_to_pseudo_fs(probe, us_grids.image(k), t))
             for t in (0.05, 0.2, 0.5, 0.8)
         ]
         monotone_ok &= sizes == sorted(sizes, reverse=True)

@@ -116,20 +116,21 @@ def test_fit_builds_the_test_pairs_once_for_every_eval(monkeypatch):
     import hoimix.evaluation as evaluation
 
     built = []
-    real_pair_grid = evaluation.pair_grid
+    real_pair_grids = evaluation.pair_grids
 
-    def counting_pair_grid(image, *args, **kwargs):
-        built.append(image.image_id)
-        return real_pair_grid(image, *args, **kwargs)
+    def counting_pair_grids(images, *args, **kwargs):
+        built.append([im.image_id for im in images])
+        return real_pair_grids(images, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "pair_grid", counting_pair_grid)
+    monkeypatch.setattr(evaluation, "pair_grids", counting_pair_grids)
     cfg = tiny_cfg(iterations=450, eval_every=100)
     tagged, test_images, rare_ids = prepare_world(cfg)
     run = fit(tagged, cfg, test_images, rare_ids, periodic_eval=True)
     # 4 periodic evals and a final one at iteration 450
     assert [it for it, _ in run.log.evals] == [100, 200, 300, 400]
     assert run.report is not run.log.evals[-1][1]
-    assert built == [im.image_id for im in test_images]
+    # one set-level pass over the test images, in order, for every eval
+    assert built == [[im.image_id for im in test_images]]
     test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     fresh = evaluate(run.params, test_set, rare_ids)
     assert run.report.ap_per_class.tobytes() == fresh.ap_per_class.tobytes()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hoimix.batching import pair_grid
+from hoimix.batching import pair_grids
 from hoimix.experiment import ExperimentConfig, prepare_world
 from hoimix.geometry import Box
 from hoimix.model import ModelParams
@@ -38,7 +38,7 @@ def small_cfg(**overrides):
 
 
 def grid_of(image):
-    return pair_grid(image, SMALL.feature_dim)
+    return pair_grids([image], SMALL.feature_dim).image(0)
 
 
 def human_box(grid, i):
@@ -77,7 +77,7 @@ def test_ws_to_pseudo_fs_emits_one_triplet_per_label():
     images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     for image in images[:10]:
-        out = ws_to_pseudo_fs(params, image, feature_dim=SMALL.feature_dim)
+        out = ws_to_pseudo_fs(params, image, grid_of(image))
         assert len(out) == len(image.image_labels)
         assert {t.hoi_class for t in out} == set(image.image_labels)
 
@@ -88,7 +88,7 @@ def test_pseudo_boxes_come_from_image_detections():
     for image in images[:10]:
         human_boxes = {Box.from_list(b) for b in image.humans.boxes}
         object_boxes = {Box.from_list(b) for b in image.objects.boxes}
-        for t in ws_to_pseudo_fs(params, image, feature_dim=SMALL.feature_dim):
+        for t in ws_to_pseudo_fs(params, image, grid_of(image)):
             assert t.human_box in human_boxes
             assert t.object_box in object_boxes
 
@@ -127,7 +127,7 @@ def test_us_output_monotone_in_threshold():
     for image in us_images[:8]:
         thresholds = sorted(rng.uniform(0.01, 0.99, size=4))
         sizes = [
-            len(us_to_pseudo_fs(params, image, t, feature_dim=SMALL.feature_dim))
+            len(us_to_pseudo_fs(params, grid_of(image), t))
             for t in thresholds
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -137,7 +137,7 @@ def test_pseudo_dump_format(tmp_path):
     images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im, feature_dim=SMALL.feature_dim)
+        im.image_id: ws_to_pseudo_fs(params, im, grid_of(im))
         for im in images[:3]
     }
     path = tmp_path / "pseudo.jsonl"
@@ -153,7 +153,7 @@ def test_failed_dump_keeps_the_previous_file(tmp_path):
     images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im, feature_dim=SMALL.feature_dim)
+        im.image_id: ws_to_pseudo_fs(params, im, grid_of(im))
         for im in images[:4]
     }
     path = tmp_path / "pseudo.jsonl"
@@ -242,3 +242,38 @@ def test_single_cycle_equals_one_retraining_with_initial_labels():
     # cycle 1 is identical regardless of how many further cycles follow
     assert reports_a[0].map_full == reports_b[0].map_full
     assert reports_a[0].n_pseudo == reports_b[0].n_pseudo
+
+
+@pytest.mark.parametrize("mode", ["unlabeled", "multistage"])
+def test_iterate_cycles_builds_the_pseudo_source_grids_once(monkeypatch, mode):
+    import hoimix.pseudo_label as pseudo_label
+
+    built, relabelled = [], []
+    real_pair_grids = pseudo_label.pair_grids
+
+    def counting_pair_grids(images, *args, **kwargs):
+        built.append([im.image_id for im in images])
+        return real_pair_grids(images, *args, **kwargs)
+
+    def recording(real):
+        def wrapper(params, *args):
+            relabelled.append(args[-1 if real is ws_to_pseudo_fs else 0].image_ids.tolist())
+            return real(params, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(pseudo_label, "pair_grids", counting_pair_grids)
+    monkeypatch.setattr(pseudo_label, "us_to_pseudo_fs", recording(us_to_pseudo_fs))
+    monkeypatch.setattr(pseudo_label, "ws_to_pseudo_fs", recording(ws_to_pseudo_fs))
+    cfg, source = small_cfg(), SupervisionTag.US
+    if mode == "multistage":
+        cfg = small_cfg(ws_fraction=0.5, fs_fraction=0.5, us_fraction=0.0)
+        source = SupervisionTag.WS
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    _, reports, _ = iterate_cycles(
+        tagged, cfg, 2, mode=mode, test_images=test_images, rare_ids=rare_ids
+    )
+    sources = [im.image_id for im in tagged if im.supervision == source]
+    # one set-level pass before the base fit; every relabelling reuses it
+    assert built == [sources]
+    assert relabelled == [[i] for i in sources] * (1 + len(reports))

@@ -39,7 +39,7 @@ from .experiment import (
     run_ratio_sweep,
     train,
 )
-from .geometry import Box, iou, pair_iou, pair_iou_matrix
+from .geometry import iou, pair_iou, pair_iou_matrix
 from .loss import LossReport, fs_loss, ws_loss
 from .model import ModelParams, ScoreMatrix, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
@@ -47,8 +47,8 @@ from .pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from .supervision import SupervisionTag
 from .synth_world import (
     DetectionArrays,
-    GroundTruthTriplet,
     SynthImage,
+    TripletArrays,
     WorldConfig,
     generate_eval_images,
     generate_world,
@@ -59,14 +59,12 @@ from .synth_world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "BoxPairs",
     "DetectionArrays",
     "EvalReport",
     "EvalSet",
     "ExperimentConfig",
     "FitSpec",
-    "GroundTruthTriplet",
     "HumanObjectPair",
     "LossReport",
     "MiniBatch",
@@ -81,6 +79,7 @@ __all__ = [
     "ScoreMatrix",
     "SupervisionTag",
     "SynthImage",
+    "TripletArrays",
     "WorldConfig",
     "backward",
     "batch_schedule",

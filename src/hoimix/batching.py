@@ -21,15 +21,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import box_array, iou_rows
+from .geometry import iou_rows
 # bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
 from .synth_world import (
+    NO_TRIPLETS,
     DetectionArrays,
-    GroundTruthTriplet,
     SynthImage,
+    TripletArrays,
     pair_feature_matrix,
+    stack_triplets,
 )
 
 DEFAULT_TOP_K = 30
@@ -304,7 +306,7 @@ def element_swap(
 
 def make_fs_targets(
     grid: PairGrid,
-    truths: Sequence[Sequence[GroundTruthTriplet]],
+    truths: Sequence[TripletArrays],
     n_classes: int,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> np.ndarray:
@@ -316,21 +318,21 @@ def make_fs_targets(
     above the threshold; a pair is never matched against another image's
     ground truth.
     """
-    flat = [t for image_truth in truths for t in image_truth]
-    classes = np.array([t.hoi_class for t in flat], dtype=np.intp)
+    flat = stack_triplets(truths)
+    classes = flat.hoi_classes
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
         raise ValueError(f"hoi_class {classes[np.argmax(bad)]} out of range [0, {n_classes})")
     # every (pair row, ground-truth row) of one image, pair-major
-    n_truth = np.array([len(image_truth) for image_truth in truths], dtype=np.intp)
+    n_truth = np.array([len(t) for t in truths], dtype=np.intp)
     n_pairs = np.diff(grid.offsets)
     per_row = np.repeat(n_truth, n_pairs)
     row = np.repeat(np.arange(len(per_row)), per_row)
     first_col = np.repeat(np.cumsum(n_truth) - n_truth, n_pairs)
     col = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row - first_col, per_row)
     overlap = np.minimum(
-        iou_rows(grid.human_boxes[row], box_array([t.human_box for t in flat])[col]),
-        iou_rows(grid.object_boxes[row], box_array([t.object_box for t in flat])[col]),
+        iou_rows(grid.human_boxes[row], flat.human_boxes[col]),
+        iou_rows(grid.object_boxes[row], flat.object_boxes[col]),
     )
     hit = overlap >= iou_threshold
     Y = np.zeros((len(grid.features), n_classes))
@@ -427,7 +429,7 @@ def prepare_block(
     n_classes: int,
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> BatchBlock:
     """Build the pair grid and the region-level targets of every image of
     the entries at once. FS images are matched against their ground truth,
@@ -438,9 +440,9 @@ def prepare_block(
         if image.supervision == SupervisionTag.US:
             if pseudo_triplets is None:
                 raise ValueError("US batches need pseudo triplets")
-            truths.append(pseudo_triplets.get(image.image_id, ()))
+            truths.append(pseudo_triplets.get(image.image_id, NO_TRIPLETS))
         else:
-            truths.append(image.gt_triplets if image.supervision == SupervisionTag.FS else ())
+            truths.append(image.gt_triplets if image.supervision == SupervisionTag.FS else NO_TRIPLETS)
     grid = pair_grids(images, feature_dim, top_k)
     return BatchBlock(images, grid, make_fs_targets(grid, truths, n_classes))
 

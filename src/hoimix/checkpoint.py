@@ -6,9 +6,9 @@ metadata, then the raw tensor bytes. The file contents are a pure function
 of the stored values, so identical runs produce identical files and reload
 is bit-exact.
 
-Every output (checkpoints, CSVs, logs, JSON reports, pseudo-label dumps and
-`dataset.jsonl`) is written through `atomic_open`, so a crash mid-write
-leaves the previous file whole.
+Every output (checkpoints, CSVs, logs, JSON reports and pseudo-label dumps)
+is written through `atomic_open`, so a crash mid-write leaves the previous
+file whole.
 """
 
 from __future__ import annotations

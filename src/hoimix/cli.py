@@ -1,6 +1,6 @@
 """Command-line entry points for the experiment pipeline.
 
-Subcommands: gen-world, train, eval, sweep, class-split, pseudo-cycle.
+Subcommands: train, eval, sweep, class-split, pseudo-cycle.
 Configs are JSON files mirroring the world / optimizer / experiment fields;
 --seed overrides the training seed (for sweep, the first of its seeds),
 --out-dir picks the output directory.
@@ -25,10 +25,8 @@ from .experiment import (
     run_class_split,
     run_experiment,
     run_ratio_sweep,
-    save_config,
 )
 from .pseudo_label import CycleReport, iterate_cycles
-from .synth_world import generate_world, save_dataset
 
 
 def parse_ratio(text: str) -> tuple[float, float, float]:
@@ -66,17 +64,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the training seed")
     parser.add_argument("--out-dir", type=str, default="out", help="output directory")
-
-
-def cmd_gen_world(args) -> int:
-    cfg = _load_cfg(args)
-    images = generate_world(cfg.world)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "dataset.jsonl")
-    save_dataset(images, path, cfg.world.human_class_id)
-    save_config(cfg, os.path.join(args.out_dir, "config.json"))
-    print(f"wrote {len(images)} images to {path}")
-    return 0
 
 
 def cmd_train(args) -> int:
@@ -182,10 +169,6 @@ def cmd_pseudo_cycle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hoimix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-world", help="generate and serialize a synthetic dataset")
-    _add_common(p)
-    p.set_defaults(handler=cmd_gen_world)
 
     p = sub.add_parser("train", help="train one configuration and evaluate it")
     _add_common(p)

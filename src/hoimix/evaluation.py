@@ -17,12 +17,12 @@ from itertools import groupby
 import numpy as np
 
 from .batching import DEFAULT_TOP_K, pair_grids
-from .geometry import box_array, pair_iou_matrix
+from .geometry import pair_iou_matrix
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
 from .geometry import pair_iou  # noqa: F401
 from .model import infer_pairs  # noqa: F401
-from .synth_world import SynthImage
+from .synth_world import SynthImage, stack_triplets
 
 MATCH_IOU = 0.5
 
@@ -34,7 +34,7 @@ class BoxPairs:
     """n (human, object) box pairs and the image each belongs to."""
 
     image_ids: np.ndarray     # (n,) int
-    human_boxes: np.ndarray   # (n, 4), rows as geometry.box_array builds them
+    human_boxes: np.ndarray   # (n, 4) rows of (x_min, y_min, x_max, y_max)
     object_boxes: np.ndarray  # (n, 4)
 
     def __len__(self) -> int:
@@ -154,13 +154,14 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
     """Match the ground truth of the images against the given box pairs."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
-    triplets = [(image.image_id, t) for image in images for t in image.gt_triplets]
+    truths = [image.gt_triplets for image in images]
+    triplets = stack_triplets(truths)
     gt = BoxPairs(
-        np.array([image_id for image_id, _ in triplets], dtype=np.int64),
-        box_array([t.human_box for _, t in triplets]),
-        box_array([t.object_box for _, t in triplets]),
+        np.repeat([image.image_id for image in images], [len(t) for t in truths]),
+        triplets.human_boxes,
+        triplets.object_boxes,
     )
-    gt_classes = np.array([t.hoi_class for _, t in triplets], dtype=np.intp)
+    gt_classes = triplets.hoi_classes
     # hits against every ground-truth pair at once, then split by class
     rows, gt_index, overlap = _hits(pairs, gt)
     hit_classes = gt_classes[gt_index]

@@ -44,13 +44,15 @@ from .model import ModelParams, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .supervision import SupervisionTag
 from .synth_world import (
-    GroundTruthTriplet,
+    NO_TRIPLETS,
     SynthImage,
+    TripletArrays,
     WorldConfig,
     generate_eval_images,
     generate_world,
     rare_classes,
     split_supervision,
+    stack_triplets,
 )
 
 
@@ -187,7 +189,7 @@ def _build_batches(
     images: list[SynthImage],
     schedule: Schedule,
     cfg: ExperimentConfig,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]],
+    pseudo_triplets: Optional[dict[int, TripletArrays]],
 ) -> list[MiniBatch]:
     """One batch per schedule entry, in schedule order; pairs and targets
     are built a block of BLOCK_ENTRIES entries at a time."""
@@ -215,7 +217,7 @@ def train(
     *,
     test_set: Optional[EvalSet] = None,
     rare_ids: Optional[set[int]] = None,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
     init_params: Optional[ModelParams] = None,
     init_state: Optional[MomentumState] = None,
     start_iteration: int = 0,
@@ -340,7 +342,7 @@ def fit(
     *,
     run_id: str = "run",
     periodic_eval: bool = False,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> RunResult:
     """Train on the given tagged images, then evaluate the final model once.
 
@@ -385,7 +387,7 @@ class FitSpec:
     rare_ids: set[int]
     run_id: str = "run"
     periodic_eval: bool = False
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None
 
 
 def _fit_spec(spec: FitSpec) -> RunResult:
@@ -545,13 +547,13 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     fs_set, ws_set = set(classes_fs), set(classes_ws)
 
     def restrict(image: SynthImage, allowed: set[int], tag: SupervisionTag) -> Optional[SynthImage]:
-        triplets = tuple(t for t in image.gt_triplets if t.hoi_class in allowed)
+        triplets = image.gt_triplets.take(np.isin(image.gt_triplets.hoi_classes, sorted(allowed)))
         if not triplets:
             return None
-        labels = frozenset(t.hoi_class for t in triplets)
+        labels = frozenset(triplets.hoi_classes.tolist())
         if tag == SupervisionTag.WS:
             return dataclasses.replace(
-                image, supervision=tag, gt_triplets=(), image_labels=labels
+                image, supervision=tag, gt_triplets=NO_TRIPLETS, image_labels=labels
             )
         return dataclasses.replace(
             image, supervision=tag, gt_triplets=triplets, image_labels=labels
@@ -561,7 +563,7 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     for image in train_images:
         if not image.gt_triplets:
             continue
-        if image.gt_triplets[0].hoi_class in fs_set:
+        if int(image.gt_triplets.hoi_classes[0]) in fs_set:
             restricted = restrict(image, fs_set, SupervisionTag.FS)
             if restricted is not None:
                 images_fs.append(restricted)
@@ -604,8 +606,8 @@ def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
     ones) are shuffled among those images.
     """
     rng = np.random.default_rng(seed)
-    labels = [t.hoi_class for image in images for t in image.gt_triplets]
-    shuffled = list(rng.permutation(labels)) if labels else []
+    labels = stack_triplets([image.gt_triplets for image in images]).hoi_classes
+    shuffled = rng.permutation(labels) if len(labels) else labels
     weak = [k for k, image in enumerate(images) if not image.gt_triplets and image.image_labels]
     weak_labels = {k: images[weak[j]].image_labels for k, j in zip(weak, rng.permutation(len(weak)))}
     cursor = 0
@@ -616,15 +618,13 @@ def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
                 image = dataclasses.replace(image, image_labels=weak_labels[k])
             out.append(image)
             continue
-        new_triplets = []
-        for t in image.gt_triplets:
-            new_triplets.append(dataclasses.replace(t, hoi_class=int(shuffled[cursor])))
-            cursor += 1
+        classes = shuffled[cursor : cursor + len(image.gt_triplets)]
+        cursor += len(classes)
         out.append(
             dataclasses.replace(
                 image,
-                gt_triplets=tuple(new_triplets),
-                image_labels=frozenset(t.hoi_class for t in new_triplets),
+                gt_triplets=dataclasses.replace(image.gt_triplets, hoi_classes=classes),
+                image_labels=frozenset(classes.tolist()),
             )
         )
     return out

@@ -28,57 +28,55 @@ from .evaluation import EvalReport
 # bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
 from .evaluation import evaluate  # noqa: F401
 from .experiment import ExperimentConfig, fit
-from .geometry import Box
 from .model import ModelParams, forward
 from .supervision import SupervisionTag
-from .synth_world import GroundTruthTriplet, SynthImage
+from .synth_world import NO_TRIPLETS, SynthImage, TripletArrays
 
 
 def select_label_argmax_triplets(
     P: np.ndarray, labels: frozenset[int] | set[int], grid: PairGrid
-) -> list[GroundTruthTriplet]:
-    """For each label, the grid pair maximizing its column of P becomes
-    pseudo ground truth. Ties break to the lowest pair index."""
-    humans, objects = grid.human_boxes.tolist(), grid.object_boxes.tolist()
-    out = []
-    for j in sorted(labels):
-        i = int(np.argmax(P[:, j]))
-        out.append(GroundTruthTriplet(Box(*humans[i]), Box(*objects[i]), j))
-    return out
+) -> TripletArrays:
+    """For each label, in ascending order, the grid pair maximizing its
+    column of P becomes pseudo ground truth. Ties break to the lowest pair
+    index."""
+    classes = np.array(sorted(labels), dtype=np.intp)
+    rows = np.argmax(P[:, classes], axis=0)
+    return TripletArrays(grid.human_boxes[rows], grid.object_boxes[rows], classes)
 
 
-def ws_to_pseudo_fs(
-    params: ModelParams, image: SynthImage, grid: PairGrid
-) -> list[GroundTruthTriplet]:
+def ws_to_pseudo_fs(params: ModelParams, image: SynthImage, grid: PairGrid) -> TripletArrays:
     """Pseudo triplets for a weakly-labeled image, whose own pairs are the
     grid: one per image-level label."""
     if not image.image_labels:
-        return []
+        return NO_TRIPLETS
     P = forward(params, grid.features).P
     return select_label_argmax_triplets(P, image.image_labels, grid)
 
 
-def threshold_triplets(
-    P: np.ndarray, threshold: float, grid: PairGrid
-) -> list[GroundTruthTriplet]:
-    """Every (grid pair, class) with probability strictly above the threshold."""
+def threshold_triplets(P: np.ndarray, threshold: float, grid: PairGrid) -> TripletArrays:
+    """Every (grid pair, class) with probability strictly above the
+    threshold, pair-major."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    humans, objects = grid.human_boxes.tolist(), grid.object_boxes.tolist()
-    out = []
-    rows, cols = np.nonzero(P > threshold)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out.append(GroundTruthTriplet(Box(*humans[i]), Box(*objects[i]), int(j)))
-    return out
+    rows, classes = np.nonzero(P > threshold)
+    return TripletArrays(grid.human_boxes[rows], grid.object_boxes[rows], classes)
 
 
-def us_to_pseudo_fs(
-    params: ModelParams, grid: PairGrid, threshold: float = 0.5
-) -> list[GroundTruthTriplet]:
+def us_to_pseudo_fs(params: ModelParams, grid: PairGrid, threshold: float = 0.5) -> TripletArrays:
     """Pseudo triplets for an unlabeled image whose own pairs are the grid;
     may be empty."""
     P = forward(params, grid.features).P
     return threshold_triplets(P, threshold, grid)
+
+
+def same_pseudo_labels(a: dict[int, TripletArrays], b: dict[int, TripletArrays]) -> bool:
+    """True iff both sets label the same images with byte-equal triplets."""
+
+    def exact(t: TripletArrays) -> list:
+        columns = (t.human_boxes, t.object_boxes, t.hoi_classes)
+        return [(x.dtype.str, x.shape, x.tobytes()) for x in columns]
+
+    return a.keys() == b.keys() and all(exact(a[k]) == exact(b[k]) for k in a)
 
 
 @dataclass(frozen=True)
@@ -91,20 +89,18 @@ class CycleReport:
     converged: bool
 
 
-def dump_pseudo_triplets(path, pseudo: dict[int, list[GroundTruthTriplet]]) -> None:
-    """Audit dump in the dataset's triplet record format, flagged pseudo."""
+def dump_pseudo_triplets(path, pseudo: dict[int, TripletArrays]) -> None:
+    """Audit dump, one JSON line per image in image id order: its id, a
+    pseudo flag, and its triplets as h_box / o_box / hoi_class records."""
     with atomic_open(path) as fh:
         for image_id in sorted(pseudo):
+            t = pseudo[image_id]
+            columns = (t.human_boxes.tolist(), t.object_boxes.tolist(), t.hoi_classes.tolist())
             record = {
                 "image_id": image_id,
                 "pseudo": True,
                 "gt_triplets": [
-                    {
-                        "h_box": t.human_box.as_list(),
-                        "o_box": t.object_box.as_list(),
-                        "hoi_class": t.hoi_class,
-                    }
-                    for t in pseudo[image_id]
+                    {"h_box": h, "o_box": o, "hoi_class": c} for h, o, c in zip(*columns)
                 ],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -142,7 +138,7 @@ def iterate_cycles(
             dataclasses.replace(
                 img,
                 supervision=SupervisionTag.US,
-                gt_triplets=(),
+                gt_triplets=NO_TRIPLETS,
                 image_labels=frozenset(),
             )
             for img in pseudo_sources
@@ -160,8 +156,8 @@ def iterate_cycles(
         sources = pair_grids(pseudo_sources, cfg.world.feature_dim, cfg.top_k)
         grids = [sources.image(k) for k in range(len(pseudo_sources))]
 
-    def relabel(params: ModelParams) -> dict[int, list[GroundTruthTriplet]]:
-        pseudo: dict[int, list[GroundTruthTriplet]] = {}
+    def relabel(params: ModelParams) -> dict[int, TripletArrays]:
+        pseudo: dict[int, TripletArrays] = {}
         for img, grid in zip(pseudo_sources, grids):
             if mode == "multistage":
                 triplets = ws_to_pseudo_fs(params, img, grid)
@@ -185,7 +181,7 @@ def iterate_cycles(
         run = fit(cycle_pool, cfg, test_images, rare_ids, pseudo_triplets=pseudo)
         params, report = run.params, run.report
         new_pseudo = relabel(params)
-        converged = new_pseudo == pseudo
+        converged = same_pseudo_labels(new_pseudo, pseudo)
         reports.append(
             CycleReport(
                 cycle=cycle,

@@ -31,13 +31,12 @@ integers() call by arithmetic on a double: integers rejects and redraws.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_open
-from .geometry import Box, iou_rows
+from .geometry import iou_rows
 from .supervision import SupervisionTag
 
 # relative layout encoding: offsets, log size ratios, overlap, detector scores
@@ -104,19 +103,12 @@ class WorldConfig:
         return self.n_object_classes
 
 
-@dataclass(frozen=True)
-class GroundTruthTriplet:
-    human_box: Box
-    object_box: Box
-    hoi_class: int
-
-
 @dataclass(frozen=True, eq=False)
 class SynthImage:
     image_id: int
     humans: DetectionArrays
     objects: DetectionArrays
-    gt_triplets: tuple[GroundTruthTriplet, ...]
+    gt_triplets: TripletArrays
     image_labels: frozenset[int]
     supervision: SupervisionTag = SupervisionTag.FS
 
@@ -183,12 +175,9 @@ class DetectionArrays:
                 f"{self.class_ids.shape}, confidences {self.confidences.shape}, "
                 f"appearance {self.appearance.shape}"
             )
-        b, c = self.boxes, self.confidences
-        # written so that NaN fails both checks
-        degenerate = ~((b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3]))
-        if degenerate.any():
-            i = int(np.argmax(degenerate))
-            raise ValueError(f"degenerate box in row {i}: {b[i].tolist()} has no positive area")
+        _reject_degenerate(self.boxes, "box")
+        c = self.confidences
+        # written so that NaN fails the check
         out_of_range = ~((0.0 < c) & (c <= 1.0))
         if out_of_range.any():
             i = int(np.argmax(out_of_range))
@@ -217,6 +206,61 @@ def _unpickle_detections(block: np.ndarray, class_ids: np.ndarray) -> DetectionA
         class_ids,
         block[:, 4].copy(),
         np.ascontiguousarray(block[:, 5:]),
+    )
+
+
+def _reject_degenerate(boxes: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first of the box rows without positive
+    area; written so that NaN fails both checks."""
+    degenerate = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise ValueError(f"degenerate {what} in row {i}: {boxes[i].tolist()} has no positive area")
+
+
+@dataclass(frozen=True, eq=False)
+class TripletArrays:
+    """(human box, object box, interaction class) triplets as arrays, one
+    row per triplet: an image's ground truth, or its pseudo labels.
+
+    Rejects rows of mismatched length and boxes without positive area.
+    """
+
+    human_boxes: np.ndarray   # (k, 4) rows of (x_min, y_min, x_max, y_max)
+    object_boxes: np.ndarray  # (k, 4)
+    hoi_classes: np.ndarray   # (k,) int
+
+    def __post_init__(self) -> None:
+        k = len(self.hoi_classes)
+        if (
+            self.human_boxes.shape != (k, 4)
+            or self.object_boxes.shape != (k, 4)
+            or self.hoi_classes.shape != (k,)
+        ):
+            raise ValueError(
+                f"triplet rows disagree: human_boxes {self.human_boxes.shape}, object_boxes "
+                f"{self.object_boxes.shape}, hoi_classes {self.hoi_classes.shape}"
+            )
+        _reject_degenerate(self.human_boxes, "human box")
+        _reject_degenerate(self.object_boxes, "object box")
+
+    def __len__(self) -> int:
+        return len(self.hoi_classes)
+
+    def take(self, rows: np.ndarray) -> "TripletArrays":
+        return TripletArrays(self.human_boxes[rows], self.object_boxes[rows], self.hoi_classes[rows])
+
+
+NO_TRIPLETS = TripletArrays(np.empty((0, 4)), np.empty((0, 4)), np.empty(0, dtype=np.intp))
+
+
+def stack_triplets(parts: Sequence[TripletArrays]) -> TripletArrays:
+    """The rows of every part, in order, as one set."""
+    return TripletArrays(
+        *(
+            np.concatenate([getattr(t, name) for t in (NO_TRIPLETS, *parts)])
+            for name in ("human_boxes", "object_boxes", "hoi_classes")
+        )
     )
 
 
@@ -430,13 +474,14 @@ def _generate_images(
             ucx, ucy, uw, uh = u[k : k + 4]
             cx, cy = 0.4 + (0.6 - 0.4) * ucx, 0.4 + (0.6 - 0.4) * ucy
             hw, hh = 0.05 + (0.12 - 0.05) * uw, 0.05 + (0.12 - 0.05) * uh
-            human_boxes.append(Box(cx - hw, cy - hh, cx + hw, cy + hh))
+            human_boxes.append((cx - hw, cy - hh, cx + hw, cy + hh))
 
-        triplets = []
-        for hoi_class in assignments[i]:
+        classes = assignments[i]
+        triplet_humans, object_boxes = [], []
+        for hoi_class in classes:
             verb = taxonomy.verb_of(hoi_class)
-            human_box = human_boxes[int(rng.integers(n_humans))]
-            hcx, hcy = human_box.center()
+            hx0, hy0, hx1, hy1 = human_box = human_boxes[int(rng.integers(n_humans))]
+            hcx, hcy = 0.5 * (hx0 + hx1), 0.5 * (hy0 + hy1)
             ut, ur, uw, uh = rng.random(4).tolist()
             # sample the angle well inside the verb's sector so detection
             # jitter cannot move a pair across the sector boundary
@@ -445,26 +490,26 @@ def _generate_images(
             ocx = hcx + radius * float(np.cos(theta))
             ocy = hcy + radius * float(np.sin(theta))
             ow, oh = 0.03 + (0.09 - 0.03) * uw, 0.03 + (0.09 - 0.03) * uh
-            object_box = Box(*_sanitize_box(ocx - ow, ocy - oh, ocx + ow, ocy + oh))
-            triplets.append(GroundTruthTriplet(human_box, object_box, hoi_class))
+            triplet_humans.append(human_box)
+            object_boxes.append(_sanitize_box(ocx - ow, ocy - oh, ocx + ow, ocy + oh))
 
         humans, objects = [], []
         ground_truth = [(humans, box, human_id) for box in human_boxes] + [
-            (objects, t.object_box, taxonomy.object_of(t.hoi_class)) for t in triplets
+            (objects, box, taxonomy.object_of(c)) for box, c in zip(object_boxes, classes)
         ]
-        for rows, box, class_id in ground_truth:
+        for rows, (x0, y0, x1, y1), class_id in ground_truth:
             # one block: the 4 box jitters, then the appearance noise
             z = rng.standard_normal(4 + app_dim)
             j0, j1, j2, j3 = z[:4].tolist()
             jittered = _sanitize_box(
-                box.x_min + (0.0 + jitter * j0),
-                box.y_min + (0.0 + jitter * j1),
-                box.x_max + (0.0 + jitter * j2),
-                box.y_max + (0.0 + jitter * j3),
+                x0 + (0.0 + jitter * j0),
+                y0 + (0.0 + jitter * j1),
+                x1 + (0.0 + jitter * j2),
+                y1 + (0.0 + jitter * j3),
             )
             rows.append((jittered, class_id, gt_lo + (gt_hi - gt_lo) * rng.random(), z[4:]))
 
-        for _ in range(round(_DISTRACTORS_PER_GT * (n_humans + len(triplets)))):
+        for _ in range(round(_DISTRACTORS_PER_GT * (n_humans + len(classes)))):
             ucx, ucy, uw, uh, coin = rng.random(5).tolist()
             cx, cy = 0.15 + (0.85 - 0.15) * ucx, 0.15 + (0.85 - 0.15) * ucy
             hw, hh = 0.03 + (0.12 - 0.03) * uw, 0.03 + (0.12 - 0.03) * uh
@@ -482,8 +527,10 @@ def _generate_images(
                 image_id=first_image_id + i,
                 humans=_detection_arrays(humans, embeddings, sigma),
                 objects=_detection_arrays(objects, embeddings, sigma),
-                gt_triplets=tuple(triplets),
-                image_labels=frozenset(t.hoi_class for t in triplets),
+                gt_triplets=TripletArrays(
+                    np.array(triplet_humans), np.array(object_boxes), np.array(classes)
+                ),
+                image_labels=frozenset(classes),
                 supervision=SupervisionTag.FS,
             )
         )
@@ -568,7 +615,7 @@ def split_supervision(
         elif tag == SupervisionTag.WS:
             tagged.append(
                 dataclasses.replace(
-                    image, supervision=SupervisionTag.WS, gt_triplets=()
+                    image, supervision=SupervisionTag.WS, gt_triplets=NO_TRIPLETS
                 )
             )
         else:
@@ -576,78 +623,8 @@ def split_supervision(
                 dataclasses.replace(
                     image,
                     supervision=SupervisionTag.US,
-                    gt_triplets=(),
+                    gt_triplets=NO_TRIPLETS,
                     image_labels=frozenset(),
                 )
             )
     return tagged
-
-
-def _detection_records(d: DetectionArrays) -> list[dict]:
-    columns = (d.boxes.tolist(), d.class_ids.tolist(), d.confidences.tolist(), d.appearance.tolist())
-    return [dict(zip(("box", "class_id", "confidence", "appearance"), row)) for row in zip(*columns)]
-
-
-def image_to_record(image: SynthImage, human_class_id: int) -> dict:
-    return {
-        "image_id": image.image_id,
-        "supervision": image.supervision.value,
-        "human_class_id": human_class_id,
-        "detections": _detection_records(image.humans) + _detection_records(image.objects),
-        "gt_triplets": [
-            {"h_box": t.human_box.as_list(), "o_box": t.object_box.as_list(), "hoi_class": t.hoi_class}
-            for t in image.gt_triplets
-        ],
-        "image_labels": sorted(image.image_labels),
-    }
-
-
-def image_from_record(rec: dict) -> SynthImage:
-    records = rec["detections"]
-    detections = DetectionArrays(
-        np.array([d["box"] for d in records], dtype=np.float64),
-        np.array([d["class_id"] for d in records], dtype=np.intp),
-        np.array([d["confidence"] for d in records], dtype=np.float64),
-        np.array([d["appearance"] for d in records], dtype=np.float64),
-    )
-    is_human = detections.class_ids == int(rec["human_class_id"])
-    triplets = tuple(
-        GroundTruthTriplet(
-            Box.from_list(t["h_box"]), Box.from_list(t["o_box"]), int(t["hoi_class"])
-        )
-        for t in rec["gt_triplets"]
-    )
-    return SynthImage(
-        image_id=int(rec["image_id"]),
-        humans=detections.take(is_human),
-        objects=detections.take(~is_human),
-        gt_triplets=triplets,
-        image_labels=frozenset(int(c) for c in rec["image_labels"]),
-        supervision=SupervisionTag(rec["supervision"]),
-    )
-
-
-def save_dataset(images: list[SynthImage], path, human_class_id: int) -> None:
-    """Write one JSON record per line; field names are the format contract."""
-    with atomic_open(path) as fh:
-        for image in images:
-            fh.write(json.dumps(image_to_record(image, human_class_id), sort_keys=True))
-            fh.write("\n")
-
-
-def load_dataset(path) -> list[SynthImage]:
-    """Read the records save_dataset writes; a bad record raises ValueError
-    naming path:line."""
-    images = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                images.append(image_from_record(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return images

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hoimix.evaluation import MATCH_IOU, BoxPairs, Predictions, match_and_ap
-from hoimix.geometry import Box, box_array, pair_iou
+from hoimix.geometry import pair_iou
+
+from box_reference import Box, box_array
 
 
 @dataclass(frozen=True)

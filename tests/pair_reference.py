@@ -31,15 +31,17 @@ from hoimix.batching import (
     element_swap,
     make_ws_targets,
 )
-from hoimix.geometry import Box, box_array, iou, pair_iou_matrix
+from hoimix.geometry import iou, pair_iou_matrix
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     DetectionArrays,
-    GroundTruthTriplet,
     SynthImage,
+    TripletArrays,
     feature_layout,
     pair_feature_matrix,
 )
+
+from box_reference import Box, GroundTruthTriplet, box_array, triplet_objects
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +243,7 @@ def reference_assemble_minibatch(
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
     element_swap_enabled: bool = False,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> MiniBatch:
     """The batch of one schedule entry, from the grids and targets of its two
     images built one image at a time."""
@@ -263,9 +265,12 @@ def reference_assemble_minibatch(
     if tag == SupervisionTag.US:
         if pseudo_triplets is None:
             raise ValueError("US batches need pseudo triplets")
-        truth = [pseudo_triplets.get(image.image_id, ()) for image in (image_a, image_b)]
+        truth = [
+            triplet_objects(pseudo_triplets[image.image_id]) if image.image_id in pseudo_triplets else ()
+            for image in (image_a, image_b)
+        ]
     else:
-        truth = [image_a.gt_triplets, image_b.gt_triplets]
+        truth = [triplet_objects(image_a.gt_triplets), triplet_objects(image_b.gt_triplets)]
     features = np.vstack([grid.features for grid in grids])
     Y = np.vstack(
         [

@@ -11,7 +11,7 @@ count and logged losses byte for byte.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
-from hoimix.synth_world import GroundTruthTriplet, SynthImage
+from hoimix.synth_world import SynthImage, TripletArrays
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ def reference_train(
     images: list[SynthImage],
     cfg: ExperimentConfig,
     schedule: Schedule,
-    pseudo_triplets: Optional[dict[int, Sequence[GroundTruthTriplet]]] = None,
+    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> tuple[ModelParams, MomentumState, list[tuple[int, str, float]]]:
     """Train from a fresh init over the schedule `train` chose for the same
     images and config; returns the params, the momentum state and the

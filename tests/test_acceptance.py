@@ -23,13 +23,13 @@ from hoimix.experiment import (
     run_experiment,
     run_many,
 )
-from hoimix.geometry import Box
 from hoimix.loss import PROB_CLAMP, fs_loss, ws_loss
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumPolicy, MomentumState, OptimizerConfig, step
 from hoimix.pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
+    NO_TRIPLETS,
     SynthImage,
     WorldConfig,
     feature_layout,
@@ -37,6 +37,7 @@ from hoimix.synth_world import (
     split_supervision,
 )
 
+from box_reference import Box
 from eval_reference import HOIPrediction, array_ap
 from pair_reference import Detection, detection_arrays
 from step_reference import aggregate_image_level
@@ -233,7 +234,7 @@ def _swap_image(image_id, n_humans, n_objects, confidences=None):
         image_id=image_id,
         humans=detection_arrays(humans),
         objects=detection_arrays(objects),
-        gt_triplets=(),
+        gt_triplets=NO_TRIPLETS,
         image_labels=frozenset(),
         supervision=SupervisionTag.WS,
     )

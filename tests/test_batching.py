@@ -24,16 +24,16 @@ from hoimix.batching import (
     prepare_block,
 )
 from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds, prepare_world
-from hoimix.geometry import Box
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
-    GroundTruthTriplet,
+    NO_TRIPLETS,
     SynthImage,
     WorldConfig,
     feature_layout,
     generate_world,
     split_supervision,
 )
+from box_reference import Box, GroundTruthTriplet, triplet_arrays, triplet_objects
 from pair_reference import (
     Detection,
     confidence_product,
@@ -73,7 +73,7 @@ def image(image_id, n_humans, n_objects, confs_h=None, confs_o=None, triplets=()
         image_id=image_id,
         humans=detection_arrays(humans),
         objects=detection_arrays(objects),
-        gt_triplets=tuple(triplets),
+        gt_triplets=triplet_arrays(triplets),
         image_labels=frozenset(labels if labels is not None else (t.hoi_class for t in triplets)),
         supervision=SupervisionTag.WS,
     )
@@ -126,7 +126,7 @@ def test_top_k_is_per_class():
         image_id=0,
         humans=detection_arrays(humans),
         objects=detection_arrays(objects),
-        gt_triplets=(),
+        gt_triplets=NO_TRIPLETS,
         image_labels=frozenset(),
         supervision=SupervisionTag.WS,
     )
@@ -207,7 +207,7 @@ def drawn_image(image_id, humans, objects):
                 for k, (c, cls) in enumerate(objects)
             ]
         ),
-        gt_triplets=(),
+        gt_triplets=NO_TRIPLETS,
         image_labels=frozenset(),
         supervision=SupervisionTag.WS,
     )
@@ -307,7 +307,8 @@ def boxes_of(grid, i):
 
 
 def fs_targets(image, gt, n_classes, **kwargs):
-    return make_fs_targets(pair_grids([image], FEATURE_DIM), [gt], n_classes, **kwargs)
+    """The targets of the image's pairs against gt, GroundTruthTriplets."""
+    return make_fs_targets(pair_grids([image], FEATURE_DIM), [triplet_arrays(gt)], n_classes, **kwargs)
 
 
 def test_fs_targets_exact_match_sets_single_column():
@@ -332,11 +333,11 @@ def test_fs_targets_min_rule_below_threshold():
         image_id=0,
         humans=detection_arrays([pair_h]),
         objects=detection_arrays([pair_o]),
-        gt_triplets=(GroundTruthTriplet(h_gt, o_gt, 3),),
+        gt_triplets=triplet_arrays([GroundTruthTriplet(h_gt, o_gt, 3)]),
         image_labels=frozenset({3}),
         supervision=SupervisionTag.FS,
     )
-    Y = fs_targets(im, im.gt_triplets, n_classes=5)
+    Y = fs_targets(im, triplet_objects(im.gt_triplets), n_classes=5)
     assert Y.sum() == 0.0
 
 
@@ -362,7 +363,7 @@ def test_fs_targets_monotone_in_threshold():
         thresholds = sorted(rng.uniform(0.1, 0.95, size=4))
         previous = None
         for t in thresholds:
-            Y = fs_targets(im, im.gt_triplets, n_classes=6, iou_threshold=t)
+            Y = fs_targets(im, triplet_objects(im.gt_triplets), n_classes=6, iou_threshold=t)
             if previous is not None:
                 assert np.all(Y <= previous)  # raising threshold never adds a 1
             previous = Y
@@ -465,8 +466,10 @@ def test_assemble_fs_batch_matches_per_image_targets():
     assert batch.supervision == SupervisionTag.FS
     assert batch.fs_targets is not None and batch.ws_targets is None
     grid_a, grid_b = (reference_pair_grid(im, cfg.feature_dim) for im in (a, b))
-    Y_a = reference_fs_targets(grid_a.human_boxes, grid_a.object_boxes, a.gt_triplets, 6)
-    Y_b = reference_fs_targets(grid_b.human_boxes, grid_b.object_boxes, b.gt_triplets, 6)
+    Y_a, Y_b = (
+        reference_fs_targets(grid.human_boxes, grid.object_boxes, triplet_objects(im.gt_triplets), 6)
+        for grid, im in ((grid_a, a), (grid_b, b))
+    )
     n_a = len(grid_a.features)
     np.testing.assert_array_equal(batch.fs_targets[:n_a], Y_a)
     # pairs from image b are matched against image b's ground truth only
@@ -492,8 +495,10 @@ def test_assemble_us_requires_pseudo_triplets():
     with pytest.raises(ValueError):
         assemble(us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim)
     pseudo = {
-        us[0].image_id: [GroundTruthTriplet(*boxes_of(grid_of(us[0], cfg.feature_dim), 0), 2)],
-        us[1].image_id: [],
+        us[0].image_id: triplet_arrays(
+            [GroundTruthTriplet(*boxes_of(grid_of(us[0], cfg.feature_dim), 0), 2)]
+        ),
+        us[1].image_id: NO_TRIPLETS,
     }
     batch = assemble(
         us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim, pseudo_triplets=pseudo
@@ -596,7 +601,7 @@ def us_mix():
     tagged, schedule = scheduled(cfg, include_us=True)
     truth = {im.image_id: im.gt_triplets for im in generate_world(cfg.world)}
     us = [im.image_id for im in tagged if im.supervision == SupervisionTag.US]
-    pseudo = {i: list(truth[i]) for k, i in enumerate(us) if k % 5}
+    pseudo = {i: truth[i] for k, i in enumerate(us) if k % 5}
     return cfg, tagged, schedule, pseudo
 
 
@@ -674,7 +679,7 @@ def test_pair_grids_and_targets_match_the_per_image_reference(sides, top_k, pick
                 hoi_class,
             )
         )
-    Y = make_fs_targets(grid, truths, 6)
+    Y = make_fs_targets(grid, [triplet_arrays(truth) for truth in truths], 6)
     for k, (w, truth) in enumerate(zip(want, truths)):
         expected = reference_fs_targets(w.human_boxes, w.object_boxes, truth, 6)
         assert Y[grid.rows(k)].tobytes() == expected.tobytes()
@@ -693,16 +698,16 @@ def test_pair_grids_names_the_image_left_without_pairs():
 def test_block_rejects_an_out_of_range_class():
     fs = [dataclasses.replace(image(k, 1, 1), supervision=SupervisionTag.FS) for k in range(4)]
     bad = triplet(0.1, 0.1, 0.5, 0.5, 12)
-    fs[3] = dataclasses.replace(fs[3], gt_triplets=(bad,), image_labels=frozenset({12}))
+    fs[3] = dataclasses.replace(fs[3], gt_triplets=triplet_arrays([bad]), image_labels=frozenset({12}))
     with pytest.raises(ValueError, match=r"hoi_class 12 out of range \[0, 10\)"):
         prepare_block([(fs[0], fs[1]), (fs[2], fs[3])], n_classes=10, feature_dim=FEATURE_DIM)
-    us = [dataclasses.replace(im, supervision=SupervisionTag.US, gt_triplets=()) for im in fs[:2]]
+    us = [dataclasses.replace(im, supervision=SupervisionTag.US, gt_triplets=NO_TRIPLETS) for im in fs[:2]]
     with pytest.raises(ValueError, match=r"hoi_class -1 out of range"):
         prepare_block(
             [tuple(us)],
             n_classes=10,
             feature_dim=FEATURE_DIM,
-            pseudo_triplets={1: [triplet(0.1, 0.1, 0.5, 0.5, -1)]},
+            pseudo_triplets={1: triplet_arrays([triplet(0.1, 0.1, 0.5, 0.5, -1)])},
         )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from box_reference import Box, triplet_objects
 from eval_reference import HOIPrediction, array_ap, as_predictions, reference_match_and_ap
 from hoimix.evaluation import (
     CSV_HEADER,
@@ -18,7 +19,7 @@ from hoimix.evaluation import (
     report_csv_row,
     report_to_dict,
 )
-from hoimix.geometry import Box, pair_iou
+from hoimix.geometry import pair_iou
 from hoimix.model import ModelParams
 from hoimix.synth_world import WorldConfig, generate_eval_images, generate_world, rare_classes
 
@@ -176,7 +177,7 @@ def test_matches_brute_force_on_random_instances():
 def oracle_predictions(images):
     preds = []
     for im in images:
-        for t in im.gt_triplets:
+        for t in triplet_objects(im.gt_triplets):
             preds.append(
                 HOIPrediction(
                     image_id=im.image_id,
@@ -214,7 +215,7 @@ def test_random_scores_far_below_oracle():
     for _ in range(5):
         preds = []
         for im in images:
-            for t in im.gt_triplets:
+            for t in triplet_objects(im.gt_triplets):
                 preds.append(
                     HOIPrediction(im.image_id, t.human_box, t.object_box,
                                   int(rng.integers(6)), float(rng.random()))
@@ -384,7 +385,7 @@ def test_model_scores_match_reference_per_class():
             gts = [
                 (im.image_id, t.human_box, t.object_box)
                 for im in test
-                for t in im.gt_triplets
+                for t in triplet_objects(im.gt_triplets)
                 if t.hoi_class == c
             ]
             expected = reference_match_and_ap(objects, gts)

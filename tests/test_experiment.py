@@ -33,6 +33,7 @@ from hoimix.experiment import (
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import WorldConfig, generate_world, split_supervision
+from box_reference import triplet_objects
 from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
@@ -389,18 +390,18 @@ def test_class_split_deterministic():
 def test_permute_labels_breaks_association_but_keeps_marginals():
     images = generate_world(TINY_WORLD)
     permuted = permute_labels(images, seed=0)
-    old = sorted(t.hoi_class for im in images for t in im.gt_triplets)
-    new = sorted(t.hoi_class for im in permuted for t in im.gt_triplets)
+    old = sorted(t.hoi_class for im in images for t in triplet_objects(im.gt_triplets))
+    new = sorted(t.hoi_class for im in permuted for t in triplet_objects(im.gt_triplets))
     assert old == new
-    changed = sum(
-        1
-        for a, b in zip(images, permuted)
-        for ta, tb in zip(a.gt_triplets, b.gt_triplets)
-        if ta.hoi_class != tb.hoi_class
-    )
+    changed = 0
+    for a, b in zip(images, permuted):
+        for ta, tb in zip(triplet_objects(a.gt_triplets), triplet_objects(b.gt_triplets)):
+            # only the class moves; the boxes stay with their image
+            assert (ta.human_box, ta.object_box) == (tb.human_box, tb.object_box)
+            changed += ta.hoi_class != tb.hoi_class
     assert changed > 0
     for im in permuted:
-        assert im.image_labels == frozenset(t.hoi_class for t in im.gt_triplets)
+        assert im.image_labels == frozenset(im.gt_triplets.hoi_classes.tolist())
 
 
 def test_permute_labels_shuffles_weak_image_labels():
@@ -417,8 +418,8 @@ def test_permute_labels_shuffles_weak_image_labels():
         assert permuted[k].image_id == tagged[k].image_id and not permuted[k].gt_triplets
     # images with triplets are permuted as if the WS images were absent
     strong = [im for im in tagged if im.supervision != SupervisionTag.WS]
-    assert [im.gt_triplets for im in permute_labels(strong, seed=0)] == [
-        im.gt_triplets for im in permuted if im.supervision != SupervisionTag.WS
+    assert [triplet_objects(im.gt_triplets) for im in permute_labels(strong, seed=0)] == [
+        triplet_objects(im.gt_triplets) for im in permuted if im.supervision != SupervisionTag.WS
     ]
 
 
@@ -531,15 +532,8 @@ def run_cli(args, cwd):
     return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=env)
 
 
-def test_cli_gen_world_train_eval(tmp_path):
+def test_cli_train_eval(tmp_path):
     cfg_path = cli_config(tmp_path)
-    gen = run_cli(["gen-world", "--config", str(cfg_path), "--out-dir", str(tmp_path / "w")], tmp_path)
-    assert gen.returncode == 0, gen.stderr
-    dataset = tmp_path / "w" / "dataset.jsonl"
-    assert dataset.exists()
-    record = json.loads(dataset.read_text().splitlines()[0])
-    assert {"image_id", "supervision", "detections", "gt_triplets", "image_labels"} <= set(record)
-
     tr = run_cli(
         ["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "r"), "--run-id", "t1"],
         tmp_path,

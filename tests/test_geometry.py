@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoimix.geometry import Box, box_array, iou, pair_iou, pair_iou_matrix
+from hoimix.geometry import iou, pair_iou, pair_iou_matrix
+from hoimix.synth_world import DetectionArrays, TripletArrays
+
+from box_reference import Box, box_array
 
 
 def grid_iou(a: Box, b: Box, cells_per_unit: int = 1) -> float:
@@ -73,8 +76,17 @@ def test_symmetry_self_and_bounds():
     [(0, 0, 0, 10), (0, 0, 10, 0), (5, 5, 5, 5), (3, 1, 2, 4), (0, 8, 4, 2)],
 )
 def test_degenerate_box_rejected(coords):
-    with pytest.raises(ValueError):
+    # wherever a box is built: the reference Box, a ground-truth human or
+    # object box, and a detection box
+    with pytest.raises(ValueError, match="degenerate box"):
         Box(*coords)
+    good, bad = np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([coords], dtype=np.float64)
+    with pytest.raises(ValueError, match=r"degenerate human box in row 0: \["):
+        TripletArrays(bad, good, np.array([0]))
+    with pytest.raises(ValueError, match=r"degenerate object box in row 1: \["):
+        TripletArrays(np.vstack([good, good]), np.vstack([good, bad]), np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"degenerate box in row 0: \["):
+        DetectionArrays(bad, np.array([0]), np.array([0.5]), np.zeros((1, 2)))
 
 
 def test_pair_iou_identical_pair():

@@ -5,18 +5,20 @@ import pytest
 
 from hoimix.batching import pair_grids
 from hoimix.experiment import ExperimentConfig, prepare_world
-from hoimix.geometry import Box
 from hoimix.model import ModelParams
 from hoimix.pseudo_label import (
     dump_pseudo_triplets,
     iterate_cycles,
+    same_pseudo_labels,
     select_label_argmax_triplets,
     threshold_triplets,
     us_to_pseudo_fs,
     ws_to_pseudo_fs,
 )
 from hoimix.supervision import SupervisionTag
-from hoimix.synth_world import WorldConfig, generate_world, split_supervision
+from hoimix.synth_world import TripletArrays, WorldConfig, generate_world, split_supervision
+
+from box_reference import Box, GroundTruthTriplet, triplet_objects
 
 SMALL = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=21
@@ -56,7 +58,7 @@ def test_argmax_selection_per_label():
     P = np.zeros((n, 6))
     P[:, 2] = np.linspace(0.1, 0.9, n)
     P[0, 4] = 0.7
-    out = select_label_argmax_triplets(P, {2, 4}, grid)
+    out = triplet_objects(select_label_argmax_triplets(P, {2, 4}, grid))
     assert len(out) == 2
     assert out[0].hoi_class == 2
     assert out[0].human_box == human_box(grid, -1)  # argmax of column 2
@@ -68,7 +70,7 @@ def test_argmax_ties_break_to_lowest_pair_index():
     images = generate_world(SMALL)
     grid = grid_of(images[0])
     P = np.full((len(grid.features), 6), 0.5)
-    out = select_label_argmax_triplets(P, {1}, grid)
+    out = triplet_objects(select_label_argmax_triplets(P, {1}, grid))
     assert out[0].human_box == human_box(grid, 0)
     assert out[0].object_box == object_box(grid, 0)
 
@@ -79,7 +81,7 @@ def test_ws_to_pseudo_fs_emits_one_triplet_per_label():
     for image in images[:10]:
         out = ws_to_pseudo_fs(params, image, grid_of(image))
         assert len(out) == len(image.image_labels)
-        assert {t.hoi_class for t in out} == set(image.image_labels)
+        assert set(out.hoi_classes.tolist()) == set(image.image_labels)
 
 
 def test_pseudo_boxes_come_from_image_detections():
@@ -88,7 +90,7 @@ def test_pseudo_boxes_come_from_image_detections():
     for image in images[:10]:
         human_boxes = {Box.from_list(b) for b in image.humans.boxes}
         object_boxes = {Box.from_list(b) for b in image.objects.boxes}
-        for t in ws_to_pseudo_fs(params, image, grid_of(image)):
+        for t in triplet_objects(ws_to_pseudo_fs(params, image, grid_of(image))):
             assert t.human_box in human_boxes
             assert t.object_box in object_boxes
 
@@ -99,15 +101,15 @@ def test_threshold_triplets_strictly_above():
     P = np.zeros((len(grid.features), 6))
     P[0, 1] = 0.5
     P[1, 2] = 0.50001
-    assert threshold_triplets(P, 0.5, grid) == [
-        type(images[0].gt_triplets[0])(human_box(grid, 1), object_box(grid, 1), 2)
-    ]
+    assert triplet_objects(threshold_triplets(P, 0.5, grid)) == (
+        GroundTruthTriplet(human_box(grid, 1), object_box(grid, 1), 2),
+    )
 
 
 def test_threshold_all_below_gives_empty():
     images = generate_world(SMALL)
     grid = grid_of(images[0])
-    assert threshold_triplets(np.full((len(grid.features), 6), 0.4), 0.5, grid) == []
+    assert len(threshold_triplets(np.full((len(grid.features), 6), 0.4), 0.5, grid)) == 0
 
 
 def test_threshold_boundaries_rejected():
@@ -159,14 +161,24 @@ def test_failed_dump_keeps_the_previous_file(tmp_path):
     path = tmp_path / "pseudo.jsonl"
     dump_pseudo_triplets(path, {k: pseudo[k] for k in list(pseudo)[:2]})
     before = path.read_bytes()
-    # the last record is not a triplet, so the dump raises after writing the others
+    # the last value is not a triplet set, so the dump raises after writing the others
     with pytest.raises(AttributeError):
         dump_pseudo_triplets(path, {**pseudo, 10**9: [None]})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pseudo.jsonl"]
 
 
-def test_iterate_cycles_reports_and_early_stops():
+def test_iterate_cycles_reports_and_early_stops(monkeypatch):
+    import hoimix.pseudo_label as pseudo_label
+
+    labelled = []
+
+    def recording(params, grid, threshold):
+        out = us_to_pseudo_fs(params, grid, threshold)
+        labelled.append((int(grid.image_ids[0]), triplet_objects(out)))
+        return out
+
+    monkeypatch.setattr(pseudo_label, "us_to_pseudo_fs", recording)
     cfg = small_cfg()
     tagged, test_images, rare_ids = prepare_world(cfg)
     params, reports, base = iterate_cycles(
@@ -174,13 +186,73 @@ def test_iterate_cycles_reports_and_early_stops():
     )
     assert 1 <= len(reports) <= 3
     assert all(np.isfinite(r.map_full) for r in reports)
-    assert reports[0].cycle == 1
+    assert [r.cycle for r in reports] == list(range(1, len(reports) + 1))
     if len(reports) < 3:
         assert reports[-1].converged
-    # converged flag implies the pseudo sets reached a fixed point; rerunning
-    # one more cycle from the same state must not change the labels
-    if reports[-1].converged and len(reports) >= 2:
-        assert reports[-1].n_pseudo == reports[-1].n_pseudo
+    # one relabelling after the base fit and after each cycle's fit; a cycle
+    # trains on the labels before it and has converged iff the labels after
+    # it equal them, compared here as triplet objects
+    n_sources = sum(im.supervision == SupervisionTag.US for im in tagged)
+    assert len(labelled) == n_sources * (1 + len(reports))
+    sets = [
+        {i: t for i, t in labelled[k : k + n_sources] if t}
+        for k in range(0, len(labelled), n_sources)
+    ]
+    for report, before, after in zip(reports, sets, sets[1:]):
+        assert report.n_pseudo == sum(len(t) for t in before.values())
+        assert report.converged == (after == before)
+
+
+def rebuilt(pseudo):
+    """Each image's triplets as new arrays of the same values."""
+    return {
+        k: TripletArrays(t.human_boxes.copy(), t.object_boxes.copy(), t.hoi_classes.copy())
+        for k, t in pseudo.items()
+    }
+
+
+def test_equal_pseudo_label_sets_compare_by_value():
+    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
+    pseudo = {im.image_id: ws_to_pseudo_fs(params, im, grid_of(im)) for im in images[:4]}
+    again = {im.image_id: ws_to_pseudo_fs(params, im, grid_of(im)) for im in images[:4]}
+    assert all(again[k] is not pseudo[k] for k in pseudo)
+    assert same_pseudo_labels(pseudo, again) and same_pseudo_labels(again, rebuilt(pseudo))
+    assert same_pseudo_labels({}, {})
+
+    k = images[2].image_id
+    moved, relabelled = rebuilt(pseudo), rebuilt(pseudo)
+    moved[k].object_boxes[0, 2] += 1e-9
+    relabelled[k].hoi_classes[-1] = (relabelled[k].hoi_classes[-1] + 1) % 6
+    for changed in (moved, relabelled):
+        assert not same_pseudo_labels(pseudo, changed)
+        assert not same_pseudo_labels(changed, pseudo)
+    fewer = {i: t for i, t in pseudo.items() if i != k}
+    assert not same_pseudo_labels(pseudo, fewer) and not same_pseudo_labels(fewer, pseudo)
+    shorter = {**rebuilt(pseudo), k: pseudo[k].take(np.arange(len(pseudo[k]) - 1))}
+    assert not same_pseudo_labels(pseudo, shorter)
+
+
+def test_iterate_cycles_converges_on_equal_but_separately_built_labels(monkeypatch):
+    import hoimix.pseudo_label as pseudo_label
+
+    runs = []
+    real_fit = pseudo_label.fit
+
+    def base_model_fit(*args, **kwargs):
+        # every cycle gets the base model back, so each relabelling builds
+        # new arrays holding the same pseudo labels
+        if not runs:
+            runs.append(real_fit(*args, **kwargs))
+        return runs[0]
+
+    monkeypatch.setattr(pseudo_label, "fit", base_model_fit)
+    cfg = small_cfg()
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    _, reports, _ = iterate_cycles(
+        tagged, cfg, 3, mode="unlabeled", test_images=test_images, rare_ids=rare_ids
+    )
+    assert len(reports) == 1 and reports[0].converged and reports[0].n_pseudo > 0
 
 
 def test_each_cycle_trains_and_evaluates_once_through_fit(monkeypatch):

@@ -1,33 +1,30 @@
 import collections
 import hashlib
-import json
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoimix import cli, synth_world
-from hoimix.geometry import Box
+from hoimix import synth_world
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
+    NO_TRIPLETS,
     DetectionArrays,
     SynthImage,
+    TripletArrays,
     WorldConfig,
     WorldGenerationError,
     feature_layout,
     generate_eval_images,
     generate_world,
-    image_to_record,
-    load_dataset,
     pair_feature_matrix,
     rare_classes,
-    save_dataset,
     split_supervision,
 )
+from box_reference import Box, GroundTruthTriplet, box_array, triplet_arrays
 from pair_reference import Detection, detection_arrays, reference_pair_features
 import world_reference
 
@@ -40,22 +37,36 @@ SMALL = WorldConfig(
 )
 
 
-def dataset_bytes(images, cfg):
-    return "\n".join(
-        json.dumps(image_to_record(im, cfg.human_class_id), sort_keys=True) for im in images
+def image_bytes(image):
+    """Everything an image holds, with every array as its exact bytes."""
+    gt = image.gt_triplets
+    columns = [gt.human_boxes, gt.object_boxes, gt.hoi_classes] + [
+        getattr(d, name)
+        for d in (image.humans, image.objects)
+        for name in ("boxes", "class_ids", "confidences", "appearance")
+    ]
+    return (
+        image.image_id,
+        image.supervision,
+        sorted(image.image_labels),
+        [(column.dtype.str, column.shape, column.tobytes()) for column in columns],
     )
+
+
+def world_bytes(images):
+    return [image_bytes(im) for im in images]
 
 
 def test_generation_is_deterministic():
     a = generate_world(SMALL)
     b = generate_world(SMALL)
-    assert dataset_bytes(a, SMALL) == dataset_bytes(b, SMALL)
+    assert world_bytes(a) == world_bytes(b)
 
 
 def test_different_seed_changes_world():
     a = generate_world(SMALL)
     b = generate_world(WorldConfig(**{**SMALL.__dict__, "seed": 12}))
-    assert dataset_bytes(a, SMALL) != dataset_bytes(b, SMALL)
+    assert world_bytes(a) != world_bytes(b)
 
 
 def test_rare_fraction_honored_exactly():
@@ -126,9 +137,9 @@ def test_invalid_configs_rejected():
 
 def test_gt_classes_in_range_and_labels_match():
     for image in generate_world(SMALL):
-        for t in image.gt_triplets:
-            assert 0 <= t.hoi_class < SMALL.n_hoi_classes
-        assert image.image_labels == frozenset(t.hoi_class for t in image.gt_triplets)
+        classes = image.gt_triplets.hoi_classes.tolist()
+        assert all(0 <= c < SMALL.n_hoi_classes for c in classes)
+        assert image.image_labels == frozenset(classes)
 
 
 def test_feature_layout_partitions_dimension():
@@ -327,11 +338,11 @@ def test_split_strips_annotations_per_tag():
     tagged = split_supervision(images, 0.4, 0.3, 0.3, seed=6)
     for im in tagged:
         if im.supervision == SupervisionTag.WS:
-            assert im.gt_triplets == () and im.image_labels
+            assert len(im.gt_triplets) == 0 and im.image_labels
         elif im.supervision == SupervisionTag.US:
-            assert im.gt_triplets == () and im.image_labels == frozenset()
+            assert len(im.gt_triplets) == 0 and im.image_labels == frozenset()
         else:
-            assert im.gt_triplets
+            assert len(im.gt_triplets) > 0
 
 
 def test_split_rejects_bad_fractions():
@@ -369,18 +380,8 @@ def test_eval_images_share_latent_structure_and_cover_classes():
             assert np.linalg.norm(appearance - mean) < 1.0
 
 
-def test_jsonl_roundtrip_preserves_everything(tmp_path):
-    images = split_supervision(generate_world(SMALL), 0.5, 0.3, 0.2, seed=1)
-    path = tmp_path / "dataset.jsonl"
-    save_dataset(images, path, SMALL.human_class_id)
-    loaded = load_dataset(path)
-    assert dataset_bytes(loaded, SMALL) == dataset_bytes(images, SMALL)
-    save_dataset(loaded, tmp_path / "again.jsonl", SMALL.human_class_id)
-    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
-
-
 def test_pickle_roundtrip_preserves_every_detection_array():
-    images = generate_world(SMALL)
+    images = split_supervision(generate_world(SMALL), 0.5, 0.3, 0.2, seed=1)
     loaded = pickle.loads(pickle.dumps(images))
     for image, back in zip(images, loaded):
         for role in ("humans", "objects"):
@@ -389,33 +390,7 @@ def test_pickle_roundtrip_preserves_every_detection_array():
                 a, b = getattr(before, name), getattr(after, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert b.flags.c_contiguous
-    assert dataset_bytes(loaded, SMALL) == dataset_bytes(images, SMALL)
-
-
-def test_failed_save_keeps_the_previous_dataset(tmp_path):
-    images = generate_world(SMALL)
-    path = tmp_path / "dataset.jsonl"
-    save_dataset(images[:5], path, SMALL.human_class_id)
-    before = path.read_bytes()
-    # the last entry is not an image, so the save raises after writing the others
-    with pytest.raises(AttributeError):
-        save_dataset(images[:3] + [None], path, SMALL.human_class_id)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
-
-
-def test_record_fields_match_format_contract(tmp_path):
-    images = generate_world(SMALL)
-    path = tmp_path / "dataset.jsonl"
-    save_dataset(images, path, SMALL.human_class_id)
-    with open(path) as fh:
-        record = json.loads(fh.readline())
-    assert {"image_id", "supervision", "detections", "gt_triplets", "image_labels"} <= set(record)
-    det = record["detections"][0]
-    assert {"box", "class_id", "confidence"} <= set(det)
-    assert len(det["box"]) == 4
-    trip = record["gt_triplets"][0]
-    assert {"h_box", "o_box", "hoi_class"} <= set(trip)
+    assert world_bytes(loaded) == world_bytes(images)
 
 
 def test_every_image_has_detections_and_valid_confidence():
@@ -441,52 +416,9 @@ def test_image_requires_detections():
             image_id=1,
             humans=im.humans.take(np.array([], dtype=np.intp)),
             objects=im.objects,
-            gt_triplets=(),
+            gt_triplets=NO_TRIPLETS,
             image_labels=frozenset(),
         )
-
-
-def bad_box(record):
-    record["detections"][0]["box"] = [0.5, 0.2, 0.5, 0.4]  # zero width
-
-
-def bad_confidence(record):
-    record["detections"][0]["confidence"] = 0.0
-
-
-def short_appearance(record):
-    record["detections"][0]["appearance"].pop()
-
-
-def missing_key(record):
-    del record["detections"][0]["box"]
-
-
-@pytest.mark.parametrize(
-    "corrupt, reason",
-    [
-        (None, "Expecting"),  # the line is not JSON
-        (missing_key, "missing key 'box'"),
-        (bad_box, "degenerate box"),
-        (bad_confidence, "confidence"),
-        (short_appearance, "inhomogeneous"),
-    ],
-    ids=["bad_json", "missing_key", "degenerate_box", "zero_confidence", "short_appearance"],
-)
-def test_load_dataset_names_the_line_of_a_bad_record(tmp_path, corrupt, reason):
-    path = tmp_path / "dataset.jsonl"
-    save_dataset(generate_world(SMALL)[:3], path, SMALL.human_class_id)
-    lines = path.read_text().splitlines()
-    if corrupt is None:
-        lines[1] = lines[1][:40]
-    else:
-        record = json.loads(lines[1])
-        corrupt(record)
-        lines[1] = json.dumps(record, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")) as err:
-        load_dataset(path)
-    assert reason in str(err.value)
 
 
 def test_detection_arrays_reject_rows_of_mismatched_length():
@@ -539,26 +471,70 @@ def test_detection_arrays_accept_exactly_the_rows_the_per_detection_checks_accep
     assert arrays_accept(rows) == all(reference_accepts(row) for row in rows)
 
 
+def test_triplet_arrays_reject_rows_of_mismatched_length():
+    t = generate_world(SMALL)[0].gt_triplets
+    with pytest.raises(ValueError, match="rows disagree"):
+        TripletArrays(t.human_boxes, t.object_boxes, np.append(t.hoi_classes, 0))
+    with pytest.raises(ValueError, match="rows disagree"):
+        TripletArrays(t.human_boxes[:, :3], t.object_boxes, t.hoi_classes)
+    with pytest.raises(ValueError, match="rows disagree"):
+        TripletArrays(t.human_boxes, t.object_boxes[:-1], t.hoi_classes)
+
+
+box_row = st.tuples(coordinate, coordinate, extent, extent)
+
+
+def box_accepted(row):
+    x, y, w, h = row
+    try:
+        Box(x, y, x + w, y + h)
+    except ValueError:
+        return False
+    return True
+
+
+def triplets_accept(human_rows, object_rows):
+    try:
+        TripletArrays(
+            np.array([(x, y, x + w, y + h) for x, y, w, h in human_rows]),
+            np.array([(x, y, x + w, y + h) for x, y, w, h in object_rows]),
+            np.zeros(len(human_rows), dtype=np.intp),
+        )
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(st.tuples(box_row, box_row), min_size=1, max_size=6))
+def test_triplet_arrays_accept_exactly_the_boxes_a_box_accepts(rows):
+    for h, o in rows:
+        assert triplets_accept([h], [o]) == (box_accepted(h) and box_accepted(o))
+    humans, objects = zip(*rows)
+    assert triplets_accept(humans, objects) == all(map(box_accepted, humans + objects))
+
+
+def test_triplet_rows_stack_and_take_in_order():
+    triplets = [
+        GroundTruthTriplet(
+            Box(0.1 * k, 0.0, 0.1 * k + 0.2, 0.3), Box(0.5, 0.1 * k, 0.7, 0.1 * k + 0.1), k
+        )
+        for k in range(5)
+    ]
+    parts = [triplet_arrays(triplets[:2]), NO_TRIPLETS, triplet_arrays(triplets[2:])]
+    stacked = synth_world.stack_triplets(parts)
+    assert len(stacked) == 5 and stacked.hoi_classes.tolist() == list(range(5))
+    assert stacked.human_boxes.tobytes() == box_array([t.human_box for t in triplets]).tobytes()
+    assert stacked.object_boxes.tobytes() == box_array([t.object_box for t in triplets]).tobytes()
+    assert len(synth_world.stack_triplets([])) == 0 and len(NO_TRIPLETS) == 0 and not NO_TRIPLETS
+    taken = stacked.take(np.array([4, 1]))
+    assert taken.hoi_classes.tolist() == [4, 1]
+    want = box_array([triplets[4].object_box, triplets[1].object_box])
+    assert taken.object_boxes.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------------------
 # world generation against the per-draw reference
-
-
-def image_bytes(image):
-    """Everything an image holds, with every float as its exact bits."""
-    def exact(box):
-        return tuple(float(v).hex() for v in box.as_list())
-
-    return (
-        image.image_id,
-        image.supervision,
-        sorted(image.image_labels),
-        [(exact(t.human_box), exact(t.object_box), t.hoi_class) for t in image.gt_triplets],
-        [
-            (column.dtype.str, column.shape, column.tobytes())
-            for d in (image.humans, image.objects)
-            for column in (d.boxes, d.class_ids, d.confidences, d.appearance)
-        ],
-    )
 
 
 WORLD_EDGES = {
@@ -606,9 +582,35 @@ def test_class_plan_equals_the_per_slot_reference(seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_default_gen_world_dataset_bytes_are_pinned(tmp_path):
-    # numpy 2.x Generator streams; the golden run digests rest on the same
-    # streams. A change here means the world's draws changed order or kind.
-    assert cli.main(["gen-world", "--out-dir", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "dataset.jsonl").read_bytes()).hexdigest()
-    assert digest.startswith("79439d8737568369")
+# Recipe of the pinned digest: sha256 over the images of the default world
+# (generate_world(WorldConfig()), 240 images) in order; per image, the
+# ASCII of repr((image_id, sorted(image_labels), number of triplets)), the
+# ground-truth human boxes and object boxes as <f8 bytes and their classes
+# as <i8 bytes, then per detection set (humans, then objects) the ASCII of
+# repr(its length) and its boxes, class ids, confidences and appearance as
+# <f8, <i8, <f8 and <f8 bytes. Computed on numpy 2.x Generator streams
+# before the triplets became arrays, from the same values as objects.
+DEFAULT_WORLD_SHA256 = "3463eb4242748e7d"
+
+
+def world_digest(images):
+    h = hashlib.sha256()
+    for image in images:
+        gt = image.gt_triplets
+        h.update(repr((image.image_id, sorted(image.image_labels), len(gt))).encode())
+        h.update(np.asarray(gt.human_boxes, dtype="<f8").tobytes())
+        h.update(np.asarray(gt.object_boxes, dtype="<f8").tobytes())
+        h.update(np.asarray(gt.hoi_classes, dtype="<i8").tobytes())
+        for d in (image.humans, image.objects):
+            h.update(repr(len(d)).encode())
+            for column, dtype in zip(
+                (d.boxes, d.class_ids, d.confidences, d.appearance), ("<f8", "<i8", "<f8", "<f8")
+            ):
+                h.update(np.asarray(column, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_default_world_arrays_are_pinned():
+    # the golden run digests rest on the same streams. A change here means
+    # the world's draws changed order or kind, or its arithmetic changed
+    assert world_digest(generate_world(WorldConfig())).startswith(DEFAULT_WORLD_SHA256)

@@ -2,7 +2,8 @@
 
 The reference is the original generator: one numpy call per scalar or pair
 of random draws, a 4-element array per box sanitized through float(), one
-rng.choice per Zipf-filled class slot, and one row tuple per detection. The
+rng.choice per Zipf-filled class slot, one row tuple per detection, and one
+Box per ground-truth box and GroundTruthTriplet per triplet. The
 generators in hoimix.synth_world must reproduce its images byte for byte
 and leave every random stream in the same state.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from hoimix.geometry import Box
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     _DISTRACTOR_CONF,
@@ -21,7 +21,6 @@ from hoimix.synth_world import (
     _MIN_BOX_SIZE,
     RARE_IMAGE_COUNT,
     DetectionArrays,
-    GroundTruthTriplet,
     HoiTaxonomy,
     SynthImage,
     WorldConfig,
@@ -30,6 +29,8 @@ from hoimix.synth_world import (
     _coverage_assignments,
     _seed_streams,
 )
+
+from box_reference import Box, GroundTruthTriplet, triplet_arrays
 
 
 def _plan_class_assignments(
@@ -221,7 +222,7 @@ def _generate_images(
                 image_id=first_image_id + i,
                 humans=_detection_arrays(humans, embeddings, sigma),
                 objects=_detection_arrays(objects, embeddings, sigma),
-                gt_triplets=tuple(triplets),
+                gt_triplets=triplet_arrays(triplets),
                 image_labels=frozenset(t.hoi_class for t in triplets),
                 supervision=SupervisionTag.FS,
             )

@@ -4,7 +4,10 @@ Builds within-image human-object pairs (with a per-class top-k confidence
 filter), synthesizes cross-image hard negatives for weakly-labeled pairs by
 swapping humans and objects between the two images, and constructs
 region-level and image-level training targets. The batch schedule pairs
-images once, before training, into homogeneous two-image batches.
+images once, before training, into homogeneous two-image batches. Targets
+come from each image's own annotation: region-level ones from its
+gt_triplets (FS ground truth or US pseudo labels), image-level ones from
+its image_labels.
 
 Pairs and region-level targets are built for many images in one pass
 (`pair_grids`, `make_fs_targets`). Training builds them for a block of
@@ -17,7 +20,7 @@ hold every image's pairs and feature temporaries at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +68,9 @@ class MiniBatch:
     """The pair features and targets of exactly two images with homogeneous
     supervision; a batch holds arrays only, not the pairs of its rows.
 
-    FS batches carry a region-level target matrix, WS batches an image-level
-    label vector. US batches are only constructible with pseudo region
-    targets and carry them in fs_targets.
+    The targets are a region-level (N, C) matrix when the supervision is
+    region-level (FS, and US with pseudo labels), and an image-level (C,)
+    label vector for WS.
 
     A batch is checked once, when it is built: finite non-empty 2-d float64
     features, and binary targets of matching shape. Its arrays are then
@@ -78,35 +81,27 @@ class MiniBatch:
     supervision: SupervisionTag
     features: np.ndarray  # (N, feature_dim)
     image_ids: tuple[int, int]
-    fs_targets: Optional[np.ndarray] = None
-    ws_targets: Optional[np.ndarray] = None
+    targets: np.ndarray  # (N, C) if supervision.region_level, else (C,)
 
     def __post_init__(self) -> None:
-        if self.supervision == SupervisionTag.WS:
-            if self.ws_targets is None or self.fs_targets is not None:
-                raise ValueError("WS batches carry ws_targets only")
-            name, expected_ndim = "ws_targets", 1
-        else:
-            if self.fs_targets is None or self.ws_targets is not None:
-                raise ValueError(f"{self.supervision} batches carry fs_targets only")
-            name, expected_ndim = "fs_targets", 2
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        targets = np.asarray(getattr(self, name), dtype=np.float64)
+        targets = np.asarray(self.targets, dtype=np.float64)
+        expected_ndim = 2 if self.supervision.region_level else 1
         if targets.ndim != expected_ndim:
-            raise ValueError(f"{name} must be {expected_ndim}-d, got shape {targets.shape}")
+            raise ValueError(f"targets must be {expected_ndim}-d, got shape {targets.shape}")
         if expected_ndim == 2 and targets.shape[0] != features.shape[0]:
             raise ValueError(
-                f"{name} has {targets.shape[0]} rows for {features.shape[0]} feature rows"
+                f"targets have {targets.shape[0]} rows for {features.shape[0]} feature rows"
             )
         if not np.all((targets == 0.0) | (targets == 1.0)):
-            raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
-        for field_name, array in (("features", features), (name, targets)):
+            raise ValueError("targets must be binary (entries in {0, 1})")
+        for name, array in (("features", features), ("targets", targets)):
             array.flags.writeable = False
-            object.__setattr__(self, field_name, array)
+            object.__setattr__(self, name, array)
 
 
 def _top_k_per_class(owner: np.ndarray, detections: DetectionArrays, top_k: int) -> np.ndarray:
@@ -374,35 +369,31 @@ class ScheduleError(ValueError):
     pass
 
 
-def batch_schedule(
-    images: list[SynthImage], seed: int, include_us: bool = False
-) -> Schedule:
+def batch_schedule(images: list[SynthImage], seed: int) -> Schedule:
     """Pair images of equal supervision into batches, once, reproducibly.
 
-    Each batch is homogeneous; the stream interleaves the groups in a fixed
-    random order. A group with a single image cannot form a batch and is
-    reported as an error; an odd group leaves one image over, recorded in
-    the schedule metadata.
+    One group per tag, each shuffled in the order FS, WS, US; each batch is
+    homogeneous, and the stream interleaves the groups in a fixed random
+    order. An empty group draws nothing, so adding US images leaves the FS
+    and WS pairings as they are. A group with a single image cannot form a
+    batch and is reported as an error; an odd group leaves one image over,
+    recorded in the schedule metadata.
     """
     rng = np.random.default_rng(seed)
-    wanted = [SupervisionTag.FS, SupervisionTag.WS] + (
-        [SupervisionTag.US] if include_us else []
-    )
-    groups: dict[SupervisionTag, list[int]] = {tag: [] for tag in wanted}
+    order = (SupervisionTag.FS, SupervisionTag.WS, SupervisionTag.US)
+    groups: dict[SupervisionTag, list[int]] = {tag: [] for tag in order}
     for image in images:
-        if image.supervision in groups:
-            groups[image.supervision].append(image.image_id)
+        groups[image.supervision].append(image.image_id)
 
     entries: list[ScheduleEntry] = []
     leftovers: list[tuple[SupervisionTag, int]] = []
-    for tag in wanted:
+    for tag in order:
         ids = groups[tag]
         if len(ids) == 1:
             raise ScheduleError(
                 f"supervision set {tag.value} has a single image; cannot form a two-image batch"
             )
-        order = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in order]
+        shuffled = [ids[i] for i in rng.permutation(len(ids))]
         for a, b in zip(shuffled[0::2], shuffled[1::2]):
             entries.append(ScheduleEntry(a, b, tag))
         if len(shuffled) % 2 == 1:
@@ -416,7 +407,8 @@ def batch_schedule(
 class BatchBlock:
     """The pairs and region-level targets of a block of schedule entries,
     built in one pass: entry e's images are images[2e] and images[2e + 1],
-    and they are images 2e and 2e + 1 of the grid."""
+    and they are images 2e and 2e + 1 of the grid. Each pair is matched
+    against its own image's gt_triplets."""
 
     images: list[SynthImage]
     grid: PairGrid
@@ -429,20 +421,15 @@ def prepare_block(
     n_classes: int,
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> BatchBlock:
     """Build the pair grid and the region-level targets of every image of
-    the entries at once. FS images are matched against their ground truth,
-    US images against their pseudo triplets, keyed by image id."""
+    the entries at once. A region-level image (FS, or US with pseudo
+    labels) is matched against its own gt_triplets; a WS image against
+    none."""
     images = [image for entry in entries for image in entry]
-    truths = []
-    for image in images:
-        if image.supervision == SupervisionTag.US:
-            if pseudo_triplets is None:
-                raise ValueError("US batches need pseudo triplets")
-            truths.append(pseudo_triplets.get(image.image_id, NO_TRIPLETS))
-        else:
-            truths.append(image.gt_triplets if image.supervision == SupervisionTag.FS else NO_TRIPLETS)
+    truths = [
+        image.gt_triplets if image.supervision.region_level else NO_TRIPLETS for image in images
+    ]
     grid = pair_grids(images, feature_dim, top_k)
     return BatchBlock(images, grid, make_fs_targets(grid, truths, n_classes))
 
@@ -474,10 +461,10 @@ def assemble_minibatch(
             features = grid.features[rows].copy()
         n_classes = block.fs_targets.shape[1]
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
-        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, ws_targets=targets)
+        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=targets)
     return MiniBatch(
         supervision=tag,
         features=grid.features[rows].copy(),
         image_ids=image_ids,
-        fs_targets=block.fs_targets[rows].copy(),
+        targets=block.fs_targets[rows].copy(),
     )

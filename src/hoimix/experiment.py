@@ -44,9 +44,7 @@ from .model import ModelParams, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .supervision import SupervisionTag
 from .synth_world import (
-    NO_TRIPLETS,
     SynthImage,
-    TripletArrays,
     WorldConfig,
     generate_eval_images,
     generate_world,
@@ -122,8 +120,13 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config of a JSON file; raises ValueError naming the file when it
+    holds no valid config."""
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            return ExperimentConfig.from_dict(json.load(fh))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -186,10 +189,7 @@ class TrainResult:
 
 
 def _build_batches(
-    images: list[SynthImage],
-    schedule: Schedule,
-    cfg: ExperimentConfig,
-    pseudo_triplets: Optional[dict[int, TripletArrays]],
+    images: list[SynthImage], schedule: Schedule, cfg: ExperimentConfig
 ) -> list[MiniBatch]:
     """One batch per schedule entry, in schedule order; pairs and targets
     are built a block of BLOCK_ENTRIES entries at a time."""
@@ -202,7 +202,6 @@ def _build_batches(
             n_classes=cfg.world.n_hoi_classes,
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
-            pseudo_triplets=pseudo_triplets,
         )
         batches.extend(
             assemble_minibatch(block, k, element_swap_enabled=cfg.element_swap)
@@ -217,16 +216,16 @@ def train(
     *,
     test_set: Optional[EvalSet] = None,
     rare_ids: Optional[set[int]] = None,
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
     init_params: Optional[ModelParams] = None,
     init_state: Optional[MomentumState] = None,
     start_iteration: int = 0,
 ) -> TrainResult:
     """Run the training loop over a fixed schedule of two-image batches.
 
-    Images tagged US are scheduled only when they have pseudo triplets.
-    Given a prepared test_set, the model is evaluated on it every
-    eval_every iterations. Resuming: pass the checkpointed params/state and
+    Each image trains with the supervision it carries. A US image is
+    scheduled only when its gt_triplets hold pseudo labels and those of at
+    least one other US image do too. Given a prepared test_set, the model
+    is evaluated on it every eval_every iterations. Resuming: pass the checkpointed params/state and
     the iteration to start from; with the same config the remaining
     trajectory is reproduced bit-exactly. Raises ValueError when their dims
     or the state's buffer count contradict the config.
@@ -243,23 +242,20 @@ def train(
                 f"which policy {cfg.optimizer.policy} does not use"
             )
     init_seed, schedule_seed, _ = _train_seeds(cfg.train_seed)
-    include_us = pseudo_triplets is not None
-    schedulable = [
-        img
-        for img in images
-        if img.supervision != SupervisionTag.US
-        or (include_us and img.image_id in pseudo_triplets and pseudo_triplets[img.image_id])
-    ]
+    labelled_us = {
+        img.image_id for img in images if img.supervision == SupervisionTag.US and img.gt_triplets
+    }
     # a lone pseudo-labeled image cannot form a homogeneous two-image batch;
     # drop it rather than abort the cycle
-    us_ids = [i.image_id for i in schedulable if i.supervision == SupervisionTag.US]
-    if len(us_ids) == 1:
-        schedulable = [i for i in schedulable if i.image_id != us_ids[0]]
-        include_us = False
-    schedule = batch_schedule(schedulable, schedule_seed, include_us=include_us)
+    if len(labelled_us) == 1:
+        labelled_us.clear()
+    schedulable = [
+        img for img in images if img.supervision != SupervisionTag.US or img.image_id in labelled_us
+    ]
+    schedule = batch_schedule(schedulable, schedule_seed)
     if not schedule.entries:
         raise ValueError("schedule is empty; no supervision group has two images")
-    batches = _build_batches(schedulable, schedule, cfg, pseudo_triplets)
+    batches = _build_batches(schedulable, schedule, cfg)
 
     params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
     state = init_state if init_state is not None else MomentumState.zeros(
@@ -342,9 +338,9 @@ def fit(
     *,
     run_id: str = "run",
     periodic_eval: bool = False,
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> RunResult:
-    """Train on the given tagged images, then evaluate the final model once.
+    """Train on the given tagged images, each with the supervision it
+    carries (see train), then evaluate the final model once.
 
     The test images are prepared for evaluation once, and every periodic
     eval and the final one reuse them.
@@ -355,7 +351,6 @@ def fit(
         cfg,
         test_set=test_set if periodic_eval else None,
         rare_ids=rare_ids,
-        pseudo_triplets=pseudo_triplets,
     )
     if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
         # the last periodic eval already scored the final model
@@ -379,7 +374,8 @@ def fit(
 
 @dataclass(frozen=True, eq=False)
 class FitSpec:
-    """The arguments of one `fit` call, as one picklable value."""
+    """The arguments of one `fit` call, as one picklable value; the images
+    carry their own supervision, pseudo labels included."""
 
     images: list[SynthImage]
     cfg: ExperimentConfig
@@ -387,7 +383,6 @@ class FitSpec:
     rare_ids: set[int]
     run_id: str = "run"
     periodic_eval: bool = False
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None
 
 
 def _fit_spec(spec: FitSpec) -> RunResult:
@@ -398,7 +393,6 @@ def _fit_spec(spec: FitSpec) -> RunResult:
         spec.rare_ids,
         run_id=spec.run_id,
         periodic_eval=spec.periodic_eval,
-        pseudo_triplets=spec.pseudo_triplets,
     )
 
 
@@ -551,13 +545,8 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
         if not triplets:
             return None
         labels = frozenset(triplets.hoi_classes.tolist())
-        if tag == SupervisionTag.WS:
-            return dataclasses.replace(
-                image, supervision=tag, gt_triplets=NO_TRIPLETS, image_labels=labels
-            )
-        return dataclasses.replace(
-            image, supervision=tag, gt_triplets=triplets, image_labels=labels
-        )
+        kept = dataclasses.replace(image, gt_triplets=triplets, image_labels=labels)
+        return kept.with_supervision(tag)
 
     images_fs, images_ws = [], []
     for image in train_images:

@@ -42,10 +42,9 @@ def _targets(y: np.ndarray | MiniBatch, region_level: bool, name: str) -> np.nda
     """The targets of a checked batch as they are, or a raw array checked."""
     if not isinstance(y, MiniBatch):
         return _check_binary(y, name)
-    targets = y.fs_targets if region_level else y.ws_targets
-    if targets is None:
+    if y.supervision.region_level != region_level:
         raise ValueError(f"a {y.supervision} batch has no targets for this loss")
-    return targets
+    return y.targets
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:

@@ -122,9 +122,10 @@ def iterate_cycles(
     images with above-threshold predictions join the next cycle as
     pseudo-region data. mode "multistage": only FS images train first; WS
     images join as pseudo-region data via the per-label argmax, and the
-    pipeline stays fully supervised. Each cycle retrains from the same
-    seeded initialization; identical pseudo-label sets between consecutive
-    cycles raise the converged flag and stop early.
+    pipeline stays fully supervised. A pseudo-labelled image trains as a US
+    image whose gt_triplets are its pseudo labels. Each cycle retrains from
+    the same seeded initialization; identical pseudo-label sets between
+    consecutive cycles raise the converged flag and stop early.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -134,20 +135,11 @@ def iterate_cycles(
     if mode == "multistage":
         base_pool = [img for img in images if img.supervision == SupervisionTag.FS]
         pseudo_sources = [img for img in images if img.supervision == SupervisionTag.WS]
-        retagged = [
-            dataclasses.replace(
-                img,
-                supervision=SupervisionTag.US,
-                gt_triplets=NO_TRIPLETS,
-                image_labels=frozenset(),
-            )
-            for img in pseudo_sources
-        ]
-        cycle_pool = base_pool + retagged
     else:
         base_pool = [img for img in images if img.supervision != SupervisionTag.US]
         pseudo_sources = [img for img in images if img.supervision == SupervisionTag.US]
-        cycle_pool = base_pool + pseudo_sources
+    # a cycle trains each labelled source as a US image carrying its labels
+    unlabelled = [img.with_supervision(SupervisionTag.US) for img in pseudo_sources]
 
     # the pairs of the pseudo sources do not depend on the model: they are
     # built once, in one pass, for every relabelling
@@ -178,7 +170,12 @@ def iterate_cycles(
             dump_pseudo_triplets(
                 os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo
             )
-        run = fit(cycle_pool, cfg, test_images, rare_ids, pseudo_triplets=pseudo)
+        labelled = [
+            dataclasses.replace(img, gt_triplets=pseudo[img.image_id])
+            for img in unlabelled
+            if img.image_id in pseudo
+        ]
+        run = fit(base_pool + labelled, cfg, test_images, rare_ids)
         params, report = run.params, run.report
         new_pseudo = relabel(params)
         converged = same_pseudo_labels(new_pseudo, pseudo)

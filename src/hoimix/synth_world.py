@@ -105,6 +105,10 @@ class WorldConfig:
 
 @dataclass(frozen=True, eq=False)
 class SynthImage:
+    """An image's detections and the supervision it trains with: its
+    gt_triplets are an FS image's ground truth or a US image's pseudo labels
+    (none until it is pseudo-labelled), its image_labels a WS image's labels."""
+
     image_id: int
     humans: DetectionArrays
     objects: DetectionArrays
@@ -115,6 +119,16 @@ class SynthImage:
     def __post_init__(self) -> None:
         if not len(self.humans) or not len(self.objects):
             raise ValueError("every image needs at least one human and one object detection")
+
+    def with_supervision(self, tag: SupervisionTag) -> "SynthImage":
+        """This image tagged tag, keeping only the annotation the tag has:
+        FS keeps triplets and labels, WS labels only, US nothing."""
+        return dataclasses.replace(
+            self,
+            supervision=tag,
+            gt_triplets=self.gt_triplets if tag == SupervisionTag.FS else NO_TRIPLETS,
+            image_labels=frozenset() if tag == SupervisionTag.US else self.image_labels,
+        )
 
 
 @dataclass(frozen=True)
@@ -579,10 +593,8 @@ def split_supervision(
     us_fraction: float,
     seed: int,
 ) -> list[SynthImage]:
-    """Randomly tag images WS/FS/US and strip annotations accordingly.
-
-    WS images keep only the set of image-level labels, US images keep
-    nothing, FS images keep full triplets. Counts follow the fractions with
+    """Randomly tag images WS/FS/US, each keeping the annotation its tag
+    has (SynthImage.with_supervision). Counts follow the fractions with
     largest-remainder rounding (exact to +-1).
     """
     fractions = (ws_fraction, fs_fraction, us_fraction)
@@ -606,25 +618,4 @@ def split_supervision(
         for idx in order[cursor : cursor + count]:
             tags[int(idx)] = tag
         cursor += count
-
-    tagged = []
-    for idx, image in enumerate(images):
-        tag = tags[idx]
-        if tag == SupervisionTag.FS:
-            tagged.append(dataclasses.replace(image, supervision=SupervisionTag.FS))
-        elif tag == SupervisionTag.WS:
-            tagged.append(
-                dataclasses.replace(
-                    image, supervision=SupervisionTag.WS, gt_triplets=NO_TRIPLETS
-                )
-            )
-        else:
-            tagged.append(
-                dataclasses.replace(
-                    image,
-                    supervision=SupervisionTag.US,
-                    gt_triplets=NO_TRIPLETS,
-                    image_labels=frozenset(),
-                )
-            )
-    return tagged
+    return [image.with_supervision(tags[idx]) for idx, image in enumerate(images)]

@@ -17,7 +17,7 @@ output byte for byte, and accept exactly the detections they accept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     DetectionArrays,
     SynthImage,
-    TripletArrays,
     feature_layout,
     pair_feature_matrix,
 )
@@ -243,10 +242,10 @@ def reference_assemble_minibatch(
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
     element_swap_enabled: bool = False,
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> MiniBatch:
     """The batch of one schedule entry, from the grids and targets of its two
-    images built one image at a time."""
+    images built one image at a time; a region-level image's targets come
+    from its own gt_triplets."""
     if image_a.supervision != image_b.supervision:
         raise ValueError("mini-batches must be homogeneous in supervision")
     tag = image_a.supervision
@@ -260,17 +259,9 @@ def reference_assemble_minibatch(
         else:
             features = np.vstack([grid.features for grid in grids])
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
-        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, ws_targets=targets)
+        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=targets)
 
-    if tag == SupervisionTag.US:
-        if pseudo_triplets is None:
-            raise ValueError("US batches need pseudo triplets")
-        truth = [
-            triplet_objects(pseudo_triplets[image.image_id]) if image.image_id in pseudo_triplets else ()
-            for image in (image_a, image_b)
-        ]
-    else:
-        truth = [triplet_objects(image_a.gt_triplets), triplet_objects(image_b.gt_triplets)]
+    truth = [triplet_objects(image_a.gt_triplets), triplet_objects(image_b.gt_triplets)]
     features = np.vstack([grid.features for grid in grids])
     Y = np.vstack(
         [
@@ -278,4 +269,4 @@ def reference_assemble_minibatch(
             for grid, gt in zip(grids, truth)
         ]
     )
-    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, fs_targets=Y)
+    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=Y)

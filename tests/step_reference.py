@@ -11,8 +11,6 @@ count and logged losses byte for byte.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from hoimix.batching import Schedule
@@ -20,7 +18,7 @@ from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
-from hoimix.synth_world import SynthImage, TripletArrays
+from hoimix.synth_world import SynthImage
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:
@@ -70,12 +68,11 @@ def reference_train(
     images: list[SynthImage],
     cfg: ExperimentConfig,
     schedule: Schedule,
-    pseudo_triplets: Optional[dict[int, TripletArrays]] = None,
 ) -> tuple[ModelParams, MomentumState, list[tuple[int, str, float]]]:
     """Train from a fresh init over the schedule `train` chose for the same
     images and config; returns the params, the momentum state and the
     logged (iteration, tag, loss) of every iteration that stepped."""
-    batches = _build_batches(images, schedule, cfg, pseudo_triplets)
+    batches = _build_batches(images, schedule, cfg)
     init_seed, _, _ = _train_seeds(cfg.train_seed)
     params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, init_seed)
     state = MomentumState.zeros(params, cfg.optimizer.policy)
@@ -87,10 +84,10 @@ def reference_train(
         batch = batches[t % len(batches)]
         scores = forward(params, batch.features)
         if tag.region_level:
-            value, upstream = reference_fs_loss(scores.P, np.array(batch.fs_targets))
+            value, upstream = reference_fs_loss(scores.P, np.array(batch.targets))
         else:
             value, upstream = reference_ws_loss(
-                aggregate_image_level(scores.P), np.array(batch.ws_targets)
+                aggregate_image_level(scores.P), np.array(batch.targets)
             )
             upstream = np.broadcast_to(upstream, scores.P.shape)
         step(params, backward(params, scores, upstream), tag, state, cfg.optimizer)

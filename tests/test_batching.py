@@ -88,11 +88,9 @@ def pairs_of(im, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
     return build_pairs(im, grid_of(im, feature_dim, top_k))
 
 
-def assemble(a, b, *, n_classes, feature_dim, element_swap_enabled=False, pseudo_triplets=None):
+def assemble(a, b, *, n_classes, feature_dim, element_swap_enabled=False):
     """The batch of the one schedule entry (a, b), through its own block."""
-    block = prepare_block(
-        [(a, b)], n_classes=n_classes, feature_dim=feature_dim, pseudo_triplets=pseudo_triplets
-    )
+    block = prepare_block([(a, b)], n_classes=n_classes, feature_dim=feature_dim)
     return assemble_minibatch(block, 0, element_swap_enabled=element_swap_enabled)
 
 
@@ -432,13 +430,34 @@ def test_schedule_single_image_group_is_error():
         batch_schedule(lone_ws, seed=0)
 
 
-def test_schedule_excludes_us_by_default():
-    images = generate_world(
-        WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=5)
-    )
-    tagged = split_supervision(images, 0.4, 0.3, 0.3, seed=0)
-    schedule = batch_schedule(tagged, seed=1)
-    assert all(e.supervision != SupervisionTag.US for e in schedule.entries)
+def schedule_digest(schedule):
+    text = ";".join(f"{e.image_a},{e.image_b},{e.supervision}" for e in schedule.entries)
+    text += "|" + ";".join(f"{tag},{image_id}" for tag, image_id in schedule.leftovers)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_schedule_adds_us_pairs_without_moving_the_fs_and_ws_pairs():
+    cfg = ExperimentConfig(ws_fraction=0.3, fs_fraction=0.4, us_fraction=0.3)
+    tagged, _, _ = prepare_world(cfg)
+    _, seed, _ = _train_seeds(cfg.train_seed)
+    us = [im for im in tagged if im.supervision == SupervisionTag.US]
+    base = [im for im in tagged if im.supervision != SupervisionTag.US]
+    without = batch_schedule(base, seed)
+    # the schedule these images had when batch_schedule left US images out
+    # unless asked to include them (recipe: schedule_digest)
+    assert schedule_digest(without) == "dc80cbeb9bff4a8c"
+    assert all(e.supervision != SupervisionTag.US for e in without.entries)
+    with pytest.raises(ScheduleError, match="US has a single image"):
+        batch_schedule(base + us[:1], seed)
+
+    def pairs(schedule, tag):
+        return {(e.image_a, e.image_b) for e in schedule.entries if e.supervision == tag}
+
+    for n_us in (2, 3, len(us)):
+        schedule = batch_schedule(base + us[:n_us], seed)
+        assert len(pairs(schedule, SupervisionTag.US)) == n_us // 2
+        for tag in (SupervisionTag.FS, SupervisionTag.WS):
+            assert pairs(schedule, tag) == pairs(without, tag)
 
 
 def test_assemble_ws_batch_with_swap():
@@ -450,12 +469,12 @@ def test_assemble_ws_batch_with_swap():
         a, b, n_classes=6, feature_dim=cfg.feature_dim, element_swap_enabled=True
     )
     assert batch.supervision == SupervisionTag.WS
-    assert batch.ws_targets is not None and batch.fs_targets is None
+    assert batch.targets.shape == (6,)
     n_a = len(pairs_of(a, cfg.feature_dim))
     n_b = len(pairs_of(b, cfg.feature_dim))
     assert batch.features.shape[0] == n_a + n_b
     assert batch.features.shape == (n_a + n_b, cfg.feature_dim)
-    assert set(np.nonzero(batch.ws_targets)[0]) == set(a.image_labels | b.image_labels)
+    assert set(np.nonzero(batch.targets)[0]) == set(a.image_labels | b.image_labels)
 
 
 def test_assemble_fs_batch_matches_per_image_targets():
@@ -464,16 +483,15 @@ def test_assemble_fs_batch_matches_per_image_targets():
     a, b = images[0], images[1]
     batch = assemble(a, b, n_classes=6, feature_dim=cfg.feature_dim)
     assert batch.supervision == SupervisionTag.FS
-    assert batch.fs_targets is not None and batch.ws_targets is None
     grid_a, grid_b = (reference_pair_grid(im, cfg.feature_dim) for im in (a, b))
     Y_a, Y_b = (
         reference_fs_targets(grid.human_boxes, grid.object_boxes, triplet_objects(im.gt_triplets), 6)
         for grid, im in ((grid_a, a), (grid_b, b))
     )
     n_a = len(grid_a.features)
-    np.testing.assert_array_equal(batch.fs_targets[:n_a], Y_a)
+    np.testing.assert_array_equal(batch.targets[:n_a], Y_a)
     # pairs from image b are matched against image b's ground truth only
-    np.testing.assert_array_equal(batch.fs_targets[n_a:], Y_b)
+    np.testing.assert_array_equal(batch.targets[n_a:], Y_b)
     assert batch.features.shape[0] == n_a + len(grid_b.features)
 
 
@@ -487,30 +505,27 @@ def test_assemble_rejects_mixed_supervision():
         assemble(ws, fs, n_classes=6, feature_dim=cfg.feature_dim)
 
 
-def test_assemble_us_requires_pseudo_triplets():
+def test_assemble_us_batch_targets_the_images_own_triplets():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
     images = generate_world(cfg)
     tagged = split_supervision(images, 0.0, 0.5, 0.5, seed=0)
     us = [im for im in tagged if im.supervision == SupervisionTag.US]
-    with pytest.raises(ValueError):
-        assemble(us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim)
-    pseudo = {
-        us[0].image_id: triplet_arrays(
-            [GroundTruthTriplet(*boxes_of(grid_of(us[0], cfg.feature_dim), 0), 2)]
-        ),
-        us[1].image_id: NO_TRIPLETS,
-    }
-    batch = assemble(
-        us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim, pseudo_triplets=pseudo
-    )
+    assert not us[0].gt_triplets and not us[1].gt_triplets
+    # without pseudo labels a US batch has no positive target
+    batch = assemble(us[0], us[1], n_classes=6, feature_dim=cfg.feature_dim)
+    assert batch.targets.ndim == 2 and not batch.targets.any()
+    grid = grid_of(us[0], cfg.feature_dim)
+    pseudo = triplet_arrays([GroundTruthTriplet(*boxes_of(grid, 0), 2)])
+    labelled = dataclasses.replace(us[0], gt_triplets=pseudo)
+    batch = assemble(labelled, us[1], n_classes=6, feature_dim=cfg.feature_dim)
     assert batch.supervision == SupervisionTag.US
-    assert batch.fs_targets is not None
-    assert batch.fs_targets[0, 2] == 1.0
+    assert batch.targets[0, 2] == 1.0
+    # us[1]'s pairs are matched against its own triplets only: none
+    assert not batch.targets[len(grid.features) :].any()
 
 
 def minibatch(tag, features, targets):
-    key = "ws_targets" if tag == SupervisionTag.WS else "fs_targets"
-    return MiniBatch(supervision=tag, features=features, image_ids=(0, 1), **{key: targets})
+    return MiniBatch(supervision=tag, features=features, image_ids=(0, 1), targets=targets)
 
 
 @pytest.mark.parametrize(
@@ -540,7 +555,7 @@ def test_built_minibatch_is_read_only(tag):
     with pytest.raises(ValueError, match="read-only"):
         batch.features[0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
-        (batch.fs_targets if tag.region_level else batch.ws_targets)[0] = 0.5
+        batch.targets[0] = 0.5
     with pytest.raises(AttributeError):
         batch.features = np.zeros((2, 3))
 
@@ -553,8 +568,7 @@ def test_assembled_batches_are_read_only():
         batch = assemble(
             a, b, n_classes=6, feature_dim=cfg.feature_dim, element_swap_enabled=True
         )
-        targets = batch.fs_targets if tag.region_level else batch.ws_targets
-        assert not batch.features.flags.writeable and not targets.flags.writeable
+        assert not batch.features.flags.writeable and not batch.targets.flags.writeable
 
 
 def assert_same_batches(got, want):
@@ -562,16 +576,13 @@ def assert_same_batches(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.supervision, g.image_ids) == (w.supervision, w.image_ids)
-        for name in ("features", "fs_targets", "ws_targets"):
+        for name in ("features", "targets"):
             a, b = getattr(g, name), getattr(w, name)
-            if b is None:
-                assert a is None
-                continue
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert not a.flags.writeable and not b.flags.writeable
 
 
-def reference_batches(images, schedule, cfg, pseudo_triplets=None):
+def reference_batches(images, schedule, cfg):
     by_id = {image.image_id: image for image in images}
     return [
         reference_assemble_minibatch(
@@ -581,37 +592,40 @@ def reference_batches(images, schedule, cfg, pseudo_triplets=None):
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
             element_swap_enabled=cfg.element_swap,
-            pseudo_triplets=pseudo_triplets,
         )
         for e in schedule.entries
     ]
 
 
-def scheduled(cfg, include_us=False):
-    """The tagged images of cfg's world and the schedule train draws for them."""
-    tagged, _, _ = prepare_world(cfg)
+def scheduled(cfg, images=None):
+    """The tagged images of cfg's world, or the given ones, and the
+    schedule that batch_schedule draws for them at train's seed."""
+    if images is None:
+        images, _, _ = prepare_world(cfg)
     _, schedule_seed, _ = _train_seeds(cfg.train_seed)
-    return tagged, batch_schedule(tagged, schedule_seed, include_us=include_us)
+    return images, batch_schedule(images, schedule_seed)
 
 
 def us_mix():
-    """A 40/30/30 mix whose US images carry their own triplets as pseudo
-    triplets, but for every fifth, which has none."""
+    """A 40/30/30 mix whose US images carry their own stripped ground truth
+    as pseudo labels, but for every fifth, which has none."""
     cfg = ExperimentConfig(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
-    tagged, schedule = scheduled(cfg, include_us=True)
+    tagged, _, _ = prepare_world(cfg)
     truth = {im.image_id: im.gt_triplets for im in generate_world(cfg.world)}
-    us = [im.image_id for im in tagged if im.supervision == SupervisionTag.US]
-    pseudo = {i: truth[i] for k, i in enumerate(us) if k % 5}
-    return cfg, tagged, schedule, pseudo
+    us = [k for k, im in enumerate(tagged) if im.supervision == SupervisionTag.US]
+    labelled = list(tagged)
+    for n, k in enumerate(us):
+        if n % 5:
+            labelled[k] = dataclasses.replace(tagged[k], gt_triplets=truth[tagged[k].image_id])
+    return (cfg, *scheduled(cfg, labelled))
 
 
 @pytest.mark.parametrize(
     "case", ["seed0", "seed1", "seed2", "us_mix", "no_element_swap", "top_k_1"]
 )
 def test_build_batches_matches_the_per_entry_reference(case):
-    pseudo = None
     if case == "us_mix":
-        cfg, tagged, schedule, pseudo = us_mix()
+        cfg, tagged, schedule = us_mix()
         assert any(e.supervision == SupervisionTag.US for e in schedule.entries)
     else:
         overrides = {
@@ -625,8 +639,8 @@ def test_build_batches_matches_the_per_entry_reference(case):
         cfg = ExperimentConfig(world=WorldConfig(seed=seed), **overrides)
         tagged, schedule = scheduled(cfg)
     assert len(schedule.entries) > BLOCK_ENTRIES  # more than one block
-    got = _build_batches(tagged, schedule, cfg, pseudo)
-    assert_same_batches(got, reference_batches(tagged, schedule, cfg, pseudo))
+    got = _build_batches(tagged, schedule, cfg)
+    assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
 
 @pytest.mark.parametrize("n_entries", [1, BLOCK_ENTRIES - 1, BLOCK_ENTRIES, BLOCK_ENTRIES + 1])
@@ -634,7 +648,7 @@ def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     cfg = ExperimentConfig()
     tagged, full = scheduled(cfg)
     schedule = Schedule(entries=full.entries[:n_entries], leftovers=(), seed=full.seed)
-    got = _build_batches(tagged, schedule, cfg, None)
+    got = _build_batches(tagged, schedule, cfg)
     assert len(got) == n_entries
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
@@ -701,14 +715,11 @@ def test_block_rejects_an_out_of_range_class():
     fs[3] = dataclasses.replace(fs[3], gt_triplets=triplet_arrays([bad]), image_labels=frozenset({12}))
     with pytest.raises(ValueError, match=r"hoi_class 12 out of range \[0, 10\)"):
         prepare_block([(fs[0], fs[1]), (fs[2], fs[3])], n_classes=10, feature_dim=FEATURE_DIM)
-    us = [dataclasses.replace(im, supervision=SupervisionTag.US, gt_triplets=NO_TRIPLETS) for im in fs[:2]]
+    us = [im.with_supervision(SupervisionTag.US) for im in fs[:2]]
+    negative = triplet_arrays([triplet(0.1, 0.1, 0.5, 0.5, -1)])
+    us[1] = dataclasses.replace(us[1], gt_triplets=negative)
     with pytest.raises(ValueError, match=r"hoi_class -1 out of range"):
-        prepare_block(
-            [tuple(us)],
-            n_classes=10,
-            feature_dim=FEATURE_DIM,
-            pseudo_triplets={1: triplet_arrays([triplet(0.1, 0.1, 0.5, 0.5, -1)])},
-        )
+        prepare_block([tuple(us)], n_classes=10, feature_dim=FEATURE_DIM)
 
 
 def test_build_pairs_rejects_the_grid_of_another_image():
@@ -724,8 +735,9 @@ def test_build_pairs_rejects_the_grid_of_another_image():
 # data_pass workload at a seed (world.seed and train_seed both the seed,
 # every other setting the default), the schedule train draws for it, and
 # _build_batches; then sha256 over every batch's features.tobytes() in
-# schedule order, and separately over its targets (fs_targets or
-# ws_targets). The prefixes hold for numpy 2.x Generator streams on x86-64.
+# schedule order, and separately over its targets (a region-level matrix
+# or an image-level vector). The prefixes hold for numpy 2.x Generator
+# streams on x86-64.
 DATA_PASS_BATCH_DIGESTS = {
     0: ("fff29e92e29cc520", "55faa521e0019930"),
     1: ("d737c3ff721e1092", "5d2e1544ed0bdf4d"),
@@ -737,9 +749,9 @@ def test_data_pass_batch_digests_are_pinned(seed):
     cfg = ExperimentConfig(world=WorldConfig(n_images=2400, seed=seed), train_seed=seed)
     tagged, schedule = scheduled(cfg)
     features, targets = hashlib.sha256(), hashlib.sha256()
-    for batch in _build_batches(tagged, schedule, cfg, None):
+    for batch in _build_batches(tagged, schedule, cfg):
         features.update(batch.features.tobytes())
-        targets.update((batch.ws_targets if batch.fs_targets is None else batch.fs_targets).tobytes())
+        targets.update(batch.targets.tobytes())
     assert len(schedule.entries) == 1200
     digests = (features.hexdigest()[:16], targets.hexdigest()[:16])
     assert digests == DATA_PASS_BATCH_DIGESTS[seed]

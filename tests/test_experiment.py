@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -441,28 +442,44 @@ def test_config_rejects_out_of_range_fields_naming_them(field, value, tmp_path):
         tiny_cfg(**{field: value})
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**tiny_cfg().to_dict(), field: value}))
-    with pytest.raises(ValueError, match=f"^{field}: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field}: "):
+        load_config(path)
+
+
+BAD_CONFIGS = {
+    "unknown_field": '{"bogus": 1}',
+    "truncated_json": '{"iterations": ',
+    "mistyped_field": '{"world": {"n_images": "ten"}}',
+    "not_an_object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_load_config_names_the_file_of_a_bad_config(case, tmp_path):
+    path = tmp_path / f"{case}.json"
+    path.write_text(BAD_CONFIGS[case])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_config(path)
 
 
 def _us_mix():
     cfg = tiny_cfg(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
     tagged, _, _ = prepare_world(cfg)
-    # the US images' stripped ground truth stands in for pseudo triplets
+    # the US images' stripped ground truth stands in for pseudo labels
     truth = {img.image_id: img.gt_triplets for img in generate_world(cfg.world)}
-    pseudo = {
-        img.image_id: truth[img.image_id]
-        for img in tagged
+    labelled = [
+        dataclasses.replace(img, gt_triplets=truth[img.image_id])
         if img.supervision == SupervisionTag.US
-    }
-    return cfg, tagged, pseudo
+        else img
+        for img in tagged
+    ]
+    return cfg, labelled
 
 
 @pytest.mark.parametrize("setting", ["shared", "sequence_fs_first", "no_swap", "us_mix"])
 def test_train_matches_the_reference_step_bytewise(setting):
-    pseudo = None
     if setting == "us_mix":
-        cfg, tagged, pseudo = _us_mix()
+        cfg, tagged = _us_mix()
     else:
         optimizer = OptimizerConfig(alpha_ws=0.012, alpha_fs=0.05)
         overrides = {
@@ -478,8 +495,8 @@ def test_train_matches_the_reference_step_bytewise(setting):
         }[setting]
         cfg = tiny_cfg(iterations=300, **overrides)
         tagged, _, _ = prepare_world(cfg)
-    result = train(tagged, cfg, pseudo_triplets=pseudo)
-    params, state, losses = reference_train(tagged, cfg, result.schedule, pseudo)
+    result = train(tagged, cfg)
+    params, state, losses = reference_train(tagged, cfg, result.schedule)
     assert result.params.flat.tobytes() == params.flat.tobytes()
     assert result.state.buffers.tobytes() == state.buffers.tobytes()
     assert result.state.t == state.t
@@ -499,18 +516,34 @@ def test_train_checks_no_targets_in_the_loop(monkeypatch):
         return check(y, name)
 
     monkeypatch.setattr(hoimix.loss, "_check_binary", counting)
-    cfg, tagged, pseudo = _us_mix()
-    result = train(tagged, cfg, pseudo_triplets=pseudo)
+    cfg, tagged = _us_mix()
+    result = train(tagged, cfg)
     assert len(result.log.losses) == cfg.iterations
     assert calls == []
 
 
 def test_us_images_excluded_until_pseudo_labeled():
-    cfg = tiny_cfg(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
+    cfg, labelled = _us_mix()
     tagged, _, _ = prepare_world(cfg)
-    result = train(tagged, cfg)
-    tags = {tag for _, tag, _ in result.log.losses}
-    assert "US" not in tags
+    base = [img for img in tagged if img.supervision != SupervisionTag.US]
+    us = [k for k, img in enumerate(tagged) if img.supervision == SupervisionTag.US]
+    entries = train(base, cfg).schedule.entries
+    # no US image with pseudo labels, or a lone one: the schedule of the
+    # images without them
+    one = list(tagged)
+    one[us[0]] = labelled[us[0]]
+    for images in (tagged, one):
+        result = train(images, cfg)
+        assert "US" not in {tag for _, tag, _ in result.log.losses}
+        assert result.schedule.entries == entries
+    two = list(one)
+    two[us[1]] = labelled[us[1]]
+    us_pairs = [
+        {e.image_a, e.image_b}
+        for e in train(two, cfg).schedule.entries
+        if e.supervision == SupervisionTag.US
+    ]
+    assert us_pairs == [{tagged[us[0]].image_id, tagged[us[1]].image_id}]
 
 
 CLI = [sys.executable, "-m", "hoimix.cli"]
@@ -530,6 +563,14 @@ def run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_cli_names_the_file_of_a_bad_config(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"bogus": 1}')
+    result = run_cli(["train", "--config", str(path)], tmp_path)
+    assert result.returncode == 1
+    assert f"error: {path}: " in result.stderr
 
 
 def test_cli_train_eval(tmp_path):

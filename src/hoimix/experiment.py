@@ -7,8 +7,8 @@ One schedule entry corresponds to one iteration; entries skipped by a
 sequence-training filter still consume their iteration. Every experiment
 (full runs, sweeps, the class split, pseudo-label cycles) trains and
 evaluates through `fit`; fits that do not depend on each other (a sweep's
-cells, the class split's three models) run in worker processes through
-`run_many`.
+cells, the class split's three models) run in forked worker processes
+through `run_many`, which inherit their specs and return pickled results.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class ExperimentConfig:
         if "policy" in opt:
             opt["policy"] = MomentumPolicy(opt["policy"])
         for key in ("humans_per_image", "objects_per_image"):
-            if key in world:
+            if key in world and isinstance(world[key], list):
                 world[key] = tuple(world[key])
         return cls(world=WorldConfig(**world), optimizer=OptimizerConfig(**opt), **d)
 
@@ -374,8 +374,8 @@ def fit(
 
 @dataclass(frozen=True, eq=False)
 class FitSpec:
-    """The arguments of one `fit` call, as one picklable value; the images
-    carry their own supervision, pseudo labels included."""
+    """The arguments of one `fit` call; the images carry their own
+    supervision, pseudo labels included."""
 
     images: list[SynthImage]
     cfg: ExperimentConfig
@@ -385,7 +385,16 @@ class FitSpec:
     periodic_eval: bool = False
 
 
-def _fit_spec(spec: FitSpec) -> RunResult:
+_worker_specs: Sequence[FitSpec] = ()  # a worker's own, set by its pool's initializer
+
+
+def _inherit_specs(specs: Sequence[FitSpec]) -> None:
+    global _worker_specs
+    _worker_specs = specs
+
+
+def _fit_spec(k: int) -> RunResult:
+    spec = _worker_specs[k]
     return fit(
         spec.images,
         spec.cfg,
@@ -400,11 +409,11 @@ def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
     """Run independent `fit` calls in a pool of worker processes, one per
     usable CPU and at most one per spec; return their results in spec order.
 
-    Each result equals that of a serial `fit` of its spec. A failing spec
-    (`TrainingDiverged` included) raises here with the worker's message.
-    The pool is shut down, and its workers waited for, before this returns.
-    Workers are spawned and import the caller's main module, so a script
-    that calls this must do so under `if __name__ == "__main__":`.
+    Workers are forked (POSIX only) and inherit the specs, so each task is a
+    spec index and only results are pickled. Each result equals that of a
+    serial `fit` of its spec. A failing spec (`TrainingDiverged` included)
+    raises here with the worker's message. The pool is shut down, and its
+    workers waited for, before this returns.
     """
     if not specs:
         return []
@@ -413,11 +422,14 @@ def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(specs), len(os.sched_getaffinity(0)))
-    # spawned workers start from a fresh import: forking a process that
-    # holds BLAS threads is unsafe
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    # Forking is safe: OpenBLAS (a pthreads build) stops its thread pool at
+    # fork, in parent and child, and restarts it on the next product; the
+    # executor (Python 3.11) forks every worker before it starts its manager
+    # thread; and hoimix starts no thread of its own.
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, fork, initializer=_inherit_specs, initargs=(specs,))
     try:
-        return list(pool.map(_fit_spec, specs))
+        return list(pool.map(_fit_spec, range(len(specs))))
     finally:
         pool.shutdown(cancel_futures=True)
 

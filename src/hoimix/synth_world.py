@@ -81,7 +81,10 @@ class WorldConfig:
         if self.n_images < 1:
             raise WorldGenerationError("n_images: must be >= 1")
         for name in ("humans_per_image", "objects_per_image"):
-            lo, hi = getattr(self, name)
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 2 and all(type(v) is int for v in value)):
+                raise WorldGenerationError(f"{name}: must be a pair of ints, got {value!r}")
+            lo, hi = value
             if lo < 1 or hi < lo:
                 raise WorldGenerationError(f"{name}: range [{lo}, {hi}] is empty or below 1")
         if self.feature_dim < 4:
@@ -200,27 +203,10 @@ class DetectionArrays:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def __reduce__(self):
-        # run_many pickles every image of every spec it sends, and a pickler
-        # holds each array it writes until it is done, so the array count
-        # sets the peak memory of the process feeding the workers: one float
-        # block and the class ids halve it
-        block = np.concatenate([self.boxes, self.confidences[:, None], self.appearance], axis=1)
-        return (_unpickle_detections, (block, self.class_ids))
-
     def take(self, rows: np.ndarray) -> "DetectionArrays":
         return DetectionArrays(
             self.boxes[rows], self.class_ids[rows], self.confidences[rows], self.appearance[rows]
         )
-
-
-def _unpickle_detections(block: np.ndarray, class_ids: np.ndarray) -> DetectionArrays:
-    return DetectionArrays(
-        np.ascontiguousarray(block[:, :4]),
-        class_ids,
-        block[:, 4].copy(),
-        np.ascontiguousarray(block[:, 5:]),
-    )
 
 
 def _reject_degenerate(boxes: np.ndarray, what: str) -> None:

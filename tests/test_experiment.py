@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -33,7 +35,7 @@ from hoimix.experiment import (
 )
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
-from hoimix.synth_world import WorldConfig, generate_world, split_supervision
+from hoimix.synth_world import SynthImage, WorldConfig, generate_world, split_supervision
 from box_reference import triplet_objects
 from step_reference import reference_train
 
@@ -372,6 +374,83 @@ def test_run_many_raises_a_workers_divergence():
     assert multiprocessing.active_children() == []
 
 
+def _serial_fits(specs):
+    return [
+        fit(s.images, s.cfg, s.test_images, s.rare_ids, run_id=s.run_id, periodic_eval=s.periodic_eval)
+        for s in specs
+    ]
+
+
+def _same_runs(runs, serial):
+    assert [run.csv_row for run in runs] == [run.csv_row for run in serial]
+    for run, expected in zip(runs, serial):
+        assert run.params.flat.tobytes() == expected.params.flat.tobytes()
+        assert run.state.buffers.tobytes() == expected.state.buffers.tobytes()
+
+
+@contextlib.contextmanager
+def _returns_within(seconds):
+    """Fail a pool that hangs, in place of hanging the suite: kill every
+    worker, so that the pool's shutdown does not wait on them, and raise."""
+
+    def hung(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError(f"run_many did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _two_specs():
+    cfg = tiny_cfg(iterations=60)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    return [
+        FitSpec(tagged, cfg, test_images, rare_ids, run_id="indep"),
+        FitSpec(tagged, _shared(cfg), test_images, rare_ids, run_id="shared"),
+    ]
+
+
+def test_run_many_workers_inherit_their_specs(monkeypatch):
+    specs = _two_specs()
+    serial = _serial_fits(specs)
+
+    def unpicklable(self, protocol):
+        raise AssertionError(f"{type(self).__name__} was pickled")
+
+    monkeypatch.setattr(FitSpec, "__reduce_ex__", unpicklable, raising=False)
+    monkeypatch.setattr(SynthImage, "__reduce_ex__", unpicklable, raising=False)
+    with _returns_within(60.0):
+        _same_runs(run_many(specs), serial)
+    assert multiprocessing.active_children() == []
+
+
+def _threads() -> int:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_run_many_forks_a_process_with_blas_threads_without_hanging():
+    specs = _two_specs()
+    serial = _serial_fits(specs)
+    product = np.random.default_rng(0).random((400, 400))
+    with _returns_within(60.0):
+        for _ in range(3):
+            # a product this large starts the OpenBLAS thread pool, which
+            # the fork must then find running
+            product @ product
+            if len(os.sched_getaffinity(0)) >= 2:
+                assert _threads() >= 2
+            _same_runs(run_many(specs), serial)
+            assert multiprocessing.active_children() == []
+
+
 def test_class_split_reports_four_subset_maps():
     cfg = tiny_cfg(iterations=400, n_test_images=24)
     result = run_class_split(cfg)
@@ -443,6 +522,20 @@ def test_config_rejects_out_of_range_fields_naming_them(field, value, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**tiny_cfg().to_dict(), field: value}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field", ["humans_per_image", "objects_per_image"])
+@pytest.mark.parametrize(
+    "value", [[1], 3, [1, "2"], [1.5, 2], [1, 2, 3], [True, 2], None], ids=repr
+)
+def test_malformed_range_rejected_naming_its_field(field, value, tmp_path):
+    as_given = tuple(value) if isinstance(value, list) else value
+    with pytest.raises(ValueError, match=f"^{field}: must be a pair of ints"):
+        WorldConfig(**{field: as_given})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"world": {field: value}}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field}: must be a pair of ints"):
         load_config(path)
 
 

@@ -26,7 +26,6 @@ from .evaluation import (
     EvalSet,
     Predictions,
     evaluate,
-    match_and_ap,
     prepare_eval_set,
 )
 from .experiment import (
@@ -96,7 +95,6 @@ __all__ = [
     "iterate_cycles",
     "make_fs_targets",
     "make_ws_targets",
-    "match_and_ap",
     "pair_grids",
     "pair_iou",
     "pair_iou_matrix",

@@ -362,7 +362,6 @@ class Schedule:
 
     entries: tuple[ScheduleEntry, ...]
     leftovers: tuple[tuple[SupervisionTag, int], ...]  # unpaired image per odd group
-    seed: int
 
 
 class ScheduleError(ValueError):
@@ -400,7 +399,7 @@ def batch_schedule(images: list[SynthImage], seed: int) -> Schedule:
             leftovers.append((tag, shuffled[-1]))
 
     mixed = [entries[i] for i in rng.permutation(len(entries))]
-    return Schedule(entries=tuple(mixed), leftovers=tuple(leftovers), seed=seed)
+    return Schedule(entries=tuple(mixed), leftovers=tuple(leftovers))
 
 
 @dataclass(eq=False)

@@ -50,12 +50,15 @@ def parse_ratio(text: str) -> tuple[float, float, float]:
     raise ValueError(f"cannot parse ratio {text!r}")
 
 
-def _load_cfg(args) -> ExperimentConfig:
+def _load_cfg(args, default_ratio=None) -> ExperimentConfig:
+    """The config file's, or the default, config with --seed and --ratio
+    applied; default_ratio stands in for --ratio when no config file is given."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, train_seed=args.seed)
-    if getattr(args, "ratio", None):
-        ws, fs, us = parse_ratio(args.ratio)
+    ratio = getattr(args, "ratio", None) or (None if args.config else default_ratio)
+    if ratio:
+        ws, fs, us = parse_ratio(ratio)
         cfg = dataclasses.replace(cfg, ws_fraction=ws, fs_fraction=fs, us_fraction=us)
     return cfg
 
@@ -138,7 +141,7 @@ def _print_cycles(reports: list[CycleReport]) -> None:
 
 
 def cmd_pseudo_cycle(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, default_ratio="30/40/30")
     tagged, test_images, rare_ids = prepare_world(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     _, reports, base_report = iterate_cycles(
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo-cycle", help="pseudo-label training cycles")
     _add_common(p)
-    p.add_argument("--ratio", type=str, default="30/40/30")
+    p.add_argument("--ratio", type=str, default=None, help="WS/FS/US split; 30/40/30 without --config")
     p.add_argument("--mode", type=str, choices=("unlabeled", "multistage"), default="unlabeled")
     p.add_argument("--cycles", type=int, default=0, help="0 uses the config value")
     p.set_defaults(handler=cmd_pseudo_cycle)

@@ -87,20 +87,6 @@ class EvalReport:
     rare_class_ids: frozenset[int]
 
 
-def match_and_ap(scores: np.ndarray, pairs: BoxPairs, gt: BoxPairs) -> float | None:
-    """Average precision for a single class.
-
-    scores[i] is the class score of pairs row i. Predictions are ranked by
-    descending score, ties broken by row order; each is greedily matched to
-    the highest-IoU unmatched ground-truth pair of the same image (the first
-    such pair on IoU ties). Returns None when there is no ground truth for
-    the class.
-    """
-    if not len(gt):
-        return None
-    return _greedy_ap(scores, *_hits(pairs, gt), len(gt))
-
-
 def _hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pairs row, gt index, IoU) of every same-image prediction and
     ground-truth pair whose pair IoU reaches MATCH_IOU.

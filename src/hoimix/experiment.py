@@ -50,7 +50,6 @@ from .synth_world import (
     generate_world,
     rare_classes,
     split_supervision,
-    stack_triplets,
 )
 
 
@@ -58,16 +57,10 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def _desk_optimizer() -> OptimizerConfig:
-    # desk-scale step sizes; the OptimizerConfig defaults keep the
-    # reference values meant for full-scale runs
-    return OptimizerConfig(alpha_ws=0.012, alpha_fs=0.05, beta=0.9)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
-    optimizer: OptimizerConfig = field(default_factory=_desk_optimizer)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     ws_fraction: float = 0.7
     fs_fraction: float = 0.3
     us_fraction: float = 0.0
@@ -133,24 +126,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
     with atomic_open(path) as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
-    """Dotted names of every field on which the two configs differ."""
-
-    def flatten(prefix: str, d: dict, out: dict) -> None:
-        for key, value in d.items():
-            name = f"{prefix}.{key}" if prefix else key
-            if isinstance(value, dict):
-                flatten(name, value, out)
-            else:
-                out[name] = value
-
-    fa: dict = {}
-    fb: dict = {}
-    flatten("", a.to_dict(), fa)
-    flatten("", b.to_dict(), fb)
-    return sorted(name for name in fa if fa[name] != fb[name])
 
 
 def _train_seeds(train_seed: int) -> tuple[int, int, int]:
@@ -300,13 +275,9 @@ def train(
 
 
 @dataclass(eq=False)
-class RunResult:
+class RunResult(TrainResult):
     run_id: str
     config: ExperimentConfig
-    params: ModelParams
-    state: MomentumState
-    log: TrainingLog
-    schedule: Schedule
     report: EvalReport
     csv_row: str
 
@@ -360,16 +331,7 @@ def fit(
     row = report_csv_row(
         report, run_id, cfg.ratio_string(), cfg.optimizer.policy.value, cfg.element_swap, cfg.train_seed
     )
-    return RunResult(
-        run_id=run_id,
-        config=cfg,
-        params=result.params,
-        state=result.state,
-        log=result.log,
-        schedule=result.schedule,
-        report=report,
-        csv_row=row,
-    )
+    return RunResult(**vars(result), run_id=run_id, config=cfg, report=report, csv_row=row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,35 +559,3 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
         },
     }
 
-
-def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
-    """Label-permutation control: break the feature-label association but
-    keep the label marginals.
-
-    Triplet classes are shuffled across every image that has triplets, and
-    the image-level label sets of images without triplets (weakly-labeled
-    ones) are shuffled among those images.
-    """
-    rng = np.random.default_rng(seed)
-    labels = stack_triplets([image.gt_triplets for image in images]).hoi_classes
-    shuffled = rng.permutation(labels) if len(labels) else labels
-    weak = [k for k, image in enumerate(images) if not image.gt_triplets and image.image_labels]
-    weak_labels = {k: images[weak[j]].image_labels for k, j in zip(weak, rng.permutation(len(weak)))}
-    cursor = 0
-    out = []
-    for k, image in enumerate(images):
-        if not image.gt_triplets:
-            if k in weak_labels:
-                image = dataclasses.replace(image, image_labels=weak_labels[k])
-            out.append(image)
-            continue
-        classes = shuffled[cursor : cursor + len(image.gt_triplets)]
-        cursor += len(classes)
-        out.append(
-            dataclasses.replace(
-                image,
-                gt_triplets=dataclasses.replace(image.gt_triplets, hoi_classes=classes),
-                image_labels=frozenset(classes.tolist()),
-            )
-        )
-    return out

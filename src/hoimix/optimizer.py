@@ -46,8 +46,8 @@ _SEQUENCE_POLICIES = (MomentumPolicy.SEQUENCE_FS_FIRST, MomentumPolicy.SEQUENCE_
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    alpha_ws: float = 1e-3
-    alpha_fs: float = 1e-4
+    alpha_ws: float = 0.012
+    alpha_fs: float = 0.05
     beta: float = 0.9
     policy: MomentumPolicy = MomentumPolicy.INDEPENDENT
     sequence_switch_iteration: int = 0

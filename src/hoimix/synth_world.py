@@ -134,25 +134,6 @@ class SynthImage:
         )
 
 
-@dataclass(frozen=True)
-class HoiTaxonomy:
-    """Deterministic mapping between interaction classes and (verb, object)."""
-
-    n_object_classes: int
-    n_verb_classes: int
-    n_hoi_classes: int
-
-    def verb_of(self, hoi_class: int) -> int:
-        return hoi_class // self.n_object_classes
-
-    def object_of(self, hoi_class: int) -> int:
-        return hoi_class % self.n_object_classes
-
-    @classmethod
-    def from_config(cls, cfg: WorldConfig) -> "HoiTaxonomy":
-        return cls(cfg.n_object_classes, cfg.n_verb_classes, cfg.n_hoi_classes)
-
-
 def feature_layout(feature_dim: int) -> tuple[int, int, int]:
     """Split feature_dim into (per-detection appearance, spatial, zero pad)."""
     if feature_dim < 4:
@@ -453,7 +434,6 @@ def _generate_images(
     assignments: list[list[int]],
     humans_per_image: np.ndarray,
     embeddings: np.ndarray,
-    taxonomy: HoiTaxonomy,
     rng: np.random.Generator,
     first_image_id: int = 0,
 ) -> list[SynthImage]:
@@ -479,7 +459,7 @@ def _generate_images(
         classes = assignments[i]
         triplet_humans, object_boxes = [], []
         for hoi_class in classes:
-            verb = taxonomy.verb_of(hoi_class)
+            verb = hoi_class // cfg.n_object_classes
             hx0, hy0, hx1, hy1 = human_box = human_boxes[int(rng.integers(n_humans))]
             hcx, hcy = 0.5 * (hx0 + hx1), 0.5 * (hy0 + hy1)
             ut, ur, uw, uh = rng.random(4).tolist()
@@ -495,7 +475,7 @@ def _generate_images(
 
         humans, objects = [], []
         ground_truth = [(humans, box, human_id) for box in human_boxes] + [
-            (objects, box, taxonomy.object_of(c)) for box, c in zip(object_boxes, classes)
+            (objects, box, c % cfg.n_object_classes) for box, c in zip(object_boxes, classes)
         ]
         for rows, (x0, y0, x1, y1), class_id in ground_truth:
             # one block: the 4 box jitters, then the appearance noise
@@ -541,11 +521,10 @@ def generate_world(cfg: WorldConfig) -> list[SynthImage]:
     """Generate the training image set; deterministic given cfg.seed."""
     latent_rng, train_rng, _ = _seed_streams(cfg.seed)
     embeddings = _class_embeddings(cfg, latent_rng)
-    taxonomy = HoiTaxonomy.from_config(cfg)
     humans = train_rng.integers(cfg.humans_per_image[0], cfg.humans_per_image[1] + 1, cfg.n_images)
     slots = train_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, cfg.n_images)
     assignments = _plan_class_assignments(cfg, slots, train_rng)
-    return _generate_images(cfg, cfg.n_images, assignments, humans, embeddings, taxonomy, train_rng)
+    return _generate_images(cfg, cfg.n_images, assignments, humans, embeddings, train_rng)
 
 
 def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
@@ -553,12 +532,11 @@ def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
     latent structure (same seed, separate RNG stream, balanced classes)."""
     latent_rng, _, eval_rng = _seed_streams(cfg.seed)
     embeddings = _class_embeddings(cfg, latent_rng)
-    taxonomy = HoiTaxonomy.from_config(cfg)
     humans = eval_rng.integers(cfg.humans_per_image[0], cfg.humans_per_image[1] + 1, n_images)
     slots = eval_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, n_images)
     assignments = _coverage_assignments(cfg, slots, eval_rng)
     return _generate_images(
-        cfg, n_images, assignments, humans, embeddings, taxonomy, eval_rng,
+        cfg, n_images, assignments, humans, embeddings, eval_rng,
         first_image_id=cfg.n_images,
     )
 

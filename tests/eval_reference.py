@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoimix.evaluation import MATCH_IOU, BoxPairs, Predictions, match_and_ap
+from hoimix.evaluation import MATCH_IOU, BoxPairs, Predictions, _greedy_ap, _hits
 from hoimix.geometry import pair_iou
 
 from box_reference import Box, box_array
@@ -75,6 +75,21 @@ def reference_match_and_ap(
     for i in range(len(precision) - 2, -1, -1):
         precision[i] = max(precision[i], precision[i + 1])
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
+
+
+def match_and_ap(scores: np.ndarray, pairs: BoxPairs, gt: BoxPairs) -> float | None:
+    """Average precision for a single class, by the array path that
+    evaluate_predictions runs per class.
+
+    scores[i] is the class score of pairs row i. Predictions are ranked by
+    descending score, ties broken by row order; each is greedily matched to
+    the highest-IoU unmatched ground-truth pair of the same image (the first
+    such pair on IoU ties). Returns None when there is no ground truth for
+    the class.
+    """
+    if not len(gt):
+        return None
+    return _greedy_ap(scores, *_hits(pairs, gt), len(gt))
 
 
 def box_pairs(entries) -> BoxPairs:

@@ -1,0 +1,85 @@
+"""Helpers the experiment tests share: a config diff, the label-permutation
+control of the learnability criterion, and a deadline for calls that fork
+worker processes."""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import multiprocessing
+import signal
+
+import numpy as np
+
+from hoimix.experiment import ExperimentConfig
+from hoimix.synth_world import SynthImage, stack_triplets
+
+
+def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
+    """Dotted names of every field on which the two configs differ."""
+
+    def flatten(prefix: str, d: dict, out: dict) -> None:
+        for key, value in d.items():
+            name = f"{prefix}.{key}" if prefix else key
+            if isinstance(value, dict):
+                flatten(name, value, out)
+            else:
+                out[name] = value
+
+    fa: dict = {}
+    fb: dict = {}
+    flatten("", a.to_dict(), fa)
+    flatten("", b.to_dict(), fb)
+    return sorted(name for name in fa if fa[name] != fb[name])
+
+
+def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
+    """Label-permutation control: break the feature-label association but
+    keep the label marginals.
+
+    Triplet classes are shuffled across every image that has triplets, and
+    the image-level label sets of images without triplets (weakly-labeled
+    ones) are shuffled among those images.
+    """
+    rng = np.random.default_rng(seed)
+    labels = stack_triplets([image.gt_triplets for image in images]).hoi_classes
+    shuffled = rng.permutation(labels) if len(labels) else labels
+    weak = [k for k, image in enumerate(images) if not image.gt_triplets and image.image_labels]
+    weak_labels = {k: images[weak[j]].image_labels for k, j in zip(weak, rng.permutation(len(weak)))}
+    cursor = 0
+    out = []
+    for k, image in enumerate(images):
+        if not image.gt_triplets:
+            if k in weak_labels:
+                image = dataclasses.replace(image, image_labels=weak_labels[k])
+            out.append(image)
+            continue
+        classes = shuffled[cursor : cursor + len(image.gt_triplets)]
+        cursor += len(classes)
+        out.append(
+            dataclasses.replace(
+                image,
+                gt_triplets=dataclasses.replace(image.gt_triplets, hoi_classes=classes),
+                image_labels=frozenset(classes.tolist()),
+            )
+        )
+    return out
+
+
+@contextlib.contextmanager
+def returns_within(seconds):
+    """Fail a pool that hangs, in place of hanging the suite: kill every
+    worker, so that the pool's shutdown does not wait on them, and raise."""
+
+    def hung(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError(f"run_many did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -17,8 +17,6 @@ from hoimix.batching import build_pairs, element_swap, pair_grids
 from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
-    config_diff,
-    permute_labels,
     prepare_world,
     run_experiment,
     run_many,
@@ -39,6 +37,7 @@ from hoimix.synth_world import (
 
 from box_reference import Box
 from eval_reference import HOIPrediction, array_ap
+from experiment_helpers import config_diff, permute_labels, returns_within
 from pair_reference import Detection, detection_arrays
 from step_reference import aggregate_image_level
 from test_evaluation import brute_force_ap
@@ -410,7 +409,8 @@ def test_criterion_07_learnability_floor():
             FitSpec(tagged, cfg, test_images, rare_ids),
             FitSpec(permuted, cfg, test_images, rare_ids),
         ]
-    runs = run_many(specs)
+    with returns_within(300):
+        runs = run_many(specs)
     for seed in range(5):
         trained, control = (run.report.map_full for run in runs[2 * seed : 2 * seed + 2])
         win = trained >= 0.5 and trained - control >= 0.3
@@ -482,7 +482,8 @@ def test_criterion_08_mil_trend():
             FitSpec(wsonly_tagged, seed_wsonly_cfg, test_images, rare_ids),
             FitSpec(fs_tagged, mix_cfg, test_images, rare_ids),
         ]
-    all_arms = run_many(specs)
+    with returns_within(900):
+        all_arms = run_many(specs)
     for seed in range(5):
         arms = dict(zip(runs, all_arms[4 * seed : 4 * seed + 4]))
         indep_run = arms["indep"]
@@ -528,13 +529,14 @@ def test_criterion_09_element_swap_trend():
     assert config_diff(on_cfg, off_cfg) == ["element_swap"]
     wins = 0
     details = []
-    runs = run_many(
-        [
-            experiment_spec(dataclasses.replace(cfg, train_seed=seed))
-            for seed in range(5)
-            for cfg in (on_cfg, off_cfg)
-        ]
-    )
+    with returns_within(600):
+        runs = run_many(
+            [
+                experiment_spec(dataclasses.replace(cfg, train_seed=seed))
+                for seed in range(5)
+                for cfg in (on_cfg, off_cfg)
+            ]
+        )
     for seed in range(5):
         on, off = (run.report.map_full for run in runs[2 * seed : 2 * seed + 2])
         wins += on >= off
@@ -558,15 +560,16 @@ def test_criterion_10_ratio_monotonicity():
     started = time.monotonic()
     ratios = [(1.0, 0.0, 0.0), (0.7, 0.3, 0.0), (0.3, 0.7, 0.0), (0.0, 1.0, 0.0)]
     means, ses = [], []
-    runs = run_many(
-        [
-            experiment_spec(
-                default_cfg(ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed)
-            )
-            for ws, fs, us in ratios
-            for seed in range(5)
-        ]
-    )
+    with returns_within(1200):
+        runs = run_many(
+            [
+                experiment_spec(
+                    default_cfg(ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed)
+                )
+                for ws, fs, us in ratios
+                for seed in range(5)
+            ]
+        )
     for k in range(len(ratios)):
         values = [run.report.map_full for run in runs[5 * k : 5 * k + 5]]
         means.append(float(np.mean(values)))

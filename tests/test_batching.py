@@ -647,7 +647,7 @@ def test_build_batches_matches_the_per_entry_reference(case):
 def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     cfg = ExperimentConfig()
     tagged, full = scheduled(cfg)
-    schedule = Schedule(entries=full.entries[:n_entries], leftovers=(), seed=full.seed)
+    schedule = Schedule(entries=full.entries[:n_entries], leftovers=())
     got = _build_batches(tagged, schedule, cfg)
     assert len(got) == n_entries
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))

@@ -1,10 +1,8 @@
-import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
 import re
-import signal
 import subprocess
 import sys
 import warnings
@@ -12,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hoimix.cli
 import hoimix.loss
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
 from hoimix.model import ModelParams
@@ -20,10 +19,8 @@ from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
     TrainingDiverged,
-    config_diff,
     fit,
     load_config,
-    permute_labels,
     prepare_world,
     run_class_split,
     run_experiment,
@@ -37,6 +34,7 @@ from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import SynthImage, WorldConfig, generate_world, split_supervision
 from box_reference import triplet_objects
+from experiment_helpers import config_diff, permute_labels, returns_within
 from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
@@ -71,6 +69,18 @@ def test_config_roundtrip(tmp_path):
     assert loaded == cfg
     assert loaded.optimizer.policy == MomentumPolicy.SEQUENCE_FS_FIRST
     assert loaded.world.humans_per_image == (1, 2)
+
+
+def test_an_empty_config_dict_is_the_default_config():
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
+
+def test_a_config_file_without_step_sizes_keeps_the_default_ones(tmp_path):
+    path = tmp_path / "policy_only.json"
+    path.write_text('{"optimizer": {"policy": "Shared"}}')
+    optimizer = load_config(path).optimizer
+    assert (optimizer.alpha_ws, optimizer.alpha_fs, optimizer.beta) == (0.012, 0.05, 0.9)
+    assert optimizer.policy == MomentumPolicy.SHARED
 
 
 def test_config_diff_reports_dotted_fields():
@@ -269,7 +279,8 @@ def test_resume_rejects_params_or_state_of_other_dims():
 def test_ratio_sweep_produces_rows_and_aggregates(tmp_path):
     cfg = tiny_cfg(iterations=200)
     ratios = [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.0, 1.0, 0.0)]
-    rows, aggregates = run_ratio_sweep(cfg, ratios, seeds=[0, 1], out_dir=str(tmp_path))
+    with returns_within(60.0):
+        rows, aggregates = run_ratio_sweep(cfg, ratios, seeds=[0, 1], out_dir=str(tmp_path))
     assert len(rows) == 6
     assert len(aggregates) == 3
     sweep = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -282,7 +293,8 @@ def test_ratio_sweep_produces_rows_and_aggregates(tmp_path):
 
 def test_ratio_sweep_single_cell():
     cfg = tiny_cfg(iterations=200)
-    rows, aggregates = run_ratio_sweep(cfg, [(0.5, 0.5, 0.0)], seeds=[3])
+    with returns_within(60.0):
+        rows, aggregates = run_ratio_sweep(cfg, [(0.5, 0.5, 0.0)], seeds=[3])
     assert len(rows) == 1
     assert len(aggregates) == 1
     assert rows[0].split(",")[4] == "3"
@@ -302,7 +314,8 @@ def test_ratio_sweep_needs_ratios(tmp_path):
 def test_ratio_sweep_cells_are_runs_of_their_configs():
     cfg = tiny_cfg(iterations=150)
     ratios = [(1.0, 0.0, 0.0), (0.3, 0.7, 0.0)]
-    rows, _ = run_ratio_sweep(cfg, ratios, seeds=[2, 4])
+    with returns_within(60.0):
+        rows, _ = run_ratio_sweep(cfg, ratios, seeds=[2, 4])
     expected = []
     for ws, fs, us in ratios:
         for seed in (2, 4):
@@ -329,7 +342,8 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
         FitSpec(tagged, cfg, test_images, rare_ids, run_id="indep", periodic_eval=True),
         FitSpec(fs_only, _shared(cfg), test_images, rare_ids, run_id="shared-fs"),
     ]
-    runs = run_many(specs)
+    with returns_within(60.0):
+        runs = run_many(specs)
     assert multiprocessing.active_children() == []
     assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
     for spec, run in zip(specs, runs):
@@ -367,7 +381,7 @@ def test_run_many_raises_a_workers_divergence():
         with pytest.raises(TrainingDiverged) as serial:
             fit(tagged, diverging, test_images, rare_ids)
     specs = [FitSpec(tagged, cfg, test_images, rare_ids), FitSpec(tagged, diverging, test_images, rare_ids)]
-    with pytest.raises(TrainingDiverged) as pooled:
+    with pytest.raises(TrainingDiverged) as pooled, returns_within(60.0):
         run_many(specs)
     assert str(pooled.value) == str(serial.value)
     assert str(pooled.value).startswith("aborted at iteration")
@@ -388,25 +402,6 @@ def _same_runs(runs, serial):
         assert run.state.buffers.tobytes() == expected.state.buffers.tobytes()
 
 
-@contextlib.contextmanager
-def _returns_within(seconds):
-    """Fail a pool that hangs, in place of hanging the suite: kill every
-    worker, so that the pool's shutdown does not wait on them, and raise."""
-
-    def hung(signum, frame):
-        for child in multiprocessing.active_children():
-            child.kill()
-        raise TimeoutError(f"run_many did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _two_specs():
     cfg = tiny_cfg(iterations=60)
     tagged, test_images, rare_ids = prepare_world(cfg)
@@ -425,7 +420,7 @@ def test_run_many_workers_inherit_their_specs(monkeypatch):
 
     monkeypatch.setattr(FitSpec, "__reduce_ex__", unpicklable, raising=False)
     monkeypatch.setattr(SynthImage, "__reduce_ex__", unpicklable, raising=False)
-    with _returns_within(60.0):
+    with returns_within(60.0):
         _same_runs(run_many(specs), serial)
     assert multiprocessing.active_children() == []
 
@@ -440,7 +435,7 @@ def test_run_many_forks_a_process_with_blas_threads_without_hanging():
     specs = _two_specs()
     serial = _serial_fits(specs)
     product = np.random.default_rng(0).random((400, 400))
-    with _returns_within(60.0):
+    with returns_within(60.0):
         for _ in range(3):
             # a product this large starts the OpenBLAS thread pool, which
             # the fork must then find running
@@ -453,7 +448,8 @@ def test_run_many_forks_a_process_with_blas_threads_without_hanging():
 
 def test_class_split_reports_four_subset_maps():
     cfg = tiny_cfg(iterations=400, n_test_images=24)
-    result = run_class_split(cfg)
+    with returns_within(60.0):
+        result = run_class_split(cfg)
     assert sorted(result["classes_fs"] + result["classes_ws"]) == list(range(6))
     for arm in ("separate", "joint"):
         for half in ("fs_half", "ws_half"):
@@ -462,8 +458,9 @@ def test_class_split_reports_four_subset_maps():
 
 def test_class_split_deterministic():
     cfg = tiny_cfg(iterations=200, n_test_images=16)
-    a = run_class_split(cfg)
-    b = run_class_split(cfg)
+    with returns_within(60.0):
+        a = run_class_split(cfg)
+        b = run_class_split(cfg)
     assert a == b
 
 
@@ -704,6 +701,35 @@ def test_cli_train_ratio_flag(tmp_path):
     assert ",100/0/0," in tr.stdout.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "with_config, ratio, fractions",
+    [
+        (False, None, (0.3, 0.4, 0.3)),
+        (True, None, (0.5, 0.2, 0.3)),
+        (False, "20/50/30", (0.2, 0.5, 0.3)),
+        (True, "20/50/30", (0.2, 0.5, 0.3)),
+    ],
+)
+def test_cli_pseudo_cycle_ratio_is_the_flag_then_the_file_then_30_40_30(
+    with_config, ratio, fractions, monkeypatch, tmp_path
+):
+    path = tmp_path / "fractions.json"
+    path.write_text('{"ws_fraction": 0.5, "fs_fraction": 0.2, "us_fraction": 0.3}')
+    resolved = []
+
+    def stop_before_training(cfg):
+        resolved.append(cfg)
+        raise RuntimeError("stopped before training")
+
+    monkeypatch.setattr(hoimix.cli, "prepare_world", stop_before_training)
+    argv = ["pseudo-cycle", "--out-dir", str(tmp_path / "pc")]
+    argv += ["--config", str(path)] if with_config else []
+    argv += ["--ratio", ratio] if ratio else []
+    assert hoimix.cli.main(argv) == 1
+    (cfg,) = resolved
+    assert (cfg.ws_fraction, cfg.fs_fraction, cfg.us_fraction) == fractions
+
+
 def test_cli_nonzero_exit_on_bad_input(tmp_path):
     bad = run_cli(["train", "--config", str(tmp_path / "missing.json")], tmp_path)
     assert bad.returncode == 1
@@ -727,7 +753,8 @@ def test_cli_sweep_seeds_start_at_the_seed_flag(tmp_path):
     assert sweep.returncode == 0, sweep.stderr
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[4] for row in rows] == ["5", "6"]
-    expected, _ = run_ratio_sweep(load_config(cfg_path), [(0.5, 0.5, 0.0)], seeds=[5, 6])
+    with returns_within(60.0):
+        expected, _ = run_ratio_sweep(load_config(cfg_path), [(0.5, 0.5, 0.0)], seeds=[5, 6])
     assert rows == expected
 
 

@@ -21,7 +21,6 @@ from hoimix.synth_world import (
     _MIN_BOX_SIZE,
     RARE_IMAGE_COUNT,
     DetectionArrays,
-    HoiTaxonomy,
     SynthImage,
     WorldConfig,
     WorldGenerationError,
@@ -157,7 +156,6 @@ def _generate_images(
     assignments: list[list[int]],
     humans_per_image: np.ndarray,
     embeddings: np.ndarray,
-    taxonomy: HoiTaxonomy,
     rng: np.random.Generator,
     first_image_id: int = 0,
 ) -> list[SynthImage]:
@@ -174,7 +172,7 @@ def _generate_images(
 
         triplets = []
         for hoi_class in assignments[i]:
-            verb = taxonomy.verb_of(hoi_class)
+            verb = hoi_class // cfg.n_object_classes
             human_box = human_boxes[int(rng.integers(n_humans))]
             hcx, hcy = human_box.center()
             # sample the angle well inside the verb's sector so detection
@@ -195,7 +193,7 @@ def _generate_images(
         objects = [
             _detection_row(
                 _jittered(t.object_box, jitter, rng),
-                taxonomy.object_of(t.hoi_class),
+                t.hoi_class % cfg.n_object_classes,
                 _GT_CONF,
                 app_dim,
                 rng,
@@ -234,11 +232,10 @@ def generate_world(cfg: WorldConfig) -> tuple[list[SynthImage], np.random.Genera
     """The training image set and its stream after generation."""
     latent_rng, train_rng, _ = _seed_streams(cfg.seed)
     embeddings = _class_embeddings(cfg, latent_rng)
-    taxonomy = HoiTaxonomy.from_config(cfg)
     humans = train_rng.integers(cfg.humans_per_image[0], cfg.humans_per_image[1] + 1, cfg.n_images)
     slots = train_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, cfg.n_images)
     assignments = _plan_class_assignments(cfg, slots, train_rng)
-    images = _generate_images(cfg, cfg.n_images, assignments, humans, embeddings, taxonomy, train_rng)
+    images = _generate_images(cfg, cfg.n_images, assignments, humans, embeddings, train_rng)
     return images, train_rng
 
 
@@ -248,12 +245,11 @@ def generate_eval_images(
     """The held-out image set and its stream after generation."""
     latent_rng, _, eval_rng = _seed_streams(cfg.seed)
     embeddings = _class_embeddings(cfg, latent_rng)
-    taxonomy = HoiTaxonomy.from_config(cfg)
     humans = eval_rng.integers(cfg.humans_per_image[0], cfg.humans_per_image[1] + 1, n_images)
     slots = eval_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, n_images)
     assignments = _coverage_assignments(cfg, slots, eval_rng)
     images = _generate_images(
-        cfg, n_images, assignments, humans, embeddings, taxonomy, eval_rng,
+        cfg, n_images, assignments, humans, embeddings, eval_rng,
         first_image_id=cfg.n_images,
     )
     return images, eval_rng

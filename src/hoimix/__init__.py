@@ -38,7 +38,7 @@ from .experiment import (
     run_ratio_sweep,
     train,
 )
-from .geometry import iou, pair_iou, pair_iou_matrix
+from .geometry import iou, pair_iou
 from .loss import LossReport, fs_loss, ws_loss
 from .model import ModelParams, ScoreMatrix, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
@@ -97,7 +97,6 @@ __all__ = [
     "make_ws_targets",
     "pair_grids",
     "pair_iou",
-    "pair_iou_matrix",
     "prepare_eval_set",
     "rare_classes",
     "run_class_split",

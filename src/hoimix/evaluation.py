@@ -17,7 +17,7 @@ from itertools import groupby
 import numpy as np
 
 from .batching import DEFAULT_TOP_K, pair_grids
-from .geometry import pair_iou_matrix
+from .geometry import iou_rows
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
 from .geometry import pair_iou  # noqa: F401
@@ -25,6 +25,7 @@ from .model import infer_pairs  # noqa: F401
 from .synth_world import SynthImage, stack_triplets
 
 MATCH_IOU = 0.5
+HITS_CHUNK = 64  # ground-truth rows _hits pairs at a time, to bound its temporaries
 
 CSV_HEADER = "run_id,ws_fs_us,policy,hes,seed,map_full,map_rare,map_nonrare"
 
@@ -67,10 +68,12 @@ class GroundTruth:
 @dataclass(eq=False)
 class EvalSet:
     """A fully-annotated test set prepared for any number of evaluations:
-    each image's pair-feature matrix, and the ground truth matched against
-    every pair."""
+    its images' pair-feature matrices stacked by pair count, and the ground
+    truth matched against every pair."""
 
-    features: tuple[np.ndarray, ...]  # per image, rows in build_pairs order
+    # per pair count n: the (k, n) rows of pairs that its k images fill, and
+    # their (k, n, feature_dim) features, rows in build_pairs order
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
     pairs: BoxPairs  # every image's pairs, in image order, then build_pairs order
     truth: GroundTruth
 
@@ -92,18 +95,24 @@ def _hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.nda
     ground-truth pair whose pair IoU reaches MATCH_IOU.
 
     Only these can make a true positive; every other prediction is a false
-    positive whatever was matched before it.
+    positive whatever was matched before it. Either side's image ids may be unsorted.
     """
+    order = np.argsort(pairs.image_ids, kind="stable")
+    sorted_ids = pairs.image_ids[order]
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for image_id in np.unique(gt.image_ids):
-        rows = np.flatnonzero(pairs.image_ids == image_id)
-        cols = np.flatnonzero(gt.image_ids == image_id)
-        overlap = pair_iou_matrix(
-            pairs.human_boxes[rows], pairs.object_boxes[rows],
-            gt.human_boxes[cols], gt.object_boxes[cols],
+    for start in range(0, len(gt), HITS_CHUNK):
+        # every (pair row, gt row) of one image, for this chunk's gt rows
+        cols = np.arange(start, min(start + HITS_CHUNK, len(gt)))
+        first = np.searchsorted(sorted_ids, gt.image_ids[cols], side="left")
+        n = np.searchsorted(sorted_ids, gt.image_ids[cols], side="right") - first
+        col = np.repeat(cols, n)
+        row = order[np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)]
+        overlap = np.minimum(
+            iou_rows(pairs.human_boxes[row], gt.human_boxes[col]),
+            iou_rows(pairs.object_boxes[row], gt.object_boxes[col]),
         )
-        r, c = np.nonzero(overlap >= MATCH_IOU)
-        found.append((rows[r], cols[c], overlap[r, c]))
+        hit = overlap >= MATCH_IOU
+        found.append((row[hit], col[hit], overlap[hit]))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
@@ -112,12 +121,20 @@ def _greedy_ap(
 ) -> float:
     """All-point AP of one class from its hits (see _hits)."""
     n = len(scores)
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(-scores, kind="stable")] = np.arange(n)
+    # each hit row's place in the stable descending order of the scores: the
+    # scores above it, then the scores equal to it at lower rows
+    ordered, hit_scores = np.sort(scores), scores[rows]
+    not_above = np.searchsorted(ordered, hit_scores, side="right")
+    rank = n - not_above
+    tied = not_above - np.searchsorted(ordered, hit_scores, side="left") > 1
+    # a Python set holds 0.0 and -0.0 once, as == and the sort do
+    for value in set(hit_scores[tied].tolist()):
+        at = hit_scores == value
+        rank[at] += np.searchsorted(np.flatnonzero(scores == value), rows[at])
 
     tp = np.zeros(n)
     matched: set[int] = set()
-    hits = sorted(zip(rank[rows].tolist(), gt_index.tolist(), overlap.tolist()))
+    hits = sorted(zip(rank.tolist(), gt_index.tolist(), overlap.tolist()))
     for r, candidates in groupby(hits, key=lambda hit: hit[0]):
         best_iou, best_gt = 0.0, -1
         for _, gt_idx, iou in candidates:
@@ -138,15 +155,12 @@ def _greedy_ap(
 
 def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
     """Match the ground truth of the images against the given box pairs."""
-    if not images:
-        raise ValueError("cannot evaluate on an empty test set")
     truths = [image.gt_triplets for image in images]
     triplets = stack_triplets(truths)
-    gt = BoxPairs(
-        np.repeat([image.image_id for image in images], [len(t) for t in truths]),
-        triplets.human_boxes,
-        triplets.object_boxes,
-    )
+    if not len(triplets):
+        raise ValueError("the test images carry no ground-truth triplets")
+    image_ids = np.repeat([image.image_id for image in images], [len(t) for t in truths])
+    gt = BoxPairs(image_ids, triplets.human_boxes, triplets.object_boxes)
     gt_classes = triplets.hoi_classes
     # hits against every ground-truth pair at once, then split by class
     rows, gt_index, overlap = _hits(pairs, gt)
@@ -163,25 +177,25 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
 def prepare_eval_set(
     images: list[SynthImage], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> EvalSet:
-    """Build the pairs of every test image, in one pass, and match them
-    against the ground truth, once."""
+    """Build the pairs of every test image, in one pass, stack the images
+    of each pair count, and match the pairs against the ground truth, once."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
     grid = pair_grids(images, feature_dim, top_k)
-    pairs = BoxPairs(
-        np.repeat(grid.image_ids, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes
-    )
-    return EvalSet(
-        tuple(grid.features[grid.rows(k)] for k in range(len(images))),
-        pairs,
-        ground_truth(pairs, images),
-    )
+    counts = np.diff(grid.offsets)
+    pairs = BoxPairs(np.repeat(grid.image_ids, counts), grid.human_boxes, grid.object_boxes)
+    truth = ground_truth(pairs, images)
+    rows = [grid.offsets[:-1][counts == n, None] + np.arange(n) for n in np.unique(counts)]
+    return EvalSet(tuple((at, grid.features[at]) for at in rows), pairs, truth)
 
 
 def collect_predictions(params: ModelParams, test: EvalSet) -> Predictions:
-    """Score every (pair, class) of every test image with the model."""
-    scores = [forward(params, features).P for features in test.features]
-    return Predictions(test.pairs, np.concatenate(scores))
+    """Score every (pair, class) of every test image with the model, one
+    forward per stack of images with the same pair count."""
+    scores = np.empty((len(test.pairs), params.n_classes))
+    for rows, features in test.stacks:
+        scores[rows] = forward(params, features).P
+    return Predictions(test.pairs, scores)
 
 
 def evaluate_predictions(
@@ -201,10 +215,7 @@ def evaluate_predictions(
         ap[c] = _greedy_ap(predictions.scores[:, c], rows, gt_index, overlap, n_gt)
 
     defined = ~np.isnan(ap)
-    rare_mask = np.zeros(n_classes, dtype=bool)
-    for c in rare_class_ids:
-        if 0 <= c < n_classes:
-            rare_mask[c] = True
+    rare_mask = np.isin(np.arange(n_classes), list(rare_class_ids))
 
     def subset_mean(mask: np.ndarray) -> float:
         selected = ap[mask & defined]

@@ -52,16 +52,3 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return intersection / (area_a + area_b - intersection)
 
-
-def pair_iou_matrix(
-    human_a: np.ndarray, object_a: np.ndarray, human_b: np.ndarray, object_b: np.ndarray
-) -> np.ndarray:
-    """pair_iou of every pair in a against every pair in b.
-
-    The arguments are (n, 4) and (m, 4) arrays of box rows; the result is
-    (n, m), and each entry equals pair_iou of the two pairs bit for bit.
-    """
-    return np.minimum(
-        iou_rows(human_a[:, None, :], human_b[None, :, :]),
-        iou_rows(object_a[:, None, :], object_b[None, :, :]),
-    )

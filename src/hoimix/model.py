@@ -126,11 +126,11 @@ class ScoreMatrix:
     """Forward activations: the encoder's input and output, both
     normalizations, and their element-wise product."""
 
-    features: np.ndarray  # (N, feature_dim) float64 input
-    hidden: np.ndarray   # (N, hidden_dim) ReLU encoder output
-    sigma_c: np.ndarray  # (N, C), each row sums to 1
-    sigma_s: np.ndarray  # (N, C), each column sums to 1
-    P: np.ndarray        # (N, C), sigma_c * sigma_s
+    features: np.ndarray  # (..., N, feature_dim) float64 input
+    hidden: np.ndarray   # (..., N, hidden_dim) ReLU encoder output
+    sigma_c: np.ndarray  # (..., N, C), each row sums to 1
+    sigma_s: np.ndarray  # (..., N, C), each column sums to 1
+    P: np.ndarray        # (..., N, C), sigma_c * sigma_s
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -143,7 +143,8 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
-    """Run the two-branch computation on an (N, feature_dim) matrix.
+    """Run the two-branch computation on an (N, feature_dim) matrix, or on
+    a (..., N, feature_dim) stack of them, each normalized on its own.
 
     Args:
         params: model parameters.
@@ -151,17 +152,17 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
 
     Returns:
         ScoreMatrix with row-stochastic sigma_c, column-stochastic sigma_s,
-        P = sigma_c * sigma_s, and the activations backward needs.
+        P = sigma_c * sigma_s, and the activations backward (2-d only) needs.
 
     Raises ValueError when P is not finite: non-finite features or
     parameters, or finite ones whose products overflow.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
-    if features.shape[1] != params.feature_dim:
+    if features.ndim < 2 or 0 in features.shape[:-1]:
+        raise ValueError(f"features must be a non-empty (..., N, D) stack, got shape {features.shape}")
+    if features.shape[-1] != params.feature_dim:
         raise ValueError(
-            f"feature dim {features.shape[1]} does not match model dim {params.feature_dim}"
+            f"feature dim {features.shape[-1]} does not match model dim {params.feature_dim}"
         )
     # each product is a new array; bias, ReLU and softmax reuse its storage
     hidden = features @ params.w_enc
@@ -171,8 +172,8 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
     raw_c += params.b_cls
     raw_s = hidden @ params.w_sel
     raw_s += params.b_sel
-    sigma_c = _softmax(raw_c, axis=1)
-    sigma_s = _softmax(raw_s, axis=0)
+    sigma_c = _softmax(raw_c, axis=-1)
+    sigma_s = _softmax(raw_s, axis=-2)
     P = sigma_c * sigma_s
     if not np.isfinite(P).all():
         raise ValueError("non-finite scores P")

@@ -4,7 +4,8 @@ to the array API of hoimix.evaluation.
 The reference is the original implementation: one Python object per
 prediction, a sort keyed on (-score, insertion index) and a scalar pair_iou
 per prediction and ground-truth pair. The array path must reproduce its APs
-exactly.
+exactly. reference_hits is the per-image loop that _hits replaced; _hits
+must find the same hits.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hoimix.evaluation import MATCH_IOU, BoxPairs, Predictions, _greedy_ap, _hit
 from hoimix.geometry import pair_iou
 
 from box_reference import Box, box_array
+from pair_reference import pair_iou_matrix
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,21 @@ def reference_match_and_ap(
     for i in range(len(precision) - 2, -1, -1):
         precision[i] = max(precision[i], precision[i + 1])
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
+
+
+def reference_hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_hits by one pair IoU matrix per image of the ground truth."""
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for image_id in np.unique(gt.image_ids):
+        rows = np.flatnonzero(pairs.image_ids == image_id)
+        cols = np.flatnonzero(gt.image_ids == image_id)
+        overlap = pair_iou_matrix(
+            pairs.human_boxes[rows], pairs.object_boxes[rows],
+            gt.human_boxes[cols], gt.object_boxes[cols],
+        )
+        r, c = np.nonzero(overlap >= MATCH_IOU)
+        found.append((rows[r], cols[c], overlap[r, c]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def match_and_ap(scores: np.ndarray, pairs: BoxPairs, gt: BoxPairs) -> float | None:

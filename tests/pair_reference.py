@@ -12,6 +12,8 @@ of a DetectionArrays at a time. The per-image references build one image's
 pair grid and region-level targets at a time, and assemble one schedule
 entry's batch from them. The array path in hoimix must reproduce their
 output byte for byte, and accept exactly the detections they accept.
+pair_iou_matrix, the pair IoU of every pair against every pair, serves
+fs_targets and the per-image evaluation reference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from hoimix.batching import (
     element_swap,
     make_ws_targets,
 )
-from hoimix.geometry import iou, pair_iou_matrix
+from hoimix.geometry import iou, iou_rows
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     DetectionArrays,
@@ -206,6 +208,20 @@ def pair_grid(image: SynthImage, feature_dim: int, top_k: int = DEFAULT_TOP_K) -
         humans.boxes[human_index],
         objects.boxes[object_index],
         features,
+    )
+
+
+def pair_iou_matrix(
+    human_a: np.ndarray, object_a: np.ndarray, human_b: np.ndarray, object_b: np.ndarray
+) -> np.ndarray:
+    """pair_iou of every pair in a against every pair in b.
+
+    The arguments are (n, 4) and (m, 4) arrays of box rows; the result is
+    (n, m), and each entry equals pair_iou of the two pairs bit for bit.
+    """
+    return np.minimum(
+        iou_rows(human_a[:, None, :], human_b[None, :, :]),
+        iou_rows(object_a[:, None, :], object_b[None, :, :]),
     )
 
 

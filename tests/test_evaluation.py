@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_reference import Box, triplet_objects
-from eval_reference import HOIPrediction, array_ap, as_predictions, reference_match_and_ap
+from eval_reference import (
+    HOIPrediction,
+    array_ap,
+    as_predictions,
+    box_pairs,
+    reference_hits,
+    reference_match_and_ap,
+)
 from hoimix.evaluation import (
     CSV_HEADER,
+    HITS_CHUNK,
     BoxPairs,
+    _hits,
     collect_predictions,
     evaluate,
     evaluate_predictions,
@@ -20,7 +30,9 @@ from hoimix.evaluation import (
     report_to_dict,
 )
 from hoimix.geometry import pair_iou
+from hoimix.experiment import ExperimentConfig
 from hoimix.model import ModelParams
+from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import WorldConfig, generate_eval_images, generate_world, rare_classes
 
 
@@ -275,6 +287,14 @@ def test_empty_test_set_rejected():
         ground_truth(no_pairs, [])
 
 
+def test_test_set_without_ground_truth_rejected():
+    # WS images keep their labels but carry no triplets: every AP would be
+    # undefined and map_full NaN
+    test = [image.with_supervision(SupervisionTag.WS) for image in generate_eval_images(SMALL, 10)]
+    with pytest.raises(ValueError, match="no ground-truth triplets"):
+        prepare_eval_set(test, feature_dim=SMALL.feature_dim)
+
+
 def test_predictions_must_score_the_pairs_the_truth_was_matched_against():
     images = generate_eval_images(SMALL, 10)
     predictions = as_predictions(oracle_predictions(images), 6)
@@ -360,6 +380,82 @@ grid_box = st.builds(
 def test_array_path_equals_object_reference(gts, raw):
     predictions = [HOIPrediction(i, h, o, 0, s) for i, h, o, s in raw]
     assert array_ap(predictions, gts) == reference_match_and_ap(predictions, gts)
+
+
+@st.composite
+def tied_instances(draw):
+    """A single-class instance whose scores take a few values, 0.0 and -0.0
+    among them, over 30 or more predictions, many of them on ground-truth
+    boxes so that tied scores are often hits."""
+    gts = draw(st.lists(st.tuples(st.integers(0, 1), grid_box, grid_box), min_size=1, max_size=6))
+    score = st.sampled_from([0.0, -0.0, 0.25, 1.0])
+    on_gt = st.builds(
+        lambda g, s: HOIPrediction(g[0], g[1], g[2], 0, s), st.sampled_from(gts), score
+    )
+    elsewhere = st.builds(
+        lambda i, h, o, s: HOIPrediction(i, h, o, 0, s), st.integers(0, 2), grid_box, grid_box, score
+    )
+    return gts, draw(st.lists(on_gt | elsewhere, min_size=30, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=tied_instances())
+def test_array_path_equals_object_reference_under_ties(instance):
+    gts, predictions = instance
+    assert array_ap(predictions, gts) == reference_match_and_ap(predictions, gts)
+
+
+def hit_set(hits):
+    return sorted(zip(hits[0].tolist(), hits[1].tolist(), (v.tobytes() for v in hits[2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 3), grid_box, grid_box), max_size=20),
+    gts=st.lists(st.tuples(st.integers(0, 3), grid_box, grid_box), max_size=8),
+)
+def test_hits_on_interleaved_image_ids_equal_the_per_image_loop(pairs, gts):
+    pairs, gts = box_pairs(pairs), box_pairs(gts)
+    assert hit_set(_hits(pairs, gts)) == hit_set(reference_hits(pairs, gts))
+
+
+def test_hits_across_chunks_equal_the_per_image_loop():
+    # more ground-truth rows than one chunk, with both sides' image ids shuffled
+    rng = np.random.default_rng(5)
+    n_gt = 2 * HITS_CHUNK + 7
+    corner = rng.integers(0, 4, size=(n_gt, 2, 2)) / 2.0
+    gt = BoxPairs(rng.integers(0, 40, n_gt), np.hstack([corner[:, 0], corner[:, 0] + 1.0]),
+                  np.hstack([corner[:, 1], corner[:, 1] + 1.0]))
+    take = rng.integers(0, n_gt, 3 * n_gt)
+    jitter = rng.uniform(-0.1, 0.1, size=(len(take), 2, 1))
+    pairs = BoxPairs(gt.image_ids[take], gt.human_boxes[take] + jitter[:, 0],
+                     gt.object_boxes[take] + jitter[:, 1])
+    hits = _hits(pairs, gt)
+    # each pair overlaps the ground-truth pair it was drawn from with IoU > 0.6
+    assert len(hits[0]) >= len(take)
+    assert hit_set(hits) == hit_set(reference_hits(pairs, gt))
+
+
+# Recipe of the evaluation digests: the default test set (the default
+# world's generate_eval_images at ExperimentConfig's n_test_images and
+# top_k) scored by ModelParams.init(23, 64, 24, 0); then sha256 over
+# collect_predictions(...).scores.tobytes() and, separately, over the
+# report's ap_per_class.tobytes(). The prefixes hold for numpy 2.x
+# Generator streams and scipy-openblas on x86-64.
+EVAL_DIGESTS = ("8a54ecc0ead9bd1e", "b9a5e5ef0a889571")
+
+
+def test_default_test_set_evaluation_digests_are_pinned():
+    cfg = ExperimentConfig()
+    test = generate_eval_images(cfg.world, cfg.n_test_images)
+    test_set = prepare_eval_set(test, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, 0)
+    scores = collect_predictions(params, test_set).scores
+    report = evaluate(params, test_set, set())
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (scores, report.ap_per_class)
+    )
+    assert digests == EVAL_DIGESTS
 
 
 def test_model_scores_match_reference_per_class():

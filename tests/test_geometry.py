@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoimix.geometry import iou, pair_iou, pair_iou_matrix
+from hoimix.geometry import iou, pair_iou
 from hoimix.synth_world import DetectionArrays, TripletArrays
 
 from box_reference import Box, box_array
+from pair_reference import pair_iou_matrix
 
 
 def grid_iou(a: Box, b: Box, cells_per_unit: int = 1) -> float:

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
+from hoimix.evaluation import prepare_eval_set
+from hoimix.experiment import ExperimentConfig
 from hoimix.model import ModelParams, backward, forward, infer_pairs
+from hoimix.synth_world import generate_eval_images
 from step_reference import aggregate_image_level
 
 
@@ -67,6 +70,30 @@ def test_non_finite_features_rejected():
     bad[1, 3] = np.nan
     with pytest.raises(ValueError):
         forward(params, bad)
+
+
+def test_forward_of_a_stack_is_the_forward_of_each_matrix():
+    cfg = ExperimentConfig()
+    test = generate_eval_images(cfg.world, cfg.n_test_images)
+    stacks = prepare_eval_set(test, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k).stacks
+    assert len(stacks) > 1 and max(len(features) for _, features in stacks) > 1
+    for seed in range(3):
+        params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, seed)
+        for _, features in stacks:
+            P = forward(params, features).P
+            assert P.shape == (*features.shape[:2], params.n_classes)
+            for i, matrix in enumerate(features):
+                assert P[i].tobytes() == forward(params, matrix).P.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((0, 3, 6), "non-empty"), ((2, 0, 6), "non-empty"), ((0, 6), "non-empty"), ((6,), "non-empty"),
+     ((2, 3, 5), "feature dim 5"), ((3, 5), "feature dim 5")],
+)
+def test_forward_rejects_empty_stacks_and_the_wrong_feature_dim(shape, message):
+    with pytest.raises(ValueError, match=message):
+        forward(make_params(), np.ones(shape))
 
 
 def test_overflowing_finite_inputs_rejected():

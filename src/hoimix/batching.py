@@ -34,6 +34,7 @@ from .synth_world import (
     SynthImage,
     TripletArrays,
     pair_feature_matrix,
+    stack_detections,
     stack_triplets,
 )
 
@@ -42,6 +43,7 @@ DEFAULT_IOU_THRESHOLD = 0.5
 # schedule entries whose pairs and targets are built in one pass; larger
 # blocks are faster, but a block's pairs are all held at once
 BLOCK_ENTRIES = 64
+TARGETS_CHUNK = 64  # ground-truth rows make_fs_targets matches at a time, to bound its temporaries
 
 
 @dataclass(eq=False)
@@ -122,12 +124,7 @@ def _kept(detections: Sequence[DetectionArrays], top_k: int):
     """The detections of several images stacked into one set, the first
     row of each image in it, the rows the top-k filter keeps, and how many
     of them each image has."""
-    stacked = DetectionArrays(
-        *(
-            np.concatenate([getattr(d, name) for d in detections])
-            for name in ("boxes", "class_ids", "confidences", "appearance")
-        )
-    )
+    stacked = stack_detections(detections)
     first = np.cumsum([0] + [len(d) for d in detections])
     owner = np.repeat(np.arange(len(detections)), np.diff(first))
     kept = _top_k_per_class(owner, stacked, top_k)
@@ -318,20 +315,21 @@ def make_fs_targets(
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
         raise ValueError(f"hoi_class {classes[np.argmax(bad)]} out of range [0, {n_classes})")
-    # every (pair row, ground-truth row) of one image, pair-major
-    n_truth = np.array([len(t) for t in truths], dtype=np.intp)
-    n_pairs = np.diff(grid.offsets)
-    per_row = np.repeat(n_truth, n_pairs)
-    row = np.repeat(np.arange(len(per_row)), per_row)
-    first_col = np.repeat(np.cumsum(n_truth) - n_truth, n_pairs)
-    col = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row - first_col, per_row)
-    overlap = np.minimum(
-        iou_rows(grid.human_boxes[row], flat.human_boxes[col]),
-        iou_rows(grid.object_boxes[row], flat.object_boxes[col]),
-    )
-    hit = overlap >= iou_threshold
+    # every (pair row, ground-truth row) of one image, a chunk of ground-truth
+    # rows at a time; image k's pairs are rows grid.offsets[k] up to k + 1's
+    image = np.repeat(np.arange(len(truths)), [len(t) for t in truths])
+    first, n_pairs = grid.offsets[image], np.diff(grid.offsets)[image]
     Y = np.zeros((len(grid.features), n_classes))
-    Y[row[hit], classes[col[hit]]] = 1.0
+    for start in range(0, len(flat), TARGETS_CHUNK):
+        n = n_pairs[start : start + TARGETS_CHUNK]
+        col = np.repeat(np.arange(start, start + len(n)), n)
+        row = np.arange(n.sum()) + np.repeat(first[start : start + len(n)] - (np.cumsum(n) - n), n)
+        overlap = np.minimum(
+            iou_rows(grid.human_boxes[row], flat.human_boxes[col]),
+            iou_rows(grid.object_boxes[row], flat.object_boxes[col]),
+        )
+        hit = overlap >= iou_threshold
+        Y[row[hit], classes[col[hit]]] = 1.0
     return Y
 
 

@@ -26,6 +26,13 @@ Code may merge draws of one kind that are already consecutive into one
 call (a uniform is one random() each, standard_normal(k) is k scalar
 draws), but must never reorder draws across kinds, and never replace an
 integers() call by arithmetic on a double: integers rejects and redraws.
+
+The order is unchanged since the draws moved into a loop of their own. For
+each run of WORLD_CHUNK images, the loop puts every draw into its rows of a
+buffer for the run; the box, confidence and appearance arithmetic then runs
+once over the run's columns, with the same float operations per value, and
+writes the world's arrays. The world's detections and triplets are checked
+once, and each image holds row ranges of them as views.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ _DISTRACTOR_CONF = (0.05, 0.55)
 _DISTRACTOR_HUMAN_PROB = 0.25
 _DISTRACTORS_PER_GT = 2.0
 _MIN_BOX_SIZE = 1e-3
+# images drawn and computed at a time: bounds the buffers and temporaries,
+# which the allocator keeps as heap after they are freed
+WORLD_CHUNK = 64
 
 
 class WorldGenerationError(ValueError):
@@ -184,11 +194,6 @@ class DetectionArrays:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def take(self, rows: np.ndarray) -> "DetectionArrays":
-        return DetectionArrays(
-            self.boxes[rows], self.class_ids[rows], self.confidences[rows], self.appearance[rows]
-        )
-
 
 def _reject_degenerate(boxes: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first of the box rows without positive
@@ -242,6 +247,31 @@ def stack_triplets(parts: Sequence[TripletArrays]) -> TripletArrays:
             np.concatenate([getattr(t, name) for t in (NO_TRIPLETS, *parts)])
             for name in ("human_boxes", "object_boxes", "hoi_classes")
         )
+    )
+
+
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass cls with these field values, in
+    declaration order, built without its checks: for rows of arrays that
+    were checked as a whole."""
+    instance = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+def _rows(arrays, at: slice):
+    """Rows at of a checked DetectionArrays or TripletArrays, as views."""
+    fields = arrays.__dataclass_fields__
+    return _unchecked(type(arrays), *[getattr(arrays, f)[at] for f in fields])
+
+
+def stack_detections(parts: Sequence[DetectionArrays]) -> DetectionArrays:
+    """The rows of every part, in order, as one set; rows that were
+    checked in their parts are not checked again."""
+    fields = DetectionArrays.__dataclass_fields__
+    return _unchecked(
+        DetectionArrays, *[np.concatenate([getattr(d, f) for d in parts]) for f in fields]
     )
 
 
@@ -401,120 +431,193 @@ def _coverage_assignments(
     return per_image
 
 
-def _sanitize_box(
-    x0: float, y0: float, x1: float, y1: float
-) -> tuple[float, float, float, float]:
-    """Order each axis, clip to the unit canvas and widen a side shorter
-    than _MIN_BOX_SIZE about its clipped center (Python float arithmetic)."""
-    if x1 < x0:
-        x0, x1 = x1, x0
-    if y1 < y0:
-        y0, y1 = y1, y0
-    x0, x1 = max(0.0, x0), min(1.0, x1)
-    y0, y1 = max(0.0, y0), min(1.0, y1)
-    if x1 - x0 < _MIN_BOX_SIZE:
-        mid = min(max(0.5 * (x0 + x1), _MIN_BOX_SIZE), 1.0 - _MIN_BOX_SIZE)
-        x0, x1 = mid - 0.5 * _MIN_BOX_SIZE, mid + 0.5 * _MIN_BOX_SIZE
-    if y1 - y0 < _MIN_BOX_SIZE:
-        mid = min(max(0.5 * (y0 + y1), _MIN_BOX_SIZE), 1.0 - _MIN_BOX_SIZE)
-        y0, y1 = mid - 0.5 * _MIN_BOX_SIZE, mid + 0.5 * _MIN_BOX_SIZE
-    return x0, y0, x1, y1
+def _sanitize_boxes(boxes: np.ndarray) -> np.ndarray:
+    """The (n, 4) boxes with each axis ordered, clipped to the unit canvas,
+    and a side shorter than _MIN_BOX_SIZE widened about its clipped center.
+    Each np.where takes the branch that Python's comparisons, max and min
+    take on one box's floats, so the rows have the bits of the per-box
+    arithmetic (tests/world_reference.py sanitize_box)."""
+    out = np.empty_like(boxes)
+    for axis in (0, 1):
+        lo, hi = boxes[:, axis], boxes[:, axis + 2]
+        swap = hi < lo
+        lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        lo, hi = np.where(lo > 0.0, lo, 0.0), np.where(hi < 1.0, hi, 1.0)
+        mid = 0.5 * (lo + hi)
+        mid = np.where(_MIN_BOX_SIZE > mid, _MIN_BOX_SIZE, mid)
+        mid = np.where(1.0 - _MIN_BOX_SIZE < mid, 1.0 - _MIN_BOX_SIZE, mid)
+        narrow = hi - lo < _MIN_BOX_SIZE
+        out[:, axis] = np.where(narrow, mid - 0.5 * _MIN_BOX_SIZE, lo)
+        out[:, axis + 2] = np.where(narrow, mid + 0.5 * _MIN_BOX_SIZE, hi)
+    return out
 
 
-def _detection_arrays(rows: list[tuple], embeddings: np.ndarray, sigma: float) -> DetectionArrays:
-    """The detections of (box, class id, confidence, appearance noise) rows,
-    each appearance its class's prototype plus sigma times its noise."""
-    boxes, class_ids, confidences, noise = (np.array(column) for column in zip(*rows))
-    return DetectionArrays(boxes, class_ids, confidences, embeddings[class_ids] + sigma * noise)
+def _centered_boxes(center: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Boxes of (cx, cy) centers and (half width, half height) sides."""
+    return np.hstack([center - half, center + half])
+
+
+def _draw_images(
+    cfg: WorldConfig, counts: np.ndarray, app_dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Every draw of a run of images, in the order the module docstring
+    fixes, each into its rows of a buffer for the run, and nothing else.
+    Row i of counts is image i's (humans, triplets, ground-truth detections,
+    distractors), so its rows are known before its draws. Of the detection
+    rows of z, the ground-truth ones of every image come first, then the
+    distractors."""
+    h_first, t_first, g_first, d_first = np.cumsum(
+        np.vstack([[0, 0, 0, 0], counts]), axis=0
+    ).T.tolist()
+    n_truths = g_first[-1]
+    u_human = np.empty((h_first[-1], 4))
+    pick = np.empty(t_first[-1], dtype=np.intp)  # the triplet's human, in its image
+    u_triplet = np.empty((t_first[-1], 4))  # angle, radius, half sizes
+    u_truth = np.empty(n_truths)  # confidence
+    u_distractor = np.empty((d_first[-1], 6))  # box, human/object coin, confidence
+    distractor_class = np.full(d_first[-1], cfg.human_class_id)
+    # box jitter (ground truth only), then appearance noise
+    z = np.empty((n_truths + d_first[-1], 4 + app_dim))
+    for i, n_humans in enumerate(counts[:, 0].tolist()):
+        rng.random(out=u_human[h_first[i] : h_first[i + 1]])
+        for t in range(t_first[i], t_first[i + 1]):
+            pick[t] = rng.integers(n_humans)
+            rng.random(out=u_triplet[t])
+        for g in range(g_first[i], g_first[i + 1]):
+            rng.standard_normal(out=z[g])
+            u_truth[g] = rng.random()
+        for d in range(d_first[i], d_first[i + 1]):
+            rng.random(out=u_distractor[d, :5])
+            if not u_distractor[d, 4] < _DISTRACTOR_HUMAN_PROB:
+                distractor_class[d] = rng.integers(cfg.n_object_classes)
+            rng.standard_normal(out=z[n_truths + d, 4:])
+            u_distractor[d, 5] = rng.random()
+    return u_human, pick, u_triplet, u_truth, u_distractor, distractor_class, z
+
+
+def _image_columns(
+    cfg: WorldConfig,
+    counts: np.ndarray,
+    classes: np.ndarray,
+    embeddings: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The detection columns (boxes, class ids, confidences, appearance)
+    and the triplet boxes (human, object) of a run of images, and each
+    image's number of human detections. Its detection rows go image by
+    image, each image's humans before its objects; row i of counts is image
+    i's, and classes are its triplets' classes.
+
+    The draws come first; the arithmetic then runs once over the run's
+    columns. A uniform draw on [lo, hi) is lo + (hi - lo) * u for u =
+    random(), as numpy computes it, and numpy's normal(0, s) is 0.0 + s * z."""
+    u_human, pick, u_triplet, u_truth, u_distractor, distractor_class, z = _draw_images(
+        cfg, counts, embeddings.shape[1], rng
+    )
+    n_humans, n_triplets, n_truths, n_distractors = counts.T
+    n_images, n_truth_rows = len(counts), len(u_truth)
+    truth_is_human = np.arange(n_truth_rows) < np.repeat(
+        np.cumsum(n_truths) - n_triplets, n_truths
+    )
+    is_human = np.concatenate([truth_is_human, u_distractor[:, 4] < _DISTRACTOR_HUMAN_PROB])
+    image = np.repeat(np.tile(np.arange(n_images), 2), np.concatenate([n_truths, n_distractors]))
+    # image by image, each image's humans before its objects, draw order within
+    order = np.argsort(2 * image + ~is_human, kind="stable")
+
+    def image_rows(truth_rows, distractor_rows):
+        return np.concatenate([truth_rows, distractor_rows])[order]
+
+    human_boxes = _centered_boxes(
+        0.4 + (0.6 - 0.4) * u_human[:, :2], 0.05 + (0.12 - 0.05) * u_human[:, 2:]
+    )
+    triplet_humans = human_boxes[np.repeat(np.cumsum(n_humans) - n_humans, n_triplets) + pick]
+    # sample the angle well inside the verb's sector so detection jitter
+    # cannot move a pair across the sector boundary
+    sector = 2.0 * np.pi / cfg.n_verb_classes
+    theta = -np.pi + (classes // cfg.n_object_classes + 0.15 + 0.7 * u_triplet[:, 0]) * sector
+    radius = 0.12 + (0.3 - 0.12) * u_triplet[:, 1]
+    direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    center = 0.5 * (triplet_humans[:, :2] + triplet_humans[:, 2:]) + radius[:, None] * direction
+    object_boxes = _sanitize_boxes(_centered_boxes(center, 0.03 + (0.09 - 0.03) * u_triplet[:, 2:]))
+
+    truth_boxes = np.empty((n_truth_rows, 4))
+    truth_boxes[truth_is_human], truth_boxes[~truth_is_human] = human_boxes, object_boxes
+    truth_boxes += 0.0 + cfg.detection_jitter_sigma * z[:n_truth_rows, :4]
+    distractor_boxes = _centered_boxes(
+        0.15 + (0.85 - 0.15) * u_distractor[:, :2], 0.03 + (0.12 - 0.03) * u_distractor[:, 2:4]
+    )
+    truth_class = np.full(n_truth_rows, cfg.human_class_id)
+    truth_class[~truth_is_human] = classes % cfg.n_object_classes
+    class_ids = image_rows(truth_class, distractor_class)
+    (gt_lo, gt_hi), (distractor_lo, distractor_hi) = _GT_CONF, _DISTRACTOR_CONF
+    appearance = z[order, 4:]
+    appearance *= cfg.feature_noise_sigma
+    appearance += embeddings[class_ids]
+    detections = (
+        image_rows(_sanitize_boxes(truth_boxes), _sanitize_boxes(distractor_boxes)),
+        class_ids,
+        image_rows(
+            gt_lo + (gt_hi - gt_lo) * u_truth,
+            distractor_lo + (distractor_hi - distractor_lo) * u_distractor[:, 5],
+        ),
+        appearance,
+    )
+    n_human_rows = np.bincount(image[is_human], minlength=n_images)
+    return detections, (triplet_humans, object_boxes), n_human_rows
 
 
 def _generate_images(
     cfg: WorldConfig,
-    n_images: int,
     assignments: list[list[int]],
     humans_per_image: np.ndarray,
     embeddings: np.ndarray,
     rng: np.random.Generator,
     first_image_id: int = 0,
 ) -> list[SynthImage]:
-    """The images, drawn in the order the module docstring fixes. A uniform
-    draw on [lo, hi) is lo + (hi - lo) * u for u = random(), as numpy
-    computes it, and numpy's normal(0, s) is 0.0 + s * z."""
-    sector = 2.0 * np.pi / cfg.n_verb_classes
-    app_dim = embeddings.shape[1]
-    jitter, sigma = cfg.detection_jitter_sigma, cfg.feature_noise_sigma
-    human_id = cfg.human_class_id
-    (gt_lo, gt_hi), (distractor_lo, distractor_hi) = _GT_CONF, _DISTRACTOR_CONF
-    images = []
-    for i in range(n_images):
-        n_humans = int(humans_per_image[i])
-        u = rng.random(4 * n_humans).tolist()
-        human_boxes = []
-        for k in range(0, 4 * n_humans, 4):
-            ucx, ucy, uw, uh = u[k : k + 4]
-            cx, cy = 0.4 + (0.6 - 0.4) * ucx, 0.4 + (0.6 - 0.4) * ucy
-            hw, hh = 0.05 + (0.12 - 0.05) * uw, 0.05 + (0.12 - 0.05) * uh
-            human_boxes.append((cx - hw, cy - hh, cx + hw, cy + hh))
-
-        classes = assignments[i]
-        triplet_humans, object_boxes = [], []
-        for hoi_class in classes:
-            verb = hoi_class // cfg.n_object_classes
-            hx0, hy0, hx1, hy1 = human_box = human_boxes[int(rng.integers(n_humans))]
-            hcx, hcy = 0.5 * (hx0 + hx1), 0.5 * (hy0 + hy1)
-            ut, ur, uw, uh = rng.random(4).tolist()
-            # sample the angle well inside the verb's sector so detection
-            # jitter cannot move a pair across the sector boundary
-            theta = -np.pi + (verb + 0.15 + 0.7 * ut) * sector
-            radius = 0.12 + (0.3 - 0.12) * ur
-            ocx = hcx + radius * float(np.cos(theta))
-            ocy = hcy + radius * float(np.sin(theta))
-            ow, oh = 0.03 + (0.09 - 0.03) * uw, 0.03 + (0.09 - 0.03) * uh
-            triplet_humans.append(human_box)
-            object_boxes.append(_sanitize_box(ocx - ow, ocy - oh, ocx + ow, ocy + oh))
-
-        humans, objects = [], []
-        ground_truth = [(humans, box, human_id) for box in human_boxes] + [
-            (objects, box, c % cfg.n_object_classes) for box, c in zip(object_boxes, classes)
-        ]
-        for rows, (x0, y0, x1, y1), class_id in ground_truth:
-            # one block: the 4 box jitters, then the appearance noise
-            z = rng.standard_normal(4 + app_dim)
-            j0, j1, j2, j3 = z[:4].tolist()
-            jittered = _sanitize_box(
-                x0 + (0.0 + jitter * j0),
-                y0 + (0.0 + jitter * j1),
-                x1 + (0.0 + jitter * j2),
-                y1 + (0.0 + jitter * j3),
-            )
-            rows.append((jittered, class_id, gt_lo + (gt_hi - gt_lo) * rng.random(), z[4:]))
-
-        for _ in range(round(_DISTRACTORS_PER_GT * (n_humans + len(classes)))):
-            ucx, ucy, uw, uh, coin = rng.random(5).tolist()
-            cx, cy = 0.15 + (0.85 - 0.15) * ucx, 0.15 + (0.85 - 0.15) * ucy
-            hw, hh = 0.03 + (0.12 - 0.03) * uw, 0.03 + (0.12 - 0.03) * uh
-            box = _sanitize_box(cx - hw, cy - hh, cx + hw, cy + hh)
-            if coin < _DISTRACTOR_HUMAN_PROB:
-                rows, class_id = humans, human_id
-            else:
-                rows, class_id = objects, int(rng.integers(cfg.n_object_classes))
-            noise = rng.standard_normal(app_dim)
-            conf = distractor_lo + (distractor_hi - distractor_lo) * rng.random()
-            rows.append((box, class_id, conf, noise))
-
-        images.append(
-            SynthImage(
-                image_id=first_image_id + i,
-                humans=_detection_arrays(humans, embeddings, sigma),
-                objects=_detection_arrays(objects, embeddings, sigma),
-                gt_triplets=TripletArrays(
-                    np.array(triplet_humans), np.array(object_boxes), np.array(classes)
-                ),
-                image_labels=frozenset(classes),
-                supervision=SupervisionTag.FS,
-            )
+    """The images, WORLD_CHUNK at a time into the world's arrays, which are
+    then checked once; each image holds row ranges of them as views."""
+    n_triplets = np.array([len(classes) for classes in assignments], dtype=np.intp)
+    n_truths = humans_per_image + n_triplets  # ground-truth detections: humans, then objects
+    n_distractors = np.round(_DISTRACTORS_PER_GT * n_truths).astype(np.intp)
+    counts = np.stack([humans_per_image, n_triplets, n_truths, n_distractors], axis=1)
+    d_first = np.concatenate([[0], np.cumsum(n_truths + n_distractors)])
+    t_first = np.concatenate([[0], np.cumsum(n_triplets)])
+    classes = np.array([c for image_classes in assignments for c in image_classes], dtype=np.intp)
+    n_rows, app_dim = d_first[-1], embeddings.shape[1]
+    columns = (  # boxes, class ids, confidences, appearance
+        np.empty((n_rows, 4)),
+        np.empty(n_rows, np.intp),
+        np.empty(n_rows),
+        np.empty((n_rows, app_dim)),
+    )
+    triplet_boxes = (np.empty((t_first[-1], 4)), np.empty((t_first[-1], 4)))
+    n_human_rows = np.empty(len(assignments), dtype=np.intp)
+    chunks = list(range(0, len(assignments), WORLD_CHUNK)) + [len(assignments)]
+    for a, b in zip(chunks, chunks[1:]):
+        rows, t_rows = slice(d_first[a], d_first[b]), slice(t_first[a], t_first[b])
+        detection_part, triplet_part, n_human_rows[a:b] = _image_columns(
+            cfg, counts[a:b], classes[t_rows], embeddings, rng
         )
-    return images
+        for world, part in zip(columns, detection_part):
+            world[rows] = part
+        for world, part in zip(triplet_boxes, triplet_part):
+            world[t_rows] = part
+    detections = DetectionArrays(*columns)
+    triplets = TripletArrays(*triplet_boxes, classes)
+    return [
+        _unchecked(
+            SynthImage,
+            first_image_id + i,
+            _rows(detections, slice(start, start + n_humans)),
+            _rows(detections, slice(start + n_humans, stop)),
+            _rows(triplets, slice(t_start, t_stop)),
+            frozenset(image_classes),
+            SupervisionTag.FS,
+        )
+        for i, (image_classes, start, n_humans, stop, t_start, t_stop) in enumerate(
+            zip(assignments, d_first, n_human_rows, d_first[1:], t_first, t_first[1:])
+        )
+    ]
 
 
 def generate_world(cfg: WorldConfig) -> list[SynthImage]:
@@ -524,7 +627,7 @@ def generate_world(cfg: WorldConfig) -> list[SynthImage]:
     humans = train_rng.integers(cfg.humans_per_image[0], cfg.humans_per_image[1] + 1, cfg.n_images)
     slots = train_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, cfg.n_images)
     assignments = _plan_class_assignments(cfg, slots, train_rng)
-    return _generate_images(cfg, cfg.n_images, assignments, humans, embeddings, train_rng)
+    return _generate_images(cfg, assignments, humans, embeddings, train_rng)
 
 
 def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
@@ -536,8 +639,7 @@ def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
     slots = eval_rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1, n_images)
     assignments = _coverage_assignments(cfg, slots, eval_rng)
     return _generate_images(
-        cfg, n_images, assignments, humans, embeddings, eval_rng,
-        first_image_id=cfg.n_images,
+        cfg, assignments, humans, embeddings, eval_rng, first_image_id=cfg.n_images
     )
 
 

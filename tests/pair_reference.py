@@ -70,6 +70,16 @@ def detection_arrays(detections: Sequence[Detection]) -> DetectionArrays:
     )
 
 
+def take_detections(detections: DetectionArrays, rows: np.ndarray) -> DetectionArrays:
+    """The given rows of the detections, in that order, as a checked set."""
+    return DetectionArrays(
+        detections.boxes[rows],
+        detections.class_ids[rows],
+        detections.confidences[rows],
+        detections.appearance[rows],
+    )
+
+
 def reference_pair_features(
     humans: DetectionArrays, h: int, objects: DetectionArrays, o: int, feature_dim: int
 ) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hoimix.batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
+    TARGETS_CHUNK,
     MiniBatch,
     Schedule,
     ScheduleError,
@@ -696,6 +697,24 @@ def test_pair_grids_and_targets_match_the_per_image_reference(sides, top_k, pick
     Y = make_fs_targets(grid, [triplet_arrays(truth) for truth in truths], 6)
     for k, (w, truth) in enumerate(zip(want, truths)):
         expected = reference_fs_targets(w.human_boxes, w.object_boxes, truth, 6)
+        assert Y[grid.rows(k)].tobytes() == expected.tobytes()
+
+
+def test_fs_targets_across_chunks_equal_the_per_image_reference():
+    # enough ground-truth rows for several chunks, with images of no ground
+    # truth between them, so that an image's rows straddle chunk edges
+    cfg = WorldConfig(n_images=120)
+    images = generate_world(cfg)
+    truths = [NO_TRIPLETS if k % 3 == 1 else im.gt_triplets for k, im in enumerate(images)]
+    assert sum(map(len, truths)) > 2 * TARGETS_CHUNK
+    grid = pair_grids(images, cfg.feature_dim)
+    Y = make_fs_targets(grid, truths, cfg.n_hoi_classes)
+    assert Y.any()
+    for k, truth in enumerate(truths):
+        w = grid.image(k)
+        expected = reference_fs_targets(
+            w.human_boxes, w.object_boxes, triplet_objects(truth), cfg.n_hoi_classes
+        )
         assert Y[grid.rows(k)].tobytes() == expected.tobytes()
 
 

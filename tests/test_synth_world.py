@@ -2,6 +2,7 @@ import collections
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hoimix.synth_world import (
     split_supervision,
 )
 from box_reference import Box, GroundTruthTriplet, box_array, triplet_arrays
-from pair_reference import Detection, detection_arrays, reference_pair_features
+from pair_reference import Detection, detection_arrays, reference_pair_features, take_detections
 import world_reference
 
 SMALL = WorldConfig(
@@ -283,8 +284,8 @@ def test_pair_feature_rows_equal_the_reference_on_a_default_world():
     for image in generate_world(cfg):
         n_humans, n_objects = len(image.humans), len(image.objects)
         assert_rows_match_reference(
-            image.humans.take(np.repeat(np.arange(n_humans), n_objects)),
-            image.objects.take(np.tile(np.arange(n_objects), n_humans)),
+            take_detections(image.humans, np.repeat(np.arange(n_humans), n_objects)),
+            take_detections(image.objects, np.tile(np.arange(n_objects), n_humans)),
             cfg.feature_dim,
         )
 
@@ -414,7 +415,7 @@ def test_image_requires_detections():
     with pytest.raises(ValueError):
         SynthImage(
             image_id=1,
-            humans=im.humans.take(np.array([], dtype=np.intp)),
+            humans=take_detections(im.humans, np.array([], dtype=np.intp)),
             objects=im.objects,
             gt_triplets=NO_TRIPLETS,
             image_labels=frozenset(),
@@ -614,3 +615,105 @@ def test_default_world_arrays_are_pinned():
     # the golden run digests rest on the same streams. A change here means
     # the world's draws changed order or kind, or its arithmetic changed
     assert world_digest(generate_world(WorldConfig())).startswith(DEFAULT_WORLD_SHA256)
+
+
+# Digests of the data_pass workload's worlds, by world_digest's recipe: the
+# 2 400-image training world and its 240 test images at seeds 0 and 1
+# (every other WorldConfig field the default). Taken from the per-image
+# generator that the world-buffer generator replaced.
+DATA_PASS_WORLD_SHA256 = {
+    0: ("55e0e54f62ebec1f", "defaabf9d6267e5b"),
+    1: ("82af763b5b537f4b", "b7f60650bd041f70"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DATA_PASS_WORLD_SHA256))
+def test_data_pass_worlds_are_pinned(seed):
+    cfg = WorldConfig(n_images=2400, seed=seed)
+    digests = (
+        world_digest(generate_world(cfg))[:16],
+        world_digest(generate_eval_images(cfg, 240))[:16],
+    )
+    assert digests == DATA_PASS_WORLD_SHA256[seed]
+
+
+def test_no_eval_images_is_an_empty_list():
+    assert generate_eval_images(WorldConfig(), 0) == []
+
+
+def test_a_world_is_checked_once_whatever_its_size(monkeypatch):
+    calls = []
+    reject = synth_world._reject_degenerate
+
+    def counted(boxes, what):
+        calls.append(len(boxes))
+        return reject(boxes, what)
+
+    monkeypatch.setattr(synth_world, "_reject_degenerate", counted)
+    per_world = []
+    for n_images in (160, 320):
+        calls.clear()
+        generate_world(WorldConfig(n_images=n_images))
+        per_world.append(len(calls))
+    assert per_world[0] == per_world[1]
+    # a set built by a caller is still checked when it is built
+    calls.clear()
+    d = SMALL_WORLD[0].humans
+    DetectionArrays(d.boxes, d.class_ids, d.confidences, d.appearance)
+    assert calls == [len(d)]
+
+
+def test_a_pickled_world_image_carries_only_its_own_rows():
+    image = SMALL_WORLD[7]
+    assert image.humans.boxes.base is not None  # a view into the world's rows
+    copied = SynthImage(
+        image.image_id,
+        take_detections(image.humans, np.arange(len(image.humans))),
+        take_detections(image.objects, np.arange(len(image.objects))),
+        image.gt_triplets.take(np.arange(len(image.gt_triplets))),
+        image.image_labels,
+    )
+    assert copied.humans.boxes.base is None
+    assert len(pickle.dumps(image)) == len(pickle.dumps(copied))
+    assert image_bytes(pickle.loads(pickle.dumps(image))) == image_bytes(copied)
+
+
+# coordinates that reach every branch of the box sanitizer: reversed axes,
+# corners off the unit canvas, sides at or below _MIN_BOX_SIZE, signed zeros
+_MIN = synth_world._MIN_BOX_SIZE
+corner = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, _MIN, 0.5 * _MIN, 1.0 - _MIN, 1.0 - 0.5 * _MIN, -0.25, 1.25]),
+    st.floats(-0.5, 1.5),
+)
+side = st.one_of(
+    st.sampled_from([0.0, -0.0, _MIN, -_MIN, 0.5 * _MIN, -0.5 * _MIN, 5e-324]),
+    st.floats(-1.0, 1.0),
+)
+unsanitized_box = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), corner, corner, side, side)
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxes=st.lists(unsanitized_box, min_size=1, max_size=8))
+def test_column_sanitizer_equals_the_per_box_reference_bit_for_bit(boxes):
+    want = np.array([world_reference.sanitize_box(*box) for box in boxes], dtype=np.float64)
+    got = synth_world._sanitize_boxes(np.array(boxes, dtype=np.float64))
+    assert got.tobytes() == want.tobytes()
+
+
+# tracemalloc peak of generate_world(WorldConfig(n_images=400)) for the
+# per-image generator that the world-buffer generator replaced (CPython
+# 3.11.7, numpy 2.4.6, x86-64). The draw buffers and the world's arrays
+# must not cost much more than the images they become.
+PER_IMAGE_GENERATOR_PEAK_BYTES = 1_373_563
+
+
+def test_world_generation_peak_memory_stays_near_the_per_image_generators():
+    cfg = WorldConfig(n_images=400)
+    generate_world(cfg)  # allocations made once per process are not the generator's
+    tracemalloc.start()
+    try:
+        generate_world(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * PER_IMAGE_GENERATOR_PEAK_BYTES

@@ -1,7 +1,7 @@
 """Per-draw reference for world generation.
 
 The reference is the original generator: one numpy call per scalar or pair
-of random draws, a 4-element array per box sanitized through float(), one
+of random draws, a 4-element array per box sanitized as Python floats, one
 rng.choice per Zipf-filled class slot, one row tuple per detection, and one
 Box per ground-truth box and GroundTruthTriplet per triplet. The
 generators in hoimix.synth_world must reproduce its images byte for byte
@@ -110,9 +110,14 @@ def _plan_class_assignments(
     return per_image
 
 
-def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
-    x0, x1 = sorted((float(coords[0]), float(coords[2])))
-    y0, y1 = sorted((float(coords[1]), float(coords[3])))
+def sanitize_box(x0: float, y0: float, x1: float, y1: float) -> tuple[float, float, float, float]:
+    """Order each axis, clip to the unit canvas and widen a side shorter
+    than _MIN_BOX_SIZE about its clipped center, in Python float arithmetic:
+    the reference for the column version in hoimix.synth_world."""
+    if x1 < x0:
+        x0, x1 = x1, x0
+    if y1 < y0:
+        y0, y1 = y1, y0
     x0, x1 = max(0.0, x0), min(1.0, x1)
     y0, y1 = max(0.0, y0), min(1.0, y1)
     if x1 - x0 < _MIN_BOX_SIZE:
@@ -122,6 +127,10 @@ def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
         mid = min(max(0.5 * (y0 + y1), _MIN_BOX_SIZE), 1.0 - _MIN_BOX_SIZE)
         y0, y1 = mid - 0.5 * _MIN_BOX_SIZE, mid + 0.5 * _MIN_BOX_SIZE
     return x0, y0, x1, y1
+
+
+def _sanitize_box(coords: np.ndarray) -> tuple[float, float, float, float]:
+    return sanitize_box(*coords.tolist())
 
 
 def _jittered(

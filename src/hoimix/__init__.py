@@ -8,13 +8,11 @@ evaluation, all driven by a reproducible synthetic detection world.
 """
 
 from .batching import (
-    HumanObjectPair,
     MiniBatch,
     PairGrid,
     Schedule,
     ScheduleEntry,
     batch_schedule,
-    build_pairs,
     element_swap,
     make_fs_targets,
     make_ws_targets,
@@ -64,7 +62,6 @@ __all__ = [
     "EvalSet",
     "ExperimentConfig",
     "FitSpec",
-    "HumanObjectPair",
     "LossReport",
     "MiniBatch",
     "ModelParams",
@@ -82,7 +79,6 @@ __all__ = [
     "WorldConfig",
     "backward",
     "batch_schedule",
-    "build_pairs",
     "element_swap",
     "evaluate",
     "fit",

@@ -15,12 +15,18 @@ BLOCK_ENTRIES consecutive schedule entries at a time (`prepare_block`), and
 `assemble_minibatch` copies one entry's batch out of its block. The pass is
 blocked to bound its peak memory: one pass over the whole schedule would
 hold every image's pairs and feature temporaries at once.
+
+Element swapping is selection only: `element_swap` returns one WS entry's
+kept pairs as rows, and `prepare_block` gathers their features: same-image
+rows from the block's grid, and every swapped pair of the block from one
+`pair_feature_matrix` call over the detections the grid was built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,25 +50,6 @@ DEFAULT_IOU_THRESHOLD = 0.5
 # blocks are faster, but a block's pairs are all held at once
 BLOCK_ENTRIES = 64
 TARGETS_CHUNK = 64  # ground-truth rows make_fs_targets matches at a time, to bound its temporaries
-
-
-@dataclass(eq=False)
-class HumanObjectPair:
-    """One candidate pair: row human_index of its human's image's human
-    detections and row object_index of its object's image's object
-    detections."""
-
-    humans: DetectionArrays  # the human detections of the human's image
-    objects: DetectionArrays  # the object detections of the object's image
-    human_index: int
-    object_index: int
-    source: tuple[int, int]  # (image_id of human, image_id of object)
-    features: np.ndarray
-
-    @property
-    def swapped(self) -> bool:
-        """True iff human and object come from different images."""
-        return self.source[0] != self.source[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +118,15 @@ def _kept(detections: Sequence[DetectionArrays], top_k: int):
     return stacked, first, kept, np.bincount(owner[kept], minlength=len(detections))
 
 
+class PairRow(tuple):
+    """One pair of a PairGrid, (human_index, object_index); a plain tuple
+    with C-level field getters, cheaper to build per row than a namedtuple."""
+
+    __slots__ = ()
+    human_index = property(itemgetter(0))
+    object_index = property(itemgetter(1))
+
+
 @dataclass(eq=False)
 class PairGrid:
     """Every kept human x kept object pair of a run of images as arrays.
@@ -147,13 +143,17 @@ class PairGrid:
     object_boxes: np.ndarray
     features: np.ndarray      # (n, feature_dim)
 
-    def rows(self, k: int) -> slice:
-        """The rows of image k's pairs."""
-        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
+    def __len__(self) -> int:
+        return len(self.human_index)
+
+    def __iter__(self) -> Iterator[PairRow]:
+        """The pairs as (human_index, object_index) rows; only the perfbench
+        tracer walks a grid this way, to count element_swap's candidates."""
+        return map(PairRow, zip(self.human_index.tolist(), self.object_index.tolist()))
 
     def image(self, k: int) -> "PairGrid":
         """Image k's pairs as a grid of their own, of views into this one."""
-        at = self.rows(k)
+        at = slice(int(self.offsets[k]), int(self.offsets[k + 1]))
         return PairGrid(
             self.image_ids[k : k + 1],
             np.array([0, at.stop - at.start]),
@@ -171,6 +171,13 @@ def pair_grids(
     """The human x object pairs of every image after top-k filtering, in
     one pass over the detections of all of them; image k of the grid is
     images[k]."""
+    return _grid_and_detections(images, feature_dim, top_k)[0]
+
+
+def _grid_and_detections(images: Sequence[SynthImage], feature_dim: int, top_k: int):
+    """pair_grids' grid, and the detections it pairs: the human and the
+    object detections of all the images stacked into one set each, and the
+    first row of each image in them."""
     if not images:
         raise ValueError("pair_grids needs at least one image")
     humans, h_first, kept_h, n_h = _kept([image.humans for image in images], top_k)
@@ -185,7 +192,7 @@ def pair_grids(
     p, n_o_row = np.arange(offsets[-1]) - offsets[owner], n_o[owner]
     h = kept_h[(np.cumsum(n_h) - n_h)[owner] + p // n_o_row]
     o = kept_o[(np.cumsum(n_o) - n_o)[owner] + p % n_o_row]
-    return PairGrid(
+    grid = PairGrid(
         np.array([image.image_id for image in images]),
         offsets,
         h - h_first[owner],
@@ -194,63 +201,60 @@ def pair_grids(
         objects.boxes[o],
         pair_feature_matrix(humans, h, objects, o, feature_dim),
     )
+    return grid, (humans, h_first), (objects, o_first)
 
 
-def build_pairs(image: SynthImage, grid: PairGrid) -> list[HumanObjectPair]:
-    """The rows of the image's own grid (one image of pair_grids, see
-    PairGrid.image) as one HumanObjectPair per pair, the form element_swap
-    takes; each pair's features are a row of the grid's feature matrix."""
-    ids = grid.image_ids.tolist()
-    if ids != [image.image_id]:
-        raise ValueError(f"grid of images {ids} is not image {image.image_id}'s")
-    source = (image.image_id, image.image_id)
-    return [
-        HumanObjectPair(
-            humans=image.humans,
-            objects=image.objects,
-            human_index=h,
-            object_index=o,
-            source=source,
-            features=features,
-        )
-        for h, o, features in zip(
-            grid.human_index.tolist(), grid.object_index.tolist(), grid.features
-        )
-    ]
+@dataclass(eq=False)
+class KeptPairs:
+    """The pairs element_swap keeps for two images, in rank order. Pair i
+    pairs row human_index[i] of the human detections of image
+    human_image[i] (0 for the first image, 1 for the second) with row
+    object_index[i] of the object detections of image object_image[i].
+    A same-image pair is row grid_row[i] of the two images' grids, the
+    first image's rows then the second's; a swapped pair has grid_row -1."""
+
+    human_image: np.ndarray
+    human_index: np.ndarray
+    object_image: np.ndarray
+    object_index: np.ndarray
+    grid_row: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.grid_row)
 
 
 def element_swap(
-    pairs1: list[HumanObjectPair], pairs2: list[HumanObjectPair]
-) -> list[HumanObjectPair]:
-    """Cross-image pair augmentation for two weakly-labeled images.
+    grid1: PairGrid, grid2: PairGrid, image1: SynthImage, image2: SynthImage
+) -> KeptPairs:
+    """Cross-image pair selection for two weakly-labeled images.
 
-    Takes the same-image pairs of two images, as build_pairs gives them.
-    Forms the full (H1+H2) x (O1+O2) pool of pairs across both images, then
-    prunes easy negatives by ascending confidence product (the product of
-    the two detector confidences, available before any training and stable
-    across epochs) until exactly H1*O1 + H2*O2 pairs remain, the original
-    pair count of the two images. Score ties are resolved by pruning swapped
+    Takes each image's own grid (PairGrid.image) and the image. Forms the
+    full (H1+H2) x (O1+O2) pool of pairs across both images, then prunes
+    easy negatives by ascending confidence product (the product of the two
+    detector confidences, available before any training and stable across
+    epochs) until exactly H1*O1 + H2*O2 pairs remain, the original pair
+    count of the two images. Score ties are resolved by pruning swapped
     pairs before same-image pairs, then by (image ids, detection indices)
-    for determinism. The pool is ranked on its keys alone; pairs and
-    features are built only for the swapped pairs that are kept.
+    for determinism. The pool is ranked on its keys alone and the kept
+    pairs are returned as rows; prepare_block builds their features.
     """
-    if not pairs1 or not pairs2:
+    if not len(grid1) or not len(grid2):
         raise ValueError("element_swap needs non-empty pair lists from both images")
-    first = (pairs1[0], pairs2[0])  # a pair of each image, which holds its detections
-    images = (first[0].source[0], first[1].source[0])
+    for grid, image in ((grid1, image1), (grid2, image2)):
+        ids = grid.image_ids.tolist()
+        if ids != [image.image_id]:
+            raise ValueError(f"grid of images {ids} is not image {image.image_id}'s")
+    images = (image1.image_id, image2.image_id)
     if images[0] == images[1]:
         raise ValueError("element_swap needs pairs from two distinct images")
-    feature_dim = first[0].features.shape[0]
 
     # the detections of both images are numbered image 1's first; the
-    # candidates are (human, object) numbers: the given same-image pairs,
-    # then each image's humans against the other image's objects, human-major
-    n_humans1, n_objects1 = len(first[0].humans), len(first[0].objects)
-    h1 = np.array([p.human_index for p in pairs1])
-    o1 = np.array([p.object_index for p in pairs1])
-    h2 = np.array([p.human_index for p in pairs2]) + n_humans1
-    o2 = np.array([p.object_index for p in pairs2]) + n_objects1
-    same = pairs1 + pairs2
+    # candidates are (human, object) numbers: the grids' pairs, then each
+    # image's humans against the other image's objects, human-major
+    n_humans1, n_objects1 = len(image1.humans), len(image1.objects)
+    h1, o1 = grid1.human_index, grid1.object_index
+    h2, o2 = grid2.human_index + n_humans1, grid2.object_index + n_objects1
+    n_same = len(h1) + len(h2)
     h_rows, o_rows = [h1, h2], [o1, o2]
     for h, o in ((np.unique(h1), np.unique(o2)), (np.unique(h2), np.unique(o1))):
         h_rows.append(np.repeat(h, len(o)))
@@ -259,41 +263,18 @@ def element_swap(
     # which image each candidate's human and object come from (0 or 1)
     h_side, o_side = (h >= n_humans1).astype(np.intp), (o >= n_objects1).astype(np.intp)
     h_index, o_index = h - n_humans1 * h_side, o - n_objects1 * o_side
-    h_image, o_image = np.take(images, h_side), np.take(images, o_side)
     product = (
-        np.concatenate([first[0].humans.confidences, first[1].humans.confidences])[h]
-        * np.concatenate([first[0].objects.confidences, first[1].objects.confidences])[o]
+        np.concatenate([image1.humans.confidences, image2.humans.confidences])[h]
+        * np.concatenate([image1.objects.confidences, image2.objects.confidences])[o]
     )
-    swapped = np.arange(len(h)) >= len(same)
+    swapped = np.arange(len(h)) >= n_same
     # the key, most significant last: -product, swapped, source ids, detection indices
-    kept = np.lexsort((o_index, h_index, o_image, h_image, swapped, -product))[: len(same)]
-
-    cross = kept[kept >= len(same)]
-    features = np.empty((len(cross), feature_dim))
-    for side in (0, 1):  # the human's image; a swapped pair's object is from the other
-        at = h_side[cross] == side
-        features[at] = pair_feature_matrix(
-            first[side].humans, h_index[cross[at]], first[1 - side].objects, o_index[cross[at]],
-            feature_dim,
-        )
-    built = iter(
-        HumanObjectPair(
-            humans=first[side_h].humans,
-            objects=first[side_o].objects,
-            human_index=hi,
-            object_index=oi,
-            source=(images[side_h], images[side_o]),
-            features=f,
-        )
-        for side_h, side_o, hi, oi, f in zip(
-            h_side[cross].tolist(),
-            o_side[cross].tolist(),
-            h_index[cross].tolist(),
-            o_index[cross].tolist(),
-            features,
-        )
+    kept = np.lexsort(
+        (o_index, h_index, np.take(images, o_side), np.take(images, h_side), swapped, -product)
+    )[:n_same]
+    return KeptPairs(
+        h_side[kept], h_index[kept], o_side[kept], o_index[kept], np.where(kept < n_same, kept, -1)
     )
-    return [same[k] if k < len(same) else next(built) for k in kept.tolist()]
 
 
 def make_fs_targets(
@@ -402,13 +383,13 @@ def batch_schedule(images: list[SynthImage], seed: int) -> Schedule:
 
 @dataclass(eq=False)
 class BatchBlock:
-    """The pairs and region-level targets of a block of schedule entries,
-    built in one pass: entry e's images are images[2e] and images[2e + 1],
-    and they are images 2e and 2e + 1 of the grid. Each pair is matched
-    against its own image's gt_triplets."""
+    """The batch rows of a block of schedule entries, built in one pass:
+    entry e's images are images[2e] and images[2e + 1], and its batch is
+    rows offsets[2e]:offsets[2e + 2] of features and fs_targets."""
 
     images: list[SynthImage]
-    grid: PairGrid
+    offsets: np.ndarray     # (2 * entries + 1,), the offsets of the block's pair grid
+    features: np.ndarray    # (pairs, feature_dim)
     fs_targets: np.ndarray  # (pairs, n_classes), zero on the pairs of WS images
 
 
@@ -418,50 +399,73 @@ def prepare_block(
     n_classes: int,
     feature_dim: int,
     top_k: int = DEFAULT_TOP_K,
+    element_swap_enabled: bool = False,
 ) -> BatchBlock:
-    """Build the pair grid and the region-level targets of every image of
-    the entries at once. A region-level image (FS, or US with pseudo
-    labels) is matched against its own gt_triplets; a WS image against
-    none."""
+    """Build the batch features and the region-level targets of every
+    entry at once. A region-level image (FS, or US with pseudo labels) is
+    matched against its own gt_triplets; a WS image against none.
+
+    Element swapping applies only to WS entries. A swapped entry's rows are
+    the pairs element_swap keeps for its two images, in rank order: its
+    kept same-image pairs are rows of the block's pair grid, and the kept
+    swapped pairs of every entry get their features from one
+    pair_feature_matrix call.
+    """
     images = [image for entry in entries for image in entry]
     truths = [
         image.gt_triplets if image.supervision.region_level else NO_TRIPLETS for image in images
     ]
-    grid = pair_grids(images, feature_dim, top_k)
-    return BatchBlock(images, grid, make_fs_targets(grid, truths, n_classes))
+    grid, (humans, h_first), (objects, o_first) = _grid_and_detections(images, feature_dim, top_k)
+    fs_targets = make_fs_targets(grid, truths, n_classes)
+    tags = [image.supervision for image in images]
+    ws = [k for k in range(0, len(tags), 2) if tags[k] == tags[k + 1] == SupervisionTag.WS]
+    if not element_swap_enabled or not ws:
+        return BatchBlock(images, grid.offsets, grid.features, fs_targets)
+
+    kept = [element_swap(grid.image(k), grid.image(k + 1), images[k], images[k + 1]) for k in ws]
+    n_kept = [len(pairs) for pairs in kept]
+    image = np.repeat(ws, n_kept)  # the first image of each kept pair's entry
+    first = grid.offsets[image]  # the entry's first row
+    # kept pair i of an entry is the entry's batch row i
+    row = first + np.arange(len(image)) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
+    grid_row, h_image, h_index, o_image, o_index = (
+        np.concatenate([getattr(pairs, name) for pairs in kept])
+        for name in ("grid_row", "human_image", "human_index", "object_image", "object_index")
+    )
+    cross = grid_row < 0
+    # the swapped entries' rows are rewritten in the grid's own features, so
+    # that the block holds one feature matrix; the kept same-image rows are
+    # gathered before any row is written
+    features = grid.features
+    same = features[(first + grid_row)[~cross]]
+    features[row[cross]] = pair_feature_matrix(
+        humans,
+        (h_first[image + h_image] + h_index)[cross],
+        objects,
+        (o_first[image + o_image] + o_index)[cross],
+        feature_dim,
+    )
+    features[row[~cross]] = same
+    return BatchBlock(images, grid.offsets, features, fs_targets)
 
 
-def assemble_minibatch(
-    block: BatchBlock, entry: int, *, element_swap_enabled: bool = False
-) -> MiniBatch:
-    """Build the training batch of the block's entry from the block's arrays.
-
-    Element swapping applies only to WS batches. A batch owns copies of its
-    rows, so that it does not keep its block alive.
-    """
+def assemble_minibatch(block: BatchBlock, entry: int) -> MiniBatch:
+    """Copy the training batch of the block's entry out of the block's
+    arrays. A batch owns copies of its rows, so that it does not keep its
+    block alive."""
     image_a, image_b = block.images[2 * entry], block.images[2 * entry + 1]
     if image_a.supervision != image_b.supervision:
         raise ValueError("mini-batches must be homogeneous in supervision")
     tag = image_a.supervision
-    image_ids = (image_a.image_id, image_b.image_id)
-    grid = block.grid
-    rows = slice(grid.rows(2 * entry).start, grid.rows(2 * entry + 1).stop)
-
+    rows = slice(int(block.offsets[2 * entry]), int(block.offsets[2 * entry + 2]))
     if tag == SupervisionTag.WS:
-        if element_swap_enabled:
-            pairs = element_swap(
-                build_pairs(image_a, grid.image(2 * entry)),
-                build_pairs(image_b, grid.image(2 * entry + 1)),
-            )
-            features = np.stack([p.features for p in pairs])
-        else:
-            features = grid.features[rows].copy()
         n_classes = block.fs_targets.shape[1]
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
-        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=targets)
+    else:
+        targets = block.fs_targets[rows].copy()
     return MiniBatch(
         supervision=tag,
-        features=grid.features[rows].copy(),
-        image_ids=image_ids,
-        targets=block.fs_targets[rows].copy(),
+        features=block.features[rows].copy(),
+        image_ids=(image_a.image_id, image_b.image_id),
+        targets=targets,
     )

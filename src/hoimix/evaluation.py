@@ -45,7 +45,7 @@ class BoxPairs:
 @dataclass(eq=False)
 class Predictions:
     """Model scores for every (pair, class) of a test set: one row per pair,
-    in image order and then build_pairs order, one column per class."""
+    by image, then in pair_grids' human-major order; one column per class."""
 
     pairs: BoxPairs
     scores: np.ndarray  # (n, C), finite
@@ -72,9 +72,9 @@ class EvalSet:
     truth matched against every pair."""
 
     # per pair count n: the (k, n) rows of pairs that its k images fill, and
-    # their (k, n, feature_dim) features, rows in build_pairs order
+    # their (k, n, feature_dim) features, rows in pair_grids' human-major order
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    pairs: BoxPairs  # every image's pairs, in image order, then build_pairs order
+    pairs: BoxPairs  # every image's pairs, in image order, then pair_grids' human-major order
     truth: GroundTruth
 
 

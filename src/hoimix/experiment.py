@@ -177,11 +177,9 @@ def _build_batches(
             n_classes=cfg.world.n_hoi_classes,
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
+            element_swap_enabled=cfg.element_swap,
         )
-        batches.extend(
-            assemble_minibatch(block, k, element_swap_enabled=cfg.element_swap)
-            for k in range(len(block.images) // 2)
-        )
+        batches.extend(assemble_minibatch(block, k) for k in range(len(entries)))
     return batches
 
 

@@ -13,7 +13,9 @@ pair grid and region-level targets at a time, and assemble one schedule
 entry's batch from them. The array path in hoimix must reproduce their
 output byte for byte, and accept exactly the detections they accept.
 pair_iou_matrix, the pair IoU of every pair against every pair, serves
-fs_targets and the per-image evaluation reference.
+fs_targets and the per-image evaluation reference. block_swap gives what
+the array path keeps for one WS entry in the reference's form, one
+HumanObjectPair per kept pair, so that the two can be compared.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ import numpy as np
 from hoimix.batching import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
-    HumanObjectPair,
     MiniBatch,
     PairGrid,
-    build_pairs,
     element_swap,
     make_ws_targets,
+    pair_grids,
+    prepare_block,
 )
 from hoimix.geometry import iou, iou_rows
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
+    NO_TRIPLETS,
     DetectionArrays,
     SynthImage,
     feature_layout,
@@ -68,6 +71,49 @@ def detection_arrays(detections: Sequence[Detection]) -> DetectionArrays:
         np.array([d.confidence for d in detections], dtype=np.float64),
         np.array([d.appearance for d in detections], dtype=np.float64),
     )
+
+
+@dataclass(eq=False)
+class HumanObjectPair:
+    """One candidate pair: row human_index of its human's image's human
+    detections and row object_index of its object's image's object
+    detections."""
+
+    humans: DetectionArrays  # the human detections of the human's image
+    objects: DetectionArrays  # the object detections of the object's image
+    human_index: int
+    object_index: int
+    source: tuple[int, int]  # (image_id of human, image_id of object)
+    features: np.ndarray
+
+    @property
+    def swapped(self) -> bool:
+        """True iff human and object come from different images."""
+        return self.source[0] != self.source[1]
+
+
+def build_pairs(image: SynthImage, grid: PairGrid) -> list[HumanObjectPair]:
+    """The rows of the image's own grid (one image of pair_grids, see
+    PairGrid.image) as one HumanObjectPair per pair, the form
+    reference_element_swap takes; each pair's features are a row of the
+    grid's feature matrix."""
+    ids = grid.image_ids.tolist()
+    if ids != [image.image_id]:
+        raise ValueError(f"grid of images {ids} is not image {image.image_id}'s")
+    source = (image.image_id, image.image_id)
+    return [
+        HumanObjectPair(
+            humans=image.humans,
+            objects=image.objects,
+            human_index=h,
+            object_index=o,
+            source=source,
+            features=features,
+        )
+        for h, o, features in zip(
+            grid.human_index.tolist(), grid.object_index.tolist(), grid.features
+        )
+    ]
 
 
 def take_detections(detections: DetectionArrays, rows: np.ndarray) -> DetectionArrays:
@@ -134,10 +180,12 @@ def confidence_product(pair: HumanObjectPair) -> float:
     )
 
 
-def reference_element_swap(
+def reference_swap_candidates(
     pairs1: list[HumanObjectPair], pairs2: list[HumanObjectPair]
 ) -> list[HumanObjectPair]:
-    """Build every (H1+H2) x (O1+O2) candidate, sort, keep H1*O1 + H2*O2."""
+    """Every (H1+H2) x (O1+O2) candidate of two images' same-image pairs:
+    the given pairs, then a new pair with its features for every swapped
+    (human, object) of the humans and objects they use."""
     if not pairs1 or not pairs2:
         raise ValueError("element_swap needs non-empty pair lists from both images")
 
@@ -173,8 +221,14 @@ def reference_element_swap(
                             features=reference_pair_features(humans, h, objects, o, feature_dim),
                         )
                     )
+    return candidates
 
-    keep = len(pairs1) + len(pairs2)
+
+def reference_element_swap(
+    pairs1: list[HumanObjectPair], pairs2: list[HumanObjectPair]
+) -> list[HumanObjectPair]:
+    """Build every (H1+H2) x (O1+O2) candidate, sort, keep H1*O1 + H2*O2."""
+    candidates = reference_swap_candidates(pairs1, pairs2)
     candidates.sort(
         key=lambda p: (
             -confidence_product(p),
@@ -185,7 +239,62 @@ def reference_element_swap(
             p.object_index,
         )
     )
-    return candidates[:keep]
+    return candidates[: len(pairs1) + len(pairs2)]
+
+
+def block_swap(
+    pairs1: list[HumanObjectPair], pairs2: list[HumanObjectPair], top_k: int = DEFAULT_TOP_K
+) -> list[HumanObjectPair]:
+    """What the array path keeps for the WS entry of two images, given as
+    their same-image pairs (build_pairs of grids filtered at top_k), in the
+    form reference_element_swap returns: element_swap selects the pairs,
+    and each pair's features are its row of the entry's batch from
+    prepare_block. A kept same-image pair is the given pair, whose indices
+    and features its batch row must match; a kept swapped pair is new."""
+    images = tuple(
+        SynthImage(
+            image_id=pairs[0].source[0],
+            humans=pairs[0].humans,
+            objects=pairs[0].objects,
+            gt_triplets=NO_TRIPLETS,
+            image_labels=frozenset(),
+            supervision=SupervisionTag.WS,
+        )
+        for pairs in (pairs1, pairs2)
+    )
+    feature_dim = pairs1[0].features.shape[0]
+    block = prepare_block(
+        [images], n_classes=1, feature_dim=feature_dim, top_k=top_k, element_swap_enabled=True
+    )
+    grid = pair_grids(images, feature_dim, top_k)
+    kept = element_swap(grid.image(0), grid.image(1), *images)
+    same = list(pairs1) + list(pairs2)
+    out = []
+    for k, (side_h, h, side_o, o, row) in enumerate(
+        zip(
+            kept.human_image.tolist(),
+            kept.human_index.tolist(),
+            kept.object_image.tolist(),
+            kept.object_index.tolist(),
+            kept.grid_row.tolist(),
+        )
+    ):
+        features = block.features[k]
+        if row >= 0:
+            pair = same[row]
+            assert (pair.human_index, pair.object_index, pair.source[0]) == (h, o, pair.source[1])
+            assert pair.features.tobytes() == features.tobytes()
+        else:
+            pair = HumanObjectPair(
+                humans=images[side_h].humans,
+                objects=images[side_o].objects,
+                human_index=h,
+                object_index=o,
+                source=(images[side_h].image_id, images[side_o].image_id),
+                features=features,
+            )
+        out.append(pair)
+    return out
 
 
 def top_k_per_class(detections: DetectionArrays, top_k: int) -> np.ndarray:
@@ -280,7 +389,9 @@ def reference_assemble_minibatch(
 
     if tag == SupervisionTag.WS:
         if element_swap_enabled:
-            pairs = element_swap(build_pairs(image_a, grids[0]), build_pairs(image_b, grids[1]))
+            pairs = reference_element_swap(
+                build_pairs(image_a, grids[0]), build_pairs(image_b, grids[1])
+            )
             features = np.stack([p.features for p in pairs])
         else:
             features = np.vstack([grid.features for grid in grids])

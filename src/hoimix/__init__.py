@@ -19,7 +19,6 @@ from .batching import (
     pair_grids,
 )
 from .evaluation import (
-    BoxPairs,
     EvalReport,
     EvalSet,
     Predictions,
@@ -36,7 +35,7 @@ from .experiment import (
     run_ratio_sweep,
     train,
 )
-from .geometry import iou, pair_iou
+from .geometry import BoxPairs, iou, pair_iou
 from .loss import LossReport, fs_loss, ws_loss
 from .model import ModelParams, ScoreMatrix, backward, forward, infer_pairs
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step

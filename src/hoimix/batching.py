@@ -10,11 +10,12 @@ gt_triplets (FS ground truth or US pseudo labels), image-level ones from
 its image_labels.
 
 Pairs and region-level targets are built for many images in one pass
-(`pair_grids`, `make_fs_targets`). Training builds them for a block of
-BLOCK_ENTRIES consecutive schedule entries at a time (`prepare_block`), and
-`assemble_minibatch` copies one entry's batch out of its block. The pass is
-blocked to bound its peak memory: one pass over the whole schedule would
-hold every image's pairs and feature temporaries at once.
+(`pair_grids`; `make_fs_targets` matches by mAP's rule, geometry.pair_hits).
+Training builds them for a block of BLOCK_ENTRIES consecutive schedule
+entries at a time (`prepare_block`), and `assemble_minibatch` copies one
+entry's batch out of its block. The pass is blocked to bound its peak
+memory: one pass over the whole schedule would hold every image's pairs and
+feature temporaries at once.
 
 Element swapping is selection only: `element_swap` returns one WS entry's
 kept pairs as rows, and `prepare_block` gathers their features: same-image
@@ -30,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import iou_rows
+from .geometry import MATCH_IOU, BoxPairs, pair_hits
 # bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
 from .supervision import SupervisionTag
@@ -45,11 +46,9 @@ from .synth_world import (
 )
 
 DEFAULT_TOP_K = 30
-DEFAULT_IOU_THRESHOLD = 0.5
 # schedule entries whose pairs and targets are built in one pass; larger
 # blocks are faster, but a block's pairs are all held at once
 BLOCK_ENTRIES = 64
-TARGETS_CHUNK = 64  # ground-truth rows make_fs_targets matches at a time, to bound its temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +280,7 @@ def make_fs_targets(
     grid: PairGrid,
     truths: Sequence[TripletArrays],
     n_classes: int,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    iou_threshold: float = MATCH_IOU,
 ) -> np.ndarray:
     """Region-level binary target matrix of every pair of the grid, whose
     image k has the ground truth truths[k].
@@ -296,21 +295,13 @@ def make_fs_targets(
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
         raise ValueError(f"hoi_class {classes[np.argmax(bad)]} out of range [0, {n_classes})")
-    # every (pair row, ground-truth row) of one image, a chunk of ground-truth
-    # rows at a time; image k's pairs are rows grid.offsets[k] up to k + 1's
-    image = np.repeat(np.arange(len(truths)), [len(t) for t in truths])
-    first, n_pairs = grid.offsets[image], np.diff(grid.offsets)[image]
+    # pairs and ground truth are keyed by their image's place k in the grid
+    image = np.arange(len(truths))
+    pairs = BoxPairs(np.repeat(image, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes)
+    gt = BoxPairs(np.repeat(image, [len(t) for t in truths]), flat.human_boxes, flat.object_boxes)
+    row, col, _ = pair_hits(pairs, gt, iou_threshold)
     Y = np.zeros((len(grid.features), n_classes))
-    for start in range(0, len(flat), TARGETS_CHUNK):
-        n = n_pairs[start : start + TARGETS_CHUNK]
-        col = np.repeat(np.arange(start, start + len(n)), n)
-        row = np.arange(n.sum()) + np.repeat(first[start : start + len(n)] - (np.cumsum(n) - n), n)
-        overlap = np.minimum(
-            iou_rows(grid.human_boxes[row], flat.human_boxes[col]),
-            iou_rows(grid.object_boxes[row], flat.object_boxes[col]),
-        )
-        hit = overlap >= iou_threshold
-        Y[row[hit], classes[col[hit]]] = 1.0
+    Y[row, classes[col]] = 1.0
     return Y
 
 

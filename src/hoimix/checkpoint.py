@@ -72,7 +72,8 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a file written by save_arrays.
 
     Raises ValueError naming the path when the file is cut short, carries
-    trailing bytes, or has a header that does not describe its body.
+    trailing bytes, or has a header that does not describe its body or whose
+    meta is not a JSON object.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -90,6 +91,8 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = header["meta"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint meta is not a JSON object: {meta!r}")
     listed = sum(nbytes for _, _, nbytes, _, _ in entries)
     if len(body) != listed:
         raise ValueError(f"{path}: body holds {len(body)} bytes, header lists {listed}")

@@ -88,8 +88,8 @@ def cmd_eval(args) -> int:
             f"the config has {expected}"
         )
     _, test_images, rare_ids = prepare_world(cfg)
-    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    report = evaluate(params, test_set, rare_ids)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    report = evaluate(params, test_set)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "eval.json")
     with atomic_open(out_path) as fh:

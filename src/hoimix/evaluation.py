@@ -2,10 +2,11 @@
 
 A prediction is a true positive only if its interaction class is correct and
 both its human and object boxes overlap an unmatched ground-truth pair of
-that class, in the same image, with IoU at or above 0.5 (the binding score
-is the minimum of the two overlaps). Average precision uses all-point
-interpolation of the precision-recall curve. Means are reported over the
-full class set and over the rare / non-rare partitions.
+that class, in the same image, with IoU at or above MATCH_IOU (the binding
+score is the minimum of the two overlaps; see geometry.pair_hits). Average
+precision uses all-point interpolation of the precision-recall curve. Means
+are reported over the full class set and over the rare / non-rare partitions.
+A world's test set is prepared once (`prepare_eval_set`) for all its models.
 """
 
 from __future__ import annotations
@@ -17,29 +18,14 @@ from itertools import groupby
 import numpy as np
 
 from .batching import DEFAULT_TOP_K, pair_grids
-from .geometry import iou_rows
+from .geometry import MATCH_IOU, BoxPairs, pair_hits
 from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
 from .geometry import pair_iou  # noqa: F401
 from .model import infer_pairs  # noqa: F401
 from .synth_world import SynthImage, stack_triplets
 
-MATCH_IOU = 0.5
-HITS_CHUNK = 64  # ground-truth rows _hits pairs at a time, to bound its temporaries
-
 CSV_HEADER = "run_id,ws_fs_us,policy,hes,seed,map_full,map_rare,map_nonrare"
-
-
-@dataclass(eq=False)
-class BoxPairs:
-    """n (human, object) box pairs and the image each belongs to."""
-
-    image_ids: np.ndarray     # (n,) int
-    human_boxes: np.ndarray   # (n, 4) rows of (x_min, y_min, x_max, y_max)
-    object_boxes: np.ndarray  # (n, 4)
-
-    def __len__(self) -> int:
-        return len(self.image_ids)
 
 
 @dataclass(eq=False)
@@ -58,8 +44,8 @@ class Predictions:
 class GroundTruth:
     """A test set's ground truth, matched once against the box pairs that
     predictions score: for each class with ground truth, its hits (see
-    _hits) and its number of ground-truth pairs. None of it depends on the
-    model."""
+    geometry.pair_hits) and its number of ground-truth pairs. None of it
+    depends on the model."""
 
     n_pairs: int  # rows of the box pairs it was matched against
     classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]
@@ -68,14 +54,15 @@ class GroundTruth:
 @dataclass(eq=False)
 class EvalSet:
     """A fully-annotated test set prepared for any number of evaluations:
-    its images' pair-feature matrices stacked by pair count, and the ground
-    truth matched against every pair."""
+    its images' pair-feature matrices stacked by pair count, the ground
+    truth matched against every pair, and the rare classes of its world."""
 
     # per pair count n: the (k, n) rows of pairs that its k images fill, and
     # their (k, n, feature_dim) features, rows in pair_grids' human-major order
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
     pairs: BoxPairs  # every image's pairs, in image order, then pair_grids' human-major order
     truth: GroundTruth
+    rare_class_ids: frozenset[int]
 
 
 @dataclass(eq=False)
@@ -90,36 +77,10 @@ class EvalReport:
     rare_class_ids: frozenset[int]
 
 
-def _hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pairs row, gt index, IoU) of every same-image prediction and
-    ground-truth pair whose pair IoU reaches MATCH_IOU.
-
-    Only these can make a true positive; every other prediction is a false
-    positive whatever was matched before it. Either side's image ids may be unsorted.
-    """
-    order = np.argsort(pairs.image_ids, kind="stable")
-    sorted_ids = pairs.image_ids[order]
-    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for start in range(0, len(gt), HITS_CHUNK):
-        # every (pair row, gt row) of one image, for this chunk's gt rows
-        cols = np.arange(start, min(start + HITS_CHUNK, len(gt)))
-        first = np.searchsorted(sorted_ids, gt.image_ids[cols], side="left")
-        n = np.searchsorted(sorted_ids, gt.image_ids[cols], side="right") - first
-        col = np.repeat(cols, n)
-        row = order[np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)]
-        overlap = np.minimum(
-            iou_rows(pairs.human_boxes[row], gt.human_boxes[col]),
-            iou_rows(pairs.object_boxes[row], gt.object_boxes[col]),
-        )
-        hit = overlap >= MATCH_IOU
-        found.append((row[hit], col[hit], overlap[hit]))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
-
-
 def _greedy_ap(
     scores: np.ndarray, rows: np.ndarray, gt_index: np.ndarray, overlap: np.ndarray, n_gt: int
 ) -> float:
-    """All-point AP of one class from its hits (see _hits)."""
+    """All-point AP of one class from its hits (see geometry.pair_hits)."""
     n = len(scores)
     # each hit row's place in the stable descending order of the scores: the
     # scores above it, then the scores equal to it at lower rows
@@ -163,7 +124,7 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
     gt = BoxPairs(image_ids, triplets.human_boxes, triplets.object_boxes)
     gt_classes = triplets.hoi_classes
     # hits against every ground-truth pair at once, then split by class
-    rows, gt_index, overlap = _hits(pairs, gt)
+    rows, gt_index, overlap = pair_hits(pairs, gt, MATCH_IOU)
     hit_classes = gt_classes[gt_index]
     classes = {}
     for c in np.unique(gt_classes).tolist():
@@ -175,10 +136,11 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
 
 
 def prepare_eval_set(
-    images: list[SynthImage], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
+    images: list[SynthImage], rare_class_ids: set[int], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> EvalSet:
     """Build the pairs of every test image, in one pass, stack the images
-    of each pair count, and match the pairs against the ground truth, once."""
+    of each pair count, and match the pairs against the ground truth, once;
+    rare_class_ids are the world's rare classes, which the reports split by."""
     if not images:
         raise ValueError("cannot evaluate on an empty test set")
     grid = pair_grids(images, feature_dim, top_k)
@@ -186,7 +148,7 @@ def prepare_eval_set(
     pairs = BoxPairs(np.repeat(grid.image_ids, counts), grid.human_boxes, grid.object_boxes)
     truth = ground_truth(pairs, images)
     rows = [grid.offsets[:-1][counts == n, None] + np.arange(n) for n in np.unique(counts)]
-    return EvalSet(tuple((at, grid.features[at]) for at in rows), pairs, truth)
+    return EvalSet(tuple((at, grid.features[at]) for at in rows), pairs, truth, frozenset(rare_class_ids))
 
 
 def collect_predictions(params: ModelParams, test: EvalSet) -> Predictions:
@@ -230,12 +192,10 @@ def evaluate_predictions(
     )
 
 
-def evaluate(
-    params: ModelParams, test: EvalSet, rare_class_ids: set[int] | frozenset[int]
-) -> EvalReport:
+def evaluate(params: ModelParams, test: EvalSet) -> EvalReport:
     """Run the model over a prepared test set and score it."""
     predictions = collect_predictions(params, test)
-    return evaluate_predictions(predictions, test.truth, rare_class_ids, params.n_classes)
+    return evaluate_predictions(predictions, test.truth, test.rare_class_ids, params.n_classes)
 
 
 def report_to_dict(report: EvalReport) -> dict:

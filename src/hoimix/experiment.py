@@ -6,9 +6,10 @@ and evaluates mAP on a held-out set sharing the world's latent structure.
 One schedule entry corresponds to one iteration; entries skipped by a
 sequence-training filter still consume their iteration. Every experiment
 (full runs, sweeps, the class split, pseudo-label cycles) trains and
-evaluates through `fit`; fits that do not depend on each other (a sweep's
-cells, the class split's three models) run in forked worker processes
-through `run_many`, which inherit their specs and return pickled results.
+evaluates through `fit`, on a test set prepared once per world; fits that do
+not depend on each other (a sweep's cells, the class split's three models) run
+in forked worker processes through `run_many`, which inherit their specs, test
+sets included, and return pickled results.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ class ExperimentConfig:
     pseudo_cycles: int = 3
 
     def __post_init__(self) -> None:
-        # the supervision fractions are checked by split_supervision, which
-        # takes them together
+        # split_supervision checks that the fractions are nonnegative and sum to 1
+        for name in ("ws_fraction", "fs_fraction", "us_fraction"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         for name in ("iterations", "hidden_dim", "top_k", "n_test_images", "pseudo_cycles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -188,7 +191,6 @@ def train(
     cfg: ExperimentConfig,
     *,
     test_set: Optional[EvalSet] = None,
-    rare_ids: Optional[set[int]] = None,
     init_params: Optional[ModelParams] = None,
     init_state: Optional[MomentumState] = None,
     start_iteration: int = 0,
@@ -197,11 +199,12 @@ def train(
 
     Each image trains with the supervision it carries. A US image is
     scheduled only when its gt_triplets hold pseudo labels and those of at
-    least one other US image do too. Given a prepared test_set, the model
-    is evaluated on it every eval_every iterations. Resuming: pass the checkpointed params/state and
-    the iteration to start from; with the same config the remaining
-    trajectory is reproduced bit-exactly. Raises ValueError when their dims
-    or the state's buffer count contradict the config.
+    least one other US image do too. Given a prepared test_set (rare classes
+    included), the model is evaluated on it every eval_every iterations.
+    Resuming: pass the checkpointed params/state and the iteration to start
+    from; with the same config the remaining trajectory is reproduced
+    bit-exactly. Raises ValueError when their dims or the state's buffer
+    count contradict the config.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -268,7 +271,7 @@ def train(
         step(params, grads, tag, state, cfg.optimizer)
         log.losses.append((t, tag.value, report.value))
         if test_set is not None and (t + 1) % eval_every == 0:
-            log.evals.append((t + 1, evaluate(params, test_set, rare_ids or set())))
+            log.evals.append((t + 1, evaluate(params, test_set)))
     return TrainResult(params=params, state=state, log=log, schedule=schedule)
 
 
@@ -302,8 +305,7 @@ def prepare_world(cfg: ExperimentConfig):
 def fit(
     images: list[SynthImage],
     cfg: ExperimentConfig,
-    test_images: list[SynthImage],
-    rare_ids: set[int],
+    test_set: EvalSet,
     *,
     run_id: str = "run",
     periodic_eval: bool = False,
@@ -311,21 +313,16 @@ def fit(
     """Train on the given tagged images, each with the supervision it
     carries (see train), then evaluate the final model once.
 
-    The test images are prepared for evaluation once, and every periodic
-    eval and the final one reuse them.
+    test_set is the prepared test set of the images' world (see
+    prepare_eval_set); it is only read, so fits on one world share one, and
+    every periodic eval and the final one use it.
     """
-    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    result = train(
-        images,
-        cfg,
-        test_set=test_set if periodic_eval else None,
-        rare_ids=rare_ids,
-    )
+    result = train(images, cfg, test_set=test_set if periodic_eval else None)
     if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
         # the last periodic eval already scored the final model
         report = result.log.evals[-1][1]
     else:
-        report = evaluate(result.params, test_set, rare_ids)
+        report = evaluate(result.params, test_set)
     row = report_csv_row(
         report, run_id, cfg.ratio_string(), cfg.optimizer.policy.value, cfg.element_swap, cfg.train_seed
     )
@@ -335,12 +332,11 @@ def fit(
 @dataclass(frozen=True, eq=False)
 class FitSpec:
     """The arguments of one `fit` call; the images carry their own
-    supervision, pseudo labels included."""
+    supervision, pseudo labels included, and one world's specs share a test set."""
 
     images: list[SynthImage]
     cfg: ExperimentConfig
-    test_images: list[SynthImage]
-    rare_ids: set[int]
+    test_set: EvalSet
     run_id: str = "run"
     periodic_eval: bool = False
 
@@ -355,14 +351,7 @@ def _inherit_specs(specs: Sequence[FitSpec]) -> None:
 
 def _fit_spec(k: int) -> RunResult:
     spec = _worker_specs[k]
-    return fit(
-        spec.images,
-        spec.cfg,
-        spec.test_images,
-        spec.rare_ids,
-        run_id=spec.run_id,
-        periodic_eval=spec.periodic_eval,
-    )
+    return fit(spec.images, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval)
 
 
 def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
@@ -402,7 +391,8 @@ def run_experiment(
 ) -> RunResult:
     """World generation, split, training, final evaluation, optional outputs."""
     tagged, test_images, rare_ids = prepare_world(cfg)
-    run = fit(tagged, cfg, test_images, rare_ids, run_id=run_id, periodic_eval=periodic_eval)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    run = fit(tagged, cfg, test_set, run_id=run_id, periodic_eval=periodic_eval)
     if out_dir is not None:
         write_run_outputs(run, out_dir)
     return run
@@ -443,8 +433,9 @@ def run_ratio_sweep(
     mean/stddev aggregate lines.
 
     A cell at seed s trains with train_seed s on the world of seed
-    cfg_base.world.seed + s. Each seed's world and test images are built
-    once and split per ratio; the cells' fits run in `run_many`.
+    cfg_base.world.seed + s. Each seed's world and test set are built
+    once, before the cells' fits run in `run_many`, and the world is split
+    per ratio.
     """
     if not ratios:
         raise ValueError("ratio sweep needs at least one ratio")
@@ -453,16 +444,18 @@ def run_ratio_sweep(
     worlds = {}
     for seed in seeds:
         world = dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed)
-        worlds[seed] = (world, *_build_world(world, cfg_base.n_test_images))
+        train_images, test_images, rare_ids = _build_world(world, cfg_base.n_test_images)
+        test_set = prepare_eval_set(test_images, rare_ids, feature_dim=world.feature_dim, top_k=cfg_base.top_k)
+        worlds[seed] = (world, train_images, test_set)
     specs = []
     for ws, fs, us in ratios:
         for seed in seeds:
-            world, train_images, test_images, rare_ids = worlds[seed]
+            world, train_images, test_set = worlds[seed]
             cfg = dataclasses.replace(
                 cfg_base, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
             )
             run_id = f"sweep-{cfg.ratio_string()}-s{seed}"
-            specs.append(FitSpec(_tag(train_images, cfg), cfg, test_images, rare_ids, run_id=run_id))
+            specs.append(FitSpec(_tag(train_images, cfg), cfg, test_set, run_id=run_id))
     runs = run_many(specs)
     rows = [run.csv_row for run in runs]
     aggregates: list[str] = []
@@ -504,6 +497,7 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     if cfg.world.n_hoi_classes < 2:
         raise ValueError("class split needs at least two interaction classes")
     train_images, test_images, rare_ids = _build_world(cfg.world, cfg.n_test_images)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
 
     _, _, split_seed = _train_seeds(cfg.train_seed)
     order = np.random.default_rng(split_seed).permutation(cfg.world.n_hoi_classes)
@@ -537,9 +531,9 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
         run.report
         for run in run_many(
             [
-                FitSpec(images_fs, cfg, test_images, rare_ids),
-                FitSpec(images_ws, cfg, test_images, rare_ids),
-                FitSpec(images_fs + images_ws, cfg, test_images, rare_ids),
+                FitSpec(images_fs, cfg, test_set),
+                FitSpec(images_ws, cfg, test_set),
+                FitSpec(images_fs + images_ws, cfg, test_set),
             ]
         )
     )

@@ -2,14 +2,32 @@
 
 Coordinates are continuous reals on the synthetic canvas; a box is a row
 (x_min, y_min, x_max, y_max) with strictly positive area, which the arrays
-that hold boxes check when they are built.
+that hold boxes check when they are built. `pair_hits` is the HICO-DET rule
+that matches pairs to the ground truth of their own image, for the training
+targets and for mAP alike.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+MATCH_IOU = 0.5
+MATCH_CHUNK = 64  # ground-truth rows pair_hits matches at a time, to bound its temporaries
+
+
+@dataclass(eq=False)
+class BoxPairs:
+    """n (human, object) box pairs and the image each belongs to."""
+
+    image_ids: np.ndarray     # (n,) int
+    human_boxes: np.ndarray   # (n, 4) rows of (x_min, y_min, x_max, y_max)
+    object_boxes: np.ndarray  # (n, 4)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
 def iou(a: Sequence[float], b: Sequence[float]) -> float:
@@ -52,3 +70,26 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return intersection / (area_a + area_b - intersection)
 
+
+def pair_hits(pairs: BoxPairs, gt: BoxPairs, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs row, gt index, pair IoU) of every same-image pair and
+    ground-truth pair whose pair IoU (see pair_iou) reaches the threshold,
+    by gt index, then by pairs row. Either side's image ids may be unsorted.
+    """
+    order = np.argsort(pairs.image_ids, kind="stable")
+    sorted_ids = pairs.image_ids[order]
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for start in range(0, len(gt), MATCH_CHUNK):
+        # every (pair row, gt row) of one image, for this chunk's gt rows
+        cols = np.arange(start, min(start + MATCH_CHUNK, len(gt)))
+        first = np.searchsorted(sorted_ids, gt.image_ids[cols], side="left")
+        n = np.searchsorted(sorted_ids, gt.image_ids[cols], side="right") - first
+        col = np.repeat(cols, n)
+        row = order[np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)]
+        overlap = np.minimum(
+            iou_rows(pairs.human_boxes[row], gt.human_boxes[col]),
+            iou_rows(pairs.object_boxes[row], gt.object_boxes[col]),
+        )
+        hit = overlap >= threshold
+        found.append((row[hit], col[hit], overlap[hit]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import MiniBatch
-from .supervision import SupervisionTag
 
 PROB_CLAMP = 1e-7
 
@@ -24,7 +23,6 @@ PROB_CLAMP = 1e-7
 @dataclass(frozen=True)
 class LossReport:
     value: float
-    supervision: SupervisionTag
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value < 0.0:
@@ -87,7 +85,7 @@ def fs_loss(P: np.ndarray, Y: np.ndarray | MiniBatch) -> tuple[LossReport, np.nd
     denominator *= 1.0 - p
     grad = p - Y
     grad /= denominator
-    return LossReport(value=value, supervision=SupervisionTag.FS), grad
+    return LossReport(value=value), grad
 
 
 def ws_loss(p: np.ndarray, y: np.ndarray | MiniBatch) -> tuple[LossReport, np.ndarray]:
@@ -108,4 +106,4 @@ def ws_loss(p: np.ndarray, y: np.ndarray | MiniBatch) -> tuple[LossReport, np.nd
     denominator *= pc
     grad = pc - y
     grad /= denominator
-    return LossReport(value=value, supervision=SupervisionTag.WS), grad
+    return LossReport(value=value), grad

@@ -55,8 +55,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.alpha_ws <= 0.0 or self.alpha_fs <= 0.0:
-            raise ValueError("step sizes must be positive")
+        for name in ("alpha_ws", "alpha_fs"):
+            if not (0.0 < getattr(self, name) < np.inf):  # written so that NaN fails
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
         if self.policy in _SEQUENCE_POLICIES and self.sequence_switch_iteration < 0:
             raise ValueError("sequence_switch_iteration must be nonnegative")
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .batching import PairGrid, pair_grids
 from .checkpoint import atomic_open
-from .evaluation import EvalReport
+from .evaluation import EvalReport, prepare_eval_set
 # bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
 from .evaluation import evaluate  # noqa: F401
 from .experiment import ExperimentConfig, fit
@@ -125,7 +125,8 @@ def iterate_cycles(
     pipeline stays fully supervised. A pseudo-labelled image trains as a US
     image whose gt_triplets are its pseudo labels. Each cycle retrains from
     the same seeded initialization; identical pseudo-label sets between
-    consecutive cycles raise the converged flag and stop early.
+    consecutive cycles raise the converged flag and stop early. The test
+    images are prepared for evaluation once, for every fit.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -159,7 +160,8 @@ def iterate_cycles(
                 pseudo[img.image_id] = triplets
         return pseudo
 
-    base = fit(base_pool, cfg, test_images, rare_ids)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    base = fit(base_pool, cfg, test_set)
     pseudo = relabel(base.params)
 
     params = base.params
@@ -175,7 +177,7 @@ def iterate_cycles(
             for img in unlabelled
             if img.image_id in pseudo
         ]
-        run = fit(base_pool + labelled, cfg, test_images, rare_ids)
+        run = fit(base_pool + labelled, cfg, test_set)
         params, report = run.params, run.report
         new_pseudo = relabel(params)
         converged = same_pseudo_labels(new_pseudo, pseudo)

@@ -99,10 +99,9 @@ class WorldConfig:
                 raise WorldGenerationError(f"{name}: range [{lo}, {hi}] is empty or below 1")
         if self.feature_dim < 4:
             raise WorldGenerationError("feature_dim: must be >= 4")
-        if self.feature_noise_sigma < 0.0:
-            raise WorldGenerationError("feature_noise_sigma: must be nonnegative")
-        if self.detection_jitter_sigma < 0.0:
-            raise WorldGenerationError("detection_jitter_sigma: must be nonnegative")
+        for name in ("feature_noise_sigma", "detection_jitter_sigma"):
+            if not (0.0 <= getattr(self, name) < np.inf):  # written so that NaN fails
+                raise WorldGenerationError(f"{name}: must be nonnegative and finite")
         if not (0.0 <= self.rare_class_fraction <= 1.0):
             raise WorldGenerationError("rare_class_fraction: must be in [0, 1]")
         if round(self.rare_class_fraction * self.n_hoi_classes) >= self.n_hoi_classes:
@@ -664,9 +663,10 @@ def split_supervision(
     largest-remainder rounding (exact to +-1).
     """
     fractions = (ws_fraction, fs_fraction, us_fraction)
-    if any(f < 0.0 for f in fractions):
+    # written so that NaN fails both checks
+    if not all(0.0 <= f for f in fractions):
         raise ValueError("fractions must be nonnegative")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = len(images)
     raw = [f * n for f in fractions]

@@ -4,8 +4,8 @@ to the array API of hoimix.evaluation.
 The reference is the original implementation: one Python object per
 prediction, a sort keyed on (-score, insertion index) and a scalar pair_iou
 per prediction and ground-truth pair. The array path must reproduce its APs
-exactly. reference_hits is the per-image loop that _hits replaced; _hits
-must find the same hits.
+exactly. reference_hits is the per-image loop that geometry.pair_hits
+replaced; pair_hits must find the same hits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoimix.evaluation import MATCH_IOU, BoxPairs, Predictions, _greedy_ap, _hits
+from hoimix.evaluation import Predictions, _greedy_ap
+from hoimix.geometry import MATCH_IOU, BoxPairs, pair_hits
 from hoimix.geometry import pair_iou
 
 from box_reference import Box, box_array
@@ -80,7 +81,7 @@ def reference_match_and_ap(
 
 
 def reference_hits(pairs: BoxPairs, gt: BoxPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_hits by one pair IoU matrix per image of the ground truth."""
+    """pair_hits at MATCH_IOU by one pair IoU matrix per image of the ground truth."""
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for image_id in np.unique(gt.image_ids):
         rows = np.flatnonzero(pairs.image_ids == image_id)
@@ -106,7 +107,7 @@ def match_and_ap(scores: np.ndarray, pairs: BoxPairs, gt: BoxPairs) -> float | N
     """
     if not len(gt):
         return None
-    return _greedy_ap(scores, *_hits(pairs, gt), len(gt))
+    return _greedy_ap(scores, *pair_hits(pairs, gt, MATCH_IOU), len(gt))
 
 
 def box_pairs(entries) -> BoxPairs:

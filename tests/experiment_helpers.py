@@ -1,4 +1,5 @@
-"""Helpers the experiment tests share: a config diff, the label-permutation
+"""Helpers the experiment tests share: a config diff, a world with its
+prepared test set, a record of test-set preparations, the label-permutation
 control of the learnability criterion, and a deadline for calls that fork
 worker processes."""
 
@@ -7,11 +8,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import multiprocessing
+import os
 import signal
 
 import numpy as np
 
-from hoimix.experiment import ExperimentConfig
+from hoimix import cli, evaluation, experiment, pseudo_label
+from hoimix.evaluation import EvalSet, prepare_eval_set
+from hoimix.experiment import ExperimentConfig, prepare_world
 from hoimix.synth_world import SynthImage, stack_triplets
 
 
@@ -31,6 +35,31 @@ def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
     flatten("", a.to_dict(), fa)
     flatten("", b.to_dict(), fb)
     return sorted(name for name in fa if fa[name] != fb[name])
+
+
+def prepared_world(cfg: ExperimentConfig) -> tuple[list[SynthImage], EvalSet]:
+    """The tagged train images of prepare_world(cfg) and its test set,
+    prepared as run_experiment prepares it."""
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    return tagged, prepare_eval_set(
+        test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
+    )
+
+
+def record_preparations(monkeypatch, log_path):
+    """Make every hoimix module's binding of prepare_eval_set append the id
+    of the calling process to log_path, forked workers included; returns a
+    function that reads the ids back."""
+    real = evaluation.prepare_eval_set
+
+    def recording(*args, **kwargs):
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    for module in (cli, experiment, pseudo_label):
+        monkeypatch.setattr(module, "prepare_eval_set", recording, raising=False)
+    return lambda: [int(pid) for pid in log_path.read_text().split()] if log_path.exists() else []
 
 
 def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from hoimix.batching import (
-    DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
     MiniBatch,
     PairGrid,
@@ -35,7 +34,7 @@ from hoimix.batching import (
     pair_grids,
     prepare_block,
 )
-from hoimix.geometry import iou, iou_rows
+from hoimix.geometry import MATCH_IOU, iou, iou_rows
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
@@ -349,7 +348,7 @@ def fs_targets(
     object_boxes: np.ndarray,
     gt_triplets: Sequence[GroundTruthTriplet],
     n_classes: int,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    iou_threshold: float = MATCH_IOU,
 ) -> np.ndarray:
     """Region-level binary target matrix of one image's pairs, whose boxes
     are the rows of human_boxes and object_boxes, against its ground truth."""

@@ -37,7 +37,7 @@ from hoimix.synth_world import (
 
 from box_reference import Box
 from eval_reference import HOIPrediction, array_ap
-from experiment_helpers import config_diff, permute_labels, returns_within
+from experiment_helpers import config_diff, permute_labels, prepared_world, returns_within
 from pair_reference import Detection, block_swap, build_pairs, detection_arrays
 from step_reference import aggregate_image_level
 from test_evaluation import brute_force_ap
@@ -60,8 +60,8 @@ def default_cfg(**overrides):
 
 def experiment_spec(cfg):
     """The fit that `run_experiment(cfg)` runs, on a world built here."""
-    tagged, test_images, rare_ids = prepare_world(cfg)
-    return FitSpec(tagged, cfg, test_images, rare_ids)
+    tagged, test_set = prepared_world(cfg)
+    return FitSpec(tagged, cfg, test_set)
 
 
 # --------------------------------------------------------------------------
@@ -403,12 +403,9 @@ def test_criterion_07_learnability_floor():
     specs = []
     for seed in range(5):
         cfg = default_cfg(ws_fraction=0.0, fs_fraction=1.0, train_seed=seed)
-        tagged, test_images, rare_ids = prepare_world(cfg)
+        tagged, test_set = prepared_world(cfg)
         permuted = permute_labels(tagged, seed=seed + 991)
-        specs += [
-            FitSpec(tagged, cfg, test_images, rare_ids),
-            FitSpec(permuted, cfg, test_images, rare_ids),
-        ]
+        specs += [FitSpec(tagged, cfg, test_set), FitSpec(permuted, cfg, test_set)]
     with returns_within(300):
         runs = run_many(specs)
     for seed in range(5):
@@ -473,14 +470,14 @@ def test_criterion_08_mil_trend():
         seed_wsonly_cfg = dataclasses.replace(wsonly_cfg, train_seed=seed)
         # the arms share the world and the test set; the 70/0/30 arm is split
         # differently, and the Shared arm the same way as the mix
-        tagged, test_images, rare_ids = prepare_world(mix_cfg)
+        tagged, test_set = prepared_world(mix_cfg)
         wsonly_tagged, _, _ = prepare_world(seed_wsonly_cfg)
         fs_tagged = [i for i in tagged if i.supervision == SupervisionTag.FS]
         specs += [
-            FitSpec(tagged, mix_cfg, test_images, rare_ids),
-            FitSpec(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_images, rare_ids),
-            FitSpec(wsonly_tagged, seed_wsonly_cfg, test_images, rare_ids),
-            FitSpec(fs_tagged, mix_cfg, test_images, rare_ids),
+            FitSpec(tagged, mix_cfg, test_set),
+            FitSpec(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_set),
+            FitSpec(wsonly_tagged, seed_wsonly_cfg, test_set),
+            FitSpec(fs_tagged, mix_cfg, test_set),
         ]
     with returns_within(900):
         all_arms = run_many(specs)

@@ -12,7 +12,6 @@ from hoimix import batching
 from hoimix.batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
-    TARGETS_CHUNK,
     MiniBatch,
     Schedule,
     ScheduleError,
@@ -25,6 +24,7 @@ from hoimix.batching import (
     prepare_block,
 )
 from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds, prepare_world
+from hoimix.geometry import MATCH_CHUNK
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
@@ -793,7 +793,7 @@ def test_fs_targets_across_chunks_equal_the_per_image_reference():
     cfg = WorldConfig(n_images=120)
     images = generate_world(cfg)
     truths = [NO_TRIPLETS if k % 3 == 1 else im.gt_triplets for k, im in enumerate(images)]
-    assert sum(map(len, truths)) > 2 * TARGETS_CHUNK
+    assert sum(map(len, truths)) > 2 * MATCH_CHUNK
     grid = pair_grids(images, cfg.feature_dim)
     Y = make_fs_targets(grid, truths, cfg.n_hoi_classes)
     assert Y.any()

@@ -91,6 +91,9 @@ CORRUPTIONS = {
     "header_without_tensors": lambda data: with_header(data, lambda h: h.pop("tensors")),
     "param_shapes_disagree": lambda data: with_header(data, one_class_b_cls, drop=8),
     "params_not_float64": narrow_dtypes,
+    "meta_is_a_list": lambda data: with_header(data, lambda h: h.update(meta=[1, 2])),
+    "meta_is_a_string": lambda data: with_header(data, lambda h: h.update(meta="x")),
+    "meta_is_null": lambda data: with_header(data, lambda h: h.update(meta=None)),
 }
 
 

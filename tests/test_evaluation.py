@@ -16,11 +16,9 @@ from eval_reference import (
     reference_hits,
     reference_match_and_ap,
 )
+from hoimix.batching import make_fs_targets, pair_grids
 from hoimix.evaluation import (
     CSV_HEADER,
-    HITS_CHUNK,
-    BoxPairs,
-    _hits,
     collect_predictions,
     evaluate,
     evaluate_predictions,
@@ -29,7 +27,7 @@ from hoimix.evaluation import (
     report_csv_row,
     report_to_dict,
 )
-from hoimix.geometry import pair_iou
+from hoimix.geometry import MATCH_CHUNK, MATCH_IOU, BoxPairs, pair_hits, pair_iou
 from hoimix.experiment import ExperimentConfig
 from hoimix.model import ModelParams
 from hoimix.supervision import SupervisionTag
@@ -272,8 +270,8 @@ def test_evaluate_runs_model_over_images():
     images = generate_world(SMALL)
     test = generate_eval_images(SMALL, 20)
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=0)
-    test_set = prepare_eval_set(test, feature_dim=SMALL.feature_dim)
-    report = evaluate(params, test_set, rare_classes(images))
+    test_set = prepare_eval_set(test, rare_classes(images), feature_dim=SMALL.feature_dim)
+    report = evaluate(params, test_set)
     assert 0.0 <= report.map_full <= 1.0
     preds = collect_predictions(params, test_set)
     assert len(set(preds.pairs.image_ids.tolist())) == 20
@@ -281,7 +279,7 @@ def test_evaluate_runs_model_over_images():
 
 def test_empty_test_set_rejected():
     with pytest.raises(ValueError):
-        prepare_eval_set([], feature_dim=SMALL.feature_dim)
+        prepare_eval_set([], set(), feature_dim=SMALL.feature_dim)
     no_pairs = BoxPairs(np.empty(0, np.int64), np.empty((0, 4)), np.empty((0, 4)))
     with pytest.raises(ValueError):
         ground_truth(no_pairs, [])
@@ -292,7 +290,7 @@ def test_test_set_without_ground_truth_rejected():
     # undefined and map_full NaN
     test = [image.with_supervision(SupervisionTag.WS) for image in generate_eval_images(SMALL, 10)]
     with pytest.raises(ValueError, match="no ground-truth triplets"):
-        prepare_eval_set(test, feature_dim=SMALL.feature_dim)
+        prepare_eval_set(test, set(), feature_dim=SMALL.feature_dim)
 
 
 def test_predictions_must_score_the_pairs_the_truth_was_matched_against():
@@ -416,13 +414,13 @@ def hit_set(hits):
 )
 def test_hits_on_interleaved_image_ids_equal_the_per_image_loop(pairs, gts):
     pairs, gts = box_pairs(pairs), box_pairs(gts)
-    assert hit_set(_hits(pairs, gts)) == hit_set(reference_hits(pairs, gts))
+    assert hit_set(pair_hits(pairs, gts, MATCH_IOU)) == hit_set(reference_hits(pairs, gts))
 
 
 def test_hits_across_chunks_equal_the_per_image_loop():
     # more ground-truth rows than one chunk, with both sides' image ids shuffled
     rng = np.random.default_rng(5)
-    n_gt = 2 * HITS_CHUNK + 7
+    n_gt = 2 * MATCH_CHUNK + 7
     corner = rng.integers(0, 4, size=(n_gt, 2, 2)) / 2.0
     gt = BoxPairs(rng.integers(0, 40, n_gt), np.hstack([corner[:, 0], corner[:, 0] + 1.0]),
                   np.hstack([corner[:, 1], corner[:, 1] + 1.0]))
@@ -430,10 +428,25 @@ def test_hits_across_chunks_equal_the_per_image_loop():
     jitter = rng.uniform(-0.1, 0.1, size=(len(take), 2, 1))
     pairs = BoxPairs(gt.image_ids[take], gt.human_boxes[take] + jitter[:, 0],
                      gt.object_boxes[take] + jitter[:, 1])
-    hits = _hits(pairs, gt)
+    hits = pair_hits(pairs, gt, MATCH_IOU)
     # each pair overlaps the ground-truth pair it was drawn from with IoU > 0.6
     assert len(hits[0]) >= len(take)
     assert hit_set(hits) == hit_set(reference_hits(pairs, gt))
+
+
+def test_fs_targets_and_ground_truth_find_the_same_hits():
+    # the region-level targets and mAP's true-positive candidates follow one
+    # rule: on the same grid and truths they hit the same (pair, class) entries
+    cfg = ExperimentConfig()
+    images = generate_eval_images(cfg.world, cfg.n_test_images)
+    grid = pair_grids(images, cfg.world.feature_dim, cfg.top_k)
+    Y = make_fs_targets(grid, [image.gt_triplets for image in images], cfg.world.n_hoi_classes)
+    pairs = BoxPairs(np.repeat(grid.image_ids, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes)
+    truth = ground_truth(pairs, images)
+    assert sum(len(image.gt_triplets) for image in images) > 2 * MATCH_CHUNK
+    from_truth = {(r, c) for c, (rows, _, _, _) in truth.classes.items() for r in rows.tolist()}
+    assert from_truth
+    assert set(zip(*(axis.tolist() for axis in np.nonzero(Y)))) == from_truth
 
 
 # Recipe of the evaluation digests: the default test set (the default
@@ -448,10 +461,10 @@ EVAL_DIGESTS = ("8a54ecc0ead9bd1e", "b9a5e5ef0a889571")
 def test_default_test_set_evaluation_digests_are_pinned():
     cfg = ExperimentConfig()
     test = generate_eval_images(cfg.world, cfg.n_test_images)
-    test_set = prepare_eval_set(test, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    test_set = prepare_eval_set(test, set(), feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, 0)
     scores = collect_predictions(params, test_set).scores
-    report = evaluate(params, test_set, set())
+    report = evaluate(params, test_set)
     digests = tuple(
         hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (scores, report.ap_per_class)
     )
@@ -463,7 +476,7 @@ def test_model_scores_match_reference_per_class():
     reference run per class over the same (pair, class) entries, inserted in
     image order, then pair order."""
     test = generate_eval_images(SMALL, 20)
-    test_set = prepare_eval_set(test, feature_dim=SMALL.feature_dim)
+    test_set = prepare_eval_set(test, set(), feature_dim=SMALL.feature_dim)
     for seed in range(3):
         params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=seed)
         preds = collect_predictions(params, test_set)
@@ -496,4 +509,4 @@ def test_non_finite_scores_rejected():
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=0)
     params.w_cls[0, 2] = np.nan
     with pytest.raises(ValueError):
-        evaluate(params, prepare_eval_set(test, feature_dim=SMALL.feature_dim), set())
+        evaluate(params, prepare_eval_set(test, set(), feature_dim=SMALL.feature_dim))

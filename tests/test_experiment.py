@@ -34,7 +34,13 @@ from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import SynthImage, WorldConfig, generate_world, split_supervision
 from box_reference import triplet_objects
-from experiment_helpers import config_diff, permute_labels, returns_within
+from experiment_helpers import (
+    config_diff,
+    permute_labels,
+    prepared_world,
+    record_preparations,
+    returns_within,
+)
 from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
@@ -94,9 +100,8 @@ def test_config_diff_reports_dotted_fields():
 
 def test_train_logs_losses_and_periodic_eval():
     cfg = tiny_cfg(eval_every=100)
-    tagged, test_images, rare_ids = prepare_world(cfg)
-    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    result = train(tagged, cfg, test_set=test_set, rare_ids=rare_ids)
+    tagged, test_set = prepared_world(cfg)
+    result = train(tagged, cfg, test_set=test_set)
     assert len(result.log.losses) == cfg.iterations
     assert [it for it, _ in result.log.evals] == [100, 200, 300, 400]
     assert result.log.header["iteration_accounting"] == "one schedule entry per iteration"
@@ -139,28 +144,63 @@ def test_fit_builds_the_test_pairs_once_for_every_eval(monkeypatch):
     monkeypatch.setattr(evaluation, "pair_grids", counting_pair_grids)
     cfg = tiny_cfg(iterations=450, eval_every=100)
     tagged, test_images, rare_ids = prepare_world(cfg)
-    run = fit(tagged, cfg, test_images, rare_ids, periodic_eval=True)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    run = fit(tagged, cfg, test_set, periodic_eval=True)
     # 4 periodic evals and a final one at iteration 450
     assert [it for it, _ in run.log.evals] == [100, 200, 300, 400]
     assert run.report is not run.log.evals[-1][1]
-    # one set-level pass over the test images, in order, for every eval
+    # one set-level pass over the test images, in order, by the caller, for every eval
     assert built == [[im.image_id for im in test_images]]
-    test_set = prepare_eval_set(test_images, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    fresh = evaluate(run.params, test_set, rare_ids)
+    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    fresh = evaluate(run.params, test_set)
     assert run.report.ap_per_class.tobytes() == fresh.ap_per_class.tobytes()
+
+
+def test_fits_on_one_test_set_leave_it_unchanged_and_report_alike():
+    cfg = tiny_cfg(iterations=200, eval_every=100)
+    tagged, test_set = prepared_world(cfg)
+
+    def contents():
+        truth = test_set.truth
+        arrays = [a for stack in test_set.stacks for a in stack]
+        arrays += [test_set.pairs.image_ids, test_set.pairs.human_boxes, test_set.pairs.object_boxes]
+        arrays += [a for c in sorted(truth.classes) for a in truth.classes[c][:3]]
+        counts = [(c, truth.classes[c][3]) for c in sorted(truth.classes)]
+        return [a.tobytes() for a in arrays], truth.n_pairs, counts, test_set.rare_class_ids
+
+    before = contents()
+    first = fit(tagged, cfg, test_set, periodic_eval=True)
+    second = fit(tagged, cfg, test_set)
+    assert contents() == before
+    assert first.report.ap_per_class.tobytes() == second.report.ap_per_class.tobytes()
+    assert first.csv_row == second.csv_row
+
+
+def test_a_ratio_sweep_prepares_one_test_set_per_seed_before_it_forks(monkeypatch, tmp_path):
+    preparations = record_preparations(monkeypatch, tmp_path / "preparations")
+    with returns_within(60.0):
+        run_ratio_sweep(tiny_cfg(iterations=60), [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0)], seeds=[0, 1])
+    assert preparations() == [os.getpid()] * 2
+
+
+def test_a_class_split_prepares_one_test_set_for_its_three_fits(monkeypatch, tmp_path):
+    preparations = record_preparations(monkeypatch, tmp_path / "preparations")
+    with returns_within(60.0):
+        run_class_split(tiny_cfg(iterations=60))
+    assert preparations() == [os.getpid()]
 
 
 def test_run_experiment_is_fit_on_the_prepared_world():
     cfg = tiny_cfg()
-    tagged, test_images, rare_ids = prepare_world(cfg)
-    run = fit(tagged, cfg, test_images, rare_ids)
+    tagged, test_set = prepared_world(cfg)
+    run = fit(tagged, cfg, test_set)
     assert run.csv_row == run_experiment(cfg).csv_row
     # the run keeps its schedule, drawn from the images it was given
     assert len(run.schedule.entries) == run.log.header["schedule_entries"]
     trained = {i for e in run.schedule.entries for i in (e.image_a, e.image_b)}
     assert trained <= {im.image_id for im in tagged}
     fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
-    fs_run = fit(fs_only, cfg, test_images, rare_ids, run_id="fs")
+    fs_run = fit(fs_only, cfg, test_set, run_id="fs")
     assert {e.supervision for e in fs_run.schedule.entries} == {SupervisionTag.FS}
     assert fs_run.csv_row.startswith("fs,")
 
@@ -333,14 +373,14 @@ def _shared(cfg):
 
 def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     cfg = tiny_cfg(iterations=200, eval_every=100)
-    tagged, test_images, rare_ids = prepare_world(cfg)
+    tagged, test_set = prepared_world(cfg)
     fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
     specs = [
         # the longest fit first, so that it is not the first to finish
-        FitSpec(tagged, dataclasses.replace(cfg, iterations=500), test_images, rare_ids, run_id="long"),
-        FitSpec(tagged, _shared(cfg), test_images, rare_ids, run_id="shared", periodic_eval=True),
-        FitSpec(tagged, cfg, test_images, rare_ids, run_id="indep", periodic_eval=True),
-        FitSpec(fs_only, _shared(cfg), test_images, rare_ids, run_id="shared-fs"),
+        FitSpec(tagged, dataclasses.replace(cfg, iterations=500), test_set, run_id="long"),
+        FitSpec(tagged, _shared(cfg), test_set, run_id="shared", periodic_eval=True),
+        FitSpec(tagged, cfg, test_set, run_id="indep", periodic_eval=True),
+        FitSpec(fs_only, _shared(cfg), test_set, run_id="shared-fs"),
     ]
     with returns_within(60.0):
         runs = run_many(specs)
@@ -348,12 +388,7 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
     for spec, run in zip(specs, runs):
         serial = fit(
-            spec.images,
-            spec.cfg,
-            spec.test_images,
-            spec.rare_ids,
-            run_id=spec.run_id,
-            periodic_eval=spec.periodic_eval,
+            spec.images, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval
         )
         assert run.csv_row == serial.csv_row
         assert run.params.flat.tobytes() == serial.params.flat.tobytes()
@@ -373,14 +408,14 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
 
 def test_run_many_raises_a_workers_divergence():
     cfg = tiny_cfg(iterations=50)
-    tagged, test_images, rare_ids = prepare_world(cfg)
+    tagged, test_set = prepared_world(cfg)
     # steps this large overflow the weights within a few iterations
     diverging = dataclasses.replace(cfg, optimizer=OptimizerConfig(alpha_ws=1e300, alpha_fs=1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDiverged) as serial:
-            fit(tagged, diverging, test_images, rare_ids)
-    specs = [FitSpec(tagged, cfg, test_images, rare_ids), FitSpec(tagged, diverging, test_images, rare_ids)]
+            fit(tagged, diverging, test_set)
+    specs = [FitSpec(tagged, cfg, test_set), FitSpec(tagged, diverging, test_set)]
     with pytest.raises(TrainingDiverged) as pooled, returns_within(60.0):
         run_many(specs)
     assert str(pooled.value) == str(serial.value)
@@ -390,7 +425,7 @@ def test_run_many_raises_a_workers_divergence():
 
 def _serial_fits(specs):
     return [
-        fit(s.images, s.cfg, s.test_images, s.rare_ids, run_id=s.run_id, periodic_eval=s.periodic_eval)
+        fit(s.images, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
         for s in specs
     ]
 
@@ -404,10 +439,10 @@ def _same_runs(runs, serial):
 
 def _two_specs():
     cfg = tiny_cfg(iterations=60)
-    tagged, test_images, rare_ids = prepare_world(cfg)
+    tagged, test_set = prepared_world(cfg)
     return [
-        FitSpec(tagged, cfg, test_images, rare_ids, run_id="indep"),
-        FitSpec(tagged, _shared(cfg), test_images, rare_ids, run_id="shared"),
+        FitSpec(tagged, cfg, test_set, run_id="indep"),
+        FitSpec(tagged, _shared(cfg), test_set, run_id="shared"),
     ]
 
 
@@ -518,6 +553,28 @@ def test_config_rejects_out_of_range_fields_naming_them(field, value, tmp_path):
         tiny_cfg(**{field: value})
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**tiny_cfg().to_dict(), field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        (None, "ws_fraction"),
+        (None, "fs_fraction"),
+        (None, "us_fraction"),
+        ("optimizer", "alpha_ws"),
+        ("optimizer", "alpha_fs"),
+        ("world", "feature_noise_sigma"),
+        ("world", "detection_jitter_sigma"),
+    ],
+)
+def test_non_finite_fields_rejected_naming_the_file_and_the_field(section, field, value, tmp_path):
+    # json reads NaN and Infinity, which pass a plain `x < 0.0` check
+    entry = f'"{field}": {value}'
+    path = tmp_path / "config.json"
+    path.write_text("{" + (f'"{section}": {{{entry}}}' if section else entry) + "}")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field}: "):
         load_config(path)
 

@@ -75,7 +75,7 @@ def test_non_finite_features_rejected():
 def test_forward_of_a_stack_is_the_forward_of_each_matrix():
     cfg = ExperimentConfig()
     test = generate_eval_images(cfg.world, cfg.n_test_images)
-    stacks = prepare_eval_set(test, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k).stacks
+    stacks = prepare_eval_set(test, set(), feature_dim=cfg.world.feature_dim, top_k=cfg.top_k).stacks
     assert len(stacks) > 1 and max(len(features) for _, features in stacks) > 1
     for seed in range(3):
         params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, seed)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import TripletArrays, WorldConfig, generate_world, split_supervision
 
 from box_reference import Box, GroundTruthTriplet, triplet_objects
+from experiment_helpers import record_preparations
 
 SMALL = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=21
@@ -231,6 +233,17 @@ def test_equal_pseudo_label_sets_compare_by_value():
     assert not same_pseudo_labels(pseudo, fewer) and not same_pseudo_labels(fewer, pseudo)
     shorter = {**rebuilt(pseudo), k: pseudo[k].take(np.arange(len(pseudo[k]) - 1))}
     assert not same_pseudo_labels(pseudo, shorter)
+
+
+def test_iterate_cycles_prepares_one_test_set_for_all_its_fits(monkeypatch, tmp_path):
+    preparations = record_preparations(monkeypatch, tmp_path / "preparations")
+    cfg = small_cfg(iterations=200)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    _, reports, _ = iterate_cycles(
+        tagged, cfg, 3, mode="unlabeled", test_images=test_images, rare_ids=rare_ids
+    )
+    assert len(reports) > 1
+    assert preparations() == [os.getpid()]
 
 
 def test_iterate_cycles_converges_on_equal_but_separately_built_labels(monkeypatch):

@@ -32,6 +32,7 @@ from .batching import (
     prepare_block,
 )
 from .checkpoint import atomic_open, save_checkpoint
+from .config_fields import check_fields, from_json, ranged
 from .evaluation import (
     CSV_HEADER,
     EvalReport,
@@ -62,31 +63,23 @@ class TrainingDiverged(RuntimeError):
 class ExperimentConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    ws_fraction: float = 0.7
-    fs_fraction: float = 0.3
-    us_fraction: float = 0.0
+    ws_fraction: float = ranged(0.7, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+    fs_fraction: float = ranged(0.3, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+    us_fraction: float = ranged(0.0, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
     element_swap: bool = True
-    top_k: int = DEFAULT_TOP_K
-    iterations: int = 12000
-    eval_every: int = 0  # 0 resolves to max(iterations // 10, 200)
-    hidden_dim: int = 64
-    train_seed: int = 0
-    n_test_images: int = 120
-    pseudo_threshold: float = 0.5
-    pseudo_cycles: int = 3
+    top_k: int = ranged(DEFAULT_TOP_K, lambda x: x >= 1, ">= 1")
+    iterations: int = ranged(12000, lambda x: x >= 1, ">= 1")
+    # 0 resolves to max(iterations // 10, 200)
+    eval_every: int = ranged(0, lambda x: x >= 0, ">= 0")
+    hidden_dim: int = ranged(64, lambda x: x >= 1, ">= 1")
+    train_seed: int = ranged(0, lambda x: x >= 0, ">= 0")
+    n_test_images: int = ranged(120, lambda x: x >= 1, ">= 1")
+    pseudo_threshold: float = ranged(0.5, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+    pseudo_cycles: int = ranged(3, lambda x: x >= 1, ">= 1")
 
     def __post_init__(self) -> None:
-        # split_supervision checks that the fractions are nonnegative and sum to 1
-        for name in ("ws_fraction", "fs_fraction", "us_fraction"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
-        for name in ("iterations", "hidden_dim", "top_k", "n_test_images", "pseudo_cycles"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every: must be >= 0, got {self.eval_every}")
-        if not (0.0 < self.pseudo_threshold < 1.0):
-            raise ValueError(f"pseudo_threshold: must be in (0, 1), got {self.pseudo_threshold}")
+        # split_supervision checks that the fractions sum to 1
+        check_fields(self)
 
     def resolved_eval_every(self) -> int:
         return self.eval_every if self.eval_every > 0 else max(self.iterations // 10, 200)
@@ -104,15 +97,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        world = d.pop("world", {})
-        opt = dict(d.pop("optimizer", {}))
-        if "policy" in opt:
-            opt["policy"] = MomentumPolicy(opt["policy"])
-        for key in ("humans_per_image", "objects_per_image"):
-            if key in world and isinstance(world[key], list):
-                world[key] = tuple(world[key])
-        return cls(world=WorldConfig(**world), optimizer=OptimizerConfig(**opt), **d)
+        return from_json(cls, d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -121,7 +106,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
             return ExperimentConfig.from_dict(json.load(fh))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 

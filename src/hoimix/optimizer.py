@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config_fields import check_fields, ranged
 from .model import ModelParams
 from .supervision import SupervisionTag
 
@@ -41,25 +42,16 @@ class MomentumPolicy(str, Enum):
         return self.value
 
 
-_SEQUENCE_POLICIES = (MomentumPolicy.SEQUENCE_FS_FIRST, MomentumPolicy.SEQUENCE_WS_FIRST)
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
-    alpha_ws: float = 0.012
-    alpha_fs: float = 0.05
-    beta: float = 0.9
+    alpha_ws: float = ranged(0.012, lambda x: x > 0.0, "positive")
+    alpha_fs: float = ranged(0.05, lambda x: x > 0.0, "positive")
+    beta: float = ranged(0.9, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
     policy: MomentumPolicy = MomentumPolicy.INDEPENDENT
-    sequence_switch_iteration: int = 0
+    sequence_switch_iteration: int = ranged(0, lambda x: x >= 0, ">= 0")
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        for name in ("alpha_ws", "alpha_fs"):
-            if not (0.0 < getattr(self, name) < np.inf):  # written so that NaN fails
-                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
-        if self.policy in _SEQUENCE_POLICIES and self.sequence_switch_iteration < 0:
-            raise ValueError("sequence_switch_iteration must be nonnegative")
+        check_fields(self)
 
 
 class MomentumState:

@@ -43,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config_fields import check_fields, ranged
 from .geometry import iou_rows
 from .supervision import SupervisionTag
 
@@ -65,45 +66,29 @@ class WorldGenerationError(ValueError):
     """Raised when a config cannot be realized; names the offending field."""
 
 
+_COUNT_RANGE = (lambda p: 1 <= p[0] <= p[1], "a range [lo, hi] with 1 <= lo <= hi")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
-    n_object_classes: int = 6
-    n_verb_classes: int = 4
-    n_hoi_classes: int = 24
-    n_images: int = 240
-    humans_per_image: tuple[int, int] = (1, 2)
-    objects_per_image: tuple[int, int] = (1, 3)
-    feature_dim: int = 23
-    feature_noise_sigma: float = 0.05
-    detection_jitter_sigma: float = 0.01
-    rare_class_fraction: float = 0.25
-    seed: int = 0
+    n_object_classes: int = ranged(6, lambda x: x >= 1, ">= 1")
+    n_verb_classes: int = ranged(4, lambda x: x >= 1, ">= 1")
+    n_hoi_classes: int = ranged(24, lambda x: x >= 1, ">= 1")
+    n_images: int = ranged(240, lambda x: x >= 1, ">= 1")
+    humans_per_image: tuple[int, int] = ranged((1, 2), *_COUNT_RANGE)
+    objects_per_image: tuple[int, int] = ranged((1, 3), *_COUNT_RANGE)
+    feature_dim: int = ranged(23, lambda x: x >= 4, ">= 4")
+    feature_noise_sigma: float = ranged(0.05, lambda x: x >= 0.0, ">= 0")
+    detection_jitter_sigma: float = ranged(0.01, lambda x: x >= 0.0, ">= 0")
+    rare_class_fraction: float = ranged(0.25, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+    seed: int = ranged(0, lambda x: x >= 0, ">= 0")
 
     def __post_init__(self) -> None:
-        if self.n_object_classes < 1:
-            raise WorldGenerationError("n_object_classes: must be >= 1")
-        if self.n_verb_classes < 1:
-            raise WorldGenerationError("n_verb_classes: must be >= 1")
-        if self.n_hoi_classes < 1 or self.n_hoi_classes > self.n_object_classes * self.n_verb_classes:
+        check_fields(self, WorldGenerationError)
+        if self.n_hoi_classes > self.n_object_classes * self.n_verb_classes:
             raise WorldGenerationError(
                 "n_hoi_classes: must be in [1, n_object_classes * n_verb_classes]"
             )
-        if self.n_images < 1:
-            raise WorldGenerationError("n_images: must be >= 1")
-        for name in ("humans_per_image", "objects_per_image"):
-            value = getattr(self, name)
-            if not (isinstance(value, tuple) and len(value) == 2 and all(type(v) is int for v in value)):
-                raise WorldGenerationError(f"{name}: must be a pair of ints, got {value!r}")
-            lo, hi = value
-            if lo < 1 or hi < lo:
-                raise WorldGenerationError(f"{name}: range [{lo}, {hi}] is empty or below 1")
-        if self.feature_dim < 4:
-            raise WorldGenerationError("feature_dim: must be >= 4")
-        for name in ("feature_noise_sigma", "detection_jitter_sigma"):
-            if not (0.0 <= getattr(self, name) < np.inf):  # written so that NaN fails
-                raise WorldGenerationError(f"{name}: must be nonnegative and finite")
-        if not (0.0 <= self.rare_class_fraction <= 1.0):
-            raise WorldGenerationError("rare_class_fraction: must be in [0, 1]")
         if round(self.rare_class_fraction * self.n_hoi_classes) >= self.n_hoi_classes:
             raise WorldGenerationError(
                 "rare_class_fraction: at least one class must remain non-rare"

@@ -12,10 +12,12 @@ its image_labels.
 Pairs and region-level targets are built for many images in one pass
 (`pair_grids`; `make_fs_targets` matches by mAP's rule, geometry.pair_hits).
 Training builds them for a block of BLOCK_ENTRIES consecutive schedule
-entries at a time (`prepare_block`), and `assemble_minibatch` copies one
-entry's batch out of its block. The pass is blocked to bound its peak
-memory: one pass over the whole schedule would hold every image's pairs and
-feature temporaries at once.
+entries at a time (`prepare_block`), when its iterations first reach the
+block, and `assemble_minibatch` copies one entry's batch out of its block,
+which is then dropped. Blocks bound the peak memory: one pass over the whole
+schedule would hold every image's pairs and feature temporaries at once.
+Training also drops each batch after its last use, so a schedule that is
+used once holds the batches of one block at a time.
 
 Element swapping is selection only: `element_swap` returns one WS entry's
 kept pairs as rows, and `prepare_block` gathers their features: same-image
@@ -47,7 +49,8 @@ from .synth_world import (
 
 DEFAULT_TOP_K = 30
 # schedule entries whose pairs and targets are built in one pass; larger
-# blocks are faster, but a block's pairs are all held at once
+# blocks are faster, but a block's pairs are all held at once, and so are
+# its batches while a one-pass schedule trains on them
 BLOCK_ENTRIES = 64
 
 

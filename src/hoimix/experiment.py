@@ -18,7 +18,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .batching import (
     DEFAULT_TOP_K,
     MiniBatch,
     Schedule,
+    ScheduleEntry,
     assemble_minibatch,
     batch_schedule,
     prepare_block,
@@ -130,17 +131,17 @@ class TrainingLog:
     evals: list[tuple[int, EvalReport]] = field(default_factory=list)
     skipped: int = 0
 
-    def lines(self) -> list[str]:
-        out = [f"# {json.dumps(self.header, sort_keys=True)}"]
+    def lines(self) -> Iterator[str]:
+        """Yield the lines of run.log, each ending in a newline."""
+        yield f"# {json.dumps(self.header, sort_keys=True)}\n"
         for iteration, tag, value in self.losses:
-            out.append(f"iter={iteration} tag={tag} loss={value!r}")
+            yield f"iter={iteration} tag={tag} loss={value!r}\n"
         for iteration, report in self.evals:
-            out.append(
+            yield (
                 f"eval iter={iteration} map_full={report.map_full!r} "
-                f"map_rare={report.map_rare!r} map_nonrare={report.map_nonrare!r}"
+                f"map_rare={report.map_rare!r} map_nonrare={report.map_nonrare!r}\n"
             )
-        out.append(f"# skipped_iterations={self.skipped}")
-        return out
+        yield f"# skipped_iterations={self.skipped}\n"
 
 
 @dataclass(eq=False)
@@ -151,24 +152,30 @@ class TrainResult:
     schedule: Schedule
 
 
+def _block_batches(
+    by_id: dict[int, SynthImage], entries: Sequence[ScheduleEntry], cfg: ExperimentConfig
+) -> list[MiniBatch]:
+    """The batches of a block of schedule entries; the block itself is
+    dropped once they are assembled."""
+    block = prepare_block(
+        [(by_id[e.image_a], by_id[e.image_b]) for e in entries],
+        n_classes=cfg.world.n_hoi_classes,
+        feature_dim=cfg.world.feature_dim,
+        top_k=cfg.top_k,
+        element_swap_enabled=cfg.element_swap,
+    )
+    return [assemble_minibatch(block, k) for k in range(len(entries))]
+
+
 def _build_batches(
     images: list[SynthImage], schedule: Schedule, cfg: ExperimentConfig
-) -> list[MiniBatch]:
-    """One batch per schedule entry, in schedule order; pairs and targets
-    are built a block of BLOCK_ENTRIES entries at a time."""
+) -> Iterator[MiniBatch]:
+    """Yield one batch per schedule entry, in schedule order; pairs and
+    targets are built a block of BLOCK_ENTRIES entries at a time, when the
+    first batch of the block is asked for."""
     by_id = {image.image_id: image for image in images}
-    batches = []
     for start in range(0, len(schedule.entries), BLOCK_ENTRIES):
-        entries = schedule.entries[start : start + BLOCK_ENTRIES]
-        block = prepare_block(
-            [(by_id[e.image_a], by_id[e.image_b]) for e in entries],
-            n_classes=cfg.world.n_hoi_classes,
-            feature_dim=cfg.world.feature_dim,
-            top_k=cfg.top_k,
-            element_swap_enabled=cfg.element_swap,
-        )
-        batches.extend(assemble_minibatch(block, k) for k in range(len(entries)))
-    return batches
+        yield from _block_batches(by_id, schedule.entries[start : start + BLOCK_ENTRIES], cfg)
 
 
 def train(
@@ -190,6 +197,11 @@ def train(
     from; with the same config the remaining trajectory is reproduced
     bit-exactly. Raises ValueError when their dims or the state's buffer
     count contradict the config.
+
+    Batches are built a block at a time when the iterations first reach
+    the block, and dropped after their last use: one lap of the schedule
+    holds one block of batches, and a run that wraps keeps them all. A
+    ValueError from building a block reaches the caller as it is.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -216,7 +228,9 @@ def train(
     schedule = batch_schedule(schedulable, schedule_seed)
     if not schedule.entries:
         raise ValueError("schedule is empty; no supervision group has two images")
-    batches = _build_batches(schedulable, schedule, cfg)
+    n_entries = len(schedule.entries)
+    pending = _build_batches(schedulable, schedule, cfg)
+    batches: list[Optional[MiniBatch]] = []  # entry k's batch, None once no later iteration uses it
 
     params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
     state = init_state if init_state is not None else MomentumState.zeros(
@@ -235,12 +249,20 @@ def train(
     eval_every = cfg.resolved_eval_every()
 
     for t in range(start_iteration, cfg.iterations):
-        entry = schedule.entries[t % len(schedule.entries)]
-        tag = entry.supervision
+        k = t % n_entries
+        while len(batches) <= k:  # first lap: a block is built at its first entry
+            j = len(batches)
+            batch = next(pending)
+            # a resumed run also builds the entries before its start, and
+            # keeps only those a later lap uses
+            batches.append(batch if t + (j - k) % n_entries < cfg.iterations else None)
+        batch = batches[k]
+        if t + n_entries >= cfg.iterations:
+            batches[k] = None  # no later iteration uses it
+        tag = schedule.entries[k].supervision
         if not schedule_filter(tag, t, cfg.optimizer):
             log.skipped += 1
             continue
-        batch = batches[t % len(batches)]
         try:
             scores = forward(params, batch.features)
             # the batch's targets were checked when it was built; forward
@@ -388,7 +410,7 @@ def write_run_outputs(run: RunResult, out_dir: str) -> None:
     with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
         fh.write(CSV_HEADER + "\n" + run.csv_row + "\n")
     with atomic_open(os.path.join(out_dir, "run.log")) as fh:
-        fh.write("\n".join(run.log.lines()) + "\n")
+        fh.writelines(run.log.lines())
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.ckpt"),
         run.params,

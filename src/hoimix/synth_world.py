@@ -89,7 +89,11 @@ class WorldConfig:
             raise WorldGenerationError(
                 "n_hoi_classes: must be in [1, n_object_classes * n_verb_classes]"
             )
-        if round(self.rare_class_fraction * self.n_hoi_classes) >= self.n_hoi_classes:
+        try:
+            n_rare = round(self.rare_class_fraction * self.n_hoi_classes)
+        except OverflowError:  # a count beyond the float range
+            raise WorldGenerationError("n_hoi_classes: must not exceed the float range") from None
+        if n_rare >= self.n_hoi_classes:
             raise WorldGenerationError(
                 "rare_class_fraction: at least one class must remain non-rare"
             )

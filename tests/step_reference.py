@@ -72,7 +72,7 @@ def reference_train(
     """Train from a fresh init over the schedule `train` chose for the same
     images and config; returns the params, the momentum state and the
     logged (iteration, tag, loss) of every iteration that stepped."""
-    batches = _build_batches(images, schedule, cfg)
+    batches = list(_build_batches(images, schedule, cfg))
     init_seed, _, _ = _train_seeds(cfg.train_seed)
     params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, init_seed)
     state = MomentumState.zeros(params, cfg.optimizer.policy)

@@ -666,7 +666,7 @@ def test_build_batches_matches_the_per_entry_reference(case):
         cfg = ExperimentConfig(world=WorldConfig(seed=seed), **overrides)
         tagged, schedule = scheduled(cfg)
     assert len(schedule.entries) > BLOCK_ENTRIES  # more than one block
-    got = _build_batches(tagged, schedule, cfg)
+    got = list(_build_batches(tagged, schedule, cfg))
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
 
@@ -675,7 +675,7 @@ def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     cfg = ExperimentConfig()
     tagged, full = scheduled(cfg)
     schedule = Schedule(entries=full.entries[:n_entries], leftovers=())
-    got = _build_batches(tagged, schedule, cfg)
+    got = list(_build_batches(tagged, schedule, cfg))
     assert len(got) == n_entries
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
@@ -725,7 +725,7 @@ def test_an_fs_and_us_block_with_swap_on_equals_the_reference(monkeypatch):
     tagged, schedule = scheduled(cfg, labelled)
     assert {e.supervision for e in schedule.entries} == {SupervisionTag.FS, SupervisionTag.US}
     monkeypatch.setattr(batching, "element_swap", None)  # a call would raise
-    got = _build_batches(tagged, schedule, cfg)
+    got = list(_build_batches(tagged, schedule, cfg))
     monkeypatch.undo()
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
@@ -737,7 +737,7 @@ def test_the_last_partial_block_of_data_pass_equals_the_reference():
     assert (len(schedule.entries), n_last) == (1200, 48)
     last = Schedule(entries=schedule.entries[-n_last:], leftovers=())
     assert any(e.supervision == SupervisionTag.WS for e in last.entries)
-    got = _build_batches(tagged, schedule, cfg)[-n_last:]
+    got = list(_build_batches(tagged, schedule, cfg))[-n_last:]
     assert_same_batches(got, reference_batches(tagged, last, cfg))
 
 

@@ -128,6 +128,16 @@ def test_a_probe_config_is_rejected_naming_its_field(text, tmp_path):
         load_config(path)
 
 
+def test_class_counts_beyond_the_float_range_are_rejected_naming_the_field(tmp_path):
+    big = 10**400  # 401 digits; the rare-class floor rounds a float of the count
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"world": {"n_object_classes": big, "n_hoi_classes": big}}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: n_hoi_classes: "):
+        load_config(path)
+    with pytest.raises(WorldGenerationError, match="^n_hoi_classes: "):
+        WorldConfig(n_object_classes=big, n_hoi_classes=big)
+
+
 def test_an_int_in_a_float_field_is_kept_as_given(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"ws_fraction": 1, "fs_fraction": 0, "optimizer": {"alpha_fs": 1}}')

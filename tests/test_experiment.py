@@ -5,13 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import hoimix.cli
+import hoimix.experiment
 import hoimix.loss
+from hoimix.batching import BLOCK_ENTRIES
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
 from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
@@ -19,6 +23,7 @@ from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
     TrainingDiverged,
+    _build_batches,
     fit,
     load_config,
     prepare_world,
@@ -267,6 +272,80 @@ def test_resume_matches_uninterrupted_run():
     )
     for name, arr in full.params.items():
         np.testing.assert_array_equal(arr, getattr(resumed.params, name))
+
+
+def test_a_resume_mid_block_in_the_last_lap_matches_the_uninterrupted_run():
+    cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
+    tagged, _, _ = prepare_world(cfg)
+    n = len(train(tagged, cfg).schedule.entries)
+    assert n > BLOCK_ENTRIES + 10
+    # the last lap reaches entry n - 21; the resume starts at entry 10 of it,
+    # so entries 0-9 are built and never used again
+    cfg = dataclasses.replace(cfg, iterations=2 * n - 20)
+    start = n + 10
+    full = train(tagged, cfg)
+    half = train(tagged, dataclasses.replace(cfg, iterations=start))
+    resumed = train(tagged, cfg, init_params=half.params, init_state=half.state, start_iteration=start)
+    assert resumed.params.flat.tobytes() == full.params.flat.tobytes()
+    assert resumed.state.buffers.tobytes() == full.state.buffers.tobytes()
+    assert resumed.state.t == full.state.t
+    assert resumed.log.losses == [entry for entry in full.log.losses if entry[0] >= start]
+
+
+def test_a_later_block_that_fails_to_build_raises_its_value_error(monkeypatch):
+    cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=200)
+    tagged, _, _ = prepare_world(cfg)
+    real = hoimix.experiment.prepare_block
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("second block")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", second_fails)
+    with pytest.raises(ValueError, match="^second block$") as caught:
+        train(tagged, cfg)
+    assert not isinstance(caught.value, TrainingDiverged)
+    assert len(calls) == 2
+
+
+def test_no_block_outlives_the_assembly_of_its_batches(monkeypatch):
+    cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
+    tagged, _, _ = prepare_world(cfg)
+    schedule = train(tagged, cfg).schedule
+    real = hoimix.experiment.prepare_block
+    blocks = []
+
+    def recorded(*args, **kwargs):
+        block = real(*args, **kwargs)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", recorded)
+    for batch in _build_batches(tagged, schedule, cfg):
+        assert [ref() for ref in blocks] == [None] * len(blocks)
+    assert len(blocks) == 2
+
+
+def one_pass_peak_bytes(n_images: int) -> int:
+    """tracemalloc's peak over a second train call whose iterations use
+    each schedule entry once, on the default world of n_images images."""
+    cfg = ExperimentConfig(world=WorldConfig(n_images=n_images), iterations=1)
+    tagged, _, _ = prepare_world(cfg)
+    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.entries))
+    tracemalloc.start()
+    try:
+        train(tagged, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_pass_training_memory_does_not_grow_with_the_schedule():
+    # one pass holds a block of batches at a time, not the whole schedule
+    assert one_pass_peak_bytes(1200) <= 1.25 * one_pass_peak_bytes(600)
 
 
 def test_non_finite_params_abort_training():

@@ -35,7 +35,7 @@ def test_traced_batches_span_each_ws_entry_and_count_the_reference_pool():
     _, schedule_seed, _ = _train_seeds(cfg.train_seed)
     schedule = batch_schedule(tagged, schedule_seed)
     with Tracer("swap-seam") as tracer:
-        batches = _build_batches(tagged, schedule, cfg)
+        batches = list(_build_batches(tagged, schedule, cfg))
     metrics = tracer.metrics(wall_s=1.0)
 
     by_id = {image.image_id: image for image in tagged}

@@ -4,16 +4,16 @@ Builds within-image human-object pairs (with a per-class top-k confidence
 filter), synthesizes cross-image hard negatives for weakly-labeled pairs by
 swapping humans and objects between the two images, and constructs
 region-level and image-level training targets. The batch schedule pairs
-images once, before training, into homogeneous two-image batches. Targets
-come from each image's own annotation: region-level ones from its
-gt_triplets (FS ground truth or US pseudo labels), image-level ones from
-its image_labels.
+images of a World once, before training, into homogeneous two-image
+batches. Targets come from the world's rows of each image: region-level
+ones from its triplets (FS ground truth or US pseudo labels), image-level
+ones from its row of the label matrix.
 
 Pairs and region-level targets are built for many images in one pass
 (`pair_grids`; `make_fs_targets` matches by mAP's rule, geometry.pair_hits).
 Training builds them for a block of BLOCK_ENTRIES consecutive schedule
-entries at a time (`prepare_block`), when its iterations first reach the
-block, and `assemble_minibatch` copies one entry's batch out of its block,
+entries at a time (`prepare_block`), when an iteration first needs an
+entry of the block, and `assemble_minibatch` copies one entry's batch out of its block,
 which is then dropped. Blocks bound the peak memory: one pass over the whole
 schedule would hold every image's pairs and feature temporaries at once.
 Training also drops each batch after its last use, so a schedule that is
@@ -22,7 +22,7 @@ used once holds the batches of one block at a time.
 Element swapping is selection only: `element_swap` returns one WS entry's
 kept pairs as rows, and `prepare_block` gathers their features: same-image
 rows from the block's grid, and every swapped pair of the block from one
-`pair_feature_matrix` call over the detections the grid was built from.
+`pair_feature_matrix` call over the world's detection rows.
 """
 
 from __future__ import annotations
@@ -36,16 +36,8 @@ import numpy as np
 from .geometry import MATCH_IOU, BoxPairs, pair_hits
 # bound only so that the perfbench tracer can count its calls
 from .geometry import pair_iou  # noqa: F401
-from .supervision import SupervisionTag
-from .synth_world import (
-    NO_TRIPLETS,
-    DetectionArrays,
-    SynthImage,
-    TripletArrays,
-    pair_feature_matrix,
-    stack_detections,
-    stack_triplets,
-)
+from .supervision import TAGS, SupervisionTag
+from .synth_world import DetectionArrays, TripletArrays, World, pair_feature_matrix, row_ranges
 
 DEFAULT_TOP_K = 30
 # schedule entries whose pairs and targets are built in one pass; larger
@@ -95,29 +87,23 @@ class MiniBatch:
             object.__setattr__(self, name, array)
 
 
-def _top_k_per_class(owner: np.ndarray, detections: DetectionArrays, top_k: int) -> np.ndarray:
-    """Rows of at most top_k detections per (image, class) by confidence
-    (ties to the lower row), in row order; owner[r] is the image of row r."""
-    rows = np.arange(len(owner))
-    order = np.lexsort((rows, -detections.confidences, detections.class_ids, owner))
-    image, classes = owner[order], detections.class_ids[order]
+def _kept(detections: DetectionArrays, first: np.ndarray, counts: np.ndarray, top_k: int):
+    """Of the rows first[k]:first[k] + counts[k] of each image k, the rows
+    of at most top_k detections per (image, class) by confidence (ties to
+    the lower row), in row order, and how many of them each image has."""
+    rows = row_ranges(first, counts)
+    owner = np.repeat(np.arange(len(first)), counts)
+    classes = detections.class_ids[rows]
+    at = np.arange(len(rows))
+    order = np.lexsort((at, -detections.confidences[rows], classes, owner))
+    image, classes = owner[order], classes[order]
     starts = np.flatnonzero(
         np.concatenate([[True], (image[1:] != image[:-1]) | (classes[1:] != classes[:-1])])
     )
     # position in the sorted order minus the position of its group's first entry
-    rank = rows - np.repeat(starts, np.diff(np.append(starts, len(rows))))
-    return np.sort(order[rank < top_k])
-
-
-def _kept(detections: Sequence[DetectionArrays], top_k: int):
-    """The detections of several images stacked into one set, the first
-    row of each image in it, the rows the top-k filter keeps, and how many
-    of them each image has."""
-    stacked = stack_detections(detections)
-    first = np.cumsum([0] + [len(d) for d in detections])
-    owner = np.repeat(np.arange(len(detections)), np.diff(first))
-    kept = _top_k_per_class(owner, stacked, top_k)
-    return stacked, first, kept, np.bincount(owner[kept], minlength=len(detections))
+    rank = at - np.repeat(starts, np.diff(np.append(starts, len(rows))))
+    kept = np.sort(order[rank < top_k])
+    return rows[kept], np.bincount(owner[kept], minlength=len(first))
 
 
 class PairRow(tuple):
@@ -168,25 +154,20 @@ class PairGrid:
 
 
 def pair_grids(
-    images: Sequence[SynthImage], feature_dim: int, top_k: int = DEFAULT_TOP_K
+    world: World, images: Sequence[int], feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> PairGrid:
-    """The human x object pairs of every image after top-k filtering, in
-    one pass over the detections of all of them; image k of the grid is
-    images[k]."""
-    return _grid_and_detections(images, feature_dim, top_k)[0]
-
-
-def _grid_and_detections(images: Sequence[SynthImage], feature_dim: int, top_k: int):
-    """pair_grids' grid, and the detections it pairs: the human and the
-    object detections of all the images stacked into one set each, and the
-    first row of each image in them."""
-    if not images:
+    """The human x object pairs of the world's images after top-k
+    filtering, in one pass over the detections of all of them; image k of
+    the grid is images[k]."""
+    images = np.asarray(images, dtype=np.intp)
+    if not len(images):
         raise ValueError("pair_grids needs at least one image")
-    humans, h_first, kept_h, n_h = _kept([image.humans for image in images], top_k)
-    objects, o_first, kept_o, n_o = _kept([image.objects for image in images], top_k)
+    h_first, n_humans, o_first, n_objects = world.detection_ranges(images)
+    kept_h, n_h = _kept(world.detections, h_first, n_humans, top_k)
+    kept_o, n_o = _kept(world.detections, o_first, n_objects, top_k)
     empty = (n_h == 0) | (n_o == 0)
     if empty.any():
-        image_id = images[int(np.argmax(empty))].image_id
+        image_id = world.image_ids[images[np.argmax(empty)]]
         raise ValueError(f"image {image_id}: empty human or object set after filtering")
     offsets = np.concatenate([[0], np.cumsum(n_h * n_o)])
     owner = np.repeat(np.arange(len(images)), n_h * n_o)
@@ -194,16 +175,16 @@ def _grid_and_detections(images: Sequence[SynthImage], feature_dim: int, top_k: 
     p, n_o_row = np.arange(offsets[-1]) - offsets[owner], n_o[owner]
     h = kept_h[(np.cumsum(n_h) - n_h)[owner] + p // n_o_row]
     o = kept_o[(np.cumsum(n_o) - n_o)[owner] + p % n_o_row]
-    grid = PairGrid(
-        np.array([image.image_id for image in images]),
+    boxes = world.detections.boxes
+    return PairGrid(
+        world.image_ids[images],
         offsets,
         h - h_first[owner],
         o - o_first[owner],
-        humans.boxes[h],
-        objects.boxes[o],
-        pair_feature_matrix(humans, h, objects, o, feature_dim),
+        boxes[h],
+        boxes[o],
+        pair_feature_matrix(world.detections, h, world.detections, o, feature_dim),
     )
-    return grid, (humans, h_first), (objects, o_first)
 
 
 @dataclass(eq=False)
@@ -226,34 +207,36 @@ class KeptPairs:
 
 
 def element_swap(
-    grid1: PairGrid, grid2: PairGrid, image1: SynthImage, image2: SynthImage
+    grid1: PairGrid, grid2: PairGrid, world: World, image1: int, image2: int
 ) -> KeptPairs:
     """Cross-image pair selection for two weakly-labeled images.
 
-    Takes each image's own grid (PairGrid.image) and the image. Forms the
-    full (H1+H2) x (O1+O2) pool of pairs across both images, then prunes
-    easy negatives by ascending confidence product (the product of the two
-    detector confidences, available before any training and stable across
-    epochs) until exactly H1*O1 + H2*O2 pairs remain, the original pair
-    count of the two images. Score ties are resolved by pruning swapped
-    pairs before same-image pairs, then by (image ids, detection indices)
-    for determinism. The pool is ranked on its keys alone and the kept
-    pairs are returned as rows; prepare_block builds their features.
+    Takes each image's own grid (PairGrid.image), then the world and the
+    images. Forms the full (H1+H2) x (O1+O2) pool of pairs across both,
+    then prunes easy negatives by ascending confidence product (the product
+    of the two detector confidences, available before any training and
+    stable across epochs) until exactly H1*O1 + H2*O2 pairs remain, the
+    original pair count of the two images. Score ties are resolved by
+    pruning swapped pairs before same-image pairs, then by (image ids,
+    detection indices) for determinism. The pool is ranked on its keys
+    alone; prepare_block builds the kept pairs' features.
     """
     if not len(grid1) or not len(grid2):
         raise ValueError("element_swap needs non-empty pair lists from both images")
-    for grid, image in ((grid1, image1), (grid2, image2)):
+    images = (int(world.image_ids[image1]), int(world.image_ids[image2]))
+    for grid, image_id in zip((grid1, grid2), images):
         ids = grid.image_ids.tolist()
-        if ids != [image.image_id]:
-            raise ValueError(f"grid of images {ids} is not image {image.image_id}'s")
-    images = (image1.image_id, image2.image_id)
+        if ids != [image_id]:
+            raise ValueError(f"grid of images {ids} is not image {image_id}'s")
     if images[0] == images[1]:
         raise ValueError("element_swap needs pairs from two distinct images")
+    h_first, n_humans, o_first, n_objects = world.detection_ranges(np.array([image1, image2]))
+    confidences = world.detections.confidences
 
     # the detections of both images are numbered image 1's first; the
     # candidates are (human, object) numbers: the grids' pairs, then each
     # image's humans against the other image's objects, human-major
-    n_humans1, n_objects1 = len(image1.humans), len(image1.objects)
+    n_humans1, n_objects1 = n_humans[0], n_objects[0]
     h1, o1 = grid1.human_index, grid1.object_index
     h2, o2 = grid2.human_index + n_humans1, grid2.object_index + n_objects1
     n_same = len(h1) + len(h2)
@@ -266,8 +249,7 @@ def element_swap(
     h_side, o_side = (h >= n_humans1).astype(np.intp), (o >= n_objects1).astype(np.intp)
     h_index, o_index = h - n_humans1 * h_side, o - n_objects1 * o_side
     product = (
-        np.concatenate([image1.humans.confidences, image2.humans.confidences])[h]
-        * np.concatenate([image1.objects.confidences, image2.objects.confidences])[o]
+        confidences[row_ranges(h_first, n_humans)][h] * confidences[row_ranges(o_first, n_objects)][o]
     )
     swapped = np.arange(len(h)) >= n_same
     # the key, most significant last: -product, swapped, source ids, detection indices
@@ -281,45 +263,30 @@ def element_swap(
 
 def make_fs_targets(
     grid: PairGrid,
-    truths: Sequence[TripletArrays],
+    truth: TripletArrays,
+    owner: np.ndarray,
     n_classes: int,
     iou_threshold: float = MATCH_IOU,
 ) -> np.ndarray:
     """Region-level binary target matrix of every pair of the grid, whose
-    image k has the ground truth truths[k].
+    image k has the ground truth rows r of truth with owner[r] == k.
 
     Y[i, j] = 1 iff some ground-truth triplet of class j of pair i's own
     image overlaps pair i with joint (min of human and object) IoU at or
     above the threshold; a pair is never matched against another image's
     ground truth.
     """
-    flat = stack_triplets(truths)
-    classes = flat.hoi_classes
+    classes = truth.hoi_classes
     bad = (classes < 0) | (classes >= n_classes)
     if bad.any():
         raise ValueError(f"hoi_class {classes[np.argmax(bad)]} out of range [0, {n_classes})")
     # pairs and ground truth are keyed by their image's place k in the grid
-    image = np.arange(len(truths))
-    pairs = BoxPairs(np.repeat(image, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes)
-    gt = BoxPairs(np.repeat(image, [len(t) for t in truths]), flat.human_boxes, flat.object_boxes)
-    row, col, _ = pair_hits(pairs, gt, iou_threshold)
+    image = np.repeat(np.arange(len(grid.offsets) - 1), np.diff(grid.offsets))
+    pairs = BoxPairs(image, grid.human_boxes, grid.object_boxes)
+    row, col, _ = pair_hits(pairs, BoxPairs(owner, truth.human_boxes, truth.object_boxes), iou_threshold)
     Y = np.zeros((len(grid.features), n_classes))
     Y[row, classes[col]] = 1.0
     return Y
-
-
-def make_ws_targets(
-    image1_labels: frozenset[int] | set[int],
-    image2_labels: frozenset[int] | set[int],
-    n_classes: int,
-) -> np.ndarray:
-    """Image-level binary label vector: the union of both images' labels."""
-    y = np.zeros(n_classes)
-    for c in set(image1_labels) | set(image2_labels):
-        if not (0 <= c < n_classes):
-            raise ValueError(f"hoi_class {c} out of range [0, {n_classes})")
-        y[c] = 1.0
-    return y
 
 
 @dataclass(frozen=True)
@@ -341,35 +308,41 @@ class ScheduleError(ValueError):
     pass
 
 
-def batch_schedule(images: list[SynthImage], seed: int) -> Schedule:
-    """Pair images of equal supervision into batches, once, reproducibly.
+def batch_schedule(world: World, seed: int) -> Schedule:
+    """Pair the world's images of equal supervision into batches, once,
+    reproducibly.
 
     One group per tag, each shuffled in the order FS, WS, US; each batch is
     homogeneous, and the stream interleaves the groups in a fixed random
-    order. An empty group draws nothing, so adding US images leaves the FS
-    and WS pairings as they are. A group with a single image cannot form a
-    batch and is reported as an error; an odd group leaves one image over,
-    recorded in the schedule metadata.
+    order. A US image joins only with pseudo labels (triplets), and only if
+    another US image has them too. An empty group draws nothing, so adding
+    US images leaves the FS and WS pairings as they are. A group with a
+    single image, or no entry at all, is reported as an error; an odd group
+    leaves one image over, recorded in the schedule metadata.
     """
+    if len(world) < 2:
+        raise ScheduleError(f"a schedule needs two images; the world has {len(world)}")
+    codes = world.supervision
+    labelled_us = (codes == SupervisionTag.US.code) & (np.diff(world.triplet_rows) > 0)
+    if np.count_nonzero(labelled_us) == 1:
+        labelled_us[:] = False
     rng = np.random.default_rng(seed)
-    order = (SupervisionTag.FS, SupervisionTag.WS, SupervisionTag.US)
-    groups: dict[SupervisionTag, list[int]] = {tag: [] for tag in order}
-    for image in images:
-        groups[image.supervision].append(image.image_id)
-
     entries: list[ScheduleEntry] = []
     leftovers: list[tuple[SupervisionTag, int]] = []
-    for tag in order:
-        ids = groups[tag]
-        if len(ids) == 1:
+    for tag in (SupervisionTag.FS, SupervisionTag.WS, SupervisionTag.US):
+        group = labelled_us if tag == SupervisionTag.US else codes == tag.code
+        images = np.flatnonzero(group)
+        if len(images) == 1:
             raise ScheduleError(
                 f"supervision set {tag.value} has a single image; cannot form a two-image batch"
             )
-        shuffled = [ids[i] for i in rng.permutation(len(ids))]
+        shuffled = images[rng.permutation(len(images))].tolist()
         for a, b in zip(shuffled[0::2], shuffled[1::2]):
             entries.append(ScheduleEntry(a, b, tag))
         if len(shuffled) % 2 == 1:
             leftovers.append((tag, shuffled[-1]))
+    if not entries:
+        raise ScheduleError("schedule is empty; no supervision group has two images")
 
     mixed = [entries[i] for i in rng.permutation(len(entries))]
     return Schedule(entries=tuple(mixed), leftovers=tuple(leftovers))
@@ -378,17 +351,19 @@ def batch_schedule(images: list[SynthImage], seed: int) -> Schedule:
 @dataclass(eq=False)
 class BatchBlock:
     """The batch rows of a block of schedule entries, built in one pass:
-    entry e's images are images[2e] and images[2e + 1], and its batch is
-    rows offsets[2e]:offsets[2e + 2] of features and fs_targets."""
+    entry e's images are the world's images[2e] and images[2e + 1], and its
+    batch is rows offsets[2e]:offsets[2e + 2] of features and fs_targets."""
 
-    images: list[SynthImage]
+    world: World
+    images: np.ndarray      # (2 * entries,)
     offsets: np.ndarray     # (2 * entries + 1,), the offsets of the block's pair grid
     features: np.ndarray    # (pairs, feature_dim)
     fs_targets: np.ndarray  # (pairs, n_classes), zero on the pairs of WS images
 
 
 def prepare_block(
-    entries: Sequence[tuple[SynthImage, SynthImage]],
+    world: World,
+    entries: Sequence[tuple[int, int]],
     *,
     n_classes: int,
     feature_dim: int,
@@ -396,8 +371,9 @@ def prepare_block(
     element_swap_enabled: bool = False,
 ) -> BatchBlock:
     """Build the batch features and the region-level targets of every
-    entry at once. A region-level image (FS, or US with pseudo labels) is
-    matched against its own gt_triplets; a WS image against none.
+    entry, a pair of the world's images, at once. A region-level image (FS,
+    or US with pseudo labels) is matched against its own triplets; a WS
+    image against none.
 
     Element swapping applies only to WS entries. A swapped entry's rows are
     the pairs element_swap keeps for its two images, in rank order: its
@@ -405,18 +381,19 @@ def prepare_block(
     swapped pairs of every entry get their features from one
     pair_feature_matrix call.
     """
-    images = [image for entry in entries for image in entry]
-    truths = [
-        image.gt_triplets if image.supervision.region_level else NO_TRIPLETS for image in images
-    ]
-    grid, (humans, h_first), (objects, o_first) = _grid_and_detections(images, feature_dim, top_k)
-    fs_targets = make_fs_targets(grid, truths, n_classes)
-    tags = [image.supervision for image in images]
-    ws = [k for k in range(0, len(tags), 2) if tags[k] == tags[k + 1] == SupervisionTag.WS]
+    if world.labels.shape[1] != n_classes:
+        raise ValueError(f"the world has {world.labels.shape[1]} label classes, not {n_classes}")
+    images = np.asarray(entries, dtype=np.intp).reshape(-1)
+    codes = world.supervision[images]
+    counts = np.diff(world.triplet_rows)[images] * (codes != SupervisionTag.WS.code)
+    grid = pair_grids(world, images, feature_dim, top_k)
+    truth = world.triplets.take(row_ranges(world.triplet_rows[images], counts))
+    fs_targets = make_fs_targets(grid, truth, np.repeat(np.arange(len(images)), counts), n_classes)
+    ws = [k for k in range(0, len(images), 2) if codes[k] == codes[k + 1] == SupervisionTag.WS.code]
     if not element_swap_enabled or not ws:
-        return BatchBlock(images, grid.offsets, grid.features, fs_targets)
+        return BatchBlock(world, images, grid.offsets, grid.features, fs_targets)
 
-    kept = [element_swap(grid.image(k), grid.image(k + 1), images[k], images[k + 1]) for k in ws]
+    kept = [element_swap(grid.image(k), grid.image(k + 1), world, *images[k : k + 2]) for k in ws]
     n_kept = [len(pairs) for pairs in kept]
     image = np.repeat(ws, n_kept)  # the first image of each kept pair's entry
     first = grid.offsets[image]  # the entry's first row
@@ -427,39 +404,41 @@ def prepare_block(
         for name in ("grid_row", "human_image", "human_index", "object_image", "object_index")
     )
     cross = grid_row < 0
+    h_first, _, o_first, _ = world.detection_ranges(images)
     # the swapped entries' rows are rewritten in the grid's own features, so
     # that the block holds one feature matrix; the kept same-image rows are
     # gathered before any row is written
     features = grid.features
     same = features[(first + grid_row)[~cross]]
     features[row[cross]] = pair_feature_matrix(
-        humans,
+        world.detections,
         (h_first[image + h_image] + h_index)[cross],
-        objects,
+        world.detections,
         (o_first[image + o_image] + o_index)[cross],
         feature_dim,
     )
     features[row[~cross]] = same
-    return BatchBlock(images, grid.offsets, features, fs_targets)
+    return BatchBlock(world, images, grid.offsets, features, fs_targets)
 
 
 def assemble_minibatch(block: BatchBlock, entry: int) -> MiniBatch:
     """Copy the training batch of the block's entry out of the block's
-    arrays. A batch owns copies of its rows, so that it does not keep its
-    block alive."""
-    image_a, image_b = block.images[2 * entry], block.images[2 * entry + 1]
-    if image_a.supervision != image_b.supervision:
+    arrays; a WS batch's targets are the union of its two images' labels. A
+    batch owns copies of its rows, so that it does not keep its block
+    alive."""
+    world = block.world
+    a, b = block.images[2 * entry : 2 * entry + 2].tolist()
+    if world.supervision[a] != world.supervision[b]:
         raise ValueError("mini-batches must be homogeneous in supervision")
-    tag = image_a.supervision
+    tag = TAGS[world.supervision[a]]
     rows = slice(int(block.offsets[2 * entry]), int(block.offsets[2 * entry + 2]))
     if tag == SupervisionTag.WS:
-        n_classes = block.fs_targets.shape[1]
-        targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
+        targets = (world.labels[a] | world.labels[b]).astype(np.float64)
     else:
         targets = block.fs_targets[rows].copy()
     return MiniBatch(
         supervision=tag,
         features=block.features[rows].copy(),
-        image_ids=(image_a.image_id, image_b.image_id),
+        image_ids=(int(world.image_ids[a]), int(world.image_ids[b])),
         targets=targets,
     )

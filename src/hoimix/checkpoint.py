@@ -143,7 +143,10 @@ def load_checkpoint(path) -> tuple[ModelParams, MomentumState | None, dict]:
         state = None
         if any(key.startswith("momentum/") for key in arrays):
             policy = MomentumPolicy(meta.get("policy", MomentumPolicy.INDEPENDENT.value))
-            state = arrays_to_state(arrays, int(meta["optimizer_t"]), policy)
+            t = meta["optimizer_t"]
+            if type(t) is not int or t < 0:  # JSON true is a bool, not a step count
+                raise ValueError(f"optimizer_t: must be a non-negative int, got {t!r}")
+            state = arrays_to_state(arrays, t, policy)
             if state.z_ws.dims != params.dims:
                 raise ValueError(f"momentum dims {state.z_ws.dims} differ from parameter dims {params.dims}")
     except KeyError as exc:

@@ -35,7 +35,10 @@ def parse_ratio(text: str) -> tuple[float, float, float]:
     Two-part ratios that do not use the full data (e.g. "70/0") leave the
     remainder untagged as US.
     """
-    parts = [float(p) for p in text.split("/")]
+    try:
+        parts = [float(p) for p in text.split("/")]
+    except ValueError:
+        raise ValueError(f"cannot parse ratio {text!r}") from None
     if len(parts) == 2:
         ws, fs = parts[0] / 100.0, parts[1] / 100.0
         us = 1.0 - ws - fs

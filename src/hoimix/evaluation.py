@@ -23,7 +23,7 @@ from .model import ModelParams, forward
 # bound only so that the perfbench tracer can wrap them; evaluation calls neither
 from .geometry import pair_iou  # noqa: F401
 from .model import infer_pairs  # noqa: F401
-from .synth_world import SynthImage, stack_triplets
+from .synth_world import World
 
 CSV_HEADER = "run_id,ws_fs_us,policy,hes,seed,map_full,map_rare,map_nonrare"
 
@@ -114,14 +114,12 @@ def _greedy_ap(
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
 
 
-def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
-    """Match the ground truth of the images against the given box pairs."""
-    truths = [image.gt_triplets for image in images]
-    triplets = stack_triplets(truths)
+def ground_truth(pairs: BoxPairs, world: World) -> GroundTruth:
+    """Match the triplets of the world's images against the given box pairs."""
+    triplets = world.triplets
     if not len(triplets):
         raise ValueError("the test images carry no ground-truth triplets")
-    image_ids = np.repeat([image.image_id for image in images], [len(t) for t in truths])
-    gt = BoxPairs(image_ids, triplets.human_boxes, triplets.object_boxes)
+    gt = BoxPairs(world.image_ids[world.triplet_owner()], triplets.human_boxes, triplets.object_boxes)
     gt_classes = triplets.hoi_classes
     # hits against every ground-truth pair at once, then split by class
     rows, gt_index, overlap = pair_hits(pairs, gt, MATCH_IOU)
@@ -136,17 +134,18 @@ def ground_truth(pairs: BoxPairs, images: list[SynthImage]) -> GroundTruth:
 
 
 def prepare_eval_set(
-    images: list[SynthImage], rare_class_ids: set[int], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
+    world: World, rare_class_ids: set[int], *, feature_dim: int, top_k: int = DEFAULT_TOP_K
 ) -> EvalSet:
-    """Build the pairs of every test image, in one pass, stack the images
-    of each pair count, and match the pairs against the ground truth, once;
-    rare_class_ids are the world's rare classes, which the reports split by."""
-    if not images:
+    """Build the pairs of every image of the test world, in one pass, stack
+    the images of each pair count, and match the pairs against the ground
+    truth, once; rare_class_ids are the training world's rare classes,
+    which the reports split by."""
+    if not len(world):
         raise ValueError("cannot evaluate on an empty test set")
-    grid = pair_grids(images, feature_dim, top_k)
+    grid = pair_grids(world, np.arange(len(world)), feature_dim, top_k)
     counts = np.diff(grid.offsets)
     pairs = BoxPairs(np.repeat(grid.image_ids, counts), grid.human_boxes, grid.object_boxes)
-    truth = ground_truth(pairs, images)
+    truth = ground_truth(pairs, world)
     rows = [grid.offsets[:-1][counts == n, None] + np.arange(n) for n in np.unique(counts)]
     return EvalSet(tuple((at, grid.features[at]) for at in rows), pairs, truth, frozenset(rare_class_ids))
 

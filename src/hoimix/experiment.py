@@ -47,7 +47,7 @@ from .model import ModelParams, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
 from .supervision import SupervisionTag
 from .synth_world import (
-    SynthImage,
+    World,
     WorldConfig,
     generate_eval_images,
     generate_world,
@@ -152,13 +152,12 @@ class TrainResult:
     schedule: Schedule
 
 
-def _block_batches(
-    by_id: dict[int, SynthImage], entries: Sequence[ScheduleEntry], cfg: ExperimentConfig
-) -> list[MiniBatch]:
+def _block_batches(world: World, entries: Sequence[ScheduleEntry], cfg: ExperimentConfig) -> list[MiniBatch]:
     """The batches of a block of schedule entries; the block itself is
     dropped once they are assembled."""
     block = prepare_block(
-        [(by_id[e.image_a], by_id[e.image_b]) for e in entries],
+        world,
+        [(e.image_a, e.image_b) for e in entries],
         n_classes=cfg.world.n_hoi_classes,
         feature_dim=cfg.world.feature_dim,
         top_k=cfg.top_k,
@@ -167,19 +166,8 @@ def _block_batches(
     return [assemble_minibatch(block, k) for k in range(len(entries))]
 
 
-def _build_batches(
-    images: list[SynthImage], schedule: Schedule, cfg: ExperimentConfig
-) -> Iterator[MiniBatch]:
-    """Yield one batch per schedule entry, in schedule order; pairs and
-    targets are built a block of BLOCK_ENTRIES entries at a time, when the
-    first batch of the block is asked for."""
-    by_id = {image.image_id: image for image in images}
-    for start in range(0, len(schedule.entries), BLOCK_ENTRIES):
-        yield from _block_batches(by_id, schedule.entries[start : start + BLOCK_ENTRIES], cfg)
-
-
 def train(
-    images: list[SynthImage],
+    world: World,
     cfg: ExperimentConfig,
     *,
     test_set: Optional[EvalSet] = None,
@@ -189,19 +177,19 @@ def train(
 ) -> TrainResult:
     """Run the training loop over a fixed schedule of two-image batches.
 
-    Each image trains with the supervision it carries. A US image is
-    scheduled only when its gt_triplets hold pseudo labels and those of at
-    least one other US image do too. Given a prepared test_set (rare classes
-    included), the model is evaluated on it every eval_every iterations.
-    Resuming: pass the checkpointed params/state and the iteration to start
-    from; with the same config the remaining trajectory is reproduced
-    bit-exactly. Raises ValueError when their dims or the state's buffer
-    count contradict the config.
+    Each image trains with the supervision it carries; batch_schedule
+    decides which images are scheduled. Given a prepared test_set (rare
+    classes included), the model is evaluated on it every eval_every
+    iterations. Resuming: pass the checkpointed params/state and the
+    iteration to start from; with the same config the remaining trajectory
+    is reproduced bit-exactly. Raises ValueError when their dims or the
+    state's buffer count contradict the config.
 
-    Batches are built a block at a time when the iterations first reach
-    the block, and dropped after their last use: one lap of the schedule
-    holds one block of batches, and a run that wraps keeps them all. A
-    ValueError from building a block reaches the caller as it is.
+    Batches are built a block at a time, when an iteration first needs an
+    entry of the block, and dropped after their last use: one lap of the
+    schedule holds one block of batches, a run that wraps keeps them all,
+    and a resumed run builds only the blocks it trains on. A ValueError
+    from building a block reaches the caller as it is.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -215,22 +203,9 @@ def train(
                 f"which policy {cfg.optimizer.policy} does not use"
             )
     init_seed, schedule_seed, _ = _train_seeds(cfg.train_seed)
-    labelled_us = {
-        img.image_id for img in images if img.supervision == SupervisionTag.US and img.gt_triplets
-    }
-    # a lone pseudo-labeled image cannot form a homogeneous two-image batch;
-    # drop it rather than abort the cycle
-    if len(labelled_us) == 1:
-        labelled_us.clear()
-    schedulable = [
-        img for img in images if img.supervision != SupervisionTag.US or img.image_id in labelled_us
-    ]
-    schedule = batch_schedule(schedulable, schedule_seed)
-    if not schedule.entries:
-        raise ValueError("schedule is empty; no supervision group has two images")
+    schedule = batch_schedule(world, schedule_seed)
     n_entries = len(schedule.entries)
-    pending = _build_batches(schedulable, schedule, cfg)
-    batches: list[Optional[MiniBatch]] = []  # entry k's batch, None once no later iteration uses it
+    batches: list[Optional[MiniBatch]] = [None] * n_entries  # entry k's, while an iteration uses it
 
     params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
     state = init_state if init_state is not None else MomentumState.zeros(
@@ -242,7 +217,7 @@ def train(
         header={
             "config": cfg.to_dict(),
             "schedule_entries": len(schedule.entries),
-            "schedule_leftovers": [[tag.value, img] for tag, img in schedule.leftovers],
+            "schedule_leftovers": [[tag.value, int(world.image_ids[i])] for tag, i in schedule.leftovers],
             "iteration_accounting": "one schedule entry per iteration",
         }
     )
@@ -250,12 +225,13 @@ def train(
 
     for t in range(start_iteration, cfg.iterations):
         k = t % n_entries
-        while len(batches) <= k:  # first lap: a block is built at its first entry
-            j = len(batches)
-            batch = next(pending)
-            # a resumed run also builds the entries before its start, and
-            # keeps only those a later lap uses
-            batches.append(batch if t + (j - k) % n_entries < cfg.iterations else None)
+        if batches[k] is None:  # the first iteration to need its block
+            first = k - k % BLOCK_ENTRIES
+            block = _block_batches(world, schedule.entries[first : first + BLOCK_ENTRIES], cfg)
+            for j, built in enumerate(block, first):
+                # keep only the batches that this or a later iteration uses
+                if t + (j - k) % n_entries < cfg.iterations:
+                    batches[j] = built
         batch = batches[k]
         if t + n_entries >= cfg.iterations:
             batches[k] = None  # no later iteration uses it
@@ -291,40 +267,40 @@ class RunResult(TrainResult):
 
 
 def _build_world(world: WorldConfig, n_test_images: int):
-    """Untagged train images, test images and rare class ids of one world."""
-    train_images = generate_world(world)
-    return train_images, generate_eval_images(world, n_test_images), rare_classes(train_images)
+    """The untagged train world, the test world and the rare class ids."""
+    train_world = generate_world(world)
+    return train_world, generate_eval_images(world, n_test_images), rare_classes(train_world)
 
 
-def _tag(train_images: list[SynthImage], cfg: ExperimentConfig) -> list[SynthImage]:
+def _tag(train_world: World, cfg: ExperimentConfig) -> World:
     _, _, split_seed = _train_seeds(cfg.train_seed)
     return split_supervision(
-        train_images, cfg.ws_fraction, cfg.fs_fraction, cfg.us_fraction, split_seed
+        train_world, cfg.ws_fraction, cfg.fs_fraction, cfg.us_fraction, split_seed
     )
 
 
 def prepare_world(cfg: ExperimentConfig):
-    """Generate train/test images, the rare-class split, and the tagging."""
-    train_images, test_images, rare_ids = _build_world(cfg.world, cfg.n_test_images)
-    return _tag(train_images, cfg), test_images, rare_ids
+    """Generate the train and test worlds and the rare classes; tag the first."""
+    train_world, test_world, rare_ids = _build_world(cfg.world, cfg.n_test_images)
+    return _tag(train_world, cfg), test_world, rare_ids
 
 
 def fit(
-    images: list[SynthImage],
+    world: World,
     cfg: ExperimentConfig,
     test_set: EvalSet,
     *,
     run_id: str = "run",
     periodic_eval: bool = False,
 ) -> RunResult:
-    """Train on the given tagged images, each with the supervision it
+    """Train on the given tagged world, each image with the supervision it
     carries (see train), then evaluate the final model once.
 
-    test_set is the prepared test set of the images' world (see
+    test_set is the prepared test set of the world (see
     prepare_eval_set); it is only read, so fits on one world share one, and
     every periodic eval and the final one use it.
     """
-    result = train(images, cfg, test_set=test_set if periodic_eval else None)
+    result = train(world, cfg, test_set=test_set if periodic_eval else None)
     if result.log.evals and result.log.evals[-1][0] == cfg.iterations:
         # the last periodic eval already scored the final model
         report = result.log.evals[-1][1]
@@ -338,10 +314,10 @@ def fit(
 
 @dataclass(frozen=True, eq=False)
 class FitSpec:
-    """The arguments of one `fit` call; the images carry their own
+    """The arguments of one `fit` call; the world carries its images' own
     supervision, pseudo labels included, and one world's specs share a test set."""
 
-    images: list[SynthImage]
+    world: World
     cfg: ExperimentConfig
     test_set: EvalSet
     run_id: str = "run"
@@ -358,7 +334,7 @@ def _inherit_specs(specs: Sequence[FitSpec]) -> None:
 
 def _fit_spec(k: int) -> RunResult:
     spec = _worker_specs[k]
-    return fit(spec.images, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval)
+    return fit(spec.world, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval)
 
 
 def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
@@ -397,8 +373,8 @@ def run_experiment(
     periodic_eval: bool = False,
 ) -> RunResult:
     """World generation, split, training, final evaluation, optional outputs."""
-    tagged, test_images, rare_ids = prepare_world(cfg)
-    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    tagged, test_world, rare_ids = prepare_world(cfg)
+    test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     run = fit(tagged, cfg, test_set, run_id=run_id, periodic_eval=periodic_eval)
     if out_dir is not None:
         write_run_outputs(run, out_dir)
@@ -451,18 +427,18 @@ def run_ratio_sweep(
     worlds = {}
     for seed in seeds:
         world = dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed)
-        train_images, test_images, rare_ids = _build_world(world, cfg_base.n_test_images)
-        test_set = prepare_eval_set(test_images, rare_ids, feature_dim=world.feature_dim, top_k=cfg_base.top_k)
-        worlds[seed] = (world, train_images, test_set)
+        train_world, test_world, rare_ids = _build_world(world, cfg_base.n_test_images)
+        test_set = prepare_eval_set(test_world, rare_ids, feature_dim=world.feature_dim, top_k=cfg_base.top_k)
+        worlds[seed] = (world, train_world, test_set)
     specs = []
     for ws, fs, us in ratios:
         for seed in seeds:
-            world, train_images, test_set = worlds[seed]
+            world, train_world, test_set = worlds[seed]
             cfg = dataclasses.replace(
                 cfg_base, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
             )
             run_id = f"sweep-{cfg.ratio_string()}-s{seed}"
-            specs.append(FitSpec(_tag(train_images, cfg), cfg, test_set, run_id=run_id))
+            specs.append(FitSpec(_tag(train_world, cfg), cfg, test_set, run_id=run_id))
     runs = run_many(specs)
     rows = [run.csv_row for run in runs]
     aggregates: list[str] = []
@@ -498,49 +474,40 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     supervised and the second weakly, separately and jointly.
 
     Images are assigned to a half by their first triplet's class, and their
-    annotations are filtered to that half's classes. Returns subset mAPs for
+    annotations are filtered to that half's classes; each separate model
+    trains on its half's images alone. Returns subset mAPs for
     the two separate models and the joint model on their own class halves.
     """
     if cfg.world.n_hoi_classes < 2:
         raise ValueError("class split needs at least two interaction classes")
-    train_images, test_images, rare_ids = _build_world(cfg.world, cfg.n_test_images)
-    test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    world, test_world, rare_ids = _build_world(cfg.world, cfg.n_test_images)
+    test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
 
     _, _, split_seed = _train_seeds(cfg.train_seed)
     order = np.random.default_rng(split_seed).permutation(cfg.world.n_hoi_classes)
     half = cfg.world.n_hoi_classes // 2
     classes_fs = sorted(int(c) for c in order[:half])
     classes_ws = sorted(int(c) for c in order[half:])
-    fs_set, ws_set = set(classes_fs), set(classes_ws)
 
-    def restrict(image: SynthImage, allowed: set[int], tag: SupervisionTag) -> Optional[SynthImage]:
-        triplets = image.gt_triplets.take(np.isin(image.gt_triplets.hoi_classes, sorted(allowed)))
-        if not triplets:
-            return None
-        labels = frozenset(triplets.hoi_classes.tolist())
-        kept = dataclasses.replace(image, gt_triplets=triplets, image_labels=labels)
-        return kept.with_supervision(tag)
-
-    images_fs, images_ws = [], []
-    for image in train_images:
-        if not image.gt_triplets:
-            continue
-        if int(image.gt_triplets.hoi_classes[0]) in fs_set:
-            restricted = restrict(image, fs_set, SupervisionTag.FS)
-            if restricted is not None:
-                images_fs.append(restricted)
-        else:
-            restricted = restrict(image, ws_set, SupervisionTag.WS)
-            if restricted is not None:
-                images_ws.append(restricted)
+    # an image belongs to the half of its first triplet's class (every
+    # generated image has one) and keeps that half's triplets and labels
+    classes, owner = world.triplets.hoi_classes, world.triplet_owner()
+    in_fs = np.isin(classes, classes_fs)
+    image_fs = in_fs[world.triplet_rows[:-1]]
+    keep = in_fs == image_fs[owner]
+    labels = np.zeros_like(world.labels)
+    labels[owner[keep], classes[keep]] = True
+    restricted = world.annotated(world.supervision, world.triplets.take(keep), owner[keep], labels)
+    fs, ws, us = (tag.code for tag in (SupervisionTag.FS, SupervisionTag.WS, SupervisionTag.US))
 
     report_separate_fs, report_separate_ws, report_joint = (
         run.report
         for run in run_many(
             [
-                FitSpec(images_fs, cfg, test_set),
-                FitSpec(images_ws, cfg, test_set),
-                FitSpec(images_fs + images_ws, cfg, test_set),
+                # the other half's images, untagged US, are not scheduled
+                FitSpec(restricted.tagged(np.where(image_fs, fs, us)), cfg, test_set),
+                FitSpec(restricted.tagged(np.where(image_fs, us, ws)), cfg, test_set),
+                FitSpec(restricted.tagged(np.where(image_fs, fs, ws)), cfg, test_set),
             ]
         )
     )

@@ -15,10 +15,10 @@ fixed point of the pseudo-label sets raises an early-stop flag.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -30,12 +30,10 @@ from .evaluation import evaluate  # noqa: F401
 from .experiment import ExperimentConfig, fit
 from .model import ModelParams, forward
 from .supervision import SupervisionTag
-from .synth_world import NO_TRIPLETS, SynthImage, TripletArrays
+from .synth_world import NO_TRIPLETS, TripletArrays, World
 
 
-def select_label_argmax_triplets(
-    P: np.ndarray, labels: frozenset[int] | set[int], grid: PairGrid
-) -> TripletArrays:
+def select_label_argmax_triplets(P: np.ndarray, labels: Collection[int], grid: PairGrid) -> TripletArrays:
     """For each label, in ascending order, the grid pair maximizing its
     column of P becomes pseudo ground truth. Ties break to the lowest pair
     index."""
@@ -44,13 +42,13 @@ def select_label_argmax_triplets(
     return TripletArrays(grid.human_boxes[rows], grid.object_boxes[rows], classes)
 
 
-def ws_to_pseudo_fs(params: ModelParams, image: SynthImage, grid: PairGrid) -> TripletArrays:
-    """Pseudo triplets for a weakly-labeled image, whose own pairs are the
-    grid: one per image-level label."""
-    if not image.image_labels:
+def ws_to_pseudo_fs(params: ModelParams, labels: Collection[int], grid: PairGrid) -> TripletArrays:
+    """Pseudo triplets for a weakly-labeled image with the given label
+    classes, whose own pairs are the grid: one per label."""
+    if not len(labels):
         return NO_TRIPLETS
     P = forward(params, grid.features).P
-    return select_label_argmax_triplets(P, image.image_labels, grid)
+    return select_label_argmax_triplets(P, labels, grid)
 
 
 def threshold_triplets(P: np.ndarray, threshold: float, grid: PairGrid) -> TripletArrays:
@@ -107,12 +105,12 @@ def dump_pseudo_triplets(path, pseudo: dict[int, TripletArrays]) -> None:
 
 
 def iterate_cycles(
-    images: list[SynthImage],
+    world: World,
     cfg: ExperimentConfig,
     n_cycles: int,
     mode: str = "unlabeled",
     *,
-    test_images: list[SynthImage],
+    test_images: World,
     rare_ids: set[int],
     dump_dir=None,
 ) -> tuple[ModelParams, list[CycleReport], EvalReport]:
@@ -122,46 +120,46 @@ def iterate_cycles(
     images with above-threshold predictions join the next cycle as
     pseudo-region data. mode "multistage": only FS images train first; WS
     images join as pseudo-region data via the per-label argmax, and the
-    pipeline stays fully supervised. A pseudo-labelled image trains as a US
-    image whose gt_triplets are its pseudo labels. Each cycle retrains from
-    the same seeded initialization; identical pseudo-label sets between
-    consecutive cycles raise the converged flag and stop early. The test
-    images are prepared for evaluation once, for every fit.
+    pipeline stays fully supervised. The pseudo-label sources train as US
+    images, and each cycle replaces their triplet rows with their pseudo
+    labels. Each cycle retrains from the same seeded initialization;
+    identical pseudo-label sets between consecutive cycles raise the
+    converged flag and stop early. The test world is prepared for
+    evaluation once, for every fit.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if mode not in ("unlabeled", "multistage"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    if mode == "multistage":
-        base_pool = [img for img in images if img.supervision == SupervisionTag.FS]
-        pseudo_sources = [img for img in images if img.supervision == SupervisionTag.WS]
-    else:
-        base_pool = [img for img in images if img.supervision != SupervisionTag.US]
-        pseudo_sources = [img for img in images if img.supervision == SupervisionTag.US]
-    # a cycle trains each labelled source as a US image carrying its labels
-    unlabelled = [img.with_supervision(SupervisionTag.US) for img in pseudo_sources]
+    source = SupervisionTag.WS if mode == "multistage" else SupervisionTag.US
+    is_source, us = world.supervision == source.code, SupervisionTag.US.code
+    sources = np.flatnonzero(is_source)
+    source_ids = world.image_ids[sources].tolist()
+    # the sources untagged; a US image without pseudo labels is not scheduled
+    unlabelled = world.tagged(np.where(is_source, us, world.supervision))
 
     # the pairs of the pseudo sources do not depend on the model: they are
     # built once, in one pass, for every relabelling
     grids = []
-    if pseudo_sources:
-        sources = pair_grids(pseudo_sources, cfg.world.feature_dim, cfg.top_k)
-        grids = [sources.image(k) for k in range(len(pseudo_sources))]
+    if len(sources):
+        grid = pair_grids(world, sources, cfg.world.feature_dim, cfg.top_k)
+        grids = [grid.image(k) for k in range(len(sources))]
 
     def relabel(params: ModelParams) -> dict[int, TripletArrays]:
+        """The pseudo labels of every source that gets some, by image id."""
         pseudo: dict[int, TripletArrays] = {}
-        for img, grid in zip(pseudo_sources, grids):
+        for image, image_id, grid in zip(sources, source_ids, grids):
             if mode == "multistage":
-                triplets = ws_to_pseudo_fs(params, img, grid)
+                triplets = ws_to_pseudo_fs(params, np.flatnonzero(world.labels[image]), grid)
             else:
                 triplets = us_to_pseudo_fs(params, grid, cfg.pseudo_threshold)
             if triplets:
-                pseudo[img.image_id] = triplets
+                pseudo[image_id] = triplets
         return pseudo
 
     test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    base = fit(base_pool, cfg, test_set)
+    base = fit(unlabelled, cfg, test_set)
     pseudo = relabel(base.params)
 
     params = base.params
@@ -172,12 +170,9 @@ def iterate_cycles(
             dump_pseudo_triplets(
                 os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo
             )
-        labelled = [
-            dataclasses.replace(img, gt_triplets=pseudo[img.image_id])
-            for img in unlabelled
-            if img.image_id in pseudo
-        ]
-        run = fit(base_pool + labelled, cfg, test_set)
+        # relabel keys pseudo in source order
+        labelled = [image for image, image_id in zip(sources, source_ids) if image_id in pseudo]
+        run = fit(unlabelled.with_triplets(labelled, list(pseudo.values())), cfg, test_set)
         params, report = run.params, run.report
         new_pseudo = relabel(params)
         converged = same_pseudo_labels(new_pseudo, pseudo)

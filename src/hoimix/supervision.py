@@ -1,6 +1,7 @@
 """Supervision tags and the one decision that training derives from them.
 
-Every image and every mini-batch carries exactly one tag. Whether the tag is
+Every image and every mini-batch carries exactly one tag; a World stores
+an image's tag as its code, the tag's index in TAGS. Whether the tag is
 region-level decides which loss is applied (region-level vs image-level),
 which momentum buffer records the gradient, and which step size is used.
 """
@@ -26,3 +27,10 @@ class SupervisionTag(str, Enum):
         reaches training only with pseudo triplets and then uses the
         fully-supervised loss, momentum buffer and step size."""
         return self is not SupervisionTag.WS
+
+    @property
+    def code(self) -> int:
+        return TAGS.index(self)
+
+
+TAGS = tuple(SupervisionTag)  # (FS, WS, US): code c is the tag TAGS[c]

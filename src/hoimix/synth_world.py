@@ -1,6 +1,6 @@
 """Reproducible synthetic interaction-detection world.
 
-Stands in for a real detector + dataset at desk scale. Each image holds
+Stands in for a real detector + dataset at desk scale. Each image has
 ground-truth (human box, object box, interaction class) triplets plus
 detections: jittered copies of the ground-truth boxes and lower-confidence
 distractor boxes. The interaction class of a triplet is a deterministic
@@ -32,7 +32,9 @@ each run of WORLD_CHUNK images, the loop puts every draw into its rows of a
 buffer for the run; the box, confidence and appearance arithmetic then runs
 once over the run's columns, with the same float operations per value, and
 writes the world's arrays. The world's detections and triplets are checked
-once, and each image holds row ranges of them as views.
+once, and the generators return them as one World, in which an image is an
+index: its detections and triplets are row ranges, and its tag and labels a
+row of per-image arrays.
 """
 
 from __future__ import annotations
@@ -102,34 +104,6 @@ class WorldConfig:
     def human_class_id(self) -> int:
         """Reserved object-class index that denotes a human detection."""
         return self.n_object_classes
-
-
-@dataclass(frozen=True, eq=False)
-class SynthImage:
-    """An image's detections and the supervision it trains with: its
-    gt_triplets are an FS image's ground truth or a US image's pseudo labels
-    (none until it is pseudo-labelled), its image_labels a WS image's labels."""
-
-    image_id: int
-    humans: DetectionArrays
-    objects: DetectionArrays
-    gt_triplets: TripletArrays
-    image_labels: frozenset[int]
-    supervision: SupervisionTag = SupervisionTag.FS
-
-    def __post_init__(self) -> None:
-        if not len(self.humans) or not len(self.objects):
-            raise ValueError("every image needs at least one human and one object detection")
-
-    def with_supervision(self, tag: SupervisionTag) -> "SynthImage":
-        """This image tagged tag, keeping only the annotation the tag has:
-        FS keeps triplets and labels, WS labels only, US nothing."""
-        return dataclasses.replace(
-            self,
-            supervision=tag,
-            gt_triplets=self.gt_triplets if tag == SupervisionTag.FS else NO_TRIPLETS,
-            image_labels=frozenset() if tag == SupervisionTag.US else self.image_labels,
-        )
 
 
 def feature_layout(feature_dim: int) -> tuple[int, int, int]:
@@ -238,29 +212,106 @@ def stack_triplets(parts: Sequence[TripletArrays]) -> TripletArrays:
     )
 
 
-def _unchecked(cls, *values):
-    """An instance of the frozen dataclass cls with these field values, in
-    declaration order, built without its checks: for rows of arrays that
-    were checked as a whole."""
-    instance = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(instance, name, value)
-    return instance
+def row_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The rows first[i]:first[i] + counts[i] of every i, in order."""
+    ends = np.cumsum(counts)
+    return np.repeat(first - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _rows(arrays, at: slice):
-    """Rows at of a checked DetectionArrays or TripletArrays, as views."""
-    fields = arrays.__dataclass_fields__
-    return _unchecked(type(arrays), *[getattr(arrays, f)[at] for f in fields])
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
-def stack_detections(parts: Sequence[DetectionArrays]) -> DetectionArrays:
-    """The rows of every part, in order, as one set; rows that were
-    checked in their parts are not checked again."""
-    fields = DetectionArrays.__dataclass_fields__
-    return _unchecked(
-        DetectionArrays, *[np.concatenate([getattr(d, f) for d in parts]) for f in fields]
-    )
+@dataclass(frozen=True, eq=False)
+class World:
+    """A set of images as arrays; an image is its index.
+
+    Image i's detections are rows detection_rows[i]:detection_rows[i + 1]
+    of detections, its n_humans[i] humans first, then its objects. Its
+    triplets are rows triplet_rows[i]:triplet_rows[i + 1] of triplets: an
+    FS image's ground truth, a US image's pseudo labels (none until it is
+    pseudo-labelled), none for a WS image. Row i of labels holds its
+    image-level labels (none for a US image), and supervision[i] the code
+    of its tag (SupervisionTag.code).
+
+    Rejects offsets that disagree with the arrays, and an image without a
+    human or an object detection.
+    """
+
+    image_ids: np.ndarray       # (n,)
+    supervision: np.ndarray     # (n,) int8
+    detections: DetectionArrays
+    detection_rows: np.ndarray  # (n + 1,)
+    n_humans: np.ndarray        # (n,)
+    triplets: TripletArrays
+    triplet_rows: np.ndarray    # (n + 1,)
+    labels: np.ndarray          # (n, n_classes) bool
+
+    def __post_init__(self) -> None:
+        n = len(self.image_ids)
+        tables = ((self.detection_rows, self.detections), (self.triplet_rows, self.triplets))
+        if not (
+            self.supervision.shape == self.n_humans.shape == (n,) == self.labels.shape[:1]
+            and self.labels.ndim == 2
+            and all(
+                rows.shape == (n + 1,) and rows[0] == 0 and rows[-1] == len(table)
+                and (np.diff(rows) >= 0).all()
+                for rows, table in tables
+            )
+        ):
+            raise ValueError(f"the offsets of a world of {n} images disagree with its arrays")
+        empty = (self.n_humans < 1) | (np.diff(self.detection_rows) - self.n_humans < 1)
+        if empty.any():
+            raise ValueError(
+                f"image {self.image_ids[np.argmax(empty)]}: every image needs at least "
+                f"one human and one object detection"
+            )
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def detection_ranges(self, images: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The first human row, the number of humans, the first object row
+        and the number of objects of each of the images."""
+        first, n_humans = self.detection_rows[images], self.n_humans[images]
+        return first, n_humans, first + n_humans, self.detection_rows[images + 1] - first - n_humans
+
+    def triplet_owner(self) -> np.ndarray:
+        """The image of every triplet row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.triplet_rows))
+
+    def annotated(
+        self, supervision: np.ndarray, triplets: TripletArrays, owner: np.ndarray, labels: np.ndarray
+    ) -> "World":
+        """These images and detections with another annotation: the tag
+        codes, the triplets, whose row r is image owner[r]'s (owner is
+        nondecreasing), and the label matrix."""
+        return dataclasses.replace(
+            self,
+            supervision=supervision.astype(np.int8),
+            triplets=triplets,
+            triplet_rows=_offsets(np.bincount(owner, minlength=len(self))),
+            labels=labels,
+        )
+
+    def tagged(self, supervision: np.ndarray) -> "World":
+        """Image i tagged with code supervision[i], keeping only the
+        annotation its tag has: FS keeps triplets and labels, WS labels
+        only, US nothing."""
+        owner = self.triplet_owner()
+        keep = (supervision == SupervisionTag.FS.code)[owner]
+        labels = self.labels & (supervision != SupervisionTag.US.code)[:, None]
+        return self.annotated(supervision, self.triplets.take(keep), owner[keep], labels)
+
+    def with_triplets(self, images: Sequence[int], parts: Sequence[TripletArrays]) -> "World":
+        """The triplet rows of images[j] replaced by parts[j], for every j."""
+        owner = self.triplet_owner()
+        keep = ~np.isin(owner, images)
+        added = np.repeat(np.asarray(images, dtype=np.intp), [len(t) for t in parts])
+        owner = np.concatenate([owner[keep], added])
+        order = np.argsort(owner, kind="stable")
+        triplets = stack_triplets([self.triplets.take(keep), *parts]).take(order)
+        return self.annotated(self.supervision, triplets, owner[order], self.labels)
 
 
 def pair_feature_matrix(
@@ -561,15 +612,15 @@ def _generate_images(
     embeddings: np.ndarray,
     rng: np.random.Generator,
     first_image_id: int = 0,
-) -> list[SynthImage]:
+) -> World:
     """The images, WORLD_CHUNK at a time into the world's arrays, which are
-    then checked once; each image holds row ranges of them as views."""
+    then checked once; every image is tagged FS, with its ground truth and
+    its labels."""
     n_triplets = np.array([len(classes) for classes in assignments], dtype=np.intp)
     n_truths = humans_per_image + n_triplets  # ground-truth detections: humans, then objects
     n_distractors = np.round(_DISTRACTORS_PER_GT * n_truths).astype(np.intp)
     counts = np.stack([humans_per_image, n_triplets, n_truths, n_distractors], axis=1)
-    d_first = np.concatenate([[0], np.cumsum(n_truths + n_distractors)])
-    t_first = np.concatenate([[0], np.cumsum(n_triplets)])
+    d_first, t_first = _offsets(n_truths + n_distractors), _offsets(n_triplets)
     classes = np.array([c for image_classes in assignments for c in image_classes], dtype=np.intp)
     n_rows, app_dim = d_first[-1], embeddings.shape[1]
     columns = (  # boxes, class ids, confidences, appearance
@@ -590,25 +641,15 @@ def _generate_images(
             world[rows] = part
         for world, part in zip(triplet_boxes, triplet_part):
             world[t_rows] = part
-    detections = DetectionArrays(*columns)
-    triplets = TripletArrays(*triplet_boxes, classes)
-    return [
-        _unchecked(
-            SynthImage,
-            first_image_id + i,
-            _rows(detections, slice(start, start + n_humans)),
-            _rows(detections, slice(start + n_humans, stop)),
-            _rows(triplets, slice(t_start, t_stop)),
-            frozenset(image_classes),
-            SupervisionTag.FS,
-        )
-        for i, (image_classes, start, n_humans, stop, t_start, t_stop) in enumerate(
-            zip(assignments, d_first, n_human_rows, d_first[1:], t_first, t_first[1:])
-        )
-    ]
+    n = len(assignments)
+    labels = np.zeros((n, cfg.n_hoi_classes), dtype=bool)
+    labels[np.repeat(np.arange(n), n_triplets), classes] = True
+    detections, triplets = DetectionArrays(*columns), TripletArrays(*triplet_boxes, classes)
+    ids, supervision = first_image_id + np.arange(n), np.zeros(n, dtype=np.int8)  # all FS
+    return World(ids, supervision, detections, d_first, n_human_rows, triplets, t_first, labels)
 
 
-def generate_world(cfg: WorldConfig) -> list[SynthImage]:
+def generate_world(cfg: WorldConfig) -> World:
     """Generate the training image set; deterministic given cfg.seed."""
     latent_rng, train_rng, _ = _seed_streams(cfg.seed)
     embeddings = _class_embeddings(cfg, latent_rng)
@@ -618,7 +659,7 @@ def generate_world(cfg: WorldConfig) -> list[SynthImage]:
     return _generate_images(cfg, assignments, humans, embeddings, train_rng)
 
 
-def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
+def generate_eval_images(cfg: WorldConfig, n_images: int) -> World:
     """Generate a held-out, fully-annotated set sharing the training world's
     latent structure (same seed, separate RNG stream, balanced classes)."""
     latent_rng, _, eval_rng = _seed_streams(cfg.seed)
@@ -631,25 +672,22 @@ def generate_eval_images(cfg: WorldConfig, n_images: int) -> list[SynthImage]:
     )
 
 
-def rare_classes(images: list[SynthImage]) -> set[int]:
+def rare_classes(world: World) -> set[int]:
     """Classes that appear in at least one but fewer than 10 images."""
-    counts: dict[int, int] = {}
-    for image in images:
-        for c in image.image_labels:
-            counts[c] = counts.get(c, 0) + 1
-    return {c for c, n in counts.items() if n < RARE_IMAGE_COUNT}
+    counts = world.labels.sum(axis=0)
+    return set(np.flatnonzero((counts > 0) & (counts < RARE_IMAGE_COUNT)).tolist())
 
 
 def split_supervision(
-    images: list[SynthImage],
+    world: World,
     ws_fraction: float,
     fs_fraction: float,
     us_fraction: float,
     seed: int,
-) -> list[SynthImage]:
+) -> World:
     """Randomly tag images WS/FS/US, each keeping the annotation its tag
-    has (SynthImage.with_supervision). Counts follow the fractions with
-    largest-remainder rounding (exact to +-1).
+    has (World.tagged). Counts follow the fractions with largest-remainder
+    rounding (exact to +-1).
     """
     fractions = (ws_fraction, fs_fraction, us_fraction)
     # written so that NaN fails both checks
@@ -657,7 +695,7 @@ def split_supervision(
         raise ValueError("fractions must be nonnegative")
     if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
-    n = len(images)
+    n = len(world)
     raw = [f * n for f in fractions]
     counts = [int(np.floor(r)) for r in raw]
     remainders = [r - c for r, c in zip(raw, counts)]
@@ -666,11 +704,8 @@ def split_supervision(
         counts[take] += 1
         remainders[take] = -1.0
 
+    supervision = np.empty(n, dtype=np.int8)
     order = np.random.default_rng(seed).permutation(n)
-    tags: dict[int, SupervisionTag] = {}
-    cursor = 0
-    for tag, count in zip((SupervisionTag.WS, SupervisionTag.FS, SupervisionTag.US), counts):
-        for idx in order[cursor : cursor + count]:
-            tags[int(idx)] = tag
-        cursor += count
-    return [image.with_supervision(tags[idx]) for idx, image in enumerate(images)]
+    codes = [tag.code for tag in (SupervisionTag.WS, SupervisionTag.FS, SupervisionTag.US)]
+    supervision[order] = np.repeat(codes, counts)
+    return world.tagged(supervision)

@@ -1,7 +1,7 @@
 """Helpers the experiment tests share: a config diff, a world with its
-prepared test set, a record of test-set preparations, the label-permutation
-control of the learnability criterion, and a deadline for calls that fork
-worker processes."""
+prepared test set, the FS part of a world, a record of test-set
+preparations, the label-permutation control of the learnability criterion,
+and a deadline for calls that fork worker processes."""
 
 from __future__ import annotations
 
@@ -16,7 +16,10 @@ import numpy as np
 from hoimix import cli, evaluation, experiment, pseudo_label
 from hoimix.evaluation import EvalSet, prepare_eval_set
 from hoimix.experiment import ExperimentConfig, prepare_world
-from hoimix.synth_world import SynthImage, stack_triplets
+from hoimix.supervision import SupervisionTag
+from hoimix.synth_world import World, stack_triplets
+
+from image_reference import images_of, world_of
 
 
 def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
@@ -37,13 +40,20 @@ def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
     return sorted(name for name in fa if fa[name] != fb[name])
 
 
-def prepared_world(cfg: ExperimentConfig) -> tuple[list[SynthImage], EvalSet]:
-    """The tagged train images of prepare_world(cfg) and its test set,
+def prepared_world(cfg: ExperimentConfig) -> tuple[World, EvalSet]:
+    """The tagged train world of prepare_world(cfg) and its test set,
     prepared as run_experiment prepares it."""
     tagged, test_images, rare_ids = prepare_world(cfg)
     return tagged, prepare_eval_set(
         test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k
     )
+
+
+def fs_part(world: World) -> World:
+    """The world with every image but its FS ones untagged: US images
+    without pseudo labels, which training does not schedule."""
+    fs = SupervisionTag.FS.code
+    return world.tagged(np.where(world.supervision == fs, fs, SupervisionTag.US.code))
 
 
 def record_preparations(monkeypatch, log_path):
@@ -62,7 +72,7 @@ def record_preparations(monkeypatch, log_path):
     return lambda: [int(pid) for pid in log_path.read_text().split()] if log_path.exists() else []
 
 
-def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
+def permute_labels(world: World, seed: int) -> World:
     """Label-permutation control: break the feature-label association but
     keep the label marginals.
 
@@ -71,6 +81,7 @@ def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
     ones) are shuffled among those images.
     """
     rng = np.random.default_rng(seed)
+    images = images_of(world)
     labels = stack_triplets([image.gt_triplets for image in images]).hoi_classes
     shuffled = rng.permutation(labels) if len(labels) else labels
     weak = [k for k, image in enumerate(images) if not image.gt_triplets and image.image_labels]
@@ -92,7 +103,7 @@ def permute_labels(images: list[SynthImage], seed: int) -> list[SynthImage]:
                 image_labels=frozenset(classes.tolist()),
             )
         )
-    return out
+    return world_of(out, world.labels.shape[1])
 
 
 @contextlib.contextmanager

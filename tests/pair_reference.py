@@ -13,7 +13,8 @@ pair grid and region-level targets at a time, and assemble one schedule
 entry's batch from them. The array path in hoimix must reproduce their
 output byte for byte, and accept exactly the detections they accept.
 pair_iou_matrix, the pair IoU of every pair against every pair, serves
-fs_targets and the per-image evaluation reference. block_swap gives what
+fs_targets and the per-image evaluation reference, and make_ws_targets the
+image-level targets of one entry. block_swap gives what
 the array path keeps for one WS entry in the reference's form, one
 HumanObjectPair per kept pair, so that the two can be compared.
 """
@@ -30,21 +31,15 @@ from hoimix.batching import (
     MiniBatch,
     PairGrid,
     element_swap,
-    make_ws_targets,
     pair_grids,
     prepare_block,
 )
 from hoimix.geometry import MATCH_IOU, iou, iou_rows
 from hoimix.supervision import SupervisionTag
-from hoimix.synth_world import (
-    NO_TRIPLETS,
-    DetectionArrays,
-    SynthImage,
-    feature_layout,
-    pair_feature_matrix,
-)
+from hoimix.synth_world import NO_TRIPLETS, DetectionArrays, feature_layout, pair_feature_matrix
 
 from box_reference import Box, GroundTruthTriplet, box_array, triplet_objects
+from image_reference import SynthImage, world_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,11 +257,12 @@ def block_swap(
         for pairs in (pairs1, pairs2)
     )
     feature_dim = pairs1[0].features.shape[0]
+    world = world_of(images, 1)
     block = prepare_block(
-        [images], n_classes=1, feature_dim=feature_dim, top_k=top_k, element_swap_enabled=True
+        world, [(0, 1)], n_classes=1, feature_dim=feature_dim, top_k=top_k, element_swap_enabled=True
     )
-    grid = pair_grids(images, feature_dim, top_k)
-    kept = element_swap(grid.image(0), grid.image(1), *images)
+    grid = pair_grids(world, [0, 1], feature_dim, top_k)
+    kept = element_swap(grid.image(0), grid.image(1), world, 0, 1)
     same = list(pairs1) + list(pairs2)
     out = []
     for k, (side_h, h, side_o, o, row) in enumerate(
@@ -366,6 +362,20 @@ def fs_targets(
     Y = np.zeros((len(human_boxes), n_classes))
     Y[rows, classes[cols]] = 1.0
     return Y
+
+
+def make_ws_targets(
+    image1_labels: frozenset[int] | set[int],
+    image2_labels: frozenset[int] | set[int],
+    n_classes: int,
+) -> np.ndarray:
+    """Image-level binary label vector: the union of both images' labels."""
+    y = np.zeros(n_classes)
+    for c in set(image1_labels) | set(image2_labels):
+        if not (0 <= c < n_classes):
+            raise ValueError(f"hoi_class {c} out of range [0, {n_classes})")
+        y[c] = 1.0
+    return y
 
 
 def reference_assemble_minibatch(

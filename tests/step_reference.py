@@ -13,12 +13,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from hoimix.batching import Schedule
-from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds
+from hoimix.batching import BLOCK_ENTRIES, MiniBatch, Schedule
+from hoimix.experiment import ExperimentConfig, _block_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
-from hoimix.synth_world import SynthImage
+from hoimix.synth_world import World
+
+
+def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) -> list[MiniBatch]:
+    """Every batch of the schedule, in order, built a block at a time as
+    train builds them."""
+    entries = schedule.entries
+    return [
+        batch
+        for first in range(0, len(entries), BLOCK_ENTRIES)
+        for batch in _block_batches(world, entries[first : first + BLOCK_ENTRIES], cfg)
+    ]
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:
@@ -65,14 +76,14 @@ def reference_ws_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def reference_train(
-    images: list[SynthImage],
+    world: World,
     cfg: ExperimentConfig,
     schedule: Schedule,
 ) -> tuple[ModelParams, MomentumState, list[tuple[int, str, float]]]:
     """Train from a fresh init over the schedule `train` chose for the same
-    images and config; returns the params, the momentum state and the
+    world and config; returns the params, the momentum state and the
     logged (iteration, tag, loss) of every iteration that stepped."""
-    batches = list(_build_batches(images, schedule, cfg))
+    batches = schedule_batches(world, schedule, cfg)
     init_seed, _, _ = _train_seeds(cfg.train_seed)
     params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, init_seed)
     state = MomentumState.zeros(params, cfg.optimizer.policy)

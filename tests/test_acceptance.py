@@ -28,7 +28,6 @@ from hoimix.pseudo_label import iterate_cycles, us_to_pseudo_fs, ws_to_pseudo_fs
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
-    SynthImage,
     WorldConfig,
     feature_layout,
     generate_world,
@@ -37,7 +36,8 @@ from hoimix.synth_world import (
 
 from box_reference import Box
 from eval_reference import HOIPrediction, array_ap
-from experiment_helpers import config_diff, permute_labels, prepared_world, returns_within
+from experiment_helpers import config_diff, fs_part, permute_labels, prepared_world, returns_within
+from image_reference import SynthImage, world_of
 from pair_reference import Detection, block_swap, build_pairs, detection_arrays
 from step_reference import aggregate_image_level
 from test_evaluation import brute_force_ap
@@ -240,7 +240,7 @@ def _swap_image(image_id, n_humans, n_objects, confidences=None):
 
 
 def _swap_pairs(image):
-    return build_pairs(image, pair_grids([image], 23).image(0))
+    return build_pairs(image, pair_grids(world_of([image], 1), [0], 23).image(0))
 
 
 def test_criterion_04_element_swap_counting():
@@ -472,7 +472,7 @@ def test_criterion_08_mil_trend():
         # differently, and the Shared arm the same way as the mix
         tagged, test_set = prepared_world(mix_cfg)
         wsonly_tagged, _, _ = prepare_world(seed_wsonly_cfg)
-        fs_tagged = [i for i in tagged if i.supervision == SupervisionTag.FS]
+        fs_tagged = fs_part(tagged)
         specs += [
             FitSpec(tagged, mix_cfg, test_set),
             FitSpec(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_set),
@@ -642,15 +642,15 @@ def test_criterion_12_pseudo_label_contracts():
     tagged, test_images, rare_ids = prepare_world(cfg)
 
     probe = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, 0)
-    ws_images = [im for im in tagged if im.supervision == SupervisionTag.WS][:20]
-    ws_grids = pair_grids(ws_images, cfg.world.feature_dim)
+    ws_images = np.flatnonzero(tagged.supervision == SupervisionTag.WS.code)[:20]
+    ws_grids = pair_grids(tagged, ws_images, cfg.world.feature_dim)
     count_ok = all(
-        len(ws_to_pseudo_fs(probe, im, ws_grids.image(k))) == len(im.image_labels)
-        for k, im in enumerate(ws_images)
+        len(ws_to_pseudo_fs(probe, labels, ws_grids.image(k))) == len(labels)
+        for k, labels in enumerate(np.flatnonzero(tagged.labels[i]) for i in ws_images)
     )
 
-    us_images = [im for im in tagged if im.supervision == SupervisionTag.US][:10]
-    us_grids = pair_grids(us_images, cfg.world.feature_dim)
+    us_images = np.flatnonzero(tagged.supervision == SupervisionTag.US.code)[:10]
+    us_grids = pair_grids(tagged, us_images, cfg.world.feature_dim)
     monotone_ok = True
     for k in range(len(us_images)):
         sizes = [

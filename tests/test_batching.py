@@ -19,29 +19,30 @@ from hoimix.batching import (
     batch_schedule,
     element_swap,
     make_fs_targets,
-    make_ws_targets,
     pair_grids,
     prepare_block,
 )
-from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds, prepare_world
+from hoimix.experiment import ExperimentConfig, _train_seeds, prepare_world
 from hoimix.geometry import MATCH_CHUNK
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
-    SynthImage,
     WorldConfig,
     feature_layout,
     generate_world,
     pair_feature_matrix,
     split_supervision,
+    stack_triplets,
 )
 from box_reference import Box, GroundTruthTriplet, triplet_arrays, triplet_objects
+from image_reference import SynthImage, images_of, world_of
 from pair_reference import (
     Detection,
     block_swap,
     build_pairs,
     confidence_product,
     detection_arrays,
+    make_ws_targets,
     reference_assemble_minibatch,
     reference_element_swap,
     reference_pair_features,
@@ -49,6 +50,7 @@ from pair_reference import (
 )
 from pair_reference import fs_targets as reference_fs_targets
 from pair_reference import pair_grid as reference_pair_grid
+from step_reference import schedule_batches
 
 FEATURE_DIM = 23
 APP_DIM = feature_layout(FEATURE_DIM)[0]
@@ -83,9 +85,17 @@ def image(image_id, n_humans, n_objects, confs_h=None, confs_o=None, triplets=()
     )
 
 
+N_CLASSES = 16  # label columns of the worlds of images built here
+
+
+def grids_of(images, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
+    """The grid of the images, each a world's image, built in one pass."""
+    return pair_grids(world_of(images, N_CLASSES), range(len(images)), feature_dim, top_k)
+
+
 def grid_of(im, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
     """The image's grid, built by the set-level pass over it alone."""
-    return pair_grids([im], feature_dim, top_k).image(0)
+    return grids_of([im], feature_dim, top_k).image(0)
 
 
 def pairs_of(im, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
@@ -95,7 +105,8 @@ def pairs_of(im, feature_dim=FEATURE_DIM, top_k=DEFAULT_TOP_K):
 def assemble(a, b, *, n_classes, feature_dim, element_swap_enabled=False):
     """The batch of the one schedule entry (a, b), through its own block."""
     block = prepare_block(
-        [(a, b)],
+        world_of([a, b], n_classes),
+        [(0, 1)],
         n_classes=n_classes,
         feature_dim=feature_dim,
         element_swap_enabled=element_swap_enabled,
@@ -293,19 +304,20 @@ def without_pairs(grid):
 def test_element_swap_rejects_empty_or_same_image():
     im1, im2 = image(0, 1, 1), image(1, 1, 1)
     grid1, grid2 = grid_of(im1), grid_of(im2)
-    with pytest.raises(ValueError):
-        element_swap(grid1, without_pairs(grid2), im1, im2)
-    with pytest.raises(ValueError):
-        element_swap(grid1, grid1, im1, im1)
+    world = world_of([im1, im2], N_CLASSES)
+    with pytest.raises(ValueError, match="non-empty pair lists"):
+        element_swap(grid1, without_pairs(grid2), world, 0, 1)
+    with pytest.raises(ValueError, match="two distinct images"):
+        element_swap(grid1, grid1, world, 0, 0)
 
 
 def test_element_swap_rejects_the_grid_of_another_image():
-    images = [image(0, 1, 2), image(1, 2, 1)]
-    grid = pair_grids(images, FEATURE_DIM)
+    world = world_of([image(0, 1, 2), image(1, 2, 1)], N_CLASSES)
+    grid = pair_grids(world, [0, 1], FEATURE_DIM)
     with pytest.raises(ValueError, match="grid of images \\[1\\] is not image 0's"):
-        element_swap(grid.image(1), grid.image(0), *images)
+        element_swap(grid.image(1), grid.image(0), world, 0, 1)
     with pytest.raises(ValueError, match="grid of images \\[0, 1\\] is not image 1's"):
-        element_swap(grid.image(0), grid, *images)
+        element_swap(grid.image(0), grid, world, 0, 1)
 
 
 def test_element_swap_features_recomputed_for_swapped_pairs():
@@ -331,9 +343,16 @@ def boxes_of(grid, i):
     return Box.from_list(grid.human_boxes[i]), Box.from_list(grid.object_boxes[i])
 
 
+def stacked_truths(truths):
+    """The rows of every image's ground truth, TripletArrays, as one set,
+    and the image (its place k in truths) of each row."""
+    owner = np.repeat(np.arange(len(truths)), [len(t) for t in truths])
+    return stack_triplets(truths), owner
+
+
 def fs_targets(image, gt, n_classes, **kwargs):
     """The targets of the image's pairs against gt, GroundTruthTriplets."""
-    return make_fs_targets(pair_grids([image], FEATURE_DIM), [triplet_arrays(gt)], n_classes, **kwargs)
+    return make_fs_targets(grids_of([image]), *stacked_truths([triplet_arrays(gt)]), n_classes, **kwargs)
 
 
 def test_fs_targets_exact_match_sets_single_column():
@@ -381,9 +400,9 @@ def test_fs_targets_class_out_of_range_rejected():
 
 def test_fs_targets_monotone_in_threshold():
     rng = np.random.default_rng(0)
-    images = generate_world(
+    images = images_of(generate_world(
         WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=4)
-    )
+    ))
     for im in images[:10]:
         thresholds = sorted(rng.uniform(0.1, 0.95, size=4))
         previous = None
@@ -394,15 +413,22 @@ def test_fs_targets_monotone_in_threshold():
             previous = Y
 
 
+def ws_targets(labels_a, labels_b, n_classes):
+    """The targets of the WS batch of two images with these labels."""
+    a, b = image(0, 1, 1, labels=labels_a), image(1, 1, 1, labels=labels_b)
+    return assemble(a, b, n_classes=n_classes, feature_dim=FEATURE_DIM).targets
+
+
 def test_ws_targets_union_and_symmetry():
-    y = make_ws_targets({3, 5}, {5, 9}, n_classes=12)
+    y = ws_targets({3, 5}, {5, 9}, n_classes=12)
     assert set(np.nonzero(y)[0]) == {3, 5, 9}
-    np.testing.assert_array_equal(y, make_ws_targets({5, 9}, {3, 5}, n_classes=12))
+    np.testing.assert_array_equal(y, ws_targets({5, 9}, {3, 5}, n_classes=12))
+    assert y.tobytes() == make_ws_targets({3, 5}, {5, 9}, 12).tobytes()
 
 
 def test_ws_targets_empty_and_zero_class():
-    np.testing.assert_array_equal(make_ws_targets(set(), set(), 4), np.zeros(4))
-    y = make_ws_targets({0}, set(), 4)
+    np.testing.assert_array_equal(ws_targets(set(), set(), 4), np.zeros(4))
+    y = ws_targets({0}, set(), 4)
     assert y[0] == 1.0 and y.sum() == 1.0
 
 
@@ -416,9 +442,9 @@ def test_schedule_pairs_groups_homogeneously():
     assert counts[SupervisionTag.WS] == 15
     assert counts[SupervisionTag.FS] == 15
     assert schedule.leftovers == ()
-    by_id = {im.image_id: im for im in tagged}
+    tags = [im.supervision for im in images_of(tagged)]
     for e in schedule.entries:
-        assert by_id[e.image_a].supervision == by_id[e.image_b].supervision == e.supervision
+        assert tags[e.image_a] == tags[e.image_b] == e.supervision
         assert e.image_a != e.image_b
 
 
@@ -450,11 +476,24 @@ def test_schedule_single_image_group_is_error():
         WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=61, seed=5)
     )
     tagged = split_supervision(images, 0.0, 1.0, 0.0, seed=0)
-    lone_ws = [
-        tagged[0].__class__(**{**tagged[0].__dict__, "supervision": SupervisionTag.WS})
-    ] + tagged[1:]
-    with pytest.raises(ScheduleError):
-        batch_schedule(lone_ws, seed=0)
+    supervision = tagged.supervision.copy()
+    supervision[0] = SupervisionTag.WS.code
+    with pytest.raises(ScheduleError, match="WS has a single image"):
+        batch_schedule(tagged.tagged(supervision), seed=0)
+
+
+@pytest.mark.parametrize("n_images", [0, 1])
+def test_schedule_of_fewer_than_two_images_is_error(n_images):
+    world = world_of([image(k, 1, 1) for k in range(n_images)], N_CLASSES)
+    with pytest.raises(ScheduleError, match=f"needs two images; the world has {n_images}"):
+        batch_schedule(world, seed=0)
+
+
+def test_schedule_without_entries_is_error():
+    # two US images, neither pseudo-labelled, form no group
+    world = world_of([image(k, 1, 1).with_supervision(SupervisionTag.US) for k in range(2)], N_CLASSES)
+    with pytest.raises(ScheduleError, match="schedule is empty"):
+        batch_schedule(world, seed=0)
 
 
 def schedule_digest(schedule):
@@ -467,21 +506,27 @@ def test_schedule_adds_us_pairs_without_moving_the_fs_and_ws_pairs():
     cfg = ExperimentConfig(ws_fraction=0.3, fs_fraction=0.4, us_fraction=0.3)
     tagged, _, _ = prepare_world(cfg)
     _, seed, _ = _train_seeds(cfg.train_seed)
-    us = [im for im in tagged if im.supervision == SupervisionTag.US]
-    base = [im for im in tagged if im.supervision != SupervisionTag.US]
-    without = batch_schedule(base, seed)
+    truth = images_of(generate_world(cfg.world))
+    us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code).tolist()
+    without = batch_schedule(tagged, seed)
     # the schedule these images had when batch_schedule left US images out
-    # unless asked to include them (recipe: schedule_digest)
+    # unless asked to include them (recipe: schedule_digest); US images
+    # without pseudo labels are left out
     assert schedule_digest(without) == "dc80cbeb9bff4a8c"
     assert all(e.supervision != SupervisionTag.US for e in without.entries)
-    with pytest.raises(ScheduleError, match="US has a single image"):
-        batch_schedule(base + us[:1], seed)
+
+    def labelled(n_us):
+        """The tagged world with the first n_us US images pseudo-labelled."""
+        return tagged.with_triplets(us[:n_us], [truth[k].gt_triplets for k in us[:n_us]])
+
+    # a lone pseudo-labelled image is left out
+    assert batch_schedule(labelled(1), seed) == without
 
     def pairs(schedule, tag):
         return {(e.image_a, e.image_b) for e in schedule.entries if e.supervision == tag}
 
     for n_us in (2, 3, len(us)):
-        schedule = batch_schedule(base + us[:n_us], seed)
+        schedule = batch_schedule(labelled(n_us), seed)
         assert len(pairs(schedule, SupervisionTag.US)) == n_us // 2
         for tag in (SupervisionTag.FS, SupervisionTag.WS):
             assert pairs(schedule, tag) == pairs(without, tag)
@@ -490,7 +535,7 @@ def test_schedule_adds_us_pairs_without_moving_the_fs_and_ws_pairs():
 def test_assemble_ws_batch_with_swap():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
     images = generate_world(cfg)
-    tagged = split_supervision(images, 1.0, 0.0, 0.0, seed=0)
+    tagged = images_of(split_supervision(images, 1.0, 0.0, 0.0, seed=0))
     a, b = tagged[0], tagged[1]
     batch = assemble(
         a, b, n_classes=6, feature_dim=cfg.feature_dim, element_swap_enabled=True
@@ -506,7 +551,7 @@ def test_assemble_ws_batch_with_swap():
 
 def test_assemble_fs_batch_matches_per_image_targets():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
-    images = generate_world(cfg)
+    images = images_of(generate_world(cfg))
     a, b = images[0], images[1]
     batch = assemble(a, b, n_classes=6, feature_dim=cfg.feature_dim)
     assert batch.supervision == SupervisionTag.FS
@@ -525,7 +570,7 @@ def test_assemble_fs_batch_matches_per_image_targets():
 def test_assemble_rejects_mixed_supervision():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
     images = generate_world(cfg)
-    tagged = split_supervision(images, 0.5, 0.5, 0.0, seed=0)
+    tagged = images_of(split_supervision(images, 0.5, 0.5, 0.0, seed=0))
     ws = next(im for im in tagged if im.supervision == SupervisionTag.WS)
     fs = next(im for im in tagged if im.supervision == SupervisionTag.FS)
     with pytest.raises(ValueError):
@@ -535,7 +580,7 @@ def test_assemble_rejects_mixed_supervision():
 def test_assemble_us_batch_targets_the_images_own_triplets():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
     images = generate_world(cfg)
-    tagged = split_supervision(images, 0.0, 0.5, 0.5, seed=0)
+    tagged = images_of(split_supervision(images, 0.0, 0.5, 0.5, seed=0))
     us = [im for im in tagged if im.supervision == SupervisionTag.US]
     assert not us[0].gt_triplets and not us[1].gt_triplets
     # without pseudo labels a US batch has no positive target
@@ -589,7 +634,7 @@ def test_built_minibatch_is_read_only(tag):
 
 def test_assembled_batches_are_read_only():
     cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
-    tagged = split_supervision(generate_world(cfg), 0.5, 0.5, 0.0, seed=0)
+    tagged = images_of(split_supervision(generate_world(cfg), 0.5, 0.5, 0.0, seed=0))
     for tag in (SupervisionTag.WS, SupervisionTag.FS):
         a, b = [im for im in tagged if im.supervision == tag][:2]
         batch = assemble(
@@ -609,12 +654,12 @@ def assert_same_batches(got, want):
             assert not a.flags.writeable and not b.flags.writeable
 
 
-def reference_batches(images, schedule, cfg):
-    by_id = {image.image_id: image for image in images}
+def reference_batches(world, schedule, cfg):
+    images = images_of(world)
     return [
         reference_assemble_minibatch(
-            by_id[e.image_a],
-            by_id[e.image_b],
+            images[e.image_a],
+            images[e.image_b],
             n_classes=cfg.world.n_hoi_classes,
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
@@ -624,13 +669,13 @@ def reference_batches(images, schedule, cfg):
     ]
 
 
-def scheduled(cfg, images=None):
-    """The tagged images of cfg's world, or the given ones, and the
-    schedule that batch_schedule draws for them at train's seed."""
-    if images is None:
-        images, _, _ = prepare_world(cfg)
+def scheduled(cfg, world=None):
+    """The tagged world of cfg, or the given one, and the schedule that
+    batch_schedule draws for it at train's seed."""
+    if world is None:
+        world, _, _ = prepare_world(cfg)
     _, schedule_seed, _ = _train_seeds(cfg.train_seed)
-    return images, batch_schedule(images, schedule_seed)
+    return world, batch_schedule(world, schedule_seed)
 
 
 def us_mix():
@@ -638,13 +683,10 @@ def us_mix():
     as pseudo labels, but for every fifth, which has none."""
     cfg = ExperimentConfig(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
     tagged, _, _ = prepare_world(cfg)
-    truth = {im.image_id: im.gt_triplets for im in generate_world(cfg.world)}
-    us = [k for k, im in enumerate(tagged) if im.supervision == SupervisionTag.US]
-    labelled = list(tagged)
-    for n, k in enumerate(us):
-        if n % 5:
-            labelled[k] = dataclasses.replace(tagged[k], gt_triplets=truth[tagged[k].image_id])
-    return (cfg, *scheduled(cfg, labelled))
+    truth = images_of(generate_world(cfg.world))
+    us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code)
+    labelled = [k for n, k in enumerate(us.tolist()) if n % 5]
+    return (cfg, *scheduled(cfg, tagged.with_triplets(labelled, [truth[k].gt_triplets for k in labelled])))
 
 
 @pytest.mark.parametrize(
@@ -666,7 +708,7 @@ def test_build_batches_matches_the_per_entry_reference(case):
         cfg = ExperimentConfig(world=WorldConfig(seed=seed), **overrides)
         tagged, schedule = scheduled(cfg)
     assert len(schedule.entries) > BLOCK_ENTRIES  # more than one block
-    got = list(_build_batches(tagged, schedule, cfg))
+    got = schedule_batches(tagged, schedule, cfg)
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
 
@@ -675,15 +717,15 @@ def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     cfg = ExperimentConfig()
     tagged, full = scheduled(cfg)
     schedule = Schedule(entries=full.entries[:n_entries], leftovers=())
-    got = list(_build_batches(tagged, schedule, cfg))
+    got = schedule_batches(tagged, schedule, cfg)
     assert len(got) == n_entries
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
 
-def swapped_block_batches(entries, *, n_classes, feature_dim):
+def swapped_block_batches(world, entries, *, n_classes, feature_dim):
     """The batches of the entries through one block with element swapping on."""
     block = prepare_block(
-        entries, n_classes=n_classes, feature_dim=feature_dim, element_swap_enabled=True
+        world, entries, n_classes=n_classes, feature_dim=feature_dim, element_swap_enabled=True
     )
     return [assemble_minibatch(block, k) for k in range(len(entries))]
 
@@ -691,7 +733,7 @@ def swapped_block_batches(entries, *, n_classes, feature_dim):
 def test_a_block_that_keeps_no_swapped_pair_equals_the_reference(monkeypatch):
     # equal confidences tie every candidate, and a tie keeps the same-image pairs
     images = [image(k, 1 + k % 3, 1 + k // 3 % 3) for k in range(8)]
-    entries = list(zip(images[0::2], images[1::2]))
+    entries = [(k, k + 1) for k in range(0, 8, 2)]
     rows = []
 
     def counted(humans, h, objects, o, feature_dim):
@@ -699,12 +741,12 @@ def test_a_block_that_keeps_no_swapped_pair_equals_the_reference(monkeypatch):
         return pair_feature_matrix(humans, h, objects, o, feature_dim)
 
     monkeypatch.setattr(batching, "pair_feature_matrix", counted)
-    got = swapped_block_batches(entries, n_classes=6, feature_dim=FEATURE_DIM)
+    got = swapped_block_batches(world_of(images, 6), entries, n_classes=6, feature_dim=FEATURE_DIM)
     monkeypatch.undo()
     assert rows[1:] == [0]  # the grid's call, then the swapped pairs' call
     want = [
         reference_assemble_minibatch(
-            a, b, n_classes=6, feature_dim=FEATURE_DIM, element_swap_enabled=True
+            images[a], images[b], n_classes=6, feature_dim=FEATURE_DIM, element_swap_enabled=True
         )
         for a, b in entries
     ]
@@ -714,18 +756,14 @@ def test_a_block_that_keeps_no_swapped_pair_equals_the_reference(monkeypatch):
 def test_an_fs_and_us_block_with_swap_on_equals_the_reference(monkeypatch):
     cfg = ExperimentConfig(ws_fraction=0.0, fs_fraction=0.5, us_fraction=0.5, element_swap=True)
     tagged, _, _ = prepare_world(cfg)
-    truth = {im.image_id: im.gt_triplets for im in generate_world(cfg.world)}
+    truth = images_of(generate_world(cfg.world))
     # every other US image carries its stripped ground truth as pseudo labels
-    labelled = [
-        dataclasses.replace(im, gt_triplets=truth[im.image_id])
-        if im.supervision == SupervisionTag.US and k % 2
-        else im
-        for k, im in enumerate(tagged)
-    ]
-    tagged, schedule = scheduled(cfg, labelled)
+    us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code)
+    labelled = [k for k in us.tolist() if k % 2]
+    tagged, schedule = scheduled(cfg, tagged.with_triplets(labelled, [truth[k].gt_triplets for k in labelled]))
     assert {e.supervision for e in schedule.entries} == {SupervisionTag.FS, SupervisionTag.US}
     monkeypatch.setattr(batching, "element_swap", None)  # a call would raise
-    got = list(_build_batches(tagged, schedule, cfg))
+    got = schedule_batches(tagged, schedule, cfg)
     monkeypatch.undo()
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
@@ -737,7 +775,7 @@ def test_the_last_partial_block_of_data_pass_equals_the_reference():
     assert (len(schedule.entries), n_last) == (1200, 48)
     last = Schedule(entries=schedule.entries[-n_last:], leftovers=())
     assert any(e.supervision == SupervisionTag.WS for e in last.entries)
-    got = list(_build_batches(tagged, schedule, cfg))[-n_last:]
+    got = schedule_batches(tagged, schedule, cfg)[-n_last:]
     assert_same_batches(got, reference_batches(tagged, last, cfg))
 
 
@@ -762,7 +800,7 @@ grid_detections = st.lists(
 )
 def test_pair_grids_and_targets_match_the_per_image_reference(sides, top_k, picks):
     images = [drawn_image(k, h, o) for k, (h, o) in enumerate(sides)]
-    grid = pair_grids(images, FEATURE_DIM, top_k)
+    grid = grids_of(images, FEATURE_DIM, top_k)
     want = [reference_pair_grid(im, FEATURE_DIM, top_k) for im in images]
     for k, w in enumerate(want):
         assert_same_grid(grid.image(k), w)
@@ -781,7 +819,7 @@ def test_pair_grids_and_targets_match_the_per_image_reference(sides, top_k, pick
                 hoi_class,
             )
         )
-    Y = make_fs_targets(grid, [triplet_arrays(truth) for truth in truths], 6)
+    Y = make_fs_targets(grid, *stacked_truths([triplet_arrays(truth) for truth in truths]), 6)
     for k, (w, truth) in enumerate(zip(want, truths)):
         expected = reference_fs_targets(w.human_boxes, w.object_boxes, truth, 6)
         assert Y[grid.offsets[k] : grid.offsets[k + 1]].tobytes() == expected.tobytes()
@@ -791,11 +829,11 @@ def test_fs_targets_across_chunks_equal_the_per_image_reference():
     # enough ground-truth rows for several chunks, with images of no ground
     # truth between them, so that an image's rows straddle chunk edges
     cfg = WorldConfig(n_images=120)
-    images = generate_world(cfg)
-    truths = [NO_TRIPLETS if k % 3 == 1 else im.gt_triplets for k, im in enumerate(images)]
+    world = generate_world(cfg)
+    truths = [NO_TRIPLETS if k % 3 == 1 else im.gt_triplets for k, im in enumerate(images_of(world))]
     assert sum(map(len, truths)) > 2 * MATCH_CHUNK
-    grid = pair_grids(images, cfg.feature_dim)
-    Y = make_fs_targets(grid, truths, cfg.n_hoi_classes)
+    grid = pair_grids(world, range(len(world)), cfg.feature_dim)
+    Y = make_fs_targets(grid, *stacked_truths(truths), cfg.n_hoi_classes)
     assert Y.any()
     for k, truth in enumerate(truths):
         w = grid.image(k)
@@ -808,29 +846,35 @@ def test_fs_targets_across_chunks_equal_the_per_image_reference():
 def test_pair_grids_names_the_image_left_without_pairs():
     images = [image(5, 1, 2), image(7, 2, 1)]
     with pytest.raises(ValueError, match="image 5: empty human or object set"):
-        pair_grids(images, FEATURE_DIM, top_k=0)
+        grids_of(images, FEATURE_DIM, top_k=0)
     with pytest.raises(ValueError, match="image 5: empty human or object set"):
         reference_pair_grid(images[0], FEATURE_DIM, top_k=0)
     with pytest.raises(ValueError, match="image 5: empty human or object set"):
-        prepare_block([tuple(images)], n_classes=6, feature_dim=FEATURE_DIM, top_k=0)
+        prepare_block(world_of(images, 6), [(0, 1)], n_classes=6, feature_dim=FEATURE_DIM, top_k=0)
 
 
 def test_block_rejects_an_out_of_range_class():
     fs = [dataclasses.replace(image(k, 1, 1), supervision=SupervisionTag.FS) for k in range(4)]
     bad = triplet(0.1, 0.1, 0.5, 0.5, 12)
-    fs[3] = dataclasses.replace(fs[3], gt_triplets=triplet_arrays([bad]), image_labels=frozenset({12}))
+    fs[3] = dataclasses.replace(fs[3], gt_triplets=triplet_arrays([bad]))
     with pytest.raises(ValueError, match=r"hoi_class 12 out of range \[0, 10\)"):
-        prepare_block([(fs[0], fs[1]), (fs[2], fs[3])], n_classes=10, feature_dim=FEATURE_DIM)
+        prepare_block(world_of(fs, 10), [(0, 1), (2, 3)], n_classes=10, feature_dim=FEATURE_DIM)
     us = [im.with_supervision(SupervisionTag.US) for im in fs[:2]]
     negative = triplet_arrays([triplet(0.1, 0.1, 0.5, 0.5, -1)])
     us[1] = dataclasses.replace(us[1], gt_triplets=negative)
     with pytest.raises(ValueError, match=r"hoi_class -1 out of range"):
-        prepare_block([tuple(us)], n_classes=10, feature_dim=FEATURE_DIM)
+        prepare_block(world_of(us, 10), [(0, 1)], n_classes=10, feature_dim=FEATURE_DIM)
+
+
+def test_block_rejects_a_world_of_another_class_count():
+    world = world_of([image(k, 1, 1) for k in range(2)], 10)
+    with pytest.raises(ValueError, match="the world has 10 label classes, not 6"):
+        prepare_block(world, [(0, 1)], n_classes=6, feature_dim=FEATURE_DIM)
 
 
 def test_build_pairs_rejects_the_grid_of_another_image():
     images = [image(0, 1, 2), image(1, 2, 1)]
-    grid = pair_grids(images, FEATURE_DIM)
+    grid = grids_of(images, FEATURE_DIM)
     with pytest.raises(ValueError, match="not image 0's"):
         build_pairs(images[0], grid.image(1))
     with pytest.raises(ValueError, match="not image 0's"):
@@ -840,8 +884,9 @@ def test_build_pairs_rejects_the_grid_of_another_image():
 # Recipe of the data_pass batch digests: the 2 400-image world of the
 # data_pass workload at a seed (world.seed and train_seed both the seed,
 # every other setting the default), the schedule train draws for it, and
-# _build_batches; then sha256 over every batch's features.tobytes() in
-# schedule order, and separately over its targets (a region-level matrix
+# its batches, built block by block as train builds them; then sha256 over
+# every batch's features.tobytes() in schedule order, and separately over
+# its targets (a region-level matrix
 # or an image-level vector). The prefixes hold for numpy 2.x Generator
 # streams on x86-64.
 DATA_PASS_BATCH_DIGESTS = {
@@ -855,7 +900,7 @@ def test_data_pass_batch_digests_are_pinned(seed):
     cfg = ExperimentConfig(world=WorldConfig(n_images=2400, seed=seed), train_seed=seed)
     tagged, schedule = scheduled(cfg)
     features, targets = hashlib.sha256(), hashlib.sha256()
-    for batch in _build_batches(tagged, schedule, cfg):
+    for batch in schedule_batches(tagged, schedule, cfg):
         features.update(batch.features.tobytes())
         targets.update(batch.targets.tobytes())
     assert len(schedule.entries) == 1200

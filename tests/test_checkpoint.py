@@ -19,6 +19,7 @@ from hoimix.checkpoint import (
     save_checkpoint,
 )
 from hoimix.model import ModelParams
+from hoimix.optimizer import MomentumPolicy, MomentumState
 
 PREAMBLE = len(MAGIC) + 8
 
@@ -180,3 +181,13 @@ def test_roundtrip_is_bit_exact_on_random_shapes(tensors, note):
         got = loaded[name]
         assert (got.dtype, got.shape) == (arr.dtype, arr.shape)
         assert got.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("t", [None, [1], 1.5, True, -3], ids=repr)
+def test_a_malformed_optimizer_step_count_is_rejected_naming_the_file(tmp_path, t):
+    params = ModelParams.init(2, 1, 2, seed=0)
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, params, MomentumState.zeros(params, MomentumPolicy.INDEPENDENT))
+    path.write_bytes(with_header(path.read_bytes(), lambda h: h["meta"].update(optimizer_t=t)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: optimizer_t: must be a non-negative int"):
+        load_checkpoint(path)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_reference import Box, triplet_objects
+from image_reference import images_of
 from eval_reference import (
     HOIPrediction,
     array_ap,
@@ -184,9 +185,9 @@ def test_matches_brute_force_on_random_instances():
         )
 
 
-def oracle_predictions(images):
+def oracle_predictions(world):
     preds = []
-    for im in images:
+    for im in images_of(world):
         for t in triplet_objects(im.gt_triplets):
             preds.append(
                 HOIPrediction(
@@ -201,8 +202,8 @@ def oracle_predictions(images):
 
 
 def evaluate_on(predictions, images, rare_ids, n_classes):
-    """evaluate_predictions against the images' ground truth, matched to
-    the predictions' own pairs."""
+    """evaluate_predictions against the ground truth of the world's images,
+    matched to the predictions' own pairs."""
     truth = ground_truth(predictions.pairs, images)
     return evaluate_predictions(predictions, truth, rare_ids, n_classes)
 
@@ -224,7 +225,7 @@ def test_random_scores_far_below_oracle():
     values = []
     for _ in range(5):
         preds = []
-        for im in images:
+        for im in images_of(images):
             for t in triplet_objects(im.gt_triplets):
                 preds.append(
                     HOIPrediction(im.image_id, t.human_box, t.object_box,
@@ -246,7 +247,7 @@ def test_rare_nonrare_partition_means():
     images = generate_eval_images(SMALL, 30)
     preds = oracle_predictions(images)
     # degrade one rare and one non-rare class with junk high-score predictions
-    for image_id in {im.image_id for im in images}:
+    for image_id in images.image_ids.tolist():
         preds.append(pred(image_id, 90, 90, 95, 95, score=2.0, hoi_class=0))
         preds.append(pred(image_id, 90, 90, 95, 95, score=2.0, hoi_class=3))
     rare_ids = {0, 1}
@@ -278,17 +279,18 @@ def test_evaluate_runs_model_over_images():
 
 
 def test_empty_test_set_rejected():
-    with pytest.raises(ValueError):
-        prepare_eval_set([], set(), feature_dim=SMALL.feature_dim)
+    empty = generate_eval_images(SMALL, 0)
+    with pytest.raises(ValueError, match="empty test set"):
+        prepare_eval_set(empty, set(), feature_dim=SMALL.feature_dim)
     no_pairs = BoxPairs(np.empty(0, np.int64), np.empty((0, 4)), np.empty((0, 4)))
-    with pytest.raises(ValueError):
-        ground_truth(no_pairs, [])
+    with pytest.raises(ValueError, match="no ground-truth triplets"):
+        ground_truth(no_pairs, empty)
 
 
 def test_test_set_without_ground_truth_rejected():
     # WS images keep their labels but carry no triplets: every AP would be
     # undefined and map_full NaN
-    test = [image.with_supervision(SupervisionTag.WS) for image in generate_eval_images(SMALL, 10)]
+    test = generate_eval_images(SMALL, 10).tagged(np.full(10, SupervisionTag.WS.code))
     with pytest.raises(ValueError, match="no ground-truth triplets"):
         prepare_eval_set(test, set(), feature_dim=SMALL.feature_dim)
 
@@ -438,12 +440,12 @@ def test_fs_targets_and_ground_truth_find_the_same_hits():
     # the region-level targets and mAP's true-positive candidates follow one
     # rule: on the same grid and truths they hit the same (pair, class) entries
     cfg = ExperimentConfig()
-    images = generate_eval_images(cfg.world, cfg.n_test_images)
-    grid = pair_grids(images, cfg.world.feature_dim, cfg.top_k)
-    Y = make_fs_targets(grid, [image.gt_triplets for image in images], cfg.world.n_hoi_classes)
+    world = generate_eval_images(cfg.world, cfg.n_test_images)
+    grid = pair_grids(world, range(len(world)), cfg.world.feature_dim, cfg.top_k)
+    Y = make_fs_targets(grid, world.triplets, world.triplet_owner(), cfg.world.n_hoi_classes)
     pairs = BoxPairs(np.repeat(grid.image_ids, np.diff(grid.offsets)), grid.human_boxes, grid.object_boxes)
-    truth = ground_truth(pairs, images)
-    assert sum(len(image.gt_triplets) for image in images) > 2 * MATCH_CHUNK
+    truth = ground_truth(pairs, world)
+    assert len(world.triplets) > 2 * MATCH_CHUNK
     from_truth = {(r, c) for c, (rows, _, _, _) in truth.classes.items() for r in rows.tolist()}
     assert from_truth
     assert set(zip(*(axis.tolist() for axis in np.nonzero(Y)))) == from_truth
@@ -493,7 +495,7 @@ def test_model_scores_match_reference_per_class():
             ]
             gts = [
                 (im.image_id, t.human_box, t.object_box)
-                for im in test
+                for im in images_of(test)
                 for t in triplet_objects(im.gt_triplets)
                 if t.hoi_class == c
             ]

@@ -23,7 +23,6 @@ from hoimix.experiment import (
     ExperimentConfig,
     FitSpec,
     TrainingDiverged,
-    _build_batches,
     fit,
     load_config,
     prepare_world,
@@ -37,15 +36,17 @@ from hoimix.experiment import (
 )
 from hoimix.optimizer import MomentumPolicy, OptimizerConfig
 from hoimix.supervision import SupervisionTag
-from hoimix.synth_world import SynthImage, WorldConfig, generate_world, split_supervision
+from hoimix.synth_world import World, WorldConfig, generate_world, split_supervision
 from box_reference import triplet_objects
 from experiment_helpers import (
     config_diff,
+    fs_part,
     permute_labels,
     prepared_world,
     record_preparations,
     returns_within,
 )
+from image_reference import images_of, world_of
 from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
@@ -142,9 +143,9 @@ def test_fit_builds_the_test_pairs_once_for_every_eval(monkeypatch):
     built = []
     real_pair_grids = evaluation.pair_grids
 
-    def counting_pair_grids(images, *args, **kwargs):
-        built.append([im.image_id for im in images])
-        return real_pair_grids(images, *args, **kwargs)
+    def counting_pair_grids(world, images, *args, **kwargs):
+        built.append(world.image_ids[images].tolist())
+        return real_pair_grids(world, images, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "pair_grids", counting_pair_grids)
     cfg = tiny_cfg(iterations=450, eval_every=100)
@@ -155,7 +156,7 @@ def test_fit_builds_the_test_pairs_once_for_every_eval(monkeypatch):
     assert [it for it, _ in run.log.evals] == [100, 200, 300, 400]
     assert run.report is not run.log.evals[-1][1]
     # one set-level pass over the test images, in order, by the caller, for every eval
-    assert built == [[im.image_id for im in test_images]]
+    assert built == [test_images.image_ids.tolist()]
     test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     fresh = evaluate(run.params, test_set)
     assert run.report.ap_per_class.tobytes() == fresh.ap_per_class.tobytes()
@@ -203,9 +204,8 @@ def test_run_experiment_is_fit_on_the_prepared_world():
     # the run keeps its schedule, drawn from the images it was given
     assert len(run.schedule.entries) == run.log.header["schedule_entries"]
     trained = {i for e in run.schedule.entries for i in (e.image_a, e.image_b)}
-    assert trained <= {im.image_id for im in tagged}
-    fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
-    fs_run = fit(fs_only, cfg, test_set, run_id="fs")
+    assert trained <= set(range(len(tagged)))
+    fs_run = fit(fs_part(tagged), cfg, test_set, run_id="fs")
     assert {e.supervision for e in fs_run.schedule.entries} == {SupervisionTag.FS}
     assert fs_run.csv_row.startswith("fs,")
 
@@ -314,19 +314,48 @@ def test_a_later_block_that_fails_to_build_raises_its_value_error(monkeypatch):
 def test_no_block_outlives_the_assembly_of_its_batches(monkeypatch):
     cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
     tagged, _, _ = prepare_world(cfg)
-    schedule = train(tagged, cfg).schedule
-    real = hoimix.experiment.prepare_block
+    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.entries))
+    real_block, real_forward = hoimix.experiment.prepare_block, hoimix.experiment.forward
     blocks = []
 
     def recorded(*args, **kwargs):
-        block = real(*args, **kwargs)
+        block = real_block(*args, **kwargs)
         blocks.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(hoimix.experiment, "prepare_block", recorded)
-    for batch in _build_batches(tagged, schedule, cfg):
+    def checked_forward(*args, **kwargs):
+        # every iteration trains after its block's batches are assembled
         assert [ref() for ref in blocks] == [None] * len(blocks)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", recorded)
+    monkeypatch.setattr(hoimix.experiment, "forward", checked_forward)
+    train(tagged, cfg)
     assert len(blocks) == 2
+
+
+def test_a_resumed_one_pass_run_builds_only_the_blocks_it_trains_on(monkeypatch):
+    # the data_pass shape: 2 400 images, one pass of 1 200 entries in 19
+    # blocks; a resume at iteration 600 needs blocks 9-18
+    cfg = ExperimentConfig(world=WorldConfig(n_images=2400), iterations=1200)
+    tagged, _, _ = prepare_world(cfg)
+    full = train(tagged, cfg)
+    half = train(tagged, dataclasses.replace(cfg, iterations=600))
+    real = hoimix.experiment.prepare_block
+    built = []
+
+    def counted(world, entries, **kwargs):
+        built.append(entries[0])
+        return real(world, entries, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", counted)
+    resumed = train(tagged, cfg, init_params=half.params, init_state=half.state, start_iteration=600)
+    first = [(e.image_a, e.image_b) for e in full.schedule.entries[9 * BLOCK_ENTRIES :: BLOCK_ENTRIES]]
+    assert len(built) == 10 and built == first
+    assert resumed.params.flat.tobytes() == full.params.flat.tobytes()
+    assert resumed.state.buffers.tobytes() == full.state.buffers.tobytes()
+    assert resumed.state.t == full.state.t
+    assert resumed.log.losses == full.log.losses[600:]
 
 
 def one_pass_peak_bytes(n_images: int) -> int:
@@ -453,7 +482,7 @@ def _shared(cfg):
 def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     cfg = tiny_cfg(iterations=200, eval_every=100)
     tagged, test_set = prepared_world(cfg)
-    fs_only = [im for im in tagged if im.supervision == SupervisionTag.FS]
+    fs_only = fs_part(tagged)
     specs = [
         # the longest fit first, so that it is not the first to finish
         FitSpec(tagged, dataclasses.replace(cfg, iterations=500), test_set, run_id="long"),
@@ -467,7 +496,7 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
     for spec, run in zip(specs, runs):
         serial = fit(
-            spec.images, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval
+            spec.world, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval
         )
         assert run.csv_row == serial.csv_row
         assert run.params.flat.tobytes() == serial.params.flat.tobytes()
@@ -504,7 +533,7 @@ def test_run_many_raises_a_workers_divergence():
 
 def _serial_fits(specs):
     return [
-        fit(s.images, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
+        fit(s.world, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
         for s in specs
     ]
 
@@ -533,7 +562,7 @@ def test_run_many_workers_inherit_their_specs(monkeypatch):
         raise AssertionError(f"{type(self).__name__} was pickled")
 
     monkeypatch.setattr(FitSpec, "__reduce_ex__", unpicklable, raising=False)
-    monkeypatch.setattr(SynthImage, "__reduce_ex__", unpicklable, raising=False)
+    monkeypatch.setattr(World, "__reduce_ex__", unpicklable, raising=False)
     with returns_within(60.0):
         _same_runs(run_many(specs), serial)
     assert multiprocessing.active_children() == []
@@ -579,8 +608,8 @@ def test_class_split_deterministic():
 
 
 def test_permute_labels_breaks_association_but_keeps_marginals():
-    images = generate_world(TINY_WORLD)
-    permuted = permute_labels(images, seed=0)
+    world = generate_world(TINY_WORLD)
+    images, permuted = images_of(world), images_of(permute_labels(world, seed=0))
     old = sorted(t.hoi_class for im in images for t in triplet_objects(im.gt_triplets))
     new = sorted(t.hoi_class for im in permuted for t in triplet_objects(im.gt_triplets))
     assert old == new
@@ -596,8 +625,8 @@ def test_permute_labels_breaks_association_but_keeps_marginals():
 
 
 def test_permute_labels_shuffles_weak_image_labels():
-    tagged = split_supervision(generate_world(TINY_WORLD), 0.5, 0.5, 0.0, seed=0)
-    permuted = permute_labels(tagged, seed=0)
+    world = split_supervision(generate_world(TINY_WORLD), 0.5, 0.5, 0.0, seed=0)
+    tagged, permuted = images_of(world), images_of(permute_labels(world, seed=0))
     weak = [k for k, im in enumerate(tagged) if im.supervision == SupervisionTag.WS]
     assert weak and all(not tagged[k].gt_triplets for k in weak)
     # WS label sets move between WS images: marginals kept, association broken
@@ -608,8 +637,8 @@ def test_permute_labels_shuffles_weak_image_labels():
     for k in weak:
         assert permuted[k].image_id == tagged[k].image_id and not permuted[k].gt_triplets
     # images with triplets are permuted as if the WS images were absent
-    strong = [im for im in tagged if im.supervision != SupervisionTag.WS]
-    assert [triplet_objects(im.gt_triplets) for im in permute_labels(strong, seed=0)] == [
+    strong = world_of([im for im in tagged if im.supervision != SupervisionTag.WS], TINY_WORLD.n_hoi_classes)
+    assert [triplet_objects(im.gt_triplets) for im in images_of(permute_labels(strong, seed=0))] == [
         triplet_objects(im.gt_triplets) for im in permuted if im.supervision != SupervisionTag.WS
     ]
 
@@ -692,14 +721,9 @@ def _us_mix():
     cfg = tiny_cfg(ws_fraction=0.4, fs_fraction=0.3, us_fraction=0.3)
     tagged, _, _ = prepare_world(cfg)
     # the US images' stripped ground truth stands in for pseudo labels
-    truth = {img.image_id: img.gt_triplets for img in generate_world(cfg.world)}
-    labelled = [
-        dataclasses.replace(img, gt_triplets=truth[img.image_id])
-        if img.supervision == SupervisionTag.US
-        else img
-        for img in tagged
-    ]
-    return cfg, labelled
+    truth = images_of(generate_world(cfg.world))
+    us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code).tolist()
+    return cfg, tagged.with_triplets(us, [truth[k].gt_triplets for k in us])
 
 
 @pytest.mark.parametrize("setting", ["shared", "sequence_fs_first", "no_swap", "us_mix"])
@@ -751,25 +775,31 @@ def test_train_checks_no_targets_in_the_loop(monkeypatch):
 def test_us_images_excluded_until_pseudo_labeled():
     cfg, labelled = _us_mix()
     tagged, _, _ = prepare_world(cfg)
-    base = [img for img in tagged if img.supervision != SupervisionTag.US]
-    us = [k for k, img in enumerate(tagged) if img.supervision == SupervisionTag.US]
+    images = images_of(labelled)
+    base = world_of(
+        [im for im in images_of(tagged) if im.supervision != SupervisionTag.US], cfg.world.n_hoi_classes
+    )
+    us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code).tolist()
     entries = train(base, cfg).schedule.entries
+    index = np.flatnonzero(tagged.supervision != SupervisionTag.US.code)  # base image k's index
+
+    def with_pseudo_labels(ks):
+        return tagged.with_triplets(ks, [images[k].gt_triplets for k in ks])
+
     # no US image with pseudo labels, or a lone one: the schedule of the
     # images without them
-    one = list(tagged)
-    one[us[0]] = labelled[us[0]]
-    for images in (tagged, one):
-        result = train(images, cfg)
+    for world in (tagged, with_pseudo_labels(us[:1])):
+        result = train(world, cfg)
         assert "US" not in {tag for _, tag, _ in result.log.losses}
-        assert result.schedule.entries == entries
-    two = list(one)
-    two[us[1]] = labelled[us[1]]
+        assert [(index[e.image_a], index[e.image_b], e.supervision) for e in entries] == [
+            (e.image_a, e.image_b, e.supervision) for e in result.schedule.entries
+        ]
     us_pairs = [
         {e.image_a, e.image_b}
-        for e in train(two, cfg).schedule.entries
+        for e in train(with_pseudo_labels(us[:2]), cfg).schedule.entries
         if e.supervision == SupervisionTag.US
     ]
-    assert us_pairs == [{tagged[us[0]].image_id, tagged[us[1]].image_id}]
+    assert us_pairs == [{us[0], us[1]}]
 
 
 CLI = [sys.executable, "-m", "hoimix.cli"]
@@ -876,6 +906,12 @@ def test_cli_bad_ratio_rejected(tmp_path):
     cfg_path = cli_config(tmp_path)
     bad = run_cli(["train", "--config", str(cfg_path), "--ratio", "80/40"], tmp_path)
     assert bad.returncode == 1
+
+
+@pytest.mark.parametrize("ratio", ["70/", "70/x"])
+def test_cli_names_a_ratio_it_cannot_parse(ratio, capsys):
+    assert hoimix.cli.main(["train", "--ratio", ratio]) == 1
+    assert capsys.readouterr().err == f"error: cannot parse ratio {ratio!r}\n"
 
 
 def test_cli_sweep_seeds_start_at_the_seed_flag(tmp_path):

@@ -21,6 +21,7 @@ from hoimix.synth_world import TripletArrays, WorldConfig, generate_world, split
 
 from box_reference import Box, GroundTruthTriplet, triplet_objects
 from experiment_helpers import record_preparations
+from image_reference import images_of, world_of
 
 SMALL = WorldConfig(
     n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=21
@@ -42,7 +43,7 @@ def small_cfg(**overrides):
 
 
 def grid_of(image):
-    return pair_grids([image], SMALL.feature_dim).image(0)
+    return pair_grids(world_of([image], SMALL.n_hoi_classes), [0], SMALL.feature_dim).image(0)
 
 
 def human_box(grid, i):
@@ -54,8 +55,7 @@ def object_box(grid, i):
 
 
 def test_argmax_selection_per_label():
-    images = generate_world(SMALL)
-    grid = grid_of(images[0])
+    grid = grid_of(images_of(generate_world(SMALL))[0])
     n = len(grid.features)
     P = np.zeros((n, 6))
     P[:, 2] = np.linspace(0.1, 0.9, n)
@@ -69,8 +69,7 @@ def test_argmax_selection_per_label():
 
 
 def test_argmax_ties_break_to_lowest_pair_index():
-    images = generate_world(SMALL)
-    grid = grid_of(images[0])
+    grid = grid_of(images_of(generate_world(SMALL))[0])
     P = np.full((len(grid.features), 6), 0.5)
     out = triplet_objects(select_label_argmax_triplets(P, {1}, grid))
     assert out[0].human_box == human_box(grid, 0)
@@ -78,28 +77,27 @@ def test_argmax_ties_break_to_lowest_pair_index():
 
 
 def test_ws_to_pseudo_fs_emits_one_triplet_per_label():
-    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     for image in images[:10]:
-        out = ws_to_pseudo_fs(params, image, grid_of(image))
+        out = ws_to_pseudo_fs(params, image.image_labels, grid_of(image))
         assert len(out) == len(image.image_labels)
         assert set(out.hoi_classes.tolist()) == set(image.image_labels)
 
 
 def test_pseudo_boxes_come_from_image_detections():
-    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     for image in images[:10]:
         human_boxes = {Box.from_list(b) for b in image.humans.boxes}
         object_boxes = {Box.from_list(b) for b in image.objects.boxes}
-        for t in triplet_objects(ws_to_pseudo_fs(params, image, grid_of(image))):
+        for t in triplet_objects(ws_to_pseudo_fs(params, image.image_labels, grid_of(image))):
             assert t.human_box in human_boxes
             assert t.object_box in object_boxes
 
 
 def test_threshold_triplets_strictly_above():
-    images = generate_world(SMALL)
-    grid = grid_of(images[0])
+    grid = grid_of(images_of(generate_world(SMALL))[0])
     P = np.zeros((len(grid.features), 6))
     P[0, 1] = 0.5
     P[1, 2] = 0.50001
@@ -109,14 +107,12 @@ def test_threshold_triplets_strictly_above():
 
 
 def test_threshold_all_below_gives_empty():
-    images = generate_world(SMALL)
-    grid = grid_of(images[0])
+    grid = grid_of(images_of(generate_world(SMALL))[0])
     assert len(threshold_triplets(np.full((len(grid.features), 6), 0.4), 0.5, grid)) == 0
 
 
 def test_threshold_boundaries_rejected():
-    images = generate_world(SMALL)
-    grid = grid_of(images[0])
+    grid = grid_of(images_of(generate_world(SMALL))[0])
     P = np.zeros((len(grid.features), 6))
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
@@ -125,7 +121,7 @@ def test_threshold_boundaries_rejected():
 
 def test_us_output_monotone_in_threshold():
     images = split_supervision(generate_world(SMALL), 0.0, 0.5, 0.5, seed=0)
-    us_images = [im for im in images if im.supervision == SupervisionTag.US]
+    us_images = [im for im in images_of(images) if im.supervision == SupervisionTag.US]
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=2)
     rng = np.random.default_rng(0)
     for image in us_images[:8]:
@@ -138,10 +134,10 @@ def test_us_output_monotone_in_threshold():
 
 
 def test_pseudo_dump_format(tmp_path):
-    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im, grid_of(im))
+        im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im))
         for im in images[:3]
     }
     path = tmp_path / "pseudo.jsonl"
@@ -154,10 +150,10 @@ def test_pseudo_dump_format(tmp_path):
 
 
 def test_failed_dump_keeps_the_previous_file(tmp_path):
-    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
     pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im, grid_of(im))
+        im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im))
         for im in images[:4]
     }
     path = tmp_path / "pseudo.jsonl"
@@ -194,7 +190,7 @@ def test_iterate_cycles_reports_and_early_stops(monkeypatch):
     # one relabelling after the base fit and after each cycle's fit; a cycle
     # trains on the labels before it and has converged iff the labels after
     # it equal them, compared here as triplet objects
-    n_sources = sum(im.supervision == SupervisionTag.US for im in tagged)
+    n_sources = np.count_nonzero(tagged.supervision == SupervisionTag.US.code)
     assert len(labelled) == n_sources * (1 + len(reports))
     sets = [
         {i: t for i, t in labelled[k : k + n_sources] if t}
@@ -214,10 +210,10 @@ def rebuilt(pseudo):
 
 
 def test_equal_pseudo_label_sets_compare_by_value():
-    images = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
-    pseudo = {im.image_id: ws_to_pseudo_fs(params, im, grid_of(im)) for im in images[:4]}
-    again = {im.image_id: ws_to_pseudo_fs(params, im, grid_of(im)) for im in images[:4]}
+    pseudo = {im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im)) for im in images[:4]}
+    again = {im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im)) for im in images[:4]}
     assert all(again[k] is not pseudo[k] for k in pseudo)
     assert same_pseudo_labels(pseudo, again) and same_pseudo_labels(again, rebuilt(pseudo))
     assert same_pseudo_labels({}, {})
@@ -299,8 +295,8 @@ def test_iterate_cycles_multistage_mode():
         tagged, cfg, 2, mode="multistage", test_images=test_images, rare_ids=rare_ids
     )
     assert len(reports) >= 1
-    ws_count = sum(1 for im in tagged if im.supervision == SupervisionTag.WS)
-    labels = sum(len(im.image_labels) for im in tagged if im.supervision == SupervisionTag.WS)
+    ws = tagged.supervision == SupervisionTag.WS.code
+    ws_count, labels = np.count_nonzero(ws), np.count_nonzero(tagged.labels[ws])
     # the multistage baseline pseudo-labels every weak image, one triplet per label
     assert reports[0].n_pseudo == labels
     assert ws_count > 0
@@ -336,9 +332,9 @@ def test_iterate_cycles_builds_the_pseudo_source_grids_once(monkeypatch, mode):
     built, relabelled = [], []
     real_pair_grids = pseudo_label.pair_grids
 
-    def counting_pair_grids(images, *args, **kwargs):
-        built.append([im.image_id for im in images])
-        return real_pair_grids(images, *args, **kwargs)
+    def counting_pair_grids(world, images, *args, **kwargs):
+        built.append(world.image_ids[images].tolist())
+        return real_pair_grids(world, images, *args, **kwargs)
 
     def recording(real):
         def wrapper(params, *args):
@@ -358,7 +354,7 @@ def test_iterate_cycles_builds_the_pseudo_source_grids_once(monkeypatch, mode):
     _, reports, _ = iterate_cycles(
         tagged, cfg, 2, mode=mode, test_images=test_images, rare_ids=rare_ids
     )
-    sources = [im.image_id for im in tagged if im.supervision == source]
+    sources = tagged.image_ids[tagged.supervision == source.code].tolist()
     # one set-level pass before the base fit; every relabelling reuses it
     assert built == [sources]
     assert relabelled == [[i] for i in sources] * (1 + len(reports))

@@ -12,12 +12,14 @@ import os
 import sys
 
 from hoimix.batching import BLOCK_ENTRIES, batch_schedule
-from hoimix.experiment import ExperimentConfig, _build_batches, _train_seeds, prepare_world
+from hoimix.experiment import ExperimentConfig, _train_seeds, prepare_world
 from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import WorldConfig
 
+from image_reference import images_of
 from pair_reference import build_pairs, reference_element_swap, reference_swap_candidates
 from pair_reference import pair_grid as reference_pair_grid
+from step_reference import schedule_batches
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
@@ -35,16 +37,16 @@ def test_traced_batches_span_each_ws_entry_and_count_the_reference_pool():
     _, schedule_seed, _ = _train_seeds(cfg.train_seed)
     schedule = batch_schedule(tagged, schedule_seed)
     with Tracer("swap-seam") as tracer:
-        batches = list(_build_batches(tagged, schedule, cfg))
+        batches = schedule_batches(tagged, schedule, cfg)
     metrics = tracer.metrics(wall_s=1.0)
 
-    by_id = {image.image_id: image for image in tagged}
+    images = images_of(tagged)
     ws = [e for e in schedule.entries if e.supervision == SupervisionTag.WS]
     kept = candidates = 0
     for entry in ws:
         pairs = [
             build_pairs(image, reference_pair_grid(image, cfg.world.feature_dim, cfg.top_k))
-            for image in (by_id[entry.image_a], by_id[entry.image_b])
+            for image in (images[entry.image_a], images[entry.image_b])
         ]
         candidates += len(reference_swap_candidates(*pairs))
         kept += len(reference_element_swap(*pairs))

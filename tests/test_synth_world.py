@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -10,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoimix import synth_world
-from hoimix.supervision import SupervisionTag
+from hoimix.supervision import TAGS, SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
     DetectionArrays,
-    SynthImage,
     TripletArrays,
     WorldConfig,
     WorldGenerationError,
@@ -26,6 +26,7 @@ from hoimix.synth_world import (
     split_supervision,
 )
 from box_reference import Box, GroundTruthTriplet, box_array, triplet_arrays
+from image_reference import SynthImage, images_of, world_of
 from pair_reference import Detection, detection_arrays, reference_pair_features, take_detections
 import world_reference
 
@@ -54,8 +55,8 @@ def image_bytes(image):
     )
 
 
-def world_bytes(images):
-    return [image_bytes(im) for im in images]
+def world_bytes(world):
+    return [image_bytes(im) for im in images_of(world)]
 
 
 def test_generation_is_deterministic():
@@ -71,9 +72,9 @@ def test_different_seed_changes_world():
 
 
 def test_rare_fraction_honored_exactly():
-    images = generate_world(SMALL)
-    counts = collections.Counter(c for im in images for c in im.image_labels)
-    rare = rare_classes(images)
+    world = generate_world(SMALL)
+    counts = collections.Counter(c for im in images_of(world) for c in im.image_labels)
+    rare = rare_classes(world)
     assert len(rare) == round(SMALL.rare_class_fraction * SMALL.n_hoi_classes)
     for c in range(SMALL.n_hoi_classes):
         if c in rare:
@@ -107,7 +108,7 @@ def test_range_collapse_gives_exact_counts():
         objects_per_image=(1, 1),
         seed=2,
     )
-    for image in generate_world(cfg):
+    for image in images_of(generate_world(cfg)):
         assert len(image.gt_triplets) == 1
         gt_humans = 1
         gt_objects = 1
@@ -137,7 +138,7 @@ def test_invalid_configs_rejected():
 
 
 def test_gt_classes_in_range_and_labels_match():
-    for image in generate_world(SMALL):
+    for image in images_of(generate_world(SMALL)):
         classes = image.gt_triplets.hoi_classes.tolist()
         assert all(0 <= c < SMALL.n_hoi_classes for c in classes)
         assert image.image_labels == frozenset(classes)
@@ -156,7 +157,7 @@ def pair_features(humans, h, objects, o, feature_dim):
 
 
 def test_features_deterministic_and_correct_dim():
-    images = generate_world(SMALL)
+    images = images_of(generate_world(SMALL))
     im = images[0]
     f1 = pair_features(im.humans, 0, im.objects, 0, SMALL.feature_dim)
     f2 = pair_features(im.humans, 0, im.objects, 0, SMALL.feature_dim)
@@ -176,7 +177,7 @@ def test_feature_noise_bounded_for_same_class_detections():
         objects_per_image=(1, 1),
         seed=3,
     )
-    images = generate_world(cfg)
+    images = images_of(generate_world(cfg))
     by_class = collections.defaultdict(list)
     for im in images:
         for class_id, appearance in zip(im.objects.class_ids.tolist(), im.objects.appearance):
@@ -191,7 +192,7 @@ def test_feature_noise_bounded_for_same_class_detections():
 
 
 def test_swapped_pair_layout_uses_boxes_as_is():
-    images = generate_world(SMALL)
+    images = images_of(generate_world(SMALL))
     humans = images[0].humans
     cross = pair_features(humans, 0, images[1].objects, 0, SMALL.feature_dim)
     app, spatial, _ = feature_layout(SMALL.feature_dim)
@@ -201,7 +202,7 @@ def test_swapped_pair_layout_uses_boxes_as_is():
 
 
 def test_appearance_dim_mismatch_rejected():
-    images = generate_world(SMALL)
+    images = images_of(generate_world(SMALL))
     with pytest.raises(ValueError):
         pair_features(images[0].humans, 0, images[0].objects, 0, SMALL.feature_dim + 2)
 
@@ -281,7 +282,7 @@ def test_pair_feature_rows_at_touching_and_nested_boxes():
 
 def test_pair_feature_rows_equal_the_reference_on_a_default_world():
     cfg = WorldConfig()
-    for image in generate_world(cfg):
+    for image in images_of(generate_world(cfg)):
         n_humans, n_objects = len(image.humans), len(image.objects)
         assert_rows_match_reference(
             take_detections(image.humans, np.repeat(np.arange(n_humans), n_objects)),
@@ -292,7 +293,7 @@ def test_pair_feature_rows_equal_the_reference_on_a_default_world():
 
 def test_split_fractions_with_rounding():
     images = generate_world(SMALL)
-    tagged = split_supervision(images, 0.7, 0.3, 0.0, seed=5)
+    tagged = images_of(split_supervision(images, 0.7, 0.3, 0.0, seed=5))
     counts = collections.Counter(im.supervision for im in tagged)
     assert abs(counts[SupervisionTag.WS] - 0.7 * len(images)) <= 1
     assert abs(counts[SupervisionTag.FS] - 0.3 * len(images)) <= 1
@@ -300,6 +301,7 @@ def test_split_fractions_with_rounding():
 
 
 SMALL_WORLD = generate_world(SMALL)
+SMALL_IMAGES = images_of(SMALL_WORLD)
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,7 +313,7 @@ SMALL_WORLD = generate_world(SMALL)
 def test_split_counts_are_within_one_of_their_fractions(n, cuts, seed):
     low, high = sorted(cuts)
     fractions = (low, high - low, 1.0 - high)
-    tagged = split_supervision(SMALL_WORLD[:n], *fractions, seed=seed)
+    tagged = images_of(split_supervision(world_of(SMALL_IMAGES[:n], SMALL.n_hoi_classes), *fractions, seed=seed))
     counts = collections.Counter(im.supervision for im in tagged)
     for tag, fraction in zip((SupervisionTag.WS, SupervisionTag.FS, SupervisionTag.US), fractions):
         assert abs(counts[tag] - fraction * n) <= 1
@@ -320,14 +322,14 @@ def test_split_counts_are_within_one_of_their_fractions(n, cuts, seed):
 
 def test_split_all_fs():
     images = generate_world(SMALL)
-    tagged = split_supervision(images, 0.0, 1.0, 0.0, seed=5)
+    tagged = images_of(split_supervision(images, 0.0, 1.0, 0.0, seed=5))
     assert all(im.supervision == SupervisionTag.FS for im in tagged)
     assert all(im.gt_triplets for im in tagged)
 
 
 def test_three_way_split():
     images = generate_world(SMALL)
-    tagged = split_supervision(images, 0.3, 0.4, 0.3, seed=5)
+    tagged = images_of(split_supervision(images, 0.3, 0.4, 0.3, seed=5))
     counts = collections.Counter(im.supervision for im in tagged)
     assert abs(counts[SupervisionTag.WS] - 24) <= 1
     assert abs(counts[SupervisionTag.FS] - 32) <= 1
@@ -336,7 +338,7 @@ def test_three_way_split():
 
 def test_split_strips_annotations_per_tag():
     images = generate_world(SMALL)
-    tagged = split_supervision(images, 0.4, 0.3, 0.3, seed=6)
+    tagged = images_of(split_supervision(images, 0.4, 0.3, 0.3, seed=6))
     for im in tagged:
         if im.supervision == SupervisionTag.WS:
             assert len(im.gt_triplets) == 0 and im.image_labels
@@ -358,12 +360,12 @@ def test_split_is_deterministic():
     images = generate_world(SMALL)
     a = split_supervision(images, 0.5, 0.5, 0.0, seed=9)
     b = split_supervision(images, 0.5, 0.5, 0.0, seed=9)
-    assert [im.supervision for im in a] == [im.supervision for im in b]
+    assert world_bytes(a) == world_bytes(b)
 
 
 def test_eval_images_share_latent_structure_and_cover_classes():
-    train = generate_world(SMALL)
-    test = generate_eval_images(SMALL, 40)
+    train = images_of(generate_world(SMALL))
+    test = images_of(generate_eval_images(SMALL, 40))
     assert {im.image_id for im in test}.isdisjoint({im.image_id for im in train})
     covered = set()
     for im in test:
@@ -382,20 +384,17 @@ def test_eval_images_share_latent_structure_and_cover_classes():
 
 
 def test_pickle_roundtrip_preserves_every_detection_array():
-    images = split_supervision(generate_world(SMALL), 0.5, 0.3, 0.2, seed=1)
-    loaded = pickle.loads(pickle.dumps(images))
-    for image, back in zip(images, loaded):
-        for role in ("humans", "objects"):
-            before, after = getattr(image, role), getattr(back, role)
-            for name in ("boxes", "class_ids", "confidences", "appearance"):
-                a, b = getattr(before, name), getattr(after, name)
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-                assert b.flags.c_contiguous
-    assert world_bytes(loaded) == world_bytes(images)
+    world = split_supervision(generate_world(SMALL), 0.5, 0.3, 0.2, seed=1)
+    loaded = pickle.loads(pickle.dumps(world))
+    for name in ("boxes", "class_ids", "confidences", "appearance"):
+        a, b = getattr(world.detections, name), getattr(loaded.detections, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert b.flags.c_contiguous
+    assert world_bytes(loaded) == world_bytes(world)
 
 
 def test_every_image_has_detections_and_valid_confidence():
-    for im in generate_world(SMALL):
+    for im in images_of(generate_world(SMALL)):
         for detections in (im.humans, im.objects):
             assert np.all((0.0 < detections.confidences) & (detections.confidences <= 1.0))
             for box in detections.boxes.tolist():
@@ -403,15 +402,14 @@ def test_every_image_has_detections_and_valid_confidence():
 
 
 def test_detection_confidence_validated():
-    images = generate_world(SMALL)
+    images = SMALL_IMAGES
     det = images[0].humans
     with pytest.raises(ValueError):
         DetectionArrays(det.boxes, det.class_ids, np.zeros(len(det)), det.appearance)
 
 
 def test_image_requires_detections():
-    images = generate_world(SMALL)
-    im = images[0]
+    im = SMALL_IMAGES[0]
     with pytest.raises(ValueError):
         SynthImage(
             image_id=1,
@@ -423,7 +421,7 @@ def test_image_requires_detections():
 
 
 def test_detection_arrays_reject_rows_of_mismatched_length():
-    d = generate_world(SMALL)[0].objects
+    d = SMALL_IMAGES[0].objects
     with pytest.raises(ValueError, match="rows disagree"):
         DetectionArrays(d.boxes, d.class_ids, d.confidences[1:], d.appearance)
     with pytest.raises(ValueError, match="rows disagree"):
@@ -473,7 +471,7 @@ def test_detection_arrays_accept_exactly_the_rows_the_per_detection_checks_accep
 
 
 def test_triplet_arrays_reject_rows_of_mismatched_length():
-    t = generate_world(SMALL)[0].gt_triplets
+    t = SMALL_IMAGES[0].gt_triplets
     with pytest.raises(ValueError, match="rows disagree"):
         TripletArrays(t.human_boxes, t.object_boxes, np.append(t.hoi_classes, 0))
     with pytest.raises(ValueError, match="rows disagree"):
@@ -561,8 +559,8 @@ def test_world_and_eval_images_equal_the_per_draw_reference(monkeypatch, overrid
         return streams[-1]
 
     monkeypatch.setattr(synth_world, "_seed_streams", recorded_streams)
-    images = generate_world(cfg)
-    eval_images = generate_eval_images(cfg, 40)
+    images = images_of(generate_world(cfg))
+    eval_images = images_of(generate_eval_images(cfg, 40))
     (_, train_rng, _), (_, _, eval_rng) = streams
 
     ref_images, ref_train_rng = world_reference.generate_world(cfg)
@@ -594,20 +592,25 @@ def test_class_plan_equals_the_per_slot_reference(seed):
 DEFAULT_WORLD_SHA256 = "3463eb4242748e7d"
 
 
-def world_digest(images):
+def world_digest(world):
+    """The recipe above over the world's rows: the same bytes, in the same
+    order, that it hashed over the world's images when they were objects."""
     h = hashlib.sha256()
-    for image in images:
-        gt = image.gt_triplets
-        h.update(repr((image.image_id, sorted(image.image_labels), len(gt))).encode())
-        h.update(np.asarray(gt.human_boxes, dtype="<f8").tobytes())
-        h.update(np.asarray(gt.object_boxes, dtype="<f8").tobytes())
-        h.update(np.asarray(gt.hoi_classes, dtype="<i8").tobytes())
-        for d in (image.humans, image.objects):
-            h.update(repr(len(d)).encode())
+    d, t = world.detection_rows.tolist(), world.triplet_rows.tolist()
+    gt = world.triplets
+    det = world.detections
+    for i, n_humans in enumerate(world.n_humans.tolist()):
+        labels = np.flatnonzero(world.labels[i]).tolist()
+        h.update(repr((int(world.image_ids[i]), labels, t[i + 1] - t[i])).encode())
+        h.update(np.asarray(gt.human_boxes[t[i] : t[i + 1]], dtype="<f8").tobytes())
+        h.update(np.asarray(gt.object_boxes[t[i] : t[i + 1]], dtype="<f8").tobytes())
+        h.update(np.asarray(gt.hoi_classes[t[i] : t[i + 1]], dtype="<i8").tobytes())
+        for rows in (slice(d[i], d[i] + n_humans), slice(d[i] + n_humans, d[i + 1])):
+            h.update(repr(rows.stop - rows.start).encode())
             for column, dtype in zip(
-                (d.boxes, d.class_ids, d.confidences, d.appearance), ("<f8", "<i8", "<f8", "<f8")
+                (det.boxes, det.class_ids, det.confidences, det.appearance), ("<f8", "<i8", "<f8", "<f8")
             ):
-                h.update(np.asarray(column, dtype=dtype).tobytes())
+                h.update(np.asarray(column[rows], dtype=dtype).tobytes())
     return h.hexdigest()
 
 
@@ -637,8 +640,9 @@ def test_data_pass_worlds_are_pinned(seed):
     assert digests == DATA_PASS_WORLD_SHA256[seed]
 
 
-def test_no_eval_images_is_an_empty_list():
-    assert generate_eval_images(WorldConfig(), 0) == []
+def test_no_eval_images_is_an_empty_world():
+    world = generate_eval_images(WorldConfig(), 0)
+    assert len(world) == 0 and len(world.detections) == 0 and len(world.triplets) == 0
 
 
 def test_a_world_is_checked_once_whatever_its_size(monkeypatch):
@@ -658,24 +662,22 @@ def test_a_world_is_checked_once_whatever_its_size(monkeypatch):
     assert per_world[0] == per_world[1]
     # a set built by a caller is still checked when it is built
     calls.clear()
-    d = SMALL_WORLD[0].humans
+    d = SMALL_IMAGES[0].humans
     DetectionArrays(d.boxes, d.class_ids, d.confidences, d.appearance)
     assert calls == [len(d)]
 
 
-def test_a_pickled_world_image_carries_only_its_own_rows():
-    image = SMALL_WORLD[7]
-    assert image.humans.boxes.base is not None  # a view into the world's rows
-    copied = SynthImage(
-        image.image_id,
-        take_detections(image.humans, np.arange(len(image.humans))),
-        take_detections(image.objects, np.arange(len(image.objects))),
-        image.gt_triplets.take(np.arange(len(image.gt_triplets))),
-        image.image_labels,
-    )
-    assert copied.humans.boxes.base is None
-    assert len(pickle.dumps(image)) == len(pickle.dumps(copied))
-    assert image_bytes(pickle.loads(pickle.dumps(image))) == image_bytes(copied)
+def test_a_pickled_world_is_its_arrays():
+    # an image is an index, not an object: the world pickles as its arrays
+    # and a few hundred bytes of framing, whatever its number of images
+    for world in (SMALL_WORLD, generate_world(WorldConfig(n_images=400))):
+        arrays = [
+            world.image_ids, world.supervision, world.detection_rows, world.n_humans,
+            world.triplet_rows, world.labels,
+            *(getattr(world.detections, name) for name in ("boxes", "class_ids", "confidences", "appearance")),
+            world.triplets.human_boxes, world.triplets.object_boxes, world.triplets.hoi_classes,
+        ]
+        assert len(pickle.dumps(world)) <= sum(a.nbytes for a in arrays) + 2048
 
 
 # coordinates that reach every branch of the box sanitizer: reversed axes,
@@ -717,3 +719,51 @@ def test_world_generation_peak_memory_stays_near_the_per_image_generators():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * PER_IMAGE_GENERATOR_PEAK_BYTES
+
+
+def test_a_world_rejects_offsets_that_disagree_with_its_arrays():
+    world = world_of(SMALL_IMAGES[:3], SMALL.n_hoi_classes)
+    no_human = world.n_humans.copy()
+    no_human[2] = 0
+    with pytest.raises(ValueError, match="image 2: every image needs at least one human and one object"):
+        dataclasses.replace(world, n_humans=no_human)
+    no_object = world.n_humans.copy()
+    no_object[1] = world.detection_rows[2] - world.detection_rows[1]
+    with pytest.raises(ValueError, match="image 1: every image needs"):
+        dataclasses.replace(world, n_humans=no_object)
+    decreasing = world.triplet_rows.copy()
+    decreasing[1] = decreasing[2] + 1
+    for change in (
+        {"triplet_rows": world.triplet_rows[:-1]},
+        {"triplet_rows": decreasing},
+        {"detection_rows": world.detection_rows - 1},
+        {"labels": world.labels[:2]},
+        {"supervision": world.supervision[:, None]},
+    ):
+        with pytest.raises(ValueError, match="offsets of a world of 3 images disagree"):
+            dataclasses.replace(world, **change)
+
+
+def test_images_of_and_world_of_are_inverse():
+    world = split_supervision(SMALL_WORLD, 0.4, 0.3, 0.3, seed=2)
+    back = world_of(images_of(world), SMALL.n_hoi_classes)
+    assert world_bytes(back) == world_bytes(world)
+    assert world_digest(back) == world_digest(world)
+
+
+def test_tagging_equals_the_per_image_reference():
+    supervision = np.random.default_rng(3).integers(0, 3, len(SMALL_WORLD)).astype(np.int8)
+    want = [im.with_supervision(TAGS[c]) for im, c in zip(SMALL_IMAGES, supervision)]
+    assert world_bytes(SMALL_WORLD.tagged(supervision)) == [image_bytes(im) for im in want]
+
+
+def test_with_triplets_replaces_the_rows_of_the_given_images():
+    world = split_supervision(SMALL_WORLD, 0.3, 0.4, 0.3, seed=4)
+    parts = {9: SMALL_IMAGES[7].gt_triplets, 2: NO_TRIPLETS, 5: SMALL_IMAGES[0].gt_triplets}
+    got = world.with_triplets(list(parts), list(parts.values()))
+    want = [
+        dataclasses.replace(im, gt_triplets=parts.get(k, im.gt_triplets))
+        for k, im in enumerate(images_of(world))
+    ]
+    assert world_bytes(got) == [image_bytes(im) for im in want]
+    assert world_bytes(world.with_triplets([], [])) == world_bytes(world)

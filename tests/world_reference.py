@@ -3,9 +3,10 @@
 The reference is the original generator: one numpy call per scalar or pair
 of random draws, a 4-element array per box sanitized as Python floats, one
 rng.choice per Zipf-filled class slot, one row tuple per detection, and one
-Box per ground-truth box and GroundTruthTriplet per triplet. The
-generators in hoimix.synth_world must reproduce its images byte for byte
-and leave every random stream in the same state.
+Box per ground-truth box and GroundTruthTriplet per triplet, into one
+SynthImage per image. The generators in hoimix.synth_world must reproduce
+its images byte for byte, as the rows of their World, and leave every
+random stream in the same state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hoimix.synth_world import (
     _MIN_BOX_SIZE,
     RARE_IMAGE_COUNT,
     DetectionArrays,
-    SynthImage,
     WorldConfig,
     WorldGenerationError,
     _class_embeddings,
@@ -30,6 +30,7 @@ from hoimix.synth_world import (
 )
 
 from box_reference import Box, GroundTruthTriplet, triplet_arrays
+from image_reference import SynthImage
 
 
 def _plan_class_assignments(

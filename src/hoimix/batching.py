@@ -5,7 +5,8 @@ filter), synthesizes cross-image hard negatives for weakly-labeled pairs by
 swapping humans and objects between the two images, and constructs
 region-level and image-level training targets. The batch schedule pairs
 images of a World once, before training, into homogeneous two-image
-batches. Targets come from the world's rows of each image: region-level
+batches: an (entries, 2) array of image indices, whose tags are those of
+the images. Targets come from the world's rows of each image: region-level
 ones from its triplets (FS ground truth or US pseudo labels), image-level
 ones from its row of the label matrix.
 
@@ -63,7 +64,6 @@ class MiniBatch:
 
     supervision: SupervisionTag
     features: np.ndarray  # (N, feature_dim)
-    image_ids: tuple[int, int]
     targets: np.ndarray  # (N, C) if supervision.region_level, else (C,)
 
     def __post_init__(self) -> None:
@@ -289,19 +289,14 @@ def make_fs_targets(
     return Y
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    image_a: int
-    image_b: int
-    supervision: SupervisionTag
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Fixed-before-training pairing of images into two-image batches."""
+    """Fixed-before-training pairing of images into two-image batches:
+    entry e pairs the world's images[e, 0] and images[e, 1], and its tag is
+    theirs; leftovers holds the unpaired image of each odd group."""
 
-    entries: tuple[ScheduleEntry, ...]
-    leftovers: tuple[tuple[SupervisionTag, int], ...]  # unpaired image per odd group
+    images: np.ndarray     # (entries, 2)
+    leftovers: np.ndarray  # (odd groups,)
 
 
 class ScheduleError(ValueError):
@@ -318,7 +313,7 @@ def batch_schedule(world: World, seed: int) -> Schedule:
     another US image has them too. An empty group draws nothing, so adding
     US images leaves the FS and WS pairings as they are. A group with a
     single image, or no entry at all, is reported as an error; an odd group
-    leaves one image over, recorded in the schedule metadata.
+    leaves its last shuffled image over.
     """
     if len(world) < 2:
         raise ScheduleError(f"a schedule needs two images; the world has {len(world)}")
@@ -327,25 +322,21 @@ def batch_schedule(world: World, seed: int) -> Schedule:
     if np.count_nonzero(labelled_us) == 1:
         labelled_us[:] = False
     rng = np.random.default_rng(seed)
-    entries: list[ScheduleEntry] = []
-    leftovers: list[tuple[SupervisionTag, int]] = []
+    pairs, leftovers = [], []
     for tag in (SupervisionTag.FS, SupervisionTag.WS, SupervisionTag.US):
-        group = labelled_us if tag == SupervisionTag.US else codes == tag.code
-        images = np.flatnonzero(group)
-        if len(images) == 1:
+        group = np.flatnonzero(labelled_us if tag == SupervisionTag.US else codes == tag.code)
+        if len(group) == 1:
             raise ScheduleError(
                 f"supervision set {tag.value} has a single image; cannot form a two-image batch"
             )
-        shuffled = images[rng.permutation(len(images))].tolist()
-        for a, b in zip(shuffled[0::2], shuffled[1::2]):
-            entries.append(ScheduleEntry(a, b, tag))
-        if len(shuffled) % 2 == 1:
-            leftovers.append((tag, shuffled[-1]))
-    if not entries:
+        shuffled = group[rng.permutation(len(group))]
+        paired = len(group) - len(group) % 2
+        pairs.append(shuffled[:paired].reshape(-1, 2))
+        leftovers.append(shuffled[paired:])
+    images = np.concatenate(pairs)
+    if not len(images):
         raise ScheduleError("schedule is empty; no supervision group has two images")
-
-    mixed = [entries[i] for i in rng.permutation(len(entries))]
-    return Schedule(entries=tuple(mixed), leftovers=tuple(leftovers))
+    return Schedule(images[rng.permutation(len(images))], np.concatenate(leftovers))
 
 
 @dataclass(eq=False)
@@ -363,7 +354,7 @@ class BatchBlock:
 
 def prepare_block(
     world: World,
-    entries: Sequence[tuple[int, int]],
+    entries: np.ndarray,
     *,
     n_classes: int,
     feature_dim: int,
@@ -371,7 +362,8 @@ def prepare_block(
     element_swap_enabled: bool = False,
 ) -> BatchBlock:
     """Build the batch features and the region-level targets of every
-    entry, a pair of the world's images, at once. A region-level image (FS,
+    entry at once: entries is an (n, 2) array of the world's images, such
+    as a slice of Schedule.images, taken as it is. A region-level image (FS,
     or US with pseudo labels) is matched against its own triplets; a WS
     image against none.
 
@@ -436,9 +428,4 @@ def assemble_minibatch(block: BatchBlock, entry: int) -> MiniBatch:
         targets = (world.labels[a] | world.labels[b]).astype(np.float64)
     else:
         targets = block.fs_targets[rows].copy()
-    return MiniBatch(
-        supervision=tag,
-        features=block.features[rows].copy(),
-        image_ids=(int(world.image_ids[a]), int(world.image_ids[b])),
-        targets=targets,
-    )
+    return MiniBatch(supervision=tag, features=block.features[rows].copy(), targets=targets)

@@ -27,7 +27,6 @@ from .batching import (
     DEFAULT_TOP_K,
     MiniBatch,
     Schedule,
-    ScheduleEntry,
     assemble_minibatch,
     batch_schedule,
     prepare_block,
@@ -45,7 +44,7 @@ from .evaluation import (
 from .loss import fs_loss, ws_loss
 from .model import ModelParams, backward, forward
 from .optimizer import MomentumPolicy, MomentumState, OptimizerConfig, schedule_filter, step
-from .supervision import SupervisionTag
+from .supervision import TAGS, SupervisionTag
 from .synth_world import (
     World,
     WorldConfig,
@@ -152,12 +151,12 @@ class TrainResult:
     schedule: Schedule
 
 
-def _block_batches(world: World, entries: Sequence[ScheduleEntry], cfg: ExperimentConfig) -> list[MiniBatch]:
-    """The batches of a block of schedule entries; the block itself is
-    dropped once they are assembled."""
+def _block_batches(world: World, entries: np.ndarray, cfg: ExperimentConfig) -> list[MiniBatch]:
+    """The batches of a block of schedule entries, an (n, 2) slice of
+    Schedule.images; the block itself is dropped once they are assembled."""
     block = prepare_block(
         world,
-        [(e.image_a, e.image_b) for e in entries],
+        entries,
         n_classes=cfg.world.n_hoi_classes,
         feature_dim=cfg.world.feature_dim,
         top_k=cfg.top_k,
@@ -181,9 +180,11 @@ def train(
     decides which images are scheduled. Given a prepared test_set (rare
     classes included), the model is evaluated on it every eval_every
     iterations. Resuming: pass the checkpointed params/state and the
-    iteration to start from; with the same config the remaining trajectory
-    is reproduced bit-exactly. Raises ValueError when their dims or the
-    state's buffer count contradict the config.
+    iteration to start from, in [0, iterations]; with the same config the
+    remaining trajectory is reproduced bit-exactly. Raises ValueError when
+    their dims or the state's buffer count contradict the config, or when
+    start_iteration is out of range. Each schedule entry's tag, that of its
+    images in the world, is looked up once per run.
 
     Batches are built a block at a time, when an iteration first needs an
     entry of the block, and dropped after their last use: one lap of the
@@ -202,9 +203,12 @@ def train(
                 f"init_state has {len(init_state.buffers)} momentum buffer(s), "
                 f"which policy {cfg.optimizer.policy} does not use"
             )
+    if not 0 <= start_iteration <= cfg.iterations:
+        raise ValueError(f"start_iteration {start_iteration} is outside [0, {cfg.iterations}]")
     init_seed, schedule_seed, _ = _train_seeds(cfg.train_seed)
     schedule = batch_schedule(world, schedule_seed)
-    n_entries = len(schedule.entries)
+    n_entries = len(schedule.images)
+    tags = [TAGS[code] for code in world.supervision[schedule.images[:, 0]].tolist()]
     batches: list[Optional[MiniBatch]] = [None] * n_entries  # entry k's, while an iteration uses it
 
     params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
@@ -216,8 +220,10 @@ def train(
     log = TrainingLog(
         header={
             "config": cfg.to_dict(),
-            "schedule_entries": len(schedule.entries),
-            "schedule_leftovers": [[tag.value, int(world.image_ids[i])] for tag, i in schedule.leftovers],
+            "schedule_entries": n_entries,
+            "schedule_leftovers": [
+                [TAGS[world.supervision[i]].value, int(world.image_ids[i])] for i in schedule.leftovers
+            ],
             "iteration_accounting": "one schedule entry per iteration",
         }
     )
@@ -227,7 +233,7 @@ def train(
         k = t % n_entries
         if batches[k] is None:  # the first iteration to need its block
             first = k - k % BLOCK_ENTRIES
-            block = _block_batches(world, schedule.entries[first : first + BLOCK_ENTRIES], cfg)
+            block = _block_batches(world, schedule.images[first : first + BLOCK_ENTRIES], cfg)
             for j, built in enumerate(block, first):
                 # keep only the batches that this or a later iteration uses
                 if t + (j - k) % n_entries < cfg.iterations:
@@ -235,7 +241,7 @@ def train(
         batch = batches[k]
         if t + n_entries >= cfg.iterations:
             batches[k] = None  # no later iteration uses it
-        tag = schedule.entries[k].supervision
+        tag = tags[k]
         if not schedule_filter(tag, t, cfg.optimizer):
             log.skipped += 1
             continue

@@ -10,7 +10,8 @@
 
 Both loops retrain from the same seeded initialization each cycle, refresh
 the pseudo labels, and evaluate, so convergence is observable per cycle; a
-fixed point of the pseudo-label sets raises an early-stop flag.
+fixed point of the pseudo-label sets raises an early-stop flag. Pseudo
+labels are the triplet rows of their images in the World a cycle trains on.
 """
 
 from __future__ import annotations
@@ -67,14 +68,16 @@ def us_to_pseudo_fs(params: ModelParams, grid: PairGrid, threshold: float = 0.5)
     return threshold_triplets(P, threshold, grid)
 
 
-def same_pseudo_labels(a: dict[int, TripletArrays], b: dict[int, TripletArrays]) -> bool:
-    """True iff both sets label the same images with byte-equal triplets."""
+def same_pseudo_labels(a: World, b: World) -> bool:
+    """True iff both worlds have byte-equal triplet offsets and triplets, so
+    that every image has the same triplets in each."""
 
-    def exact(t: TripletArrays) -> list:
-        columns = (t.human_boxes, t.object_boxes, t.hoi_classes)
+    def exact(world: World) -> list:
+        t = world.triplets
+        columns = (world.triplet_rows, t.human_boxes, t.object_boxes, t.hoi_classes)
         return [(x.dtype.str, x.shape, x.tobytes()) for x in columns]
 
-    return a.keys() == b.keys() and all(exact(a[k]) == exact(b[k]) for k in a)
+    return exact(a) == exact(b)
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,19 @@ class CycleReport:
     converged: bool
 
 
-def dump_pseudo_triplets(path, pseudo: dict[int, TripletArrays]) -> None:
-    """Audit dump, one JSON line per image in image id order: its id, a
-    pseudo flag, and its triplets as h_box / o_box / hoi_class records."""
+def dump_pseudo_triplets(path, world: World, images: np.ndarray) -> None:
+    """Audit dump, one JSON line for each of the world's images, in the
+    given order, that has triplet rows: its id, a pseudo flag, and its
+    triplets as h_box / o_box / hoi_class records."""
+    t, rows = world.triplets, world.triplet_rows
     with atomic_open(path) as fh:
-        for image_id in sorted(pseudo):
-            t = pseudo[image_id]
-            columns = (t.human_boxes.tolist(), t.object_boxes.tolist(), t.hoi_classes.tolist())
+        for image in images:
+            at = slice(rows[image], rows[image + 1])
+            if at.start == at.stop:
+                continue
+            columns = (t.human_boxes[at].tolist(), t.object_boxes[at].tolist(), t.hoi_classes[at].tolist())
             record = {
-                "image_id": image_id,
+                "image_id": int(world.image_ids[image]),
                 "pseudo": True,
                 "gt_triplets": [
                     {"h_box": h, "o_box": o, "hoi_class": c} for h, o, c in zip(*columns)
@@ -121,11 +128,12 @@ def iterate_cycles(
     pseudo-region data. mode "multistage": only FS images train first; WS
     images join as pseudo-region data via the per-label argmax, and the
     pipeline stays fully supervised. The pseudo-label sources train as US
-    images, and each cycle replaces their triplet rows with their pseudo
-    labels. Each cycle retrains from the same seeded initialization;
-    identical pseudo-label sets between consecutive cycles raise the
-    converged flag and stop early. The test world is prepared for
-    evaluation once, for every fit.
+    images: each relabelling gives the untagged world with the sources'
+    triplet rows replaced by their pseudo labels, the world the next cycle
+    trains on, dumps and compares. Each cycle retrains from the same seeded
+    initialization; byte-equal pseudo labels between consecutive cycles
+    raise the converged flag and stop early. The test world is prepared
+    for evaluation once, for every fit.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -135,7 +143,6 @@ def iterate_cycles(
     source = SupervisionTag.WS if mode == "multistage" else SupervisionTag.US
     is_source, us = world.supervision == source.code, SupervisionTag.US.code
     sources = np.flatnonzero(is_source)
-    source_ids = world.image_ids[sources].tolist()
     # the sources untagged; a US image without pseudo labels is not scheduled
     unlabelled = world.tagged(np.where(is_source, us, world.supervision))
 
@@ -146,17 +153,15 @@ def iterate_cycles(
         grid = pair_grids(world, sources, cfg.world.feature_dim, cfg.top_k)
         grids = [grid.image(k) for k in range(len(sources))]
 
-    def relabel(params: ModelParams) -> dict[int, TripletArrays]:
-        """The pseudo labels of every source that gets some, by image id."""
-        pseudo: dict[int, TripletArrays] = {}
-        for image, image_id, grid in zip(sources, source_ids, grids):
-            if mode == "multistage":
-                triplets = ws_to_pseudo_fs(params, np.flatnonzero(world.labels[image]), grid)
-            else:
-                triplets = us_to_pseudo_fs(params, grid, cfg.pseudo_threshold)
-            if triplets:
-                pseudo[image_id] = triplets
-        return pseudo
+    def relabel(params: ModelParams) -> World:
+        """The untagged world, each source with its pseudo labels."""
+        parts = [
+            ws_to_pseudo_fs(params, np.flatnonzero(world.labels[image]), grid)
+            if mode == "multistage"
+            else us_to_pseudo_fs(params, grid, cfg.pseudo_threshold)
+            for image, grid in zip(sources, grids)
+        ]
+        return unlabelled.with_triplets(sources, parts)
 
     test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     base = fit(unlabelled, cfg, test_set)
@@ -165,14 +170,10 @@ def iterate_cycles(
     params = base.params
     reports: list[CycleReport] = []
     for cycle in range(1, n_cycles + 1):
-        n_pseudo = sum(len(v) for v in pseudo.values())
+        n_pseudo = int(np.diff(pseudo.triplet_rows)[sources].sum())
         if dump_dir is not None:
-            dump_pseudo_triplets(
-                os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo
-            )
-        # relabel keys pseudo in source order
-        labelled = [image for image, image_id in zip(sources, source_ids) if image_id in pseudo]
-        run = fit(unlabelled.with_triplets(labelled, list(pseudo.values())), cfg, test_set)
+            dump_pseudo_triplets(os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo, sources)
+        run = fit(pseudo, cfg, test_set)
         params, report = run.params, run.report
         new_pseudo = relabel(params)
         converged = same_pseudo_labels(new_pseudo, pseudo)

@@ -393,7 +393,6 @@ def reference_assemble_minibatch(
     if image_a.supervision != image_b.supervision:
         raise ValueError("mini-batches must be homogeneous in supervision")
     tag = image_a.supervision
-    image_ids = (image_a.image_id, image_b.image_id)
     grids = [pair_grid(image, feature_dim, top_k) for image in (image_a, image_b)]
 
     if tag == SupervisionTag.WS:
@@ -405,7 +404,7 @@ def reference_assemble_minibatch(
         else:
             features = np.vstack([grid.features for grid in grids])
         targets = make_ws_targets(image_a.image_labels, image_b.image_labels, n_classes)
-        return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=targets)
+        return MiniBatch(supervision=tag, features=features, targets=targets)
 
     truth = [triplet_objects(image_a.gt_triplets), triplet_objects(image_b.gt_triplets)]
     features = np.vstack([grid.features for grid in grids])
@@ -415,4 +414,4 @@ def reference_assemble_minibatch(
             for grid, gt in zip(grids, truth)
         ]
     )
-    return MiniBatch(supervision=tag, features=features, image_ids=image_ids, targets=Y)
+    return MiniBatch(supervision=tag, features=features, targets=Y)

@@ -18,13 +18,14 @@ from hoimix.experiment import ExperimentConfig, _block_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
+from hoimix.supervision import TAGS
 from hoimix.synth_world import World
 
 
 def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) -> list[MiniBatch]:
     """Every batch of the schedule, in order, built a block at a time as
     train builds them."""
-    entries = schedule.entries
+    entries = schedule.images
     return [
         batch
         for first in range(0, len(entries), BLOCK_ENTRIES)
@@ -89,7 +90,7 @@ def reference_train(
     state = MomentumState.zeros(params, cfg.optimizer.policy)
     losses = []
     for t in range(cfg.iterations):
-        tag = schedule.entries[t % len(schedule.entries)].supervision
+        tag = TAGS[world.supervision[schedule.images[t % len(schedule.images), 0]]]
         if not schedule_filter(tag, t, cfg.optimizer):
             continue
         batch = batches[t % len(batches)]

@@ -427,13 +427,10 @@ def test_criterion_07_learnability_floor():
 # 8. MIL trend
 
 
-def _trained_ids(result, tag):
-    return {
-        image_id
-        for entry in result.schedule.entries
-        if entry.supervision == tag
-        for image_id in (entry.image_a, entry.image_b)
-    }
+def _trained_ids(result, world, tag):
+    """The images of the run's schedule entries whose tag in the world is tag."""
+    images = result.schedule.images
+    return set(images[world.supervision[images[:, 0]] == tag.code].ravel().tolist())
 
 
 def _buffer_cosine(state):
@@ -483,9 +480,14 @@ def test_criterion_08_mil_trend():
         all_arms = run_many(specs)
     for seed in range(5):
         arms = dict(zip(runs, all_arms[4 * seed : 4 * seed + 4]))
+        worlds = dict(zip(runs, (spec.world for spec in specs[4 * seed : 4 * seed + 4])))
         indep_run = arms["indep"]
-        assert _trained_ids(arms["wsonly"], SupervisionTag.WS) == _trained_ids(indep_run, SupervisionTag.WS)
-        assert _trained_ids(arms["fspart"], SupervisionTag.FS) == _trained_ids(indep_run, SupervisionTag.FS)
+
+        def trained(name, tag):
+            return _trained_ids(arms[name], worlds[name], tag)
+
+        assert trained("wsonly", SupervisionTag.WS) == trained("indep", SupervisionTag.WS)
+        assert trained("fspart", SupervisionTag.FS) == trained("indep", SupervisionTag.FS)
         cosines.append(_buffer_cosine(indep_run.state))
         for name, run in arms.items():
             runs[name].append(run.report.map_full)

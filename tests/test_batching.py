@@ -24,7 +24,7 @@ from hoimix.batching import (
 )
 from hoimix.experiment import ExperimentConfig, _train_seeds, prepare_world
 from hoimix.geometry import MATCH_CHUNK
-from hoimix.supervision import SupervisionTag
+from hoimix.supervision import TAGS, SupervisionTag
 from hoimix.synth_world import (
     NO_TRIPLETS,
     WorldConfig,
@@ -438,14 +438,19 @@ def test_schedule_pairs_groups_homogeneously():
     )
     tagged = split_supervision(images, 0.5, 0.5, 0.0, seed=0)
     schedule = batch_schedule(tagged, seed=1)
-    counts = collections.Counter(e.supervision for e in schedule.entries)
+    assert schedule.images.shape == (30, 2) and schedule.leftovers.shape == (0,)
+    tags = [im.supervision for im in images_of(tagged)]
+    counts = collections.Counter(tags[a] for a, _ in schedule.images.tolist())
     assert counts[SupervisionTag.WS] == 15
     assert counts[SupervisionTag.FS] == 15
-    assert schedule.leftovers == ()
-    tags = [im.supervision for im in images_of(tagged)]
-    for e in schedule.entries:
-        assert tags[e.image_a] == tags[e.image_b] == e.supervision
-        assert e.image_a != e.image_b
+    for a, b in schedule.images.tolist():
+        assert tags[a] == tags[b]
+        assert a != b
+
+
+def schedule_rows(schedule):
+    """The schedule's entries and leftovers as lists."""
+    return schedule.images.tolist(), schedule.leftovers.tolist()
 
 
 def test_schedule_deterministic_and_seed_sensitive():
@@ -453,8 +458,8 @@ def test_schedule_deterministic_and_seed_sensitive():
         WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=5)
     )
     tagged = split_supervision(images, 0.5, 0.5, 0.0, seed=0)
-    assert batch_schedule(tagged, seed=1) == batch_schedule(tagged, seed=1)
-    assert batch_schedule(tagged, seed=1) != batch_schedule(tagged, seed=2)
+    assert schedule_rows(batch_schedule(tagged, seed=1)) == schedule_rows(batch_schedule(tagged, seed=1))
+    assert schedule_rows(batch_schedule(tagged, seed=1)) != schedule_rows(batch_schedule(tagged, seed=2))
 
 
 def test_schedule_reports_leftover_for_odd_group():
@@ -463,12 +468,11 @@ def test_schedule_reports_leftover_for_odd_group():
     )
     tagged = split_supervision(images, 0.0, 1.0, 0.0, seed=0)
     schedule = batch_schedule(tagged, seed=3)
-    assert len(schedule.entries) == 30
+    assert len(schedule.images) == 30
     assert len(schedule.leftovers) == 1
-    tag, leftover_id = schedule.leftovers[0]
-    assert tag == SupervisionTag.FS
-    scheduled = {e.image_a for e in schedule.entries} | {e.image_b for e in schedule.entries}
-    assert leftover_id not in scheduled
+    leftover = int(schedule.leftovers[0])
+    assert images_of(tagged)[leftover].supervision == SupervisionTag.FS
+    assert leftover not in set(schedule.images.ravel().tolist())
 
 
 def test_schedule_single_image_group_is_error():
@@ -496,9 +500,12 @@ def test_schedule_without_entries_is_error():
         batch_schedule(world, seed=0)
 
 
-def schedule_digest(schedule):
-    text = ";".join(f"{e.image_a},{e.image_b},{e.supervision}" for e in schedule.entries)
-    text += "|" + ";".join(f"{tag},{image_id}" for tag, image_id in schedule.leftovers)
+def schedule_digest(schedule, world):
+    """The digest of the schedule's text: each entry's two images and their
+    tag, then each leftover's tag and image."""
+    tags = [TAGS[code] for code in world.supervision.tolist()]
+    text = ";".join(f"{a},{b},{tags[a]}" for a, b in schedule.images.tolist())
+    text += "|" + ";".join(f"{tags[i]},{i}" for i in schedule.leftovers.tolist())
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -512,18 +519,18 @@ def test_schedule_adds_us_pairs_without_moving_the_fs_and_ws_pairs():
     # the schedule these images had when batch_schedule left US images out
     # unless asked to include them (recipe: schedule_digest); US images
     # without pseudo labels are left out
-    assert schedule_digest(without) == "dc80cbeb9bff4a8c"
-    assert all(e.supervision != SupervisionTag.US for e in without.entries)
+    assert schedule_digest(without, tagged) == "dc80cbeb9bff4a8c"
+    assert (tagged.supervision[without.images] != SupervisionTag.US.code).all()
 
     def labelled(n_us):
         """The tagged world with the first n_us US images pseudo-labelled."""
         return tagged.with_triplets(us[:n_us], [truth[k].gt_triplets for k in us[:n_us]])
 
     # a lone pseudo-labelled image is left out
-    assert batch_schedule(labelled(1), seed) == without
+    assert schedule_rows(batch_schedule(labelled(1), seed)) == schedule_rows(without)
 
     def pairs(schedule, tag):
-        return {(e.image_a, e.image_b) for e in schedule.entries if e.supervision == tag}
+        return {(a, b) for a, b in schedule.images.tolist() if tagged.supervision[a] == tag.code}
 
     for n_us in (2, 3, len(us)):
         schedule = batch_schedule(labelled(n_us), seed)
@@ -597,7 +604,7 @@ def test_assemble_us_batch_targets_the_images_own_triplets():
 
 
 def minibatch(tag, features, targets):
-    return MiniBatch(supervision=tag, features=features, image_ids=(0, 1), targets=targets)
+    return MiniBatch(supervision=tag, features=features, targets=targets)
 
 
 @pytest.mark.parametrize(
@@ -644,10 +651,10 @@ def test_assembled_batches_are_read_only():
 
 
 def assert_same_batches(got, want):
-    """Features, targets, image ids and read-only flags, byte for byte."""
+    """Supervision, features, targets and read-only flags, byte for byte."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.supervision, g.image_ids) == (w.supervision, w.image_ids)
+        assert g.supervision == w.supervision
         for name in ("features", "targets"):
             a, b = getattr(g, name), getattr(w, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -658,14 +665,14 @@ def reference_batches(world, schedule, cfg):
     images = images_of(world)
     return [
         reference_assemble_minibatch(
-            images[e.image_a],
-            images[e.image_b],
+            images[a],
+            images[b],
             n_classes=cfg.world.n_hoi_classes,
             feature_dim=cfg.world.feature_dim,
             top_k=cfg.top_k,
             element_swap_enabled=cfg.element_swap,
         )
-        for e in schedule.entries
+        for a, b in schedule.images.tolist()
     ]
 
 
@@ -695,7 +702,7 @@ def us_mix():
 def test_build_batches_matches_the_per_entry_reference(case):
     if case == "us_mix":
         cfg, tagged, schedule = us_mix()
-        assert any(e.supervision == SupervisionTag.US for e in schedule.entries)
+        assert (tagged.supervision[schedule.images] == SupervisionTag.US.code).any()
     else:
         overrides = {
             "seed0": {},
@@ -707,7 +714,7 @@ def test_build_batches_matches_the_per_entry_reference(case):
         seed = overrides.get("train_seed", 0)
         cfg = ExperimentConfig(world=WorldConfig(seed=seed), **overrides)
         tagged, schedule = scheduled(cfg)
-    assert len(schedule.entries) > BLOCK_ENTRIES  # more than one block
+    assert len(schedule.images) > BLOCK_ENTRIES  # more than one block
     got = schedule_batches(tagged, schedule, cfg)
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
 
@@ -716,7 +723,7 @@ def test_build_batches_matches_the_per_entry_reference(case):
 def test_build_batches_matches_the_reference_at_block_edges(n_entries):
     cfg = ExperimentConfig()
     tagged, full = scheduled(cfg)
-    schedule = Schedule(entries=full.entries[:n_entries], leftovers=())
+    schedule = Schedule(full.images[:n_entries], full.leftovers[:0])
     got = schedule_batches(tagged, schedule, cfg)
     assert len(got) == n_entries
     assert_same_batches(got, reference_batches(tagged, schedule, cfg))
@@ -761,7 +768,8 @@ def test_an_fs_and_us_block_with_swap_on_equals_the_reference(monkeypatch):
     us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code)
     labelled = [k for k in us.tolist() if k % 2]
     tagged, schedule = scheduled(cfg, tagged.with_triplets(labelled, [truth[k].gt_triplets for k in labelled]))
-    assert {e.supervision for e in schedule.entries} == {SupervisionTag.FS, SupervisionTag.US}
+    fs, us = SupervisionTag.FS.code, SupervisionTag.US.code
+    assert set(tagged.supervision[schedule.images].ravel().tolist()) == {fs, us}
     monkeypatch.setattr(batching, "element_swap", None)  # a call would raise
     got = schedule_batches(tagged, schedule, cfg)
     monkeypatch.undo()
@@ -771,10 +779,10 @@ def test_an_fs_and_us_block_with_swap_on_equals_the_reference(monkeypatch):
 def test_the_last_partial_block_of_data_pass_equals_the_reference():
     cfg = ExperimentConfig(world=WorldConfig(n_images=2400, seed=0), train_seed=0)
     tagged, schedule = scheduled(cfg)
-    n_last = len(schedule.entries) % BLOCK_ENTRIES
-    assert (len(schedule.entries), n_last) == (1200, 48)
-    last = Schedule(entries=schedule.entries[-n_last:], leftovers=())
-    assert any(e.supervision == SupervisionTag.WS for e in last.entries)
+    n_last = len(schedule.images) % BLOCK_ENTRIES
+    assert (len(schedule.images), n_last) == (1200, 48)
+    last = Schedule(schedule.images[-n_last:], schedule.leftovers[:0])
+    assert (tagged.supervision[last.images] == SupervisionTag.WS.code).any()
     got = schedule_batches(tagged, schedule, cfg)[-n_last:]
     assert_same_batches(got, reference_batches(tagged, last, cfg))
 
@@ -903,6 +911,6 @@ def test_data_pass_batch_digests_are_pinned(seed):
     for batch in schedule_batches(tagged, schedule, cfg):
         features.update(batch.features.tobytes())
         targets.update(batch.targets.tobytes())
-    assert len(schedule.entries) == 1200
+    assert len(schedule.images) == 1200
     digests = (features.hexdigest()[:16], targets.hexdigest()[:16])
     assert digests == DATA_PASS_BATCH_DIGESTS[seed]

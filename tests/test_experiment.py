@@ -202,11 +202,11 @@ def test_run_experiment_is_fit_on_the_prepared_world():
     run = fit(tagged, cfg, test_set)
     assert run.csv_row == run_experiment(cfg).csv_row
     # the run keeps its schedule, drawn from the images it was given
-    assert len(run.schedule.entries) == run.log.header["schedule_entries"]
-    trained = {i for e in run.schedule.entries for i in (e.image_a, e.image_b)}
-    assert trained <= set(range(len(tagged)))
-    fs_run = fit(fs_part(tagged), cfg, test_set, run_id="fs")
-    assert {e.supervision for e in fs_run.schedule.entries} == {SupervisionTag.FS}
+    assert len(run.schedule.images) == run.log.header["schedule_entries"]
+    assert set(run.schedule.images.ravel().tolist()) <= set(range(len(tagged)))
+    fs_world = fs_part(tagged)
+    fs_run = fit(fs_world, cfg, test_set, run_id="fs")
+    assert set(fs_world.supervision[fs_run.schedule.images].ravel().tolist()) == {SupervisionTag.FS.code}
     assert fs_run.csv_row.startswith("fs,")
 
 
@@ -277,7 +277,7 @@ def test_resume_matches_uninterrupted_run():
 def test_a_resume_mid_block_in_the_last_lap_matches_the_uninterrupted_run():
     cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
     tagged, _, _ = prepare_world(cfg)
-    n = len(train(tagged, cfg).schedule.entries)
+    n = len(train(tagged, cfg).schedule.images)
     assert n > BLOCK_ENTRIES + 10
     # the last lap reaches entry n - 21; the resume starts at entry 10 of it,
     # so entries 0-9 are built and never used again
@@ -314,7 +314,7 @@ def test_a_later_block_that_fails_to_build_raises_its_value_error(monkeypatch):
 def test_no_block_outlives_the_assembly_of_its_batches(monkeypatch):
     cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
     tagged, _, _ = prepare_world(cfg)
-    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.entries))
+    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.images))
     real_block, real_forward = hoimix.experiment.prepare_block, hoimix.experiment.forward
     blocks = []
 
@@ -345,12 +345,12 @@ def test_a_resumed_one_pass_run_builds_only_the_blocks_it_trains_on(monkeypatch)
     built = []
 
     def counted(world, entries, **kwargs):
-        built.append(entries[0])
+        built.append(entries[0].tolist())
         return real(world, entries, **kwargs)
 
     monkeypatch.setattr(hoimix.experiment, "prepare_block", counted)
     resumed = train(tagged, cfg, init_params=half.params, init_state=half.state, start_iteration=600)
-    first = [(e.image_a, e.image_b) for e in full.schedule.entries[9 * BLOCK_ENTRIES :: BLOCK_ENTRIES]]
+    first = full.schedule.images[9 * BLOCK_ENTRIES :: BLOCK_ENTRIES].tolist()
     assert len(built) == 10 and built == first
     assert resumed.params.flat.tobytes() == full.params.flat.tobytes()
     assert resumed.state.buffers.tobytes() == full.state.buffers.tobytes()
@@ -363,7 +363,7 @@ def one_pass_peak_bytes(n_images: int) -> int:
     each schedule entry once, on the default world of n_images images."""
     cfg = ExperimentConfig(world=WorldConfig(n_images=n_images), iterations=1)
     tagged, _, _ = prepare_world(cfg)
-    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.entries))
+    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.images))
     tracemalloc.start()
     try:
         train(tagged, cfg)
@@ -409,6 +409,25 @@ def test_resume_rejects_a_state_of_the_other_buffer_count(saved_policy):
     half = train(tagged, saved_cfg)
     with pytest.raises(ValueError, match="momentum buffer"):
         train(tagged, resume_cfg, init_params=half.params, init_state=half.state, start_iteration=20)
+
+
+@pytest.mark.parametrize("start", [-1, 31])
+def test_train_rejects_a_start_iteration_outside_the_run(monkeypatch, start):
+    cfg = tiny_cfg(iterations=30)
+    tagged, _, _ = prepare_world(cfg)
+    # rejected before the schedule is drawn
+    monkeypatch.setattr(hoimix.experiment, "batch_schedule", None)
+    with pytest.raises(ValueError, match=f"start_iteration {start} is outside \\[0, 30\\]"):
+        train(tagged, cfg, start_iteration=start)
+
+
+def test_train_accepts_a_start_iteration_at_the_end_of_the_run():
+    cfg = tiny_cfg(iterations=30)
+    tagged, _, _ = prepare_world(cfg)
+    half = train(tagged, cfg)
+    done = train(tagged, cfg, init_params=half.params, init_state=half.state, start_iteration=30)
+    assert done.log.losses == [] and done.log.skipped == 0
+    assert done.state.t == half.state.t == 30
 
 
 def test_resume_rejects_params_or_state_of_other_dims():
@@ -502,7 +521,8 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
         assert run.params.flat.tobytes() == serial.params.flat.tobytes()
         assert run.state.buffers.tobytes() == serial.state.buffers.tobytes()
         assert run.state.t == serial.state.t
-        assert run.schedule.entries == serial.schedule.entries
+        assert run.schedule.images.tolist() == serial.schedule.images.tolist()
+        assert run.schedule.leftovers.tolist() == serial.schedule.leftovers.tolist()
         assert run.log.losses == serial.log.losses
         assert [(it, r.map_full) for it, r in run.log.evals] == [
             (it, r.map_full) for it, r in serial.log.evals
@@ -780,8 +800,9 @@ def test_us_images_excluded_until_pseudo_labeled():
         [im for im in images_of(tagged) if im.supervision != SupervisionTag.US], cfg.world.n_hoi_classes
     )
     us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code).tolist()
-    entries = train(base, cfg).schedule.entries
+    entries = train(base, cfg).schedule.images
     index = np.flatnonzero(tagged.supervision != SupervisionTag.US.code)  # base image k's index
+    assert base.supervision.tolist() == tagged.supervision[index].tolist()
 
     def with_pseudo_labels(ks):
         return tagged.with_triplets(ks, [images[k].gt_triplets for k in ks])
@@ -791,13 +812,11 @@ def test_us_images_excluded_until_pseudo_labeled():
     for world in (tagged, with_pseudo_labels(us[:1])):
         result = train(world, cfg)
         assert "US" not in {tag for _, tag, _ in result.log.losses}
-        assert [(index[e.image_a], index[e.image_b], e.supervision) for e in entries] == [
-            (e.image_a, e.image_b, e.supervision) for e in result.schedule.entries
-        ]
+        assert index[entries].tolist() == result.schedule.images.tolist()
     us_pairs = [
-        {e.image_a, e.image_b}
-        for e in train(with_pseudo_labels(us[:2]), cfg).schedule.entries
-        if e.supervision == SupervisionTag.US
+        set(pair)
+        for pair in train(with_pseudo_labels(us[:2]), cfg).schedule.images.tolist()
+        if tagged.supervision[pair[0]] == SupervisionTag.US.code
     ]
     assert us_pairs == [{us[0], us[1]}]
 

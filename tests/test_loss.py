@@ -150,9 +150,9 @@ def test_losses_take_a_checked_batch_in_place_of_its_targets():
     P = rng.uniform(0.0, 1.0, size=(5, 3))
     Y = (rng.random((5, 3)) < 0.4).astype(float)
     y = np.array([1.0, 0.0, 1.0])
-    fs = MiniBatch(SupervisionTag.FS, np.ones((5, 2)), (0, 1), targets=Y)
-    us = MiniBatch(SupervisionTag.US, np.ones((5, 2)), (0, 1), targets=Y)
-    ws = MiniBatch(SupervisionTag.WS, np.ones((5, 2)), (0, 1), targets=y)
+    fs = MiniBatch(SupervisionTag.FS, np.ones((5, 2)), targets=Y)
+    us = MiniBatch(SupervisionTag.US, np.ones((5, 2)), targets=Y)
+    ws = MiniBatch(SupervisionTag.WS, np.ones((5, 2)), targets=y)
     assert bits(fs_loss(P, fs)) == bits(fs_loss(P, Y))
     assert bits(fs_loss(P, us)) == bits(fs_loss(P, Y))
     assert bits(ws_loss(P.sum(axis=0), ws)) == bits(ws_loss(P.sum(axis=0), y))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -17,7 +18,7 @@ from hoimix.pseudo_label import (
     ws_to_pseudo_fs,
 )
 from hoimix.supervision import SupervisionTag
-from hoimix.synth_world import TripletArrays, WorldConfig, generate_world, split_supervision
+from hoimix.synth_world import TripletArrays, WorldConfig, generate_world, split_supervision, stack_triplets
 
 from box_reference import Box, GroundTruthTriplet, triplet_objects
 from experiment_helpers import record_preparations
@@ -133,35 +134,41 @@ def test_us_output_monotone_in_threshold():
         assert sizes == sorted(sizes, reverse=True)
 
 
-def test_pseudo_dump_format(tmp_path):
-    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
+WS_WORLD = split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0)
+
+
+def ws_pseudo_labels(n_images):
+    """Fresh pseudo triplets of the first n_images of WS_WORLD, one per label."""
     params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
-    pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im))
-        for im in images[:3]
-    }
+    return [
+        ws_to_pseudo_fs(params, im.image_labels, grid_of(im)) for im in images_of(WS_WORLD)[:n_images]
+    ]
+
+
+def test_pseudo_dump_format(tmp_path):
+    # images 1, 3 and 4 have pseudo labels; WS images have no other triplets
+    parts = ws_pseudo_labels(5)
+    world = WS_WORLD.with_triplets([1, 3, 4], [parts[1], parts[3], parts[4]])
     path = tmp_path / "pseudo.jsonl"
-    dump_pseudo_triplets(path, pseudo)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    record = json.loads(lines[0])
+    dump_pseudo_triplets(path, world, np.arange(len(world)))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["image_id"] for r in records] == WS_WORLD.image_ids[[1, 3, 4]].tolist()
+    record = records[0]
     assert record["pseudo"] is True
     assert {"h_box", "o_box", "hoi_class"} <= set(record["gt_triplets"][0])
+    image = images_of(world)[1]
+    assert [t["hoi_class"] for t in record["gt_triplets"]] == image.gt_triplets.hoi_classes.tolist()
+    assert [t["h_box"] for t in record["gt_triplets"]] == image.gt_triplets.human_boxes.tolist()
 
 
 def test_failed_dump_keeps_the_previous_file(tmp_path):
-    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
-    params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
-    pseudo = {
-        im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im))
-        for im in images[:4]
-    }
+    world = WS_WORLD.with_triplets(range(4), ws_pseudo_labels(4))
     path = tmp_path / "pseudo.jsonl"
-    dump_pseudo_triplets(path, {k: pseudo[k] for k in list(pseudo)[:2]})
+    dump_pseudo_triplets(path, world, [0, 1])
     before = path.read_bytes()
-    # the last value is not a triplet set, so the dump raises after writing the others
-    with pytest.raises(AttributeError):
-        dump_pseudo_triplets(path, {**pseudo, 10**9: [None]})
+    # the last image is not in the world, so the dump raises after writing the others
+    with pytest.raises(IndexError):
+        dump_pseudo_triplets(path, world, [0, 1, 2, 3, len(world)])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pseudo.jsonl"]
 
@@ -201,34 +208,35 @@ def test_iterate_cycles_reports_and_early_stops(monkeypatch):
         assert report.converged == (after == before)
 
 
-def rebuilt(pseudo):
-    """Each image's triplets as new arrays of the same values."""
-    return {
-        k: TripletArrays(t.human_boxes.copy(), t.object_boxes.copy(), t.hoi_classes.copy())
-        for k, t in pseudo.items()
-    }
-
-
 def test_equal_pseudo_label_sets_compare_by_value():
-    images = images_of(split_supervision(generate_world(SMALL), 1.0, 0.0, 0.0, seed=0))
-    params = ModelParams.init(SMALL.feature_dim, 16, 6, seed=1)
-    pseudo = {im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im)) for im in images[:4]}
-    again = {im.image_id: ws_to_pseudo_fs(params, im.image_labels, grid_of(im)) for im in images[:4]}
-    assert all(again[k] is not pseudo[k] for k in pseudo)
-    assert same_pseudo_labels(pseudo, again) and same_pseudo_labels(again, rebuilt(pseudo))
-    assert same_pseudo_labels({}, {})
+    parts = ws_pseudo_labels(4)
+    pseudo = WS_WORLD.with_triplets(range(4), parts)
+    again = WS_WORLD.with_triplets(range(4), ws_pseudo_labels(4))
+    assert again.triplets.human_boxes is not pseudo.triplets.human_boxes
+    assert same_pseudo_labels(pseudo, again) and same_pseudo_labels(again, pseudo)
+    # no image has pseudo labels in either
+    assert same_pseudo_labels(WS_WORLD, WS_WORLD.with_triplets([], []))
+    assert not same_pseudo_labels(WS_WORLD, pseudo)
 
-    k = images[2].image_id
-    moved, relabelled = rebuilt(pseudo), rebuilt(pseudo)
-    moved[k].object_boxes[0, 2] += 1e-9
-    relabelled[k].hoi_classes[-1] = (relabelled[k].hoi_classes[-1] + 1) % 6
-    for changed in (moved, relabelled):
-        assert not same_pseudo_labels(pseudo, changed)
-        assert not same_pseudo_labels(changed, pseudo)
-    fewer = {i: t for i, t in pseudo.items() if i != k}
-    assert not same_pseudo_labels(pseudo, fewer) and not same_pseudo_labels(fewer, pseudo)
-    shorter = {**rebuilt(pseudo), k: pseudo[k].take(np.arange(len(pseudo[k]) - 1))}
-    assert not same_pseudo_labels(pseudo, shorter)
+    def changed(k, triplets):
+        """The pseudo labels with image k's replaced by triplets."""
+        return WS_WORLD.with_triplets(range(4), [triplets if j == k else t for j, t in enumerate(parts)])
+
+    t = parts[2]
+    assert len(t) > 1
+    moved = TripletArrays(t.human_boxes, t.object_boxes.copy(), t.hoi_classes)
+    moved.object_boxes[0, 2] += 1e-9
+    relabelled = TripletArrays(t.human_boxes, t.object_boxes, (t.hoi_classes + 1) % 6)
+    shorter = t.take(np.arange(len(t) - 1))
+    fewer = WS_WORLD.with_triplets([0, 1, 3], [parts[0], parts[1], parts[3]])
+    # the same rows in the same order, with image 2's last triplet on image 3
+    shifted = WS_WORLD.with_triplets(
+        range(4), [parts[0], parts[1], shorter, stack_triplets([t.take([-1]), parts[3]])]
+    )
+    assert shifted.triplets.hoi_classes.tolist() == pseudo.triplets.hoi_classes.tolist()
+    for other in (changed(2, moved), changed(2, relabelled), changed(2, shorter), fewer, shifted):
+        assert not same_pseudo_labels(pseudo, other)
+        assert not same_pseudo_labels(other, pseudo)
 
 
 def test_iterate_cycles_prepares_one_test_set_for_all_its_fits(monkeypatch, tmp_path):
@@ -358,3 +366,35 @@ def test_iterate_cycles_builds_the_pseudo_source_grids_once(monkeypatch, mode):
     # one set-level pass before the base fit; every relabelling reuses it
     assert built == [sources]
     assert relabelled == [[i] for i in sources] * (1 + len(reports))
+
+
+# iterate_cycles(mode="multistage") on the default world at 50/50 with 800
+# iterations and 3 cycles: the base map_full, the cycle reports, the sha256
+# of the final params.flat and of each dump; recorded before the pseudo
+# labels became triplet rows of a World (numpy 2.x + scipy-openblas 0.3.31
+# on x86-64)
+MULTISTAGE_BASE_MAP_FULL = 0.5683677637782556
+MULTISTAGE_REPORTS = [
+    "CycleReport(cycle=1, map_full=0.56905148750089, map_rare=0.41749558320616326, "
+    "map_nonrare=0.619570122265799, n_pseudo=222, converged=False)",
+    "CycleReport(cycle=2, map_full=0.5670262642661513, map_rare=0.4148212154584104, "
+    "map_nonrare=0.6177612805353984, n_pseudo=222, converged=True)",
+]
+MULTISTAGE_PARAMS_SHA256 = "369c031e3967551c"
+MULTISTAGE_DUMP_SHA256 = {
+    "pseudo_cycle_1.jsonl": "1c65d6af7e3a1fa4",
+    "pseudo_cycle_2.jsonl": "13718d7ed9b07904",
+}
+
+
+def test_multistage_cycles_are_pinned(tmp_path):
+    cfg = ExperimentConfig(ws_fraction=0.5, fs_fraction=0.5, us_fraction=0.0, iterations=800)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    params, reports, base = iterate_cycles(
+        tagged, cfg, 3, mode="multistage", test_images=test_images, rare_ids=rare_ids, dump_dir=tmp_path
+    )
+    assert base.map_full == MULTISTAGE_BASE_MAP_FULL
+    assert [repr(r) for r in reports] == MULTISTAGE_REPORTS
+    assert hashlib.sha256(params.flat.tobytes()).hexdigest()[:16] == MULTISTAGE_PARAMS_SHA256
+    dumps = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert dumps == MULTISTAGE_DUMP_SHA256

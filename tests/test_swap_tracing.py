@@ -41,15 +41,15 @@ def test_traced_batches_span_each_ws_entry_and_count_the_reference_pool():
     metrics = tracer.metrics(wall_s=1.0)
 
     images = images_of(tagged)
-    ws = [e for e in schedule.entries if e.supervision == SupervisionTag.WS]
+    ws = [(a, b) for a, b in schedule.images.tolist() if images[a].supervision == SupervisionTag.WS]
     kept = candidates = 0
-    for entry in ws:
+    for a, b in ws:
         pairs = [
             build_pairs(image, reference_pair_grid(image, cfg.world.feature_dim, cfg.top_k))
-            for image in (images[entry.image_a], images[entry.image_b])
+            for image in (images[a], images[b])
         ]
         candidates += len(reference_swap_candidates(*pairs))
         kept += len(reference_element_swap(*pairs))
-    assert len(batches) == len(schedule.entries) > BLOCK_ENTRIES
+    assert len(batches) == len(schedule.images) > BLOCK_ENTRIES
     assert [span[0] for span in tracer.spans].count("batching.element_swap") == len(ws)
     assert metrics["batching.swap_keep_ratio"] == kept / candidates

@@ -206,13 +206,31 @@ class KeptPairs:
         return len(self.grid_row)
 
 
+# per run of element_swap's candidates (image 1's pairs, image 2's, image 1's
+# humans with image 2's objects, the reverse): the image (0 or 1) of its
+# humans, of its objects, and whether it is swapped
+_RUNS = np.array([[0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.intp)
+
+
+def _factors(grid: PairGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The kept humans and the kept objects of a one-image grid, read off
+    its human-major layout: the first human's run holds every kept object."""
+    humans = grid.human_index
+    n_objects = int(np.searchsorted(humans, humans[0], side="right"))
+    if len(grid) % n_objects:
+        raise ValueError(f"{len(grid)} pairs are not a full human x object product")
+    return humans[::n_objects], grid.object_index[:n_objects]
+
+
 def element_swap(
     grid1: PairGrid, grid2: PairGrid, world: World, image1: int, image2: int
 ) -> KeptPairs:
     """Cross-image pair selection for two weakly-labeled images.
 
     Takes each image's own grid (PairGrid.image), then the world and the
-    images. Forms the full (H1+H2) x (O1+O2) pool of pairs across both,
+    images; a grid that is not a full kept human x kept object product
+    raises ValueError, as its layout is where the kept humans and objects
+    are read from. Forms the full (H1+H2) x (O1+O2) pool of pairs across both,
     then prunes easy negatives by ascending confidence product (the product
     of the two detector confidences, available before any training and
     stable across epochs) until exactly H1*O1 + H2*O2 pairs remain, the
@@ -230,32 +248,29 @@ def element_swap(
             raise ValueError(f"grid of images {ids} is not image {image_id}'s")
     if images[0] == images[1]:
         raise ValueError("element_swap needs pairs from two distinct images")
-    h_first, n_humans, o_first, n_objects = world.detection_ranges(np.array([image1, image2]))
+    (humans1, objects1), (humans2, objects2) = _factors(grid1), _factors(grid2)
+    # the candidates: the grids' pairs, then each image's humans against
+    # the other image's objects, human-major
+    counts = (len(grid1), len(grid2), len(humans1) * len(objects2), len(humans2) * len(objects1))
+    n_same = counts[0] + counts[1]
+    h_side, o_side, swapped = np.repeat(_RUNS, counts, axis=1)
+    h_index = np.concatenate([
+        grid1.human_index, grid2.human_index,
+        humans1.repeat(len(objects2)), humans2.repeat(len(objects1)),
+    ])
+    o_index = np.concatenate([
+        grid1.object_index, grid2.object_index,
+        *[objects2] * len(humans1), *[objects1] * len(humans2),
+    ])
+    first_human = world.detection_rows[[image1, image2]]
+    first_object = first_human + world.n_humans[[image1, image2]]
     confidences = world.detections.confidences
-
-    # the detections of both images are numbered image 1's first; the
-    # candidates are (human, object) numbers: the grids' pairs, then each
-    # image's humans against the other image's objects, human-major
-    n_humans1, n_objects1 = n_humans[0], n_objects[0]
-    h1, o1 = grid1.human_index, grid1.object_index
-    h2, o2 = grid2.human_index + n_humans1, grid2.object_index + n_objects1
-    n_same = len(h1) + len(h2)
-    h_rows, o_rows = [h1, h2], [o1, o2]
-    for h, o in ((np.unique(h1), np.unique(o2)), (np.unique(h2), np.unique(o1))):
-        h_rows.append(np.repeat(h, len(o)))
-        o_rows.append(np.tile(o, len(h)))
-    h, o = np.concatenate(h_rows), np.concatenate(o_rows)
-    # which image each candidate's human and object come from (0 or 1)
-    h_side, o_side = (h >= n_humans1).astype(np.intp), (o >= n_objects1).astype(np.intp)
-    h_index, o_index = h - n_humans1 * h_side, o - n_objects1 * o_side
     product = (
-        confidences[row_ranges(h_first, n_humans)][h] * confidences[row_ranges(o_first, n_objects)][o]
+        confidences[first_human[h_side] + h_index] * confidences[first_object[o_side] + o_index]
     )
-    swapped = np.arange(len(h)) >= n_same
     # the key, most significant last: -product, swapped, source ids, detection indices
-    kept = np.lexsort(
-        (o_index, h_index, np.take(images, o_side), np.take(images, h_side), swapped, -product)
-    )[:n_same]
+    ids = np.array(images)
+    kept = np.lexsort((o_index, h_index, ids[o_side], ids[h_side], swapped, -product))[:n_same]
     return KeptPairs(
         h_side[kept], h_index[kept], o_side[kept], o_index[kept], np.where(kept < n_same, kept, -1)
     )

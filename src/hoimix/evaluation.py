@@ -93,7 +93,7 @@ def _greedy_ap(
         at = hit_scores == value
         rank[at] += np.searchsorted(np.flatnonzero(scores == value), rows[at])
 
-    tp = np.zeros(n)
+    tp_ranks = []
     matched: set[int] = set()
     hits = sorted(zip(rank.tolist(), gt_index.tolist(), overlap.tolist()))
     for r, candidates in groupby(hits, key=lambda hit: hit[0]):
@@ -103,15 +103,20 @@ def _greedy_ap(
                 best_iou, best_gt = iou, gt_idx
         if best_gt >= 0:
             matched.add(best_gt)
-            tp[r] = 1.0
+            tp_ranks.append(r)
 
-    cum_tp = np.cumsum(tp)
-    recall = np.concatenate([[0.0], cum_tp / n_gt])
-    precision = np.concatenate([[1.0], cum_tp / np.arange(1, n + 1)])
     # all-point interpolation: running max of precision from the right,
-    # integrated over recall steps
-    precision = np.maximum.accumulate(precision[::-1])[::-1]
-    return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
+    # integrated over recall steps. Recall steps only at the true positives,
+    # and precision falls between them, so its running max is attained at
+    # one of them; each term sits at its rank among n zeros, so that the
+    # sum adds the terms in the grouping of the dense per-rank curve
+    tp_ranks = np.array(tp_ranks, dtype=np.intp)
+    found = np.arange(len(tp_ranks) + 1)
+    recall = found / n_gt
+    precision = np.maximum.accumulate((found[1:] / (tp_ranks + 1))[::-1])[::-1]
+    terms = np.zeros(n)
+    terms[tp_ranks] = (recall[1:] - recall[:-1]) * precision
+    return float(np.sum(terms))
 
 
 def ground_truth(pairs: BoxPairs, world: World) -> GroundTruth:

@@ -253,7 +253,7 @@ def train(
             if tag.region_level:
                 report, upstream = fs_loss(scores.P, batch)
             else:
-                report, upstream = ws_loss(scores.P.sum(axis=0), batch)
+                report, upstream = ws_loss(np.add.reduce(scores.P), batch)
             backward(params, scores, upstream, grads)
         except ValueError as exc:
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc

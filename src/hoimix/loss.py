@@ -55,16 +55,12 @@ def _clamp(p: np.ndarray) -> np.ndarray:
 def _bce_sum(y: np.ndarray, p: np.ndarray) -> float:
     """Sum of -(y log p + (1 - y) log1p(-p)) over all entries.
 
-    The terms are formed in place; negating the sum rounds exactly like
+    y is binary and p is clamped inside (0, 1), so each term is log p or
+    log1p(-p), both strictly negative, and picking it is bit-equal to
+    weighting both by y and 1 - y; negating the sum rounds exactly like
     summing the negated terms.
     """
-    terms = np.log(p)
-    terms *= y
-    rest = np.negative(p)
-    np.log1p(rest, out=rest)
-    rest *= 1.0 - y
-    terms += rest
-    return -terms.sum()
+    return -np.where(y, np.log(p), np.log1p(-p)).sum()
 
 
 def fs_loss(P: np.ndarray, Y: np.ndarray | MiniBatch) -> tuple[LossReport, np.ndarray]:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def _shapes(feature_dim: int, hidden_dim: int, n_classes: int) -> tuple[tuple[int, ...], ...]:
@@ -39,6 +40,8 @@ class ModelParams:
     an optimizer step is one operation on `flat`. Write through the views
     (`params.w_enc[...] = x`, `params.flat -= z`); rebinding a name to
     another array would detach it from `flat` and raises AttributeError.
+    `w_heads` (2, hidden_dim, n_classes) and `b_heads` (2, 1, n_classes)
+    are two more views: w_cls and w_sel, and b_cls and b_sel, stacked.
     """
 
     FIELDS = ("w_enc", "b_enc", "w_cls", "b_cls", "w_sel", "b_sel")
@@ -64,6 +67,13 @@ class ModelParams:
             size = math.prod(shape)
             views[name] = flat[offset : offset + size].reshape(shape)
             offset += size
+        # both heads as one (2, ...) stack: w_sel and b_sel lie (H + 1) * C
+        # floats after w_cls and b_cls
+        _, hidden_dim, n_classes = dims
+        step = (hidden_dim + 1) * n_classes * flat.strides[0]
+        w_cls, b_cls = views["w_cls"], views["b_cls"]
+        views["w_heads"] = as_strided(w_cls, (2, *w_cls.shape), (step, *w_cls.strides))
+        views["b_heads"] = as_strided(b_cls, (2, 1, *b_cls.shape), (step, 0, *b_cls.strides))
         self.__dict__.update(flat=flat, dims=dims, **views)
 
     @classmethod
@@ -128,18 +138,16 @@ class ScoreMatrix:
 
     features: np.ndarray  # (..., N, feature_dim) float64 input
     hidden: np.ndarray   # (..., N, hidden_dim) ReLU encoder output
-    sigma_c: np.ndarray  # (..., N, C), each row sums to 1
-    sigma_s: np.ndarray  # (..., N, C), each column sums to 1
+    heads: np.ndarray    # (2, ..., N, C): sigma_c, then sigma_s
     P: np.ndarray        # (..., N, C), sigma_c * sigma_s
 
+    @property
+    def sigma_c(self) -> np.ndarray:  # (..., N, C), each row sums to 1
+        return self.heads[0]
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along `axis` with max subtraction for stability, computed in
-    the storage of x, which is returned."""
-    x -= x.max(axis=axis, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
-    return x
+    @property
+    def sigma_s(self) -> np.ndarray:  # (..., N, C), each column sums to 1
+        return self.heads[1]
 
 
 def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
@@ -164,20 +172,31 @@ def forward(params: ModelParams, features: np.ndarray) -> ScoreMatrix:
         raise ValueError(
             f"feature dim {features.shape[-1]} does not match model dim {params.feature_dim}"
         )
-    # each product is a new array; bias, ReLU and softmax reuse its storage
+    # each product is a new array; bias, ReLU and both softmaxes (max
+    # subtracted for stability) reuse its storage
     hidden = features @ params.w_enc
     hidden += params.b_enc
     np.maximum(hidden, 0.0, out=hidden)
-    raw_c = hidden @ params.w_cls
-    raw_c += params.b_cls
-    raw_s = hidden @ params.w_sel
-    raw_s += params.b_sel
-    sigma_c = _softmax(raw_c, axis=-1)
-    sigma_s = _softmax(raw_s, axis=-2)
+    # the heads lead, so that each head's scores are one contiguous array
+    w_heads, b_heads = params.w_heads, params.b_heads
+    if hidden.ndim > 2:
+        lead = (slice(None),) + (None,) * (hidden.ndim - 2)
+        w_heads, b_heads = w_heads[lead], b_heads[lead]
+    heads = hidden @ w_heads
+    heads += b_heads
+    # each head's raw scores, turned into its softmax in place
+    sigma_c, sigma_s = heads[0], heads[1]
+    sigma_c -= np.maximum.reduce(sigma_c, -1, keepdims=True)
+    sigma_s -= np.maximum.reduce(sigma_s, -2, keepdims=True)
+    np.exp(heads, out=heads)
+    sigma_c /= np.add.reduce(sigma_c, -1, keepdims=True)
+    sigma_s /= np.add.reduce(sigma_s, -2, keepdims=True)
     P = sigma_c * sigma_s
-    if not np.isfinite(P).all():
+    # each softmax lies in [0, 1] or is NaN (an infinity or an overflow
+    # met its max), so P's sum is NaN exactly when P is not finite
+    if np.isnan(np.add.reduce(P, None)):
         raise ValueError("non-finite scores P")
-    return ScoreMatrix(features=features, hidden=hidden, sigma_c=sigma_c, sigma_s=sigma_s, P=P)
+    return ScoreMatrix(features=features, hidden=hidden, heads=heads, P=P)
 
 
 def backward(
@@ -188,7 +207,8 @@ def backward(
 ) -> ModelParams:
     """Exact gradients of a scalar loss with respect to every parameter.
 
-    `scores` is what forward returned for these params; `upstream` is either
+    `scores` is what forward returned for these params on one (N, D)
+    matrix, not on a stack, which raises ValueError; `upstream` is either
     dL/dP with shape (N, C) or dL/dp with shape (C,), where p is the sum of
     P over pairs. The chain runs through the element-wise product, both
     softmaxes, and the encoder. A vector upstream is dL/dP of every row,
@@ -197,36 +217,40 @@ def backward(
     reuses one) or, when it is None, into a new ModelParams, which is
     returned.
     """
-    sigma_c, sigma_s, hidden = scores.sigma_c, scores.sigma_s, scores.hidden
+    heads, hidden = scores.heads, scores.hidden
+    if hidden.ndim != 2:
+        raise ValueError(
+            "backward takes the scores of one (N, D) matrix, "
+            f"not of a stack of shape {scores.features.shape}"
+        )
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
-        if upstream.shape[0] != sigma_c.shape[1]:
+        if upstream.shape[0] != heads.shape[-1]:
             raise ValueError("upstream vector length does not match class count")
-    elif upstream.shape != sigma_c.shape:
+    elif upstream.shape != heads.shape[1:]:
         raise ValueError(
-            f"upstream shape {upstream.shape} matches neither P {sigma_c.shape} nor p"
+            f"upstream shape {upstream.shape} matches neither P {heads.shape[1:]} nor p"
         )
 
-    # softmax Jacobian applied per row (classification) and per column
-    # (selection), in the storage of dL/dsigma_c and dL/dsigma_s
-    d_score_c = upstream * sigma_s
-    d_score_c -= (d_score_c * sigma_c).sum(axis=1, keepdims=True)
-    d_score_c *= sigma_c
-    d_score_s = upstream * sigma_c
-    d_score_s -= (d_score_s * sigma_s).sum(axis=0, keepdims=True)
-    d_score_s *= sigma_s
+    # dL/dsigma_c and dL/dsigma_s stacked; the softmax Jacobian applied per
+    # row (classification) and per column (selection) in their storage
+    d = upstream * heads[::-1]
+    weighted = d * heads
+    d[0] -= np.add.reduce(weighted[0], 1, keepdims=True)
+    d[1] -= np.add.reduce(weighted[1], 0, keepdims=True)
+    d *= heads
 
-    d_pre = d_score_c @ params.w_cls.T
-    d_pre += d_score_s @ params.w_sel.T
+    # dL/dhidden through each head, summed into the first
+    d_pre = d @ params.w_heads.transpose(0, 2, 1)
+    d_pre[0] += d_pre[1]
+    d_pre = d_pre[0]
     # hidden > 0 exactly where the ReLU's input is > 0
     d_pre *= hidden > 0.0
     grads = params.zeros_like() if out is None else out
     np.matmul(scores.features.T, d_pre, out=grads.w_enc)
-    d_pre.sum(axis=0, out=grads.b_enc)
-    np.matmul(hidden.T, d_score_c, out=grads.w_cls)
-    d_score_c.sum(axis=0, out=grads.b_cls)
-    np.matmul(hidden.T, d_score_s, out=grads.w_sel)
-    d_score_s.sum(axis=0, out=grads.b_sel)
+    np.add.reduce(d_pre, 0, out=grads.b_enc)
+    np.matmul(hidden.T, d, out=grads.w_heads)
+    np.add.reduce(d, 1, keepdims=True, out=grads.b_heads)
     return grads
 
 

@@ -5,13 +5,16 @@ The reference is the original implementation: one Python object per
 prediction, a sort keyed on (-score, insertion index) and a scalar pair_iou
 per prediction and ground-truth pair. The array path must reproduce its APs
 exactly. reference_hits is the per-image loop that geometry.pair_hits
-replaced; pair_hits must find the same hits.
+replaced; pair_hits must find the same hits. dense_greedy_ap is the AP
+that evaluation._greedy_ap replaced, with a precision and a recall at every
+rank; _greedy_ap must return its bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -77,6 +80,39 @@ def reference_match_and_ap(
     precision = np.concatenate([[1.0], precision])
     for i in range(len(precision) - 2, -1, -1):
         precision[i] = max(precision[i], precision[i + 1])
+    return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
+
+
+def dense_greedy_ap(
+    scores: np.ndarray, rows: np.ndarray, gt_index: np.ndarray, overlap: np.ndarray, n_gt: int
+) -> float:
+    """_greedy_ap as it was: the same ranks and greedy matching, then the
+    true positives, recall and interpolated precision at every rank."""
+    n = len(scores)
+    ordered, hit_scores = np.sort(scores), scores[rows]
+    not_above = np.searchsorted(ordered, hit_scores, side="right")
+    rank = n - not_above
+    tied = not_above - np.searchsorted(ordered, hit_scores, side="left") > 1
+    for value in set(hit_scores[tied].tolist()):
+        at = hit_scores == value
+        rank[at] += np.searchsorted(np.flatnonzero(scores == value), rows[at])
+
+    tp = np.zeros(n)
+    matched: set[int] = set()
+    hits = sorted(zip(rank.tolist(), gt_index.tolist(), overlap.tolist()))
+    for r, candidates in groupby(hits, key=lambda hit: hit[0]):
+        best_iou, best_gt = 0.0, -1
+        for _, gt_idx, iou in candidates:
+            if gt_idx not in matched and iou > best_iou:
+                best_iou, best_gt = iou, gt_idx
+        if best_gt >= 0:
+            matched.add(best_gt)
+            tp[r] = 1.0
+
+    cum_tp = np.cumsum(tp)
+    recall = np.concatenate([[0.0], cum_tp / n_gt])
+    precision = np.concatenate([[1.0], cum_tp / np.arange(1, n + 1)])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
 
 

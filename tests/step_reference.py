@@ -7,6 +7,11 @@ np.clip, one temporary per operation) on raw target arrays, then backward
 with a WS upstream broadcast to the shape of P, then the momentum step.
 `experiment.train` must reproduce its parameters, momentum buffers, step
 count and logged losses byte for byte.
+
+reference_forward and reference_backward are the model's two passes as
+they were before both heads ran as one stack: a softmax and a product per
+head, and no finiteness check. model.forward and model.backward must
+return their bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +36,52 @@ def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) ->
         for first in range(0, len(entries), BLOCK_ENTRIES)
         for batch in _block_batches(world, entries[first : first + BLOCK_ENTRIES], cfg)
     ]
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def reference_forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(hidden, sigma_c, sigma_s, P) of an (..., N, D) stack, one head at a
+    time; P may be non-finite."""
+    hidden = features @ params.w_enc
+    hidden += params.b_enc
+    np.maximum(hidden, 0.0, out=hidden)
+    raw_c = hidden @ params.w_cls
+    raw_c += params.b_cls
+    raw_s = hidden @ params.w_sel
+    raw_s += params.b_sel
+    sigma_c = _softmax(raw_c, axis=-1)
+    sigma_s = _softmax(raw_s, axis=-2)
+    return hidden, sigma_c, sigma_s, sigma_c * sigma_s
+
+
+def reference_backward(
+    params: ModelParams, features: np.ndarray, upstream: np.ndarray
+) -> ModelParams:
+    """The gradients of one (N, D) matrix, given dL/dP (N, C) or dL/dp (C,)."""
+    hidden, sigma_c, sigma_s, _ = reference_forward(params, features)
+    d_score_c = upstream * sigma_s
+    d_score_c -= (d_score_c * sigma_c).sum(axis=1, keepdims=True)
+    d_score_c *= sigma_c
+    d_score_s = upstream * sigma_c
+    d_score_s -= (d_score_s * sigma_s).sum(axis=0, keepdims=True)
+    d_score_s *= sigma_s
+    d_pre = d_score_c @ params.w_cls.T
+    d_pre += d_score_s @ params.w_sel.T
+    d_pre *= hidden > 0.0
+    grads = params.zeros_like()
+    np.matmul(features.T, d_pre, out=grads.w_enc)
+    d_pre.sum(axis=0, out=grads.b_enc)
+    np.matmul(hidden.T, d_score_c, out=grads.w_cls)
+    d_score_c.sum(axis=0, out=grads.b_cls)
+    np.matmul(hidden.T, d_score_s, out=grads.w_sel)
+    d_score_s.sum(axis=0, out=grads.b_sel)
+    return grads
 
 
 def aggregate_image_level(P: np.ndarray) -> np.ndarray:

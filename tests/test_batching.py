@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoimix import batching
@@ -246,6 +246,20 @@ drawn_detections = st.lists(
     o2=drawn_detections,
     top_k=st.sampled_from([1, 2, DEFAULT_TOP_K]),
 )
+# one kept human: the only one, or the one of three that top-k keeps
+@example(h1=[(0.5, 0)], o1=[(0.5, 0), (0.75, 1), (0.25, 0)], h2=[(1.0, 0), (0.25, 1)],
+         o2=[(0.5, 0), (1.0, 1)], top_k=DEFAULT_TOP_K)
+@example(h1=[(0.5, 0), (0.75, 0), (0.25, 0)], o1=[(0.5, 0), (1.0, 1)], h2=[(0.25, 0), (1.0, 1)],
+         o2=[(0.75, 0)], top_k=1)
+# one kept object: the only one, or the one of three that top-k keeps
+@example(h1=[(0.25, 0), (1.0, 1), (0.5, 0)], o1=[(0.75, 0)], h2=[(0.5, 0), (1.0, 1)],
+         o2=[(0.5, 0), (1.0, 0)], top_k=DEFAULT_TOP_K)
+@example(h1=[(0.5, 0), (1.0, 1)], o1=[(0.25, 1), (0.75, 1), (0.5, 1)], h2=[(0.75, 0)],
+         o2=[(1.0, 0), (0.25, 1)], top_k=1)
+# every confidence product of one image also occurs in the other, same-image
+# and swapped alike
+@example(h1=[(0.5, 0), (1.0, 0)], o1=[(1.0, 0), (0.5, 0)], h2=[(1.0, 0), (0.5, 0)],
+         o2=[(0.5, 0), (1.0, 0)], top_k=DEFAULT_TOP_K)
 def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
     pairs1 = pairs_of(drawn_image(0, h1, o1), top_k=top_k)
     pairs2 = pairs_of(drawn_image(1, h2, o2), top_k=top_k)
@@ -260,6 +274,21 @@ def test_element_swap_matches_the_per_pair_reference(h1, o1, h2, o2, top_k):
         assert g.features.tobytes() == w.features.tobytes()
         if not g.swapped:
             assert g is w  # same-image pairs are passed through, not rebuilt
+
+
+def test_element_swap_rejects_a_grid_that_is_not_a_full_product():
+    # image 0 has 2 humans x 2 objects; its grid without the last pair
+    # would read as 2 kept humans and 2 kept objects
+    world = world_of([image(0, 2, 2), image(1, 1, 1)], N_CLASSES)
+    grid1, grid2 = grid_of(image(0, 2, 2)), grid_of(image(1, 1, 1))
+    rows = ("human_index", "object_index", "human_boxes", "object_boxes", "features")
+    partial = dataclasses.replace(
+        grid1, offsets=np.array([0, 3]), **{name: getattr(grid1, name)[:3] for name in rows}
+    )
+    with pytest.raises(ValueError, match="not a full human x object product"):
+        element_swap(partial, grid2, world, 0, 1)
+    with pytest.raises(ValueError, match="not a full human x object product"):
+        element_swap(grid2, partial, world, 1, 0)
 
 
 @settings(max_examples=200, deadline=None)

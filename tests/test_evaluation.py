@@ -14,12 +14,14 @@ from eval_reference import (
     array_ap,
     as_predictions,
     box_pairs,
+    dense_greedy_ap,
     reference_hits,
     reference_match_and_ap,
 )
 from hoimix.batching import make_fs_targets, pair_grids
 from hoimix.evaluation import (
     CSV_HEADER,
+    _greedy_ap,
     collect_predictions,
     evaluate,
     evaluate_predictions,
@@ -403,6 +405,46 @@ def tied_instances(draw):
 def test_array_path_equals_object_reference_under_ties(instance):
     gts, predictions = instance
     assert array_ap(predictions, gts) == reference_match_and_ap(predictions, gts)
+
+
+def ap_input(scores, cells, n_gt, overlap=None):
+    """_greedy_ap's arguments for these scores and (row, ground truth) hits,
+    at IoU 0.75 unless given."""
+    rows = np.array([r for r, _ in cells], dtype=np.intp)
+    gt_index = np.array([g for _, g in cells], dtype=np.intp)
+    overlap = np.full(len(cells), 0.75) if overlap is None else np.array(overlap, dtype=np.float64)
+    return np.array(scores, dtype=np.float64), rows, gt_index, overlap, n_gt
+
+
+@st.composite
+def hit_instances(draw):
+    """_greedy_ap's input drawn directly: scores from a few values, 0.0 and
+    -0.0 among them, so that most hits are tied; distinct (row, ground truth)
+    hits, whose rows may include the first and last row, with IoUs on a
+    grid so that several ground-truth pairs often tie for a row."""
+    n = draw(st.integers(1, 40))
+    scores = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0]), min_size=n, max_size=n))
+    n_gt = draw(st.integers(1, 6))
+    cells = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n_gt - 1)), unique=True, max_size=3 * n)
+    )
+    iou = st.sampled_from([0.5, 0.625, 0.75, 1.0])
+    return ap_input(scores, cells, n_gt, draw(st.lists(iou, min_size=len(cells), max_size=len(cells))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=hit_instances())
+# no true positive at all
+@example(instance=ap_input([0.5, 0.25, 0.0], [], 2))
+# the only true positive at rank 0, and at rank n - 1
+@example(instance=ap_input([0.9, 0.5, 0.25], [(0, 0)], 1))
+@example(instance=ap_input([0.9, 0.5, 0.25], [(2, 0)], 3))
+# true positives at both ends under ties, signed zeros included
+@example(instance=ap_input([0.0, -0.0, 0.0, -0.0], [(0, 0), (3, 1)], 2))
+@example(instance=ap_input([-0.0, 0.0, 1.0, 0.0], [(2, 0), (3, 1), (0, 1)], 3))
+def test_ap_over_the_true_positives_equals_the_dense_curve_bit_for_bit(instance):
+    ap, dense = _greedy_ap(*instance), dense_greedy_ap(*instance)
+    assert ap.hex() == dense.hex()
 
 
 def hit_set(hits):

@@ -10,7 +10,7 @@ from hoimix.evaluation import prepare_eval_set
 from hoimix.experiment import ExperimentConfig
 from hoimix.model import ModelParams, backward, forward, infer_pairs
 from hoimix.synth_world import generate_eval_images
-from step_reference import aggregate_image_level
+from step_reference import aggregate_image_level, reference_backward, reference_forward
 
 
 def make_params(feature_dim=6, hidden=8, n_classes=4, seed=0):
@@ -103,6 +103,74 @@ def test_overflowing_finite_inputs_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             forward(params, np.full((3, 4), 1e3))
+
+
+# a poison value for the params or the features, or none
+poison = st.sampled_from([None, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([None, 1, 3]),
+    n=st.integers(1, 6),
+    d=st.integers(1, 5),
+    h=st.integers(1, 6),
+    c=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    param_exponent=st.floats(0.0, 200.0),
+    feature_exponent=st.floats(0.0, 200.0),
+    param_poison=poison,
+    feature_poison=poison,
+)
+def test_forward_rejects_exactly_the_non_finite_scores_of_the_per_head_reference(
+    k, n, d, h, c, seed, param_exponent, feature_exponent, param_poison, feature_poison
+):
+    # magnitudes up to 1e200 overflow the products; infinities and NaN
+    # reach P through every path the poison value takes
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(d, h, c, seed)
+    params.flat[:] = rng.normal(size=params.flat.size) * 10.0**param_exponent
+    X = rng.normal(size=(n, d) if k is None else (k, n, d)) * 10.0**feature_exponent
+    if param_poison is not None:
+        params.flat[rng.integers(params.flat.size)] = param_poison
+    if feature_poison is not None:
+        X.flat[rng.integers(X.size)] = feature_poison
+    with np.errstate(all="ignore"):
+        want = reference_forward(params, X)
+        if not np.isfinite(want[-1]).all():
+            with pytest.raises(ValueError, match="non-finite"):
+                forward(params, X)
+            return
+        got = forward(params, X)
+    for a, b in zip((got.hidden, got.sigma_c, got.sigma_s, got.P), want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.integers(1, 5),
+    h=st.integers(1, 6),
+    c=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    vector=st.booleans(),
+)
+def test_backward_equals_the_per_head_reference_bit_for_bit(n, d, h, c, seed, vector):
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(d, h, c, seed)
+    params.flat[:] = rng.normal(size=params.flat.size)
+    X = rng.normal(size=(n, d))
+    upstream = rng.normal(size=c if vector else (n, c))
+    got = backward(params, forward(params, X), upstream)
+    assert got.flat.tobytes() == reference_backward(params, X, upstream).flat.tobytes()
+
+
+@pytest.mark.parametrize("upstream_shape", [(2, 6, 3), (3,)])
+def test_backward_rejects_the_scores_of_a_stack(upstream_shape):
+    params = ModelParams.init(5, 4, 3, 0)
+    scores = forward(params, np.ones((2, 6, 5)))
+    with pytest.raises(ValueError, match=r"one \(N, D\) matrix, not of a stack of shape \(2, 6, 5\)"):
+        backward(params, scores, np.ones(upstream_shape))
 
 
 def test_aggregate_bounded_over_random_passes():
@@ -289,6 +357,45 @@ def test_unpickled_params_keep_their_views_on_one_vector():
     np.testing.assert_array_equal(clone.w_enc, 0.25)
     np.testing.assert_array_equal(clone.b_sel, 0.25)
     assert np.all(params.w_enc != 0.25)
+
+
+def _saved_and_loaded(params, tmp_path):
+    save_checkpoint(tmp_path / "params.ckpt", params, meta={})
+    return load_checkpoint(tmp_path / "params.ckpt")[0]
+
+
+@pytest.mark.parametrize(
+    "made_by",
+    [
+        lambda params, _: params,
+        lambda params, _: ModelParams.over(params.flat.copy(), params.dims),
+        lambda params, _: params.copy(),
+        lambda params, _: params.zeros_like(),
+        lambda params, _: pickle.loads(pickle.dumps(params)),
+        _saved_and_loaded,
+    ],
+    ids=["init", "over", "copy", "zeros_like", "unpickled", "load_checkpoint"],
+)
+def test_stacked_head_views_stay_on_the_flat_vector(made_by, tmp_path):
+    params = made_by(make_params(feature_dim=3, hidden=5, n_classes=4, seed=2), tmp_path)
+    assert params.w_heads.shape == (2, 5, 4) and params.b_heads.shape == (2, 1, 4)
+    for heads in (params.w_heads, params.b_heads):
+        assert np.shares_memory(heads, params.flat) and heads.flags.writeable
+    pairs = [(params.w_heads[0], params.w_cls), (params.w_heads[1], params.w_sel),
+             (params.b_heads[0, 0], params.b_cls), (params.b_heads[1, 0], params.b_sel)]
+    for view, field in pairs:
+        assert view.tobytes() == field.tobytes()
+    # writing through the stacks writes the four head fields, and nothing else
+    encoder = params.flat[: params.w_enc.size + params.b_enc.size].copy()
+    params.w_heads[0], params.w_heads[1] = 1.5, -2.0
+    params.b_heads[0], params.b_heads[1] = 3.0, 4.0
+    for field, value in ((params.w_cls, 1.5), (params.w_sel, -2.0), (params.b_cls, 3.0), (params.b_sel, 4.0)):
+        np.testing.assert_array_equal(field, value)
+    assert params.flat[: encoder.size].tobytes() == encoder.tobytes()
+    with pytest.raises(AttributeError, match="cannot rebind ModelParams.w_heads"):
+        params.w_heads = params.w_heads.copy()
+    with pytest.raises(AttributeError, match="cannot rebind ModelParams.b_heads"):
+        params.b_heads = np.zeros((2, 1, 4))
 
 
 def test_backward_writes_into_the_given_buffer():

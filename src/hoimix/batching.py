@@ -10,15 +10,16 @@ the images. Targets come from the world's rows of each image: region-level
 ones from its triplets (FS ground truth or US pseudo labels), image-level
 ones from its row of the label matrix.
 
-Pairs and region-level targets are built for many images in one pass
-(`pair_grids`; `make_fs_targets` matches by mAP's rule, geometry.pair_hits).
-Training builds them for a block of BLOCK_ENTRIES consecutive schedule
-entries at a time (`prepare_block`), when an iteration first needs an
-entry of the block, and `assemble_minibatch` copies one entry's batch out of its block,
-which is then dropped. Blocks bound the peak memory: one pass over the whole
-schedule would hold every image's pairs and feature temporaries at once.
-Training also drops each batch after its last use, so a schedule that is
-used once holds the batches of one block at a time.
+Pairs and targets are built for many images in one pass (`pair_grids`;
+`make_fs_targets` matches by mAP's rule, geometry.pair_hits). Training
+builds them for a block of BLOCK_ENTRIES consecutive schedule entries at a
+time (`prepare_block`), when an iteration first needs an entry of the
+block. The block is the batch store: it is checked once, when it is built,
+and `assemble_minibatch` hands out one entry's batch as read-only views of
+its rows, which keep the block alive. Blocks bound the peak memory: one
+pass over the whole schedule would hold every image's pairs and feature
+temporaries at once. Training also drops each batch after its last use, so
+a schedule that is used once holds one block at a time.
 
 Element swapping is selection only: `element_swap` returns one WS entry's
 kept pairs as rows, and `prepare_block` gathers their features: same-image
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,49 +43,20 @@ from .synth_world import DetectionArrays, TripletArrays, World, pair_feature_mat
 
 DEFAULT_TOP_K = 30
 # schedule entries whose pairs and targets are built in one pass; larger
-# blocks are faster, but a block's pairs are all held at once, and so are
-# its batches while a one-pass schedule trains on them
+# blocks are faster, but a block's pairs are all held at once, while it is
+# built and while its entries train
 BLOCK_ENTRIES = 64
 
 
-@dataclass(frozen=True, eq=False)
-class MiniBatch:
-    """The pair features and targets of exactly two images with homogeneous
-    supervision; a batch holds arrays only, not the pairs of its rows.
-
-    The targets are a region-level (N, C) matrix when the supervision is
-    region-level (FS, and US with pseudo labels), and an image-level (C,)
-    label vector for WS.
-
-    A batch is checked once, when it is built: finite non-empty 2-d float64
-    features, and binary targets of matching shape. Its arrays are then
-    read-only, so the losses use a batch's targets without checking them
-    again on each of its reuses.
-    """
+class Batch(NamedTuple):
+    """One schedule entry's training batch: its tag, and read-only views
+    of its block's rows. The targets are a region-level (N, C) matrix when
+    the supervision is region-level (FS, and US with pseudo labels), and an
+    image-level (C,) label vector for WS."""
 
     supervision: SupervisionTag
     features: np.ndarray  # (N, feature_dim)
     targets: np.ndarray  # (N, C) if supervision.region_level, else (C,)
-
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
-        targets = np.asarray(self.targets, dtype=np.float64)
-        expected_ndim = 2 if self.supervision.region_level else 1
-        if targets.ndim != expected_ndim:
-            raise ValueError(f"targets must be {expected_ndim}-d, got shape {targets.shape}")
-        if expected_ndim == 2 and targets.shape[0] != features.shape[0]:
-            raise ValueError(
-                f"targets have {targets.shape[0]} rows for {features.shape[0]} feature rows"
-            )
-        if not np.all((targets == 0.0) | (targets == 1.0)):
-            raise ValueError("targets must be binary (entries in {0, 1})")
-        for name, array in (("features", features), ("targets", targets)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
 
 def _kept(detections: DetectionArrays, first: np.ndarray, counts: np.ndarray, top_k: int):
@@ -356,15 +328,17 @@ def batch_schedule(world: World, seed: int) -> Schedule:
 
 @dataclass(eq=False)
 class BatchBlock:
-    """The batch rows of a block of schedule entries, built in one pass:
-    entry e's images are the world's images[2e] and images[2e + 1], and its
-    batch is rows offsets[2e]:offsets[2e + 2] of features and fs_targets."""
+    """The batches of a block of schedule entries, built and checked in one
+    pass. Entry e has the tag tags[e]; its features are rows
+    offsets[2e]:offsets[2e + 2] of features, and its targets are the same
+    rows of fs_targets when its tag is region-level, else row e of
+    ws_targets. The arrays are read-only: a batch is a view of its rows."""
 
-    world: World
-    images: np.ndarray      # (2 * entries,)
+    tags: list[SupervisionTag]
     offsets: np.ndarray     # (2 * entries + 1,), the offsets of the block's pair grid
     features: np.ndarray    # (pairs, feature_dim)
     fs_targets: np.ndarray  # (pairs, n_classes), zero on the pairs of WS images
+    ws_targets: np.ndarray  # (entries, n_classes), the union of the entry's two label rows
 
 
 def prepare_block(
@@ -376,11 +350,18 @@ def prepare_block(
     top_k: int = DEFAULT_TOP_K,
     element_swap_enabled: bool = False,
 ) -> BatchBlock:
-    """Build the batch features and the region-level targets of every
-    entry at once: entries is an (n, 2) array of the world's images, such
-    as a slice of Schedule.images, taken as it is. A region-level image (FS,
-    or US with pseudo labels) is matched against its own triplets; a WS
-    image against none.
+    """Build the batch features and targets of every entry at once: entries
+    is an (n, 2) array of the world's images, such as a slice of
+    Schedule.images, taken as it is. A region-level image (FS, or US with
+    pseudo labels) is matched against its own triplets; a WS image against
+    none. A WS entry's targets are the union of its images' label rows.
+
+    The block is checked here, once, so that its batches need no check:
+    each entry's two images must share a tag, and each image's own pairs
+    must have finite features (a ValueError names the first image that has
+    a non-finite one); a swapped pair pairs detections of such pairs, and
+    forward rejects any non-finite score. The targets are binary by
+    construction.
 
     Element swapping applies only to WS entries. A swapped entry's rows are
     the pairs element_swap keeps for its two images, in rank order: its
@@ -392,55 +373,54 @@ def prepare_block(
         raise ValueError(f"the world has {world.labels.shape[1]} label classes, not {n_classes}")
     images = np.asarray(entries, dtype=np.intp).reshape(-1)
     codes = world.supervision[images]
+    if (codes[::2] != codes[1::2]).any():
+        raise ValueError("mini-batches must be homogeneous in supervision")
     counts = np.diff(world.triplet_rows)[images] * (codes != SupervisionTag.WS.code)
     grid = pair_grids(world, images, feature_dim, top_k)
+    finite = np.isfinite(grid.features).all(axis=1)
+    if not finite.all():
+        k = np.searchsorted(grid.offsets, np.argmin(finite), side="right") - 1
+        raise ValueError(f"image {world.image_ids[images[k]]}: pair features must be finite")
     truth = world.triplets.take(row_ranges(world.triplet_rows[images], counts))
     fs_targets = make_fs_targets(grid, truth, np.repeat(np.arange(len(images)), counts), n_classes)
-    ws = [k for k in range(0, len(images), 2) if codes[k] == codes[k + 1] == SupervisionTag.WS.code]
-    if not element_swap_enabled or not ws:
-        return BatchBlock(world, images, grid.offsets, grid.features, fs_targets)
-
-    kept = [element_swap(grid.image(k), grid.image(k + 1), world, *images[k : k + 2]) for k in ws]
-    n_kept = [len(pairs) for pairs in kept]
-    image = np.repeat(ws, n_kept)  # the first image of each kept pair's entry
-    first = grid.offsets[image]  # the entry's first row
-    # kept pair i of an entry is the entry's batch row i
-    row = first + np.arange(len(image)) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
-    grid_row, h_image, h_index, o_image, o_index = (
-        np.concatenate([getattr(pairs, name) for pairs in kept])
-        for name in ("grid_row", "human_image", "human_index", "object_image", "object_index")
-    )
-    cross = grid_row < 0
-    h_first, _, o_first, _ = world.detection_ranges(images)
-    # the swapped entries' rows are rewritten in the grid's own features, so
-    # that the block holds one feature matrix; the kept same-image rows are
-    # gathered before any row is written
+    ws_targets = (world.labels[images[::2]] | world.labels[images[1::2]]).astype(np.float64)
     features = grid.features
-    same = features[(first + grid_row)[~cross]]
-    features[row[cross]] = pair_feature_matrix(
-        world.detections,
-        (h_first[image + h_image] + h_index)[cross],
-        world.detections,
-        (o_first[image + o_image] + o_index)[cross],
-        feature_dim,
-    )
-    features[row[~cross]] = same
-    return BatchBlock(world, images, grid.offsets, features, fs_targets)
+    ws = [k for k in range(0, len(images), 2) if codes[k] == SupervisionTag.WS.code]
+    if element_swap_enabled and ws:
+        kept = [element_swap(grid.image(k), grid.image(k + 1), world, *images[k : k + 2]) for k in ws]
+        n_kept = [len(pairs) for pairs in kept]
+        image = np.repeat(ws, n_kept)  # the first image of each kept pair's entry
+        first = grid.offsets[image]  # the entry's first row
+        # kept pair i of an entry is the entry's batch row i
+        row = first + np.arange(len(image)) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
+        grid_row, h_image, h_index, o_image, o_index = (
+            np.concatenate([getattr(pairs, name) for pairs in kept])
+            for name in ("grid_row", "human_image", "human_index", "object_image", "object_index")
+        )
+        cross = grid_row < 0
+        h_first, _, o_first, _ = world.detection_ranges(images)
+        # the swapped entries' rows are rewritten in the grid's own features, so
+        # that the block holds one feature matrix; the kept same-image rows are
+        # gathered before any row is written
+        same = features[(first + grid_row)[~cross]]
+        features[row[cross]] = pair_feature_matrix(
+            world.detections,
+            (h_first[image + h_image] + h_index)[cross],
+            world.detections,
+            (o_first[image + o_image] + o_index)[cross],
+            feature_dim,
+        )
+        features[row[~cross]] = same
+    for array in (features, fs_targets, ws_targets):
+        array.flags.writeable = False
+    return BatchBlock([TAGS[c] for c in codes[::2].tolist()], grid.offsets, features, fs_targets, ws_targets)
 
 
-def assemble_minibatch(block: BatchBlock, entry: int) -> MiniBatch:
-    """Copy the training batch of the block's entry out of the block's
-    arrays; a WS batch's targets are the union of its two images' labels. A
-    batch owns copies of its rows, so that it does not keep its block
-    alive."""
-    world = block.world
-    a, b = block.images[2 * entry : 2 * entry + 2].tolist()
-    if world.supervision[a] != world.supervision[b]:
-        raise ValueError("mini-batches must be homogeneous in supervision")
-    tag = TAGS[world.supervision[a]]
+def assemble_minibatch(block: BatchBlock, entry: int) -> Batch:
+    """The training batch of the block's entry, as views of the block's
+    rows; a batch keeps its block alive, and the block's checks stand for
+    it."""
+    tag = block.tags[entry]
     rows = slice(int(block.offsets[2 * entry]), int(block.offsets[2 * entry + 2]))
-    if tag == SupervisionTag.WS:
-        targets = (world.labels[a] | world.labels[b]).astype(np.float64)
-    else:
-        targets = block.fs_targets[rows].copy()
-    return MiniBatch(supervision=tag, features=block.features[rows].copy(), targets=targets)
+    targets = block.fs_targets[rows] if tag.region_level else block.ws_targets[entry]
+    return Batch(tag, block.features[rows], targets)

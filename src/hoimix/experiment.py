@@ -25,7 +25,7 @@ import numpy as np
 from .batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
-    MiniBatch,
+    Batch,
     Schedule,
     assemble_minibatch,
     batch_schedule,
@@ -95,17 +95,13 @@ class ExperimentConfig:
         d["optimizer"]["policy"] = self.optimizer.policy.value
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return from_json(cls, d)
-
 
 def load_config(path) -> ExperimentConfig:
     """The config of a JSON file; raises ValueError naming the file when it
     holds no valid config."""
     with open(path) as fh:
         try:
-            return ExperimentConfig.from_dict(json.load(fh))
+            return from_json(ExperimentConfig, json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -151,9 +147,9 @@ class TrainResult:
     schedule: Schedule
 
 
-def _block_batches(world: World, entries: np.ndarray, cfg: ExperimentConfig) -> list[MiniBatch]:
+def _block_batches(world: World, entries: np.ndarray, cfg: ExperimentConfig) -> list[Batch]:
     """The batches of a block of schedule entries, an (n, 2) slice of
-    Schedule.images; the block itself is dropped once they are assembled."""
+    Schedule.images: views of the block, which lives as long as one of them."""
     block = prepare_block(
         world,
         entries,
@@ -183,14 +179,16 @@ def train(
     iteration to start from, in [0, iterations]; with the same config the
     remaining trajectory is reproduced bit-exactly. Raises ValueError when
     their dims or the state's buffer count contradict the config, or when
-    start_iteration is out of range. Each schedule entry's tag, that of its
-    images in the world, is looked up once per run.
+    start_iteration is out of range. Each iteration trains with the tag of
+    its batch, that of the entry's images in the world.
 
     Batches are built a block at a time, when an iteration first needs an
-    entry of the block, and dropped after their last use: one lap of the
-    schedule holds one block of batches, a run that wraps keeps them all,
-    and a resumed run builds only the blocks it trains on. A ValueError
-    from building a block reaches the caller as it is.
+    entry of the block, as views of the block, and dropped after their last
+    use; a block lives while one of its batches does. One lap of the
+    schedule holds one block at a time, a run that wraps keeps every block
+    until its last use, and a resumed run builds only the blocks it trains
+    on. A ValueError from building or checking a block reaches the caller
+    as it is.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -208,8 +206,7 @@ def train(
     init_seed, schedule_seed, _ = _train_seeds(cfg.train_seed)
     schedule = batch_schedule(world, schedule_seed)
     n_entries = len(schedule.images)
-    tags = [TAGS[code] for code in world.supervision[schedule.images[:, 0]].tolist()]
-    batches: list[Optional[MiniBatch]] = [None] * n_entries  # entry k's, while an iteration uses it
+    batches: list[Optional[Batch]] = [None] * n_entries  # entry k's, while an iteration uses it
 
     params = init_params if init_params is not None else ModelParams.init(*dims, init_seed)
     state = init_state if init_state is not None else MomentumState.zeros(
@@ -232,28 +229,33 @@ def train(
     for t in range(start_iteration, cfg.iterations):
         k = t % n_entries
         if batches[k] is None:  # the first iteration to need its block
+            # the last iteration's batch and scores view the last block: a
+            # one-pass run must drop it before it builds this one
+            batch = scores = None
             first = k - k % BLOCK_ENTRIES
-            block = _block_batches(world, schedule.images[first : first + BLOCK_ENTRIES], cfg)
-            for j, built in enumerate(block, first):
-                # keep only the batches that this or a later iteration uses
-                if t + (j - k) % n_entries < cfg.iterations:
-                    batches[j] = built
+            # keep only the batches that this or a later iteration uses
+            batches[first : first + BLOCK_ENTRIES] = [
+                built if t + (j - k) % n_entries < cfg.iterations else None
+                for j, built in enumerate(
+                    _block_batches(world, schedule.images[first : first + BLOCK_ENTRIES], cfg), first
+                )
+            ]
         batch = batches[k]
         if t + n_entries >= cfg.iterations:
             batches[k] = None  # no later iteration uses it
-        tag = tags[k]
+        tag = batch.supervision
         if not schedule_filter(tag, t, cfg.optimizer):
             log.skipped += 1
             continue
         try:
             scores = forward(params, batch.features)
-            # the batch's targets were checked when it was built; forward
+            # the batch's block was checked when it was built; forward
             # checked that P is finite, so ws_loss's clamp is the only clip
             # the image-level sum needs
             if tag.region_level:
-                report, upstream = fs_loss(scores.P, batch)
+                report, upstream = fs_loss(scores.P, batch.targets)
             else:
-                report, upstream = ws_loss(np.add.reduce(scores.P), batch)
+                report, upstream = ws_loss(np.add.reduce(scores.P), batch.targets)
             backward(params, scores, upstream, grads)
         except ValueError as exc:
             raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc

@@ -99,3 +99,13 @@ def world_of(images: Sequence[SynthImage], n_classes: int) -> World:
         _offsets([len(image.gt_triplets) for image in images]),
         labels,
     )
+
+
+def with_appearance(world: World, images: Sequence[int], value: float) -> World:
+    """The world with the first appearance value of each of the images'
+    first human detection set to value, such as NaN or inf."""
+    appearance = world.detections.appearance.copy()
+    appearance[world.detection_rows[np.asarray(images, dtype=np.intp)], 0] = value
+    return dataclasses.replace(
+        world, detections=dataclasses.replace(world.detections, appearance=appearance)
+    )

@@ -14,7 +14,8 @@ entry's batch from them. The array path in hoimix must reproduce their
 output byte for byte, and accept exactly the detections they accept.
 pair_iou_matrix, the pair IoU of every pair against every pair, serves
 fs_targets and the per-image evaluation reference, and make_ws_targets the
-image-level targets of one entry. block_swap gives what
+image-level targets of one entry; MiniBatch is the reference's batch,
+which checks its own arrays when it is built. block_swap gives what
 the array path keeps for one WS entry in the reference's form, one
 HumanObjectPair per kept pair, so that the two can be compared.
 """
@@ -28,7 +29,6 @@ import numpy as np
 
 from hoimix.batching import (
     DEFAULT_TOP_K,
-    MiniBatch,
     PairGrid,
     element_swap,
     pair_grids,
@@ -55,6 +55,41 @@ class Detection:
     def __post_init__(self) -> None:
         if not (0.0 < self.confidence <= 1.0):
             raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
+
+
+@dataclass(frozen=True, eq=False)
+class MiniBatch:
+    """The pair features and targets of exactly two images with homogeneous
+    supervision, as the reference assembles them: a region-level (N, C)
+    target matrix for FS and US, an image-level (C,) label vector for WS.
+
+    It is checked when it is built: finite non-empty 2-d float64 features,
+    and binary targets of matching shape. Its arrays are then read-only.
+    """
+
+    supervision: SupervisionTag
+    features: np.ndarray  # (N, feature_dim)
+    targets: np.ndarray  # (N, C) if supervision.region_level, else (C,)
+
+    def __post_init__(self) -> None:
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        targets = np.asarray(self.targets, dtype=np.float64)
+        expected_ndim = 2 if self.supervision.region_level else 1
+        if targets.ndim != expected_ndim:
+            raise ValueError(f"targets must be {expected_ndim}-d, got shape {targets.shape}")
+        if expected_ndim == 2 and targets.shape[0] != features.shape[0]:
+            raise ValueError(
+                f"targets have {targets.shape[0]} rows for {features.shape[0]} feature rows"
+            )
+        if not np.all((targets == 0.0) | (targets == 1.0)):
+            raise ValueError("targets must be binary (entries in {0, 1})")
+        for name, array in (("features", features), ("targets", targets)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def detection_arrays(detections: Sequence[Detection]) -> DetectionArrays:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hoimix.batching import BLOCK_ENTRIES, MiniBatch, Schedule
+from hoimix.batching import BLOCK_ENTRIES, Batch, Schedule
 from hoimix.experiment import ExperimentConfig, _block_batches, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
@@ -27,7 +27,7 @@ from hoimix.supervision import TAGS
 from hoimix.synth_world import World
 
 
-def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) -> list[MiniBatch]:
+def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) -> list[Batch]:
     """Every batch of the schedule, in order, built a block at a time as
     train builds them."""
     entries = schedule.images

@@ -12,7 +12,6 @@ from hoimix import batching
 from hoimix.batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
-    MiniBatch,
     Schedule,
     ScheduleError,
     assemble_minibatch,
@@ -35,9 +34,10 @@ from hoimix.synth_world import (
     stack_triplets,
 )
 from box_reference import Box, GroundTruthTriplet, triplet_arrays, triplet_objects
-from image_reference import SynthImage, images_of, world_of
+from image_reference import SynthImage, images_of, with_appearance, world_of
 from pair_reference import (
     Detection,
+    MiniBatch,
     block_swap,
     build_pairs,
     confidence_product,
@@ -636,6 +636,8 @@ def minibatch(tag, features, targets):
     return MiniBatch(supervision=tag, features=features, targets=targets)
 
 
+# the reference's batch container checks its own arrays; hoimix's batches
+# hold these properties by construction (see the block tests below)
 @pytest.mark.parametrize(
     "tag, features, targets, message",
     [
@@ -666,6 +668,27 @@ def test_built_minibatch_is_read_only(tag):
         batch.targets[0] = 0.5
     with pytest.raises(AttributeError):
         batch.features = np.zeros((2, 3))
+
+
+def half_ws_half_fs():
+    """A tagged 60-image world, half WS and half FS, of 6 classes."""
+    cfg = WorldConfig(n_object_classes=3, n_verb_classes=2, n_hoi_classes=6, n_images=60, seed=6)
+    return split_supervision(generate_world(cfg), 0.5, 0.5, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("swap", [False, True])
+def test_block_rejects_non_finite_features_naming_the_first_bad_image(value, swap):
+    world = half_ws_half_fs()
+    ws = np.flatnonzero(world.supervision == SupervisionTag.WS.code)
+    fs = np.flatnonzero(world.supervision == SupervisionTag.FS.code)
+    entries = np.array([ws[:2], fs[:2], ws[2:4]])
+    # a bad value in the block's fourth and fifth images: the fourth is named
+    broken = with_appearance(world, entries.ravel()[[4, 3]], value)
+    message = f"^image {world.image_ids[fs[1]]}: pair features must be finite$"
+    with pytest.raises(ValueError, match=message):
+        prepare_block(broken, entries, n_classes=6, feature_dim=FEATURE_DIM, element_swap_enabled=swap)
+    prepare_block(world, entries, n_classes=6, feature_dim=FEATURE_DIM, element_swap_enabled=swap)
 
 
 def test_assembled_batches_are_read_only():
@@ -723,6 +746,29 @@ def us_mix():
     us = np.flatnonzero(tagged.supervision == SupervisionTag.US.code)
     labelled = [k for n, k in enumerate(us.tolist()) if n % 5]
     return (cfg, *scheduled(cfg, tagged.with_triplets(labelled, [truth[k].gt_triplets for k in labelled])))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("tag", [SupervisionTag.FS, SupervisionTag.US, SupervisionTag.WS])
+def test_assembled_batches_are_binary_read_only_views_of_their_block(tag, swap):
+    cfg, tagged, schedule = us_mix()
+    entries = schedule.images[:BLOCK_ENTRIES]
+    block = prepare_block(
+        tagged, entries, n_classes=cfg.world.n_hoi_classes, feature_dim=cfg.world.feature_dim,
+        element_swap_enabled=swap,
+    )
+    of_tag = np.flatnonzero(tagged.supervision[entries[:, 0]] == tag.code)
+    assert len(of_tag)
+    c = cfg.world.n_hoi_classes
+    for entry in of_tag.tolist():
+        batch = assemble_minibatch(block, entry)
+        n = batch.features.shape[0]
+        assert batch.supervision == tag and n >= 2
+        assert batch.targets.shape == ((n, c) if tag.region_level else (c,))
+        assert np.all((batch.targets == 0.0) | (batch.targets == 1.0))
+        store = block.fs_targets if tag.region_level else block.ws_targets
+        assert batch.features.base is block.features and batch.targets.base is store
+        assert not batch.features.flags.writeable and not batch.targets.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,9 @@ import pytest
 
 import hoimix.cli
 import hoimix.experiment
-import hoimix.loss
 from hoimix.batching import BLOCK_ENTRIES
 from hoimix.checkpoint import load_checkpoint, save_checkpoint
+from hoimix.config_fields import from_json
 from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
 from hoimix.experiment import (
@@ -46,7 +46,7 @@ from experiment_helpers import (
     record_preparations,
     returns_within,
 )
-from image_reference import images_of, world_of
+from image_reference import images_of, with_appearance, world_of
 from step_reference import reference_train
 
 TINY_WORLD = WorldConfig(
@@ -83,8 +83,11 @@ def test_config_roundtrip(tmp_path):
     assert loaded.world.humans_per_image == (1, 2)
 
 
-def test_an_empty_config_dict_is_the_default_config():
-    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+def test_an_empty_config_dict_is_the_default_config(tmp_path):
+    assert from_json(ExperimentConfig, {}) == ExperimentConfig()
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert load_config(path) == ExperimentConfig()
 
 
 def test_a_config_file_without_step_sizes_keeps_the_default_ones(tmp_path):
@@ -311,27 +314,75 @@ def test_a_later_block_that_fails_to_build_raises_its_value_error(monkeypatch):
     assert len(calls) == 2
 
 
-def test_no_block_outlives_the_assembly_of_its_batches(monkeypatch):
-    cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
+def test_a_block_with_non_finite_features_raises_its_value_error():
+    cfg = tiny_cfg(iterations=100)
     tagged, _, _ = prepare_world(cfg)
-    cfg = dataclasses.replace(cfg, iterations=len(train(tagged, cfg).schedule.images))
-    real_block, real_forward = hoimix.experiment.prepare_block, hoimix.experiment.forward
+    image = int(train(tagged, dataclasses.replace(cfg, iterations=1)).schedule.images[-1, 1])
+    message = f"^image {tagged.image_ids[image]}: pair features must be finite$"
+    with pytest.raises(ValueError, match=message) as caught:
+        train(with_appearance(tagged, [image], np.nan), cfg)
+    assert not isinstance(caught.value, TrainingDiverged)
+
+
+def recorded_blocks(monkeypatch, check=lambda blocks: None):
+    """A weakref to the features of every block train builds, in order;
+    check(blocks) runs each time, before the next block is built."""
+    real = hoimix.experiment.prepare_block
     blocks = []
 
     def recorded(*args, **kwargs):
-        block = real_block(*args, **kwargs)
-        blocks.append(weakref.ref(block))
+        check(blocks)
+        block = real(*args, **kwargs)
+        assert block.features.base is None  # its batches view this array
+        blocks.append(weakref.ref(block.features))
         return block
 
-    def checked_forward(*args, **kwargs):
-        # every iteration trains after its block's batches are assembled
-        assert [ref() for ref in blocks] == [None] * len(blocks)
-        return real_forward(*args, **kwargs)
-
     monkeypatch.setattr(hoimix.experiment, "prepare_block", recorded)
-    monkeypatch.setattr(hoimix.experiment, "forward", checked_forward)
-    train(tagged, cfg)
+    return blocks
+
+
+def two_block_schedule():
+    """A tagged 200-image world and a config whose schedule fills two
+    blocks, and the number of its entries."""
+    cfg = tiny_cfg(world=dataclasses.replace(TINY_WORLD, n_images=200), iterations=1)
+    tagged, _, _ = prepare_world(cfg)
+    n = len(train(tagged, cfg).schedule.images)
+    assert BLOCK_ENTRIES < n <= 2 * BLOCK_ENTRIES
+    return tagged, cfg, n
+
+
+def test_a_one_pass_run_drops_each_block_before_it_builds_the_next(monkeypatch):
+    tagged, cfg, n = two_block_schedule()
+
+    def unreachable(blocks):
+        # each earlier block's batches have all trained
+        assert [ref() for ref in blocks] == [None] * len(blocks)
+
+    blocks = recorded_blocks(monkeypatch, unreachable)
+    train(tagged, dataclasses.replace(cfg, iterations=n))
     assert len(blocks) == 2
+
+
+def test_a_wrapping_run_keeps_each_block_until_its_last_use(monkeypatch):
+    tagged, cfg, n = two_block_schedule()
+    # the second lap uses the first block's entries, not the second's
+    cfg = dataclasses.replace(cfg, iterations=n + BLOCK_ENTRIES // 2)
+    blocks = recorded_blocks(monkeypatch)
+    real_step = hoimix.experiment.step
+    alive = []
+
+    def checked_step(*args, **kwargs):
+        # the blocks alive while iteration len(alive) steps
+        alive.append([ref() is not None for ref in blocks])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "step", checked_step)
+    train(tagged, cfg)
+    assert len(blocks) == 2 and len(alive) == cfg.iterations
+    last_use = [cfg.iterations - 1, n - 1]
+    for t, seen in enumerate(alive):
+        built = 1 if t < BLOCK_ENTRIES else 2
+        assert seen == [t <= last_use[b] for b in range(built)], t
 
 
 def test_a_resumed_one_pass_run_builds_only_the_blocks_it_trains_on(monkeypatch):
@@ -775,21 +826,6 @@ def test_train_matches_the_reference_step_bytewise(setting):
     assert tags == ({"WS", "FS", "US"} if setting == "us_mix" else {"WS", "FS"})
     if setting == "sequence_fs_first":
         assert result.log.skipped > 0
-
-
-def test_train_checks_no_targets_in_the_loop(monkeypatch):
-    calls = []
-    check = hoimix.loss._check_binary
-
-    def counting(y, name):
-        calls.append(name)
-        return check(y, name)
-
-    monkeypatch.setattr(hoimix.loss, "_check_binary", counting)
-    cfg, tagged = _us_mix()
-    result = train(tagged, cfg)
-    assert len(result.log.losses) == cfg.iterations
-    assert calls == []
 
 
 def test_us_images_excluded_until_pseudo_labeled():

@@ -6,9 +6,10 @@ metadata, then the raw tensor bytes. The file contents are a pure function
 of the stored values, so identical runs produce identical files and reload
 is bit-exact.
 
-Every output (checkpoints, CSVs, logs, JSON reports and pseudo-label dumps)
-is written through `atomic_open`, so a crash mid-write leaves the previous
-file whole.
+Every output is written through `atomic_open`, so a crash mid-write leaves
+the previous file whole. Checkpoints are its binary files; `write_outputs` is
+the one writer of every text file (CSVs, logs, JSON reports in the shared
+`json_text` form, pseudo-label dumps), and makes the output directory.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -42,6 +44,21 @@ def atomic_open(path, mode: str = "w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def json_text(obj) -> str:
+    """The form of every JSON output: two-space indents, sorted keys and a
+    final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_outputs(out_dir, files: Mapping[str, Iterable[str]]) -> None:
+    """Make out_dir if it is missing, then write each file, in order, from
+    its lines through `atomic_open`; lines are written as they are yielded."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, lines in files.items():
+        with atomic_open(os.path.join(out_dir, name)) as fh:
+            fh.writelines(lines)
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
-from .checkpoint import atomic_open, load_checkpoint
+from .checkpoint import json_text, load_checkpoint, write_outputs
 from .evaluation import CSV_HEADER, evaluate, prepare_eval_set, report_csv_row, report_to_dict
 from .experiment import (
     AGGREGATE_HEADER,
@@ -93,11 +92,7 @@ def cmd_eval(args) -> int:
     _, test_images, rare_ids = prepare_world(cfg)
     test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     report = evaluate(params, test_set)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, "eval.json")
-    with atomic_open(out_path) as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_outputs(args.out_dir, {"eval.json": [json_text(report_to_dict(report))]})
     print(
         report_csv_row(
             report,
@@ -126,10 +121,7 @@ def cmd_sweep(args) -> int:
 def cmd_class_split(args) -> int:
     cfg = _load_cfg(args)
     result = run_class_split(cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
-    with atomic_open(os.path.join(args.out_dir, "class_split.json")) as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_outputs(args.out_dir, {"class_split.json": [json_text(result)]})
     print(json.dumps(result["separate"], sort_keys=True))
     print(json.dumps(result["joint"], sort_keys=True))
     return 0
@@ -146,7 +138,6 @@ def _print_cycles(reports: list[CycleReport]) -> None:
 def cmd_pseudo_cycle(args) -> int:
     cfg = _load_cfg(args, default_ratio="30/40/30")
     tagged, test_images, rare_ids = prepare_world(cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
     _, reports, base_report = iterate_cycles(
         tagged,
         cfg,
@@ -158,17 +149,8 @@ def cmd_pseudo_cycle(args) -> int:
     )
     print(f"base map_full={base_report.map_full:.4f}")
     _print_cycles(reports)
-    with atomic_open(os.path.join(args.out_dir, "pseudo_cycles.json")) as fh:
-        json.dump(
-            {
-                "base_map_full": base_report.map_full,
-                "cycles": [dataclasses.asdict(r) for r in reports],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    summary = {"base_map_full": base_report.map_full, "cycles": [dataclasses.asdict(r) for r in reports]}
+    write_outputs(args.out_dir, {"pseudo_cycles.json": [json_text(summary)]})
     return 0
 
 

@@ -31,7 +31,7 @@ from .batching import (
     batch_schedule,
     prepare_block,
 )
-from .checkpoint import atomic_open, save_checkpoint
+from .checkpoint import json_text, save_checkpoint, write_outputs
 from .config_fields import check_fields, from_json, ranged
 from .evaluation import (
     CSV_HEADER,
@@ -104,12 +104,6 @@ def load_config(path) -> ExperimentConfig:
             return from_json(ExperimentConfig, json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _train_seeds(train_seed: int) -> tuple[int, int, int]:
@@ -390,11 +384,14 @@ def run_experiment(
 
 
 def write_run_outputs(run: RunResult, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
-        fh.write(CSV_HEADER + "\n" + run.csv_row + "\n")
-    with atomic_open(os.path.join(out_dir, "run.log")) as fh:
-        fh.writelines(run.log.lines())
+    write_outputs(
+        out_dir,
+        {
+            "metrics.csv": [CSV_HEADER + "\n" + run.csv_row + "\n"],
+            "run.log": run.log.lines(),
+            "config.json": [json_text(run.config.to_dict())],
+        },
+    )
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.ckpt"),
         run.params,
@@ -405,7 +402,6 @@ def write_run_outputs(run: RunResult, out_dir: str) -> None:
             "policy": run.config.optimizer.policy.value,
         },
     )
-    save_config(run.config, os.path.join(out_dir, "config.json"))
 
 
 AGGREGATE_HEADER = (
@@ -459,11 +455,13 @@ def run_ratio_sweep(
             stats.append(repr(float(np.nanstd(values, ddof=1))) if len(cell) > 1 else "0.0")
         aggregates.append(",".join([cell[0].config.ratio_string(), str(len(cell))] + stats))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:
-            fh.write(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        with atomic_open(os.path.join(out_dir, "sweep_aggregate.csv")) as fh:
-            fh.write(AGGREGATE_HEADER + "\n" + "\n".join(aggregates) + "\n")
+        write_outputs(
+            out_dir,
+            {
+                "sweep.csv": [CSV_HEADER + "\n" + "\n".join(rows) + "\n"],
+                "sweep_aggregate.csv": [AGGREGATE_HEADER + "\n" + "\n".join(aggregates) + "\n"],
+            },
+        )
     return rows, aggregates
 
 

@@ -17,14 +17,13 @@ labels are the triplet rows of their images in the World a cycle trains on.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Iterator
 
 import numpy as np
 
 from .batching import PairGrid, pair_grids
-from .checkpoint import atomic_open
+from .checkpoint import write_outputs
 from .evaluation import EvalReport, prepare_eval_set
 # bound only so that the perfbench tracer can wrap it; cycles evaluate through fit
 from .evaluation import evaluate  # noqa: F401
@@ -90,25 +89,24 @@ class CycleReport:
     converged: bool
 
 
-def dump_pseudo_triplets(path, world: World, images: np.ndarray) -> None:
-    """Audit dump, one JSON line for each of the world's images, in the
-    given order, that has triplet rows: its id, a pseudo flag, and its
-    triplets as h_box / o_box / hoi_class records."""
+def pseudo_triplet_lines(world: World, images: np.ndarray) -> Iterator[str]:
+    """The lines of the audit dump, one JSON line for each of the world's
+    images, in the given order, that has triplet rows: its id, a pseudo
+    flag, and its triplets as h_box / o_box / hoi_class records."""
     t, rows = world.triplets, world.triplet_rows
-    with atomic_open(path) as fh:
-        for image in images:
-            at = slice(rows[image], rows[image + 1])
-            if at.start == at.stop:
-                continue
-            columns = (t.human_boxes[at].tolist(), t.object_boxes[at].tolist(), t.hoi_classes[at].tolist())
-            record = {
-                "image_id": int(world.image_ids[image]),
-                "pseudo": True,
-                "gt_triplets": [
-                    {"h_box": h, "o_box": o, "hoi_class": c} for h, o, c in zip(*columns)
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    for image in images:
+        at = slice(rows[image], rows[image + 1])
+        if at.start == at.stop:
+            continue
+        columns = (t.human_boxes[at].tolist(), t.object_boxes[at].tolist(), t.hoi_classes[at].tolist())
+        record = {
+            "image_id": int(world.image_ids[image]),
+            "pseudo": True,
+            "gt_triplets": [
+                {"h_box": h, "o_box": o, "hoi_class": c} for h, o, c in zip(*columns)
+            ],
+        }
+        yield json.dumps(record, sort_keys=True) + "\n"
 
 
 def iterate_cycles(
@@ -133,12 +131,15 @@ def iterate_cycles(
     trains on, dumps and compares. Each cycle retrains from the same seeded
     initialization; byte-equal pseudo labels between consecutive cycles
     raise the converged flag and stop early. The test world is prepared
-    for evaluation once, for every fit.
+    for evaluation once, for every fit. A dump_dir that is missing is made
+    before the base fit, so one that cannot be made fails before training.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if mode not in ("unlabeled", "multistage"):
         raise ValueError(f"unknown mode {mode!r}")
+    if dump_dir is not None:
+        write_outputs(dump_dir, {})
 
     source = SupervisionTag.WS if mode == "multistage" else SupervisionTag.US
     is_source, us = world.supervision == source.code, SupervisionTag.US.code
@@ -172,7 +173,7 @@ def iterate_cycles(
     for cycle in range(1, n_cycles + 1):
         n_pseudo = int(np.diff(pseudo.triplet_rows)[sources].sum())
         if dump_dir is not None:
-            dump_pseudo_triplets(os.path.join(dump_dir, f"pseudo_cycle_{cycle}.jsonl"), pseudo, sources)
+            write_outputs(dump_dir, {f"pseudo_cycle_{cycle}.jsonl": pseudo_triplet_lines(pseudo, sources)})
         run = fit(pseudo, cfg, test_set)
         params, report = run.params, run.report
         new_pseudo = relabel(params)

@@ -15,7 +15,7 @@ import pytest
 import hoimix.cli
 import hoimix.experiment
 from hoimix.batching import BLOCK_ENTRIES
-from hoimix.checkpoint import load_checkpoint, save_checkpoint
+from hoimix.checkpoint import json_text, load_checkpoint, save_checkpoint, write_outputs
 from hoimix.config_fields import from_json
 from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
@@ -30,7 +30,6 @@ from hoimix.experiment import (
     run_experiment,
     run_many,
     run_ratio_sweep,
-    save_config,
     train,
     write_run_outputs,
 )
@@ -75,9 +74,8 @@ def test_config_roundtrip(tmp_path):
                                   sequence_switch_iteration=200),
         element_swap=False,
     )
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    loaded = load_config(path)
+    write_outputs(tmp_path, {"config.json": [json_text(cfg.to_dict())]})
+    loaded = load_config(tmp_path / "config.json")
     assert loaded == cfg
     assert loaded.optimizer.policy == MomentumPolicy.SEQUENCE_FS_FIRST
     assert loaded.world.humans_per_image == (1, 2)
@@ -863,9 +861,8 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 def cli_config(tmp_path):
     cfg = tiny_cfg(iterations=120, n_test_images=8)
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    return path
+    write_outputs(tmp_path, {"config.json": [json_text(cfg.to_dict())]})
+    return tmp_path / "config.json"
 
 
 def run_cli(args, cwd):

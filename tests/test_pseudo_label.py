@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hoimix.batching import pair_grids
+from hoimix.checkpoint import write_outputs
 from hoimix.experiment import ExperimentConfig, prepare_world
 from hoimix.model import ModelParams
 from hoimix.pseudo_label import (
-    dump_pseudo_triplets,
     iterate_cycles,
+    pseudo_triplet_lines,
     same_pseudo_labels,
     select_label_argmax_triplets,
     threshold_triplets,
@@ -149,9 +150,8 @@ def test_pseudo_dump_format(tmp_path):
     # images 1, 3 and 4 have pseudo labels; WS images have no other triplets
     parts = ws_pseudo_labels(5)
     world = WS_WORLD.with_triplets([1, 3, 4], [parts[1], parts[3], parts[4]])
-    path = tmp_path / "pseudo.jsonl"
-    dump_pseudo_triplets(path, world, np.arange(len(world)))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    write_outputs(tmp_path, {"pseudo.jsonl": pseudo_triplet_lines(world, np.arange(len(world)))})
+    records = [json.loads(line) for line in (tmp_path / "pseudo.jsonl").read_text().splitlines()]
     assert [r["image_id"] for r in records] == WS_WORLD.image_ids[[1, 3, 4]].tolist()
     record = records[0]
     assert record["pseudo"] is True
@@ -164,11 +164,11 @@ def test_pseudo_dump_format(tmp_path):
 def test_failed_dump_keeps_the_previous_file(tmp_path):
     world = WS_WORLD.with_triplets(range(4), ws_pseudo_labels(4))
     path = tmp_path / "pseudo.jsonl"
-    dump_pseudo_triplets(path, world, [0, 1])
+    write_outputs(tmp_path, {"pseudo.jsonl": pseudo_triplet_lines(world, [0, 1])})
     before = path.read_bytes()
-    # the last image is not in the world, so the dump raises after writing the others
+    # the last image is not in the world, so the lines raise after the others are written
     with pytest.raises(IndexError):
-        dump_pseudo_triplets(path, world, [0, 1, 2, 3, len(world)])
+        write_outputs(tmp_path, {"pseudo.jsonl": pseudo_triplet_lines(world, [0, 1, 2, 3, len(world)])})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pseudo.jsonl"]
 
@@ -248,6 +248,31 @@ def test_iterate_cycles_prepares_one_test_set_for_all_its_fits(monkeypatch, tmp_
     )
     assert len(reports) > 1
     assert preparations() == [os.getpid()]
+
+
+def test_iterate_cycles_makes_a_missing_dump_dir(tmp_path):
+    cfg = small_cfg(iterations=200)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    dump_dir = tmp_path / "missing" / "dumps"
+    _, reports, _ = iterate_cycles(
+        tagged, cfg, 2, test_images=test_images, rare_ids=rare_ids, dump_dir=str(dump_dir)
+    )
+    assert sorted(os.listdir(dump_dir)) == [f"pseudo_cycle_{r.cycle}.jsonl" for r in reports]
+
+
+def test_a_dump_dir_that_cannot_be_made_fails_before_the_base_fit(monkeypatch, tmp_path):
+    import hoimix.pseudo_label as pseudo_label
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before the dump directory was made")
+
+    monkeypatch.setattr(pseudo_label, "fit", no_fit)
+    cfg = small_cfg(iterations=200)
+    tagged, test_images, rare_ids = prepare_world(cfg)
+    (tmp_path / "file").write_text("")
+    dump_dir = tmp_path / "file" / "dumps"
+    with pytest.raises(NotADirectoryError, match=str(dump_dir)):
+        iterate_cycles(tagged, cfg, 1, test_images=test_images, rare_ids=rare_ids, dump_dir=str(dump_dir))
 
 
 def test_iterate_cycles_converges_on_equal_but_separately_built_labels(monkeypatch):

@@ -89,6 +89,7 @@ def cmd_eval(args) -> int:
             f"checkpoint {args.checkpoint} has (feature_dim, n_classes) = {dims}; "
             f"the config has {expected}"
         )
+    write_outputs(args.out_dir, {})  # an out dir that cannot be made fails before the world is built
     _, test_images, rare_ids = prepare_world(cfg)
     test_set = prepare_eval_set(test_images, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     report = evaluate(params, test_set)
@@ -120,6 +121,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_class_split(args) -> int:
     cfg = _load_cfg(args)
+    write_outputs(args.out_dir, {})  # an out dir that cannot be made fails before training
     result = run_class_split(cfg)
     write_outputs(args.out_dir, {"class_split.json": [json_text(result)]})
     print(json.dumps(result["separate"], sort_keys=True))

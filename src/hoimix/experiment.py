@@ -9,7 +9,9 @@ sequence-training filter still consume their iteration. Every experiment
 evaluates through `fit`, on a test set prepared once per world; fits that do
 not depend on each other (a sweep's cells, the class split's three models) run
 in forked worker processes through `run_many`, which inherit their specs, test
-sets included, and return pickled results.
+sets included, and return pickled results. A training run that uses its
+schedule once builds its batch blocks in a forked producer process while it
+trains, when a second CPU is free (see `train`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -26,6 +30,7 @@ from .batching import (
     BLOCK_ENTRIES,
     DEFAULT_TOP_K,
     Batch,
+    BatchBlock,
     Schedule,
     assemble_minibatch,
     batch_schedule,
@@ -141,18 +146,69 @@ class TrainResult:
     schedule: Schedule
 
 
-def _block_batches(world: World, entries: np.ndarray, cfg: ExperimentConfig) -> list[Batch]:
-    """The batches of a block of schedule entries, an (n, 2) slice of
-    Schedule.images: views of the block, which lives as long as one of them."""
-    block = prepare_block(
-        world,
-        entries,
-        n_classes=cfg.world.n_hoi_classes,
-        feature_dim=cfg.world.feature_dim,
-        top_k=cfg.top_k,
-        element_swap_enabled=cfg.element_swap,
-    )
-    return [assemble_minibatch(block, k) for k in range(len(entries))]
+def _blocks(world: World, firsts: Sequence[int], schedule: Schedule, cfg: ExperimentConfig):
+    """The block of schedule entries first:first + BLOCK_ENTRIES of each
+    first, in order, each built when it is asked for."""
+    for first in firsts:
+        yield prepare_block(
+            world,
+            schedule.images[first : first + BLOCK_ENTRIES],
+            n_classes=cfg.world.n_hoi_classes,
+            feature_dim=cfg.world.feature_dim,
+            top_k=cfg.top_k,
+            element_swap_enabled=cfg.element_swap,
+        )
+
+
+def _batches(block: BatchBlock) -> list[Batch]:
+    """Every batch of the block: views of it, which keep it alive."""
+    return [assemble_minibatch(block, entry) for entry in range(len(block.tags))]
+
+
+def _received(source) -> BatchBlock:
+    """The producer's next block, read-only again, or its error raised."""
+    try:
+        item = pickle.load(source)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("the block producer ended without its next block") from None
+    if isinstance(item, BaseException):
+        raise item
+    # whatever the pickle protocol keeps of the flags, a batch is read-only
+    for array in (item.features, item.fs_targets, item.ws_targets):
+        array.flags.writeable = False
+    return item
+
+
+def _produced(blocks: Iterator[BatchBlock]) -> Iterator[BatchBlock]:
+    """The blocks, built by a forked child process (POSIX only) that writes
+    each one pickled to a pipe, which keeps it at most one block ahead of
+    the caller. A block's exception is raised here as the child raised it.
+    Closing the iterator, or its raising, kills and reaps the child. Forking
+    is safe for the reasons run_many gives: hoimix starts no thread, and
+    OpenBLAS restarts its pool after a fork."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: no code of the caller's may run after its last block
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as sink:
+                try:
+                    for block in blocks:
+                        pickle.dump(block, sink, pickle.HIGHEST_PROTOCOL)
+                        sink.flush()  # now: a pickle's short tail would wait in the buffer
+                        del block  # not held while the next one is built
+                except Exception as exc:
+                    pickle.dump(exc, sink, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as source:
+            while True:
+                yield _received(source)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def train(
@@ -183,6 +239,13 @@ def train(
     until its last use, and a resumed run builds only the blocks it trains
     on. A ValueError from building or checking a block reaches the caller
     as it is.
+
+    A run that uses each remaining entry at most once, needs more than one
+    block and has a free CPU (more than one in its affinity mask, outside a
+    run_many worker) builds its blocks in a forked producer process, one
+    block ahead of the training (see _produced); block building does not
+    depend on the model, so both ways give the same bytes. The producer is
+    killed and reaped before this returns or raises.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -220,43 +283,52 @@ def train(
     )
     eval_every = cfg.resolved_eval_every()
 
-    for t in range(start_iteration, cfg.iterations):
-        k = t % n_entries
-        if batches[k] is None:  # the first iteration to need its block
-            # the last iteration's batch and scores view the last block: a
-            # one-pass run must drop it before it builds this one
-            batch = scores = None
-            first = k - k % BLOCK_ENTRIES
-            # keep only the batches that this or a later iteration uses
-            batches[first : first + BLOCK_ENTRIES] = [
-                built if t + (j - k) % n_entries < cfg.iterations else None
-                for j, built in enumerate(
-                    _block_batches(world, schedule.images[first : first + BLOCK_ENTRIES], cfg), first
-                )
-            ]
-        batch = batches[k]
-        if t + n_entries >= cfg.iterations:
-            batches[k] = None  # no later iteration uses it
-        tag = batch.supervision
-        if not schedule_filter(tag, t, cfg.optimizer):
-            log.skipped += 1
-            continue
-        try:
-            scores = forward(params, batch.features)
-            # the batch's block was checked when it was built; forward
-            # checked that P is finite, so ws_loss's clamp is the only clip
-            # the image-level sum needs
-            if tag.region_level:
-                report, upstream = fs_loss(scores.P, batch.targets)
-            else:
-                report, upstream = ws_loss(np.add.reduce(scores.P), batch.targets)
-            backward(params, scores, upstream, grads)
-        except ValueError as exc:
-            raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc
-        step(params, grads, tag, state, cfg.optimizer)
-        log.losses.append((t, tag.value, report.value))
-        if test_set is not None and (t + 1) % eval_every == 0:
-            log.evals.append((t + 1, evaluate(params, test_set)))
+    # the blocks the iterations use, in the order they first need them
+    uses = range(start_iteration, min(cfg.iterations, start_iteration + n_entries))
+    firsts = [b * BLOCK_ENTRIES for b in dict.fromkeys(t % n_entries // BLOCK_ENTRIES for t in uses)]
+    blocks = _blocks(world, firsts, schedule, cfg)
+    # _worker_specs is set only in a run_many worker, whose pool has the CPUs
+    one_pass = cfg.iterations - start_iteration <= n_entries
+    if one_pass and len(firsts) > 1 and len(os.sched_getaffinity(0)) > 1 and not _worker_specs:
+        blocks = _produced(blocks)
+    try:
+        for t in range(start_iteration, cfg.iterations):
+            k = t % n_entries
+            if batches[k] is None:  # the first iteration to need its block
+                # the last iteration's batch and scores view the last block: a
+                # one-pass run must drop it before it builds this one
+                batch = scores = None
+                first = k - k % BLOCK_ENTRIES
+                # keep only the batches that this or a later iteration uses
+                batches[first : first + BLOCK_ENTRIES] = [
+                    built if t + (j - k) % n_entries < cfg.iterations else None
+                    for j, built in enumerate(_batches(next(blocks)), first)
+                ]
+            batch = batches[k]
+            if t + n_entries >= cfg.iterations:
+                batches[k] = None  # no later iteration uses it
+            tag = batch.supervision
+            if not schedule_filter(tag, t, cfg.optimizer):
+                log.skipped += 1
+                continue
+            try:
+                scores = forward(params, batch.features)
+                # the batch's block was checked when it was built; forward
+                # checked that P is finite, so ws_loss's clamp is the only clip
+                # the image-level sum needs
+                if tag.region_level:
+                    report, upstream = fs_loss(scores.P, batch.targets)
+                else:
+                    report, upstream = ws_loss(np.add.reduce(scores.P), batch.targets)
+                backward(params, scores, upstream, grads)
+            except ValueError as exc:
+                raise TrainingDiverged(f"aborted at iteration {t}: {exc}") from exc
+            step(params, grads, tag, state, cfg.optimizer)
+            log.losses.append((t, tag.value, report.value))
+            if test_set is not None and (t + 1) % eval_every == 0:
+                log.evals.append((t + 1, evaluate(params, test_set)))
+    finally:
+        blocks.close()
     return TrainResult(params=params, state=state, log=log, schedule=schedule)
 
 
@@ -374,7 +446,11 @@ def run_experiment(
     out_dir: Optional[str] = None,
     periodic_eval: bool = False,
 ) -> RunResult:
-    """World generation, split, training, final evaluation, optional outputs."""
+    """World generation, split, training, final evaluation, optional outputs.
+    A missing out_dir is made first, so one that cannot be made fails
+    before the world is built."""
+    if out_dir is not None:
+        write_outputs(out_dir, {})
     tagged, test_world, rare_ids = prepare_world(cfg)
     test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
     run = fit(tagged, cfg, test_set, run_id=run_id, periodic_eval=periodic_eval)
@@ -422,12 +498,14 @@ def run_ratio_sweep(
     A cell at seed s trains with train_seed s on the world of seed
     cfg_base.world.seed + s. Each seed's world and test set are built
     once, before the cells' fits run in `run_many`, and the world is split
-    per ratio.
+    per ratio. A missing out_dir is made before any world is built.
     """
     if not ratios:
         raise ValueError("ratio sweep needs at least one ratio")
     if not seeds:
         raise ValueError("ratio sweep needs at least one seed")
+    if out_dir is not None:
+        write_outputs(out_dir, {})
     worlds = {}
     for seed in seeds:
         world = dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed)

@@ -108,8 +108,6 @@ class WorldConfig:
 
 def feature_layout(feature_dim: int) -> tuple[int, int, int]:
     """Split feature_dim into (per-detection appearance, spatial, zero pad)."""
-    if feature_dim < 4:
-        raise ValueError("feature_dim must be >= 4")
     app_dim = max(1, (feature_dim - SPATIAL_FEATURES) // 2)
     spatial_dim = min(SPATIAL_FEATURES, feature_dim - 2 * app_dim)
     pad = feature_dim - 2 * app_dim - spatial_dim
@@ -514,6 +512,8 @@ def _draw_images(
     u_triplet = np.empty((t_first[-1], 4))  # angle, radius, half sizes
     u_truth = np.empty(n_truths)  # confidence
     u_distractor = np.empty((d_first[-1], 6))  # box, human/object coin, confidence
+    # row-major: distractor d's confidence is followed by d + 1's box and coin
+    u_flat = u_distractor.reshape(-1)
     distractor_class = np.full(d_first[-1], cfg.human_class_id)
     # box jitter (ground truth only), then appearance noise
     z = np.empty((n_truths + d_first[-1], 4 + app_dim))
@@ -525,12 +525,15 @@ def _draw_images(
         for g in range(g_first[i], g_first[i + 1]):
             rng.standard_normal(out=z[g])
             u_truth[g] = rng.random()
-        for d in range(d_first[i], d_first[i + 1]):
-            rng.random(out=u_distractor[d, :5])
+        d_stop = d_first[i + 1]
+        if d_first[i] < d_stop:
+            rng.random(out=u_distractor[d_first[i], :5])
+        for d in range(d_first[i], d_stop):
             if not u_distractor[d, 4] < _DISTRACTOR_HUMAN_PROB:
                 distractor_class[d] = rng.integers(cfg.n_object_classes)
             rng.standard_normal(out=z[n_truths + d, 4:])
-            u_distractor[d, 5] = rng.random()
+            # its confidence, then the next distractor's box and coin, in one call
+            rng.random(out=u_flat[6 * d + 5 : 6 * d + (11 if d + 1 < d_stop else 6)])
     return u_human, pick, u_triplet, u_truth, u_distractor, distractor_class, z
 
 

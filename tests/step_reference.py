@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from hoimix.batching import BLOCK_ENTRIES, Batch, Schedule
-from hoimix.experiment import ExperimentConfig, _block_batches, _train_seeds
+from hoimix.experiment import ExperimentConfig, _batches, _blocks, _train_seeds
 from hoimix.loss import PROB_CLAMP
 from hoimix.model import ModelParams, backward, forward
 from hoimix.optimizer import MomentumState, schedule_filter, step
@@ -30,12 +30,8 @@ from hoimix.synth_world import World
 def schedule_batches(world: World, schedule: Schedule, cfg: ExperimentConfig) -> list[Batch]:
     """Every batch of the schedule, in order, built a block at a time as
     train builds them."""
-    entries = schedule.images
-    return [
-        batch
-        for first in range(0, len(entries), BLOCK_ENTRIES)
-        for batch in _block_batches(world, entries[first : first + BLOCK_ENTRIES], cfg)
-    ]
+    firsts = range(0, len(schedule.images), BLOCK_ENTRIES)
+    return [batch for block in _blocks(world, firsts, schedule, cfg) for batch in _batches(block)]
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -322,20 +323,23 @@ def test_a_block_with_non_finite_features_raises_its_value_error():
     assert not isinstance(caught.value, TrainingDiverged)
 
 
-def recorded_blocks(monkeypatch, check=lambda blocks: None):
-    """A weakref to the features of every block train builds, in order;
-    check(blocks) runs each time, before the next block is built."""
-    real = hoimix.experiment.prepare_block
+def recorded_blocks(monkeypatch, check=lambda blocks: None, gets="prepare_block"):
+    """A weakref to the features of every block the training process gets
+    through hoimix.experiment's binding `gets`, in order: prepare_block
+    builds a block in process, _received takes one from the producer.
+    check(blocks) runs each time, before the next block is got."""
+    real = getattr(hoimix.experiment, gets)
     blocks = []
 
     def recorded(*args, **kwargs):
         check(blocks)
         block = real(*args, **kwargs)
-        assert block.features.base is None  # its batches view this array
+        if gets == "prepare_block":
+            assert block.features.base is None  # its batches view this array
         blocks.append(weakref.ref(block.features))
         return block
 
-    monkeypatch.setattr(hoimix.experiment, "prepare_block", recorded)
+    monkeypatch.setattr(hoimix.experiment, gets, recorded)
     return blocks
 
 
@@ -349,16 +353,50 @@ def two_block_schedule():
     return tagged, cfg, n
 
 
-def test_a_one_pass_run_drops_each_block_before_it_builds_the_next(monkeypatch):
+# a one-pass run of more than one block builds its blocks in a forked
+# producer when the process may use more than one CPU, and in process if not
+BLOCK_PATHS = {"in_process": {0}, "producer": {0, 1}}
+
+
+def use_block_path(monkeypatch, path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: BLOCK_PATHS[path])
+
+
+def block_builders(monkeypatch, log_path):
+    """Make prepare_block append the id of the calling process and of its
+    parent, and its first entry, to log_path, in every process (a forked
+    producer or worker inherits the patch); returns a function that reads
+    the (pid, parent pid, entry) records back."""
+    real = hoimix.experiment.prepare_block
+
+    def recording(world, entries, **kwargs):
+        with open(log_path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), os.getppid(), entries[0].tolist()]) + "\n")
+        return real(world, entries, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", recording)
+    return lambda: [json.loads(line) for line in log_path.read_text().splitlines()] if log_path.exists() else []
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("path", sorted(BLOCK_PATHS))
+def test_a_one_pass_run_drops_each_block_before_it_builds_the_next(monkeypatch, path):
     tagged, cfg, n = two_block_schedule()
+    use_block_path(monkeypatch, path)
 
     def unreachable(blocks):
         # each earlier block's batches have all trained
         assert [ref() for ref in blocks] == [None] * len(blocks)
 
-    blocks = recorded_blocks(monkeypatch, unreachable)
+    gets = "prepare_block" if path == "in_process" else "_received"
+    blocks = recorded_blocks(monkeypatch, unreachable, gets)
     train(tagged, dataclasses.replace(cfg, iterations=n))
     assert len(blocks) == 2
+    assert_no_child_left()
 
 
 def test_a_wrapping_run_keeps_each_block_until_its_last_use(monkeypatch):
@@ -383,28 +421,162 @@ def test_a_wrapping_run_keeps_each_block_until_its_last_use(monkeypatch):
         assert seen == [t <= last_use[b] for b in range(built)], t
 
 
-def test_a_resumed_one_pass_run_builds_only_the_blocks_it_trains_on(monkeypatch):
+@pytest.mark.parametrize("path", sorted(BLOCK_PATHS))
+def test_a_resumed_one_pass_run_builds_only_the_blocks_it_trains_on(monkeypatch, tmp_path, path):
     # the data_pass shape: 2 400 images, one pass of 1 200 entries in 19
     # blocks; a resume at iteration 600 needs blocks 9-18
     cfg = ExperimentConfig(world=WorldConfig(n_images=2400), iterations=1200)
     tagged, _, _ = prepare_world(cfg)
     full = train(tagged, cfg)
     half = train(tagged, dataclasses.replace(cfg, iterations=600))
-    real = hoimix.experiment.prepare_block
-    built = []
-
-    def counted(world, entries, **kwargs):
-        built.append(entries[0].tolist())
-        return real(world, entries, **kwargs)
-
-    monkeypatch.setattr(hoimix.experiment, "prepare_block", counted)
+    use_block_path(monkeypatch, path)
+    built = block_builders(monkeypatch, tmp_path / "blocks")
     resumed = train(tagged, cfg, init_params=half.params, init_state=half.state, start_iteration=600)
     first = full.schedule.images[9 * BLOCK_ENTRIES :: BLOCK_ENTRIES].tolist()
-    assert len(built) == 10 and built == first
+    assert [entry for _, _, entry in built()] == first
+    # built by this process, or by the producer it forked
+    assert {pid if path == "in_process" else ppid for pid, ppid, _ in built()} == {os.getpid()}
     assert resumed.params.flat.tobytes() == full.params.flat.tobytes()
     assert resumed.state.buffers.tobytes() == full.state.buffers.tobytes()
     assert resumed.state.t == full.state.t
     assert resumed.log.losses == full.log.losses[600:]
+    assert_no_child_left()
+
+
+def test_the_producer_trains_byte_for_byte_as_in_process(monkeypatch, tmp_path):
+    tagged, cfg, n = two_block_schedule()
+    cfg = dataclasses.replace(cfg, iterations=n, eval_every=20, n_test_images=16)
+    _, test_set = prepared_world(cfg)
+    built = block_builders(monkeypatch, tmp_path / "blocks")
+    real_assemble = hoimix.experiment.assemble_minibatch
+    writeable = set()
+
+    def assemble(*args):
+        batch = real_assemble(*args)
+        writeable.update((batch.features.flags.writeable, batch.targets.flags.writeable))
+        return batch
+
+    monkeypatch.setattr(hoimix.experiment, "assemble_minibatch", assemble)
+    runs = {}
+    for path in sorted(BLOCK_PATHS):
+        use_block_path(monkeypatch, path)
+        runs[path] = train(tagged, cfg, test_set=test_set)
+        assert_no_child_left()
+    # two blocks each: the producer's built by its child, the other's in process
+    assert sorted((pid == os.getpid(), ppid == os.getpid()) for pid, ppid, _ in built()) == (
+        [(False, True)] * 2 + [(True, False)] * 2
+    )
+    a, b = runs["in_process"], runs["producer"]
+    assert a.params.flat.tobytes() == b.params.flat.tobytes()
+    assert a.state.buffers.tobytes() == b.state.buffers.tobytes() and a.state.t == b.state.t
+    assert a.log.losses == b.log.losses
+    assert [(t, r.map_full, r.ap_per_class.tobytes()) for t, r in a.log.evals] == [
+        (t, r.map_full, r.ap_per_class.tobytes()) for t, r in b.log.evals
+    ]
+    assert len(a.log.evals) == n // 20
+    assert writeable == {False}  # a received block is read-only, as a built one is
+
+
+def test_a_producers_later_block_error_reaches_the_caller_unchanged(monkeypatch):
+    tagged, cfg, n = two_block_schedule()
+    use_block_path(monkeypatch, "producer")
+    real = hoimix.experiment.prepare_block
+    calls = []  # the producer's own copy
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("second block")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", second_fails)
+    with pytest.raises(ValueError, match="^second block$") as caught:
+        train(tagged, dataclasses.replace(cfg, iterations=n))
+    assert type(caught.value) is ValueError
+    assert calls == []  # the parent built no block
+    assert_no_child_left()
+
+
+def test_the_producer_sends_each_block_before_it_builds_the_next(monkeypatch):
+    # 6 classes: a block's pickle ends in a tail shorter than a write buffer
+    tagged, cfg, n = two_block_schedule()
+    use_block_path(monkeypatch, "producer")
+    real = hoimix.experiment.prepare_block
+    calls = []  # the producer's own copy
+
+    def slow_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            time.sleep(3.0)
+        return real(*args, **kwargs)
+
+    real_step = hoimix.experiment.step
+    stepped = []
+
+    def timed_step(*args, **kwargs):
+        stepped.append(time.monotonic())
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", slow_second)
+    monkeypatch.setattr(hoimix.experiment, "step", timed_step)
+    start = time.monotonic()
+    train(tagged, dataclasses.replace(cfg, iterations=n))
+    # the first block trained while the producer was still building the second
+    assert stepped[0] - start < 2.0
+    assert stepped[BLOCK_ENTRIES] - start >= 3.0
+
+
+def _diverge(monkeypatch, tagged, cfg):
+    params = ModelParams.init(cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes, seed=0)
+    params.w_enc[0, 0] = np.inf  # the first forward is non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(tagged, cfg, init_params=params)
+
+
+def _bad_block(monkeypatch, tagged, cfg):
+    def failing(*args, **kwargs):
+        raise ValueError("no block")
+
+    monkeypatch.setattr(hoimix.experiment, "prepare_block", failing)
+    train(tagged, cfg)
+
+
+def _interrupt(monkeypatch, tagged, cfg):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hoimix.experiment, "step", interrupted)
+    train(tagged, cfg)
+
+
+@pytest.mark.parametrize(
+    "way_out, raised",
+    [(_diverge, TrainingDiverged), (_bad_block, ValueError), (_interrupt, KeyboardInterrupt)],
+)
+def test_no_producer_outlives_a_train_that_raises(monkeypatch, way_out, raised):
+    tagged, cfg, n = two_block_schedule()
+    use_block_path(monkeypatch, "producer")
+    with pytest.raises(raised) as caught:
+        way_out(monkeypatch, tagged, dataclasses.replace(cfg, iterations=n))
+    # the traceback, still held, keeps train's frame alive
+    assert caught.tb is not None
+    assert_no_child_left()
+
+
+def test_a_run_many_worker_builds_its_blocks_itself(monkeypatch, tmp_path):
+    tagged, cfg, n = two_block_schedule()
+    cfg = dataclasses.replace(cfg, iterations=n, n_test_images=8)
+    _, test_set = prepared_world(cfg)
+    use_block_path(monkeypatch, "producer")
+    built = block_builders(monkeypatch, tmp_path / "blocks")
+    with returns_within(60.0):
+        run_many([FitSpec(tagged, cfg, test_set), FitSpec(tagged, _shared(cfg), test_set)])
+    # every block was built by a worker, a child of this process, not by a
+    # producer that a worker forked
+    assert len(built()) == 4
+    assert {ppid for _, ppid, _ in built()} == {os.getpid()}
+    assert multiprocessing.active_children() == []
 
 
 def one_pass_peak_bytes(n_images: int) -> int:

@@ -11,6 +11,9 @@ import json
 import os
 import pathlib
 
+import pytest
+
+from hoimix import cli, experiment
 from hoimix.checkpoint import save_checkpoint
 from hoimix.cli import main
 from hoimix.evaluation import CSV_HEADER, report_to_dict
@@ -22,6 +25,7 @@ from hoimix.experiment import (
     run_experiment,
     run_ratio_sweep,
 )
+from hoimix.model import ModelParams
 from hoimix.pseudo_label import iterate_cycles
 from hoimix.synth_world import WorldConfig
 
@@ -107,6 +111,44 @@ def test_every_command_writes_the_text_of_the_library_results(tmp_path, capsys):
         {"base_map_full": base.map_full, "cycles": [dataclasses.asdict(r) for r in reports]}
     )
     assert_files(out, expected)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("worked before the output directory was made")
+
+
+def without_work(monkeypatch):
+    """Make every fit (in process or in a forked worker) and the evaluation
+    of a checkpoint raise."""
+    monkeypatch.setattr(experiment, "fit", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "class-split"])
+def test_a_command_whose_out_dir_cannot_be_made_fails_at_once_naming_it(
+    command, monkeypatch, tmp_path, capsys
+):
+    config = tmp_path / "config.json"
+    config.write_text(json_file(CFG.to_dict()))
+    ckpt = tmp_path / "checkpoint.ckpt"
+    dims = (CFG.world.feature_dim, CFG.hidden_dim, CFG.world.n_hoi_classes)
+    save_checkpoint(ckpt, ModelParams.init(*dims, 0), meta={})
+    extra = {"eval": ["--checkpoint", str(ckpt)], "sweep": ["--ratios", "50/50", "--n-seeds", "1"]}
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "run"
+    without_work(monkeypatch)
+    assert main([command, "--config", str(config), "--out-dir", str(out), *extra.get(command, [])]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
+def test_a_run_or_sweep_whose_out_dir_cannot_be_made_fails_before_training(monkeypatch, tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "run"
+    without_work(monkeypatch)
+    with pytest.raises(NotADirectoryError, match=str(out)):
+        run_experiment(CFG, out_dir=str(out))
+    with pytest.raises(NotADirectoryError, match=str(out)):
+        run_ratio_sweep(CFG, [(0.5, 0.5, 0.0)], [0], out_dir=str(out))
 
 
 def hand_written_outputs(source: str) -> list[str]:

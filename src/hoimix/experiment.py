@@ -8,10 +8,10 @@ sequence-training filter still consume their iteration. Every experiment
 (full runs, sweeps, the class split, pseudo-label cycles) trains and
 evaluates through `fit`, on a test set prepared once per world; fits that do
 not depend on each other (a sweep's cells, the class split's three models) run
-in forked worker processes through `run_many`, which inherit their specs, test
-sets included, and return pickled results. A training run that uses its
-schedule once builds its batch blocks in a forked producer process while it
-trains, when a second CPU is free (see `train`).
+in forked child processes through `run_many`, which inherit their specs, test
+sets included, and send back pickled results. A training run that uses its
+schedule once builds its batch blocks in a forked producer while it trains,
+when a second CPU is free (see `train`). Both fork through `_Forked`.
 """
 
 from __future__ import annotations
@@ -161,54 +161,59 @@ def _blocks(world: World, firsts: Sequence[int], schedule: Schedule, cfg: Experi
 
 
 def _batches(block: BatchBlock) -> list[Batch]:
-    """Every batch of the block: views of it, which keep it alive."""
+    """Every batch of the block: read-only views of it, which keep it alive."""
+    # a block from a forked producer was unpickled: whatever the protocol
+    # keeps of the flags, a batch is read-only
+    for array in (block.features, block.fs_targets, block.ws_targets):
+        array.flags.writeable = False
     return [assemble_minibatch(block, entry) for entry in range(len(block.tags))]
 
 
-def _received(source) -> BatchBlock:
-    """The producer's next block, read-only again, or its error raised."""
-    try:
-        item = pickle.load(source)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("the block producer ended without its next block") from None
-    if isinstance(item, BaseException):
-        raise item
-    # whatever the pickle protocol keeps of the flags, a batch is read-only
-    for array in (item.features, item.fs_targets, item.ws_targets):
-        array.flags.writeable = False
-    return item
+_forked_child = False  # set in every process that _Forked forks
 
 
-def _produced(blocks: Iterator[BatchBlock]) -> Iterator[BatchBlock]:
-    """The blocks, built by a forked child process (POSIX only) that writes
-    each one pickled to a pipe, which keeps it at most one block ahead of
-    the caller. A block's exception is raised here as the child raised it.
-    Closing the iterator, or its raising, kills and reaps the child. Forking
-    is safe for the reasons run_many gives: hoimix starts no thread, and
-    OpenBLAS restarts its pool after a fork."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: no code of the caller's may run after its last block
+class _Forked:
+    """The items, made by a child process forked now (POSIX only) that
+    writes each one pickled to a pipe, which keeps it at most one item ahead
+    of the caller. An item's exception is raised by next() as the child
+    raised it. close() kills and reaps the child; call it on every way out.
+    Forking is safe: hoimix starts no thread, and OpenBLAS (a pthreads build)
+    stops its thread pool at fork and restarts it on the next product."""
+
+    def __init__(self, items: Iterator):
+        read_end, write_end = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the child: no code of the caller's may run after its last item
+            try:
+                global _forked_child
+                _forked_child = True
+                os.close(read_end)
+                with os.fdopen(write_end, "wb") as sink:
+                    try:
+                        for item in items:
+                            pickle.dump(item, sink, pickle.HIGHEST_PROTOCOL)
+                            sink.flush()  # now: a pickle's short tail would wait in the buffer
+                            del item  # not held while the next one is made
+                    except Exception as exc:
+                        pickle.dump(exc, sink, pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        self.source = os.fdopen(read_end, "rb")
+
+    def __next__(self):
         try:
-            os.close(read_end)
-            with os.fdopen(write_end, "wb") as sink:
-                try:
-                    for block in blocks:
-                        pickle.dump(block, sink, pickle.HIGHEST_PROTOCOL)
-                        sink.flush()  # now: a pickle's short tail would wait in the buffer
-                        del block  # not held while the next one is built
-                except Exception as exc:
-                    pickle.dump(exc, sink, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with os.fdopen(read_end, "rb") as source:
-            while True:
-                yield _received(source)
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+            item = pickle.load(self.source)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("a forked child ended without its next item") from None
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def close(self) -> None:
+        self.source.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 def train(
@@ -242,10 +247,10 @@ def train(
 
     A run that uses each remaining entry at most once, needs more than one
     block and has a free CPU (more than one in its affinity mask, outside a
-    run_many worker) builds its blocks in a forked producer process, one
-    block ahead of the training (see _produced); block building does not
-    depend on the model, so both ways give the same bytes. The producer is
-    killed and reaped before this returns or raises.
+    forked child such as run_many's) builds its blocks in a forked
+    producer, one block ahead of the training (see _Forked); block building
+    does not depend on the model, so both ways give the same bytes. The
+    producer is killed and reaped before this returns or raises.
     """
     dims = (cfg.world.feature_dim, cfg.hidden_dim, cfg.world.n_hoi_classes)
     if init_params is not None and init_params.dims != dims:
@@ -287,10 +292,10 @@ def train(
     uses = range(start_iteration, min(cfg.iterations, start_iteration + n_entries))
     firsts = [b * BLOCK_ENTRIES for b in dict.fromkeys(t % n_entries // BLOCK_ENTRIES for t in uses)]
     blocks = _blocks(world, firsts, schedule, cfg)
-    # _worker_specs is set only in a run_many worker, whose pool has the CPUs
+    # a forked child, such as a run_many one, leaves the other CPUs to its siblings
     one_pass = cfg.iterations - start_iteration <= n_entries
-    if one_pass and len(firsts) > 1 and len(os.sched_getaffinity(0)) > 1 and not _worker_specs:
-        blocks = _produced(blocks)
+    if one_pass and len(firsts) > 1 and len(os.sched_getaffinity(0)) > 1 and not _forked_child:
+        blocks = _Forked(blocks)
     try:
         for t in range(start_iteration, cfg.iterations):
             k = t % n_entries
@@ -398,46 +403,32 @@ class FitSpec:
     periodic_eval: bool = False
 
 
-_worker_specs: Sequence[FitSpec] = ()  # a worker's own, set by its pool's initializer
-
-
-def _inherit_specs(specs: Sequence[FitSpec]) -> None:
-    global _worker_specs
-    _worker_specs = specs
-
-
-def _fit_spec(k: int) -> RunResult:
-    spec = _worker_specs[k]
-    return fit(spec.world, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval)
-
-
 def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
-    """Run independent `fit` calls in a pool of worker processes, one per
-    usable CPU and at most one per spec; return their results in spec order.
+    """Run independent `fit` calls in forked child processes (see _Forked),
+    one per usable CPU and at most one per spec; return their results in
+    spec order.
 
-    Workers are forked (POSIX only) and inherit the specs, so each task is a
-    spec index and only results are pickled. Each result equals that of a
-    serial `fit` of its spec. A failing spec (`TrainingDiverged` included)
-    raises here with the worker's message. The pool is shut down, and its
-    workers waited for, before this returns.
+    Of n children, child k fits specs k, k + n, ... in turn. The children
+    inherit the specs, so only results are pickled, and each result equals
+    that of a serial `fit` of its spec. A failing spec (`TrainingDiverged`
+    included) raises here with the child's message as soon as it is read, in
+    spec order. Every child is killed and reaped before this returns or
+    raises.
     """
-    if not specs:
-        return []
-    # imported here: the pool modules cost 16-23 ms, which `import hoimix` should not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(specs), len(os.sched_getaffinity(0)))
-    # Forking is safe: OpenBLAS (a pthreads build) stops its thread pool at
-    # fork, in parent and child, and restarts it on the next product; the
-    # executor (Python 3.11) forks every worker before it starts its manager
-    # thread; and hoimix starts no thread of its own.
-    fork = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, fork, initializer=_inherit_specs, initargs=(specs,))
+    n = min(len(specs), len(os.sched_getaffinity(0)))
+    children: list[_Forked] = []
     try:
-        return list(pool.map(_fit_spec, range(len(specs))))
+        for k in range(n):
+            children.append(
+                _Forked(
+                    fit(s.world, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
+                    for s in specs[k::n]
+                )
+            )
+        return [next(children[j % n]) for j in range(len(specs))]
     finally:
-        pool.shutdown(cancel_futures=True)
+        for child in children:
+            child.close()
 
 
 def run_experiment(

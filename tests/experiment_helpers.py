@@ -1,17 +1,18 @@
 """Helpers the experiment tests share: a config diff, a world with its
 prepared test set, the FS part of a world, a record of test-set
 preparations, the label-permutation control of the learnability criterion,
-and a deadline for calls that fork worker processes."""
+a check that no child process is left, and a deadline for calls that fork
+child processes."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import multiprocessing
 import os
 import signal
 
 import numpy as np
+import pytest
 
 from hoimix import cli, evaluation, experiment, pseudo_label
 from hoimix.evaluation import EvalSet, prepare_eval_set
@@ -106,14 +107,18 @@ def permute_labels(world: World, seed: int) -> World:
     return world_of(out, world.labels.shape[1])
 
 
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextlib.contextmanager
 def returns_within(seconds):
-    """Fail a pool that hangs, in place of hanging the suite: kill every
-    worker, so that the pool's shutdown does not wait on them, and raise."""
+    """Fail a call that hangs, in place of hanging the suite: raise, and
+    let run_many's finally kill and reap its children."""
 
     def hung(signum, frame):
-        for child in multiprocessing.active_children():
-            child.kill()
         raise TimeoutError(f"run_many did not return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, hung)

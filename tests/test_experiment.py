@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -39,6 +38,7 @@ from hoimix.supervision import SupervisionTag
 from hoimix.synth_world import World, WorldConfig, generate_world, split_supervision
 from box_reference import triplet_objects
 from experiment_helpers import (
+    assert_no_child_left,
     config_diff,
     fs_part,
     permute_labels,
@@ -323,23 +323,25 @@ def test_a_block_with_non_finite_features_raises_its_value_error():
     assert not isinstance(caught.value, TrainingDiverged)
 
 
-def recorded_blocks(monkeypatch, check=lambda blocks: None, gets="prepare_block"):
-    """A weakref to the features of every block the training process gets
-    through hoimix.experiment's binding `gets`, in order: prepare_block
-    builds a block in process, _received takes one from the producer.
-    check(blocks) runs each time, before the next block is got."""
-    real = getattr(hoimix.experiment, gets)
+def recorded_blocks(monkeypatch, check=lambda blocks: None):
+    """A weakref to the features memory of every block the training process
+    makes batches of (through hoimix.experiment's binding of _batches), in
+    order: built in process or received from the producer. check(blocks)
+    runs each time, before the block is recorded."""
+    real = hoimix.experiment._batches
     blocks = []
 
-    def recorded(*args, **kwargs):
+    def recorded(block):
         check(blocks)
-        block = real(*args, **kwargs)
-        if gets == "prepare_block":
-            assert block.features.base is None  # its batches view this array
-        blocks.append(weakref.ref(block.features))
-        return block
+        # the array that owns the memory, which every view of it keeps: a
+        # built block's features, an unpickled one's flat base
+        owner = block.features
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        blocks.append(weakref.ref(owner))
+        return real(block)
 
-    monkeypatch.setattr(hoimix.experiment, gets, recorded)
+    monkeypatch.setattr(hoimix.experiment, "_batches", recorded)
     return blocks
 
 
@@ -378,11 +380,6 @@ def block_builders(monkeypatch, log_path):
     return lambda: [json.loads(line) for line in log_path.read_text().splitlines()] if log_path.exists() else []
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("path", sorted(BLOCK_PATHS))
 def test_a_one_pass_run_drops_each_block_before_it_builds_the_next(monkeypatch, path):
     tagged, cfg, n = two_block_schedule()
@@ -392,8 +389,7 @@ def test_a_one_pass_run_drops_each_block_before_it_builds_the_next(monkeypatch, 
         # each earlier block's batches have all trained
         assert [ref() for ref in blocks] == [None] * len(blocks)
 
-    gets = "prepare_block" if path == "in_process" else "_received"
-    blocks = recorded_blocks(monkeypatch, unreachable, gets)
+    blocks = recorded_blocks(monkeypatch, unreachable)
     train(tagged, dataclasses.replace(cfg, iterations=n))
     assert len(blocks) == 2
     assert_no_child_left()
@@ -576,7 +572,7 @@ def test_a_run_many_worker_builds_its_blocks_itself(monkeypatch, tmp_path):
     # producer that a worker forked
     assert len(built()) == 4
     assert {ppid for _, ppid, _ in built()} == {os.getpid()}
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def one_pass_peak_bytes(n_images: int) -> int:
@@ -732,7 +728,7 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     ]
     with returns_within(60.0):
         runs = run_many(specs)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
     for spec, run in zip(specs, runs):
         serial = fit(
@@ -769,7 +765,36 @@ def test_run_many_raises_a_workers_divergence():
         run_many(specs)
     assert str(pooled.value) == str(serial.value)
     assert str(pooled.value).startswith("aborted at iteration")
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_run_many_raises_a_failing_spec_without_waiting_for_its_siblings(monkeypatch, tmp_path):
+    cfg = tiny_cfg(iterations=50)
+    tagged, test_set = prepared_world(cfg)
+    diverging = dataclasses.replace(cfg, optimizer=OptimizerConfig(alpha_ws=1e300, alpha_fs=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingDiverged) as serial:
+            fit(tagged, diverging, test_set)
+    marker = tmp_path / "sibling-finished"
+    real_fit = hoimix.experiment.fit
+
+    def marking_fit(*args, **kwargs):
+        run = real_fit(*args, **kwargs)
+        marker.write_text(run.run_id)  # in the forked child, which inherits this wrap
+        return run
+
+    monkeypatch.setattr(hoimix.experiment, "fit", marking_fit)
+    specs = [
+        FitSpec(tagged, diverging, test_set, run_id="diverging"),
+        # seconds of training, which the failure must not wait for
+        FitSpec(tagged, dataclasses.replace(cfg, iterations=12000), test_set, run_id="sibling"),
+    ]
+    with pytest.raises(TrainingDiverged) as pooled, returns_within(60.0):
+        run_many(specs)
+    assert str(pooled.value) == str(serial.value)
+    assert not marker.exists()
+    assert_no_child_left()
 
 
 def _serial_fits(specs):
@@ -806,7 +831,7 @@ def test_run_many_workers_inherit_their_specs(monkeypatch):
     monkeypatch.setattr(World, "__reduce_ex__", unpicklable, raising=False)
     with returns_within(60.0):
         _same_runs(run_many(specs), serial)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def _threads() -> int:
@@ -827,7 +852,7 @@ def test_run_many_forks_a_process_with_blas_threads_without_hanging():
             if len(os.sched_getaffinity(0)) >= 2:
                 assert _threads() >= 2
             _same_runs(run_many(specs), serial)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
 
 
 def test_class_split_reports_four_subset_maps():

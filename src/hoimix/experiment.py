@@ -6,12 +6,13 @@ and evaluates mAP on a held-out set sharing the world's latent structure.
 One schedule entry corresponds to one iteration; entries skipped by a
 sequence-training filter still consume their iteration. Every experiment
 (full runs, sweeps, the class split, pseudo-label cycles) trains and
-evaluates through `fit`, on a test set prepared once per world; fits that do
-not depend on each other (a sweep's cells, the class split's three models) run
-in forked child processes through `run_many`, which inherit their specs, test
-sets included, and send back pickled results. A training run that uses its
-schedule once builds its batch blocks in a forked producer while it trains,
-when a second CPU is free (see `train`). Both fork through `_Forked`.
+evaluates through `fit`, on a test set prepared once per world. Calls that do
+not depend on each other (a sweep's cells, the class split's three fits) run
+in forked child processes through `run_many`, which inherit their calls and
+send back pickled results; a sweep's cells build their seed's world in the
+child that fits them. A training run that uses its schedule once builds its
+batch blocks in a forked producer while it trains, when a second CPU is free
+(see `train`). Both fork through `_Forked`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -345,10 +347,13 @@ class RunResult(TrainResult):
     csv_row: str
 
 
-def _build_world(world: WorldConfig, n_test_images: int):
-    """The untagged train world, the test world and the rare class ids."""
-    train_world = generate_world(world)
-    return train_world, generate_eval_images(world, n_test_images), rare_classes(train_world)
+def _build_world(cfg: ExperimentConfig) -> tuple[World, EvalSet]:
+    """The untagged train world and its prepared test set."""
+    train_world = generate_world(cfg.world)
+    test_world = generate_eval_images(cfg.world, cfg.n_test_images)
+    rare_ids = rare_classes(train_world)
+    test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    return train_world, test_set
 
 
 def _tag(train_world: World, cfg: ExperimentConfig) -> World:
@@ -360,8 +365,9 @@ def _tag(train_world: World, cfg: ExperimentConfig) -> World:
 
 def prepare_world(cfg: ExperimentConfig):
     """Generate the train and test worlds and the rare classes; tag the first."""
-    train_world, test_world, rare_ids = _build_world(cfg.world, cfg.n_test_images)
-    return _tag(train_world, cfg), test_world, rare_ids
+    train_world = generate_world(cfg.world)
+    test_world = generate_eval_images(cfg.world, cfg.n_test_images)
+    return _tag(train_world, cfg), test_world, rare_classes(train_world)
 
 
 def fit(
@@ -391,41 +397,24 @@ def fit(
     return RunResult(**vars(result), run_id=run_id, config=cfg, report=report, csv_row=row)
 
 
-@dataclass(frozen=True, eq=False)
-class FitSpec:
-    """The arguments of one `fit` call; the world carries its images' own
-    supervision, pseudo labels included, and one world's specs share a test set."""
+def run_many(calls: Sequence[Callable[[], object]]) -> list:
+    """Run independent zero-argument calls in forked child processes (see
+    _Forked), one per usable CPU and at most one per call; return their
+    results in call order.
 
-    world: World
-    cfg: ExperimentConfig
-    test_set: EvalSet
-    run_id: str = "run"
-    periodic_eval: bool = False
-
-
-def run_many(specs: Sequence[FitSpec]) -> list[RunResult]:
-    """Run independent `fit` calls in forked child processes (see _Forked),
-    one per usable CPU and at most one per spec; return their results in
-    spec order.
-
-    Of n children, child k fits specs k, k + n, ... in turn. The children
-    inherit the specs, so only results are pickled, and each result equals
-    that of a serial `fit` of its spec. A failing spec (`TrainingDiverged`
-    included) raises here with the child's message as soon as it is read, in
-    spec order. Every child is killed and reaped before this returns or
+    Of n children, child k runs calls k, k + n, ... in turn. The children
+    inherit the calls, so only results are pickled, and each result equals
+    that of a serial call. A failing call (`TrainingDiverged` included)
+    raises here with the child's message as soon as its result is read, in
+    call order. Every child is killed and reaped before this returns or
     raises.
     """
-    n = min(len(specs), len(os.sched_getaffinity(0)))
+    n = min(len(calls), len(os.sched_getaffinity(0)))
     children: list[_Forked] = []
     try:
         for k in range(n):
-            children.append(
-                _Forked(
-                    fit(s.world, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
-                    for s in specs[k::n]
-                )
-            )
-        return [next(children[j % n]) for j in range(len(specs))]
+            children.append(_Forked(call() for call in calls[k::n]))
+        return [next(children[j % n]) for j in range(len(calls))]
     finally:
         for child in children:
             child.close()
@@ -442,9 +431,8 @@ def run_experiment(
     before the world is built."""
     if out_dir is not None:
         write_outputs(out_dir, {})
-    tagged, test_world, rare_ids = prepare_world(cfg)
-    test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
-    run = fit(tagged, cfg, test_set, run_id=run_id, periodic_eval=periodic_eval)
+    train_world, test_set = _build_world(cfg)
+    run = fit(_tag(train_world, cfg), cfg, test_set, run_id=run_id, periodic_eval=periodic_eval)
     if out_dir is not None:
         write_run_outputs(run, out_dir)
     return run
@@ -477,6 +465,16 @@ AGGREGATE_HEADER = (
 )
 
 
+def _fit_cell(cfg: ExperimentConfig, built: dict) -> RunResult:
+    """Fit one sweep cell on its seed's world and test set, built into
+    built (train_seed to both) if they are not there yet."""
+    if cfg.train_seed not in built:
+        built[cfg.train_seed] = _build_world(cfg)
+    train_world, test_set = built[cfg.train_seed]
+    run_id = f"sweep-{cfg.ratio_string()}-s{cfg.train_seed}"
+    return fit(_tag(train_world, cfg), cfg, test_set, run_id=run_id)
+
+
 def run_ratio_sweep(
     cfg_base: ExperimentConfig,
     ratios: Sequence[tuple[float, float, float]],
@@ -487,32 +485,30 @@ def run_ratio_sweep(
     mean/stddev aggregate lines.
 
     A cell at seed s trains with train_seed s on the world of seed
-    cfg_base.world.seed + s. Each seed's world and test set are built
-    once, before the cells' fits run in `run_many`, and the world is split
-    per ratio. A missing out_dir is made before any world is built.
+    cfg_base.world.seed + s. Every cell's config is made first, so an
+    out-of-range fraction raises before any world is built, and a missing
+    out_dir is made next. The cells run ratio-major in `run_many`, and the
+    parent builds no world: a child builds a seed's world and test set for
+    its first cell of that seed and splits the world per ratio. When the
+    seed count is not a multiple of the child count, a seed's world can be
+    built in more than one child (3 seeds on 2 CPUs: each builds all 3).
     """
     if not ratios:
         raise ValueError("ratio sweep needs at least one ratio")
     if not seeds:
         raise ValueError("ratio sweep needs at least one seed")
+    cells = [
+        dataclasses.replace(
+            cfg_base, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed,
+            world=dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed),
+        )
+        for ws, fs, us in ratios
+        for seed in seeds
+    ]
     if out_dir is not None:
         write_outputs(out_dir, {})
-    worlds = {}
-    for seed in seeds:
-        world = dataclasses.replace(cfg_base.world, seed=cfg_base.world.seed + seed)
-        train_world, test_world, rare_ids = _build_world(world, cfg_base.n_test_images)
-        test_set = prepare_eval_set(test_world, rare_ids, feature_dim=world.feature_dim, top_k=cfg_base.top_k)
-        worlds[seed] = (world, train_world, test_set)
-    specs = []
-    for ws, fs, us in ratios:
-        for seed in seeds:
-            world, train_world, test_set = worlds[seed]
-            cfg = dataclasses.replace(
-                cfg_base, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
-            )
-            run_id = f"sweep-{cfg.ratio_string()}-s{seed}"
-            specs.append(FitSpec(_tag(train_world, cfg), cfg, test_set, run_id=run_id))
-    runs = run_many(specs)
+    built: dict = {}  # each child fills its own copy
+    runs = run_many([partial(_fit_cell, cfg, built) for cfg in cells])
     rows = [run.csv_row for run in runs]
     aggregates: list[str] = []
     for start in range(0, len(runs), len(seeds)):
@@ -555,8 +551,7 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
     """
     if cfg.world.n_hoi_classes < 2:
         raise ValueError("class split needs at least two interaction classes")
-    world, test_world, rare_ids = _build_world(cfg.world, cfg.n_test_images)
-    test_set = prepare_eval_set(test_world, rare_ids, feature_dim=cfg.world.feature_dim, top_k=cfg.top_k)
+    world, test_set = _build_world(cfg)
 
     _, _, split_seed = _train_seeds(cfg.train_seed)
     order = np.random.default_rng(split_seed).permutation(cfg.world.n_hoi_classes)
@@ -580,9 +575,9 @@ def run_class_split(cfg: ExperimentConfig) -> dict:
         for run in run_many(
             [
                 # the other half's images, untagged US, are not scheduled
-                FitSpec(restricted.tagged(np.where(image_fs, fs, us)), cfg, test_set),
-                FitSpec(restricted.tagged(np.where(image_fs, us, ws)), cfg, test_set),
-                FitSpec(restricted.tagged(np.where(image_fs, fs, ws)), cfg, test_set),
+                partial(fit, restricted.tagged(np.where(image_fs, fs, us)), cfg, test_set),
+                partial(fit, restricted.tagged(np.where(image_fs, us, ws)), cfg, test_set),
+                partial(fit, restricted.tagged(np.where(image_fs, fs, ws)), cfg, test_set),
             ]
         )
     )

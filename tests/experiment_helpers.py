@@ -1,6 +1,6 @@
 """Helpers the experiment tests share: a config diff, a world with its
-prepared test set, the FS part of a world, a record of test-set
-preparations, the label-permutation control of the learnability criterion,
+prepared test set, the FS part of a world, records of test-set
+preparations and world builds, the label-permutation control of the learnability criterion,
 a check that no child process is left, and a deadline for calls that fork
 child processes."""
 
@@ -71,6 +71,25 @@ def record_preparations(monkeypatch, log_path):
     for module in (cli, experiment, pseudo_label):
         monkeypatch.setattr(module, "prepare_eval_set", recording, raising=False)
     return lambda: [int(pid) for pid in log_path.read_text().split()] if log_path.exists() else []
+
+
+def record_world_builds(monkeypatch, log_path):
+    """Make hoimix.experiment's binding of generate_world append the id of
+    the calling process and the world's seed to log_path, forked children
+    included; returns a function that reads the (pid, seed) pairs back."""
+    real = experiment.generate_world
+
+    def recording(cfg):
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()} {cfg.seed}\n")
+        return real(cfg)
+
+    monkeypatch.setattr(experiment, "generate_world", recording)
+    return lambda: (
+        [tuple(int(x) for x in line.split()) for line in log_path.read_text().splitlines()]
+        if log_path.exists()
+        else []
+    )
 
 
 def permute_labels(world: World, seed: int) -> World:

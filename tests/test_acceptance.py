@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from hoimix.batching import pair_grids
 from hoimix.experiment import (
     ExperimentConfig,
-    FitSpec,
+    fit,
     prepare_world,
     run_experiment,
     run_many,
@@ -58,10 +59,10 @@ def default_cfg(**overrides):
     return dataclasses.replace(ExperimentConfig(), **overrides)
 
 
-def experiment_spec(cfg):
-    """The fit that `run_experiment(cfg)` runs, on a world built here."""
+def experiment_fit(cfg):
+    """The fit that `run_experiment(cfg)` runs, as a call, on a world built here."""
     tagged, test_set = prepared_world(cfg)
-    return FitSpec(tagged, cfg, test_set)
+    return partial(fit, tagged, cfg, test_set)
 
 
 # --------------------------------------------------------------------------
@@ -400,14 +401,14 @@ def test_criterion_07_learnability_floor():
     started = time.monotonic()
     wins = 0
     details = []
-    specs = []
+    calls = []
     for seed in range(5):
         cfg = default_cfg(ws_fraction=0.0, fs_fraction=1.0, train_seed=seed)
         tagged, test_set = prepared_world(cfg)
         permuted = permute_labels(tagged, seed=seed + 991)
-        specs += [FitSpec(tagged, cfg, test_set), FitSpec(permuted, cfg, test_set)]
+        calls += [partial(fit, tagged, cfg, test_set), partial(fit, permuted, cfg, test_set)]
     with returns_within(300):
-        runs = run_many(specs)
+        runs = run_many(calls)
     for seed in range(5):
         trained, control = (run.report.map_full for run in runs[2 * seed : 2 * seed + 2])
         win = trained >= 0.5 and trained - control >= 0.3
@@ -461,7 +462,7 @@ def test_criterion_08_mil_trend():
     # reproduce it.
     runs = {"indep": [], "shared": [], "wsonly": [], "fspart": []}
     cosines = []
-    specs = []
+    calls = []
     for seed in range(5):
         mix_cfg = dataclasses.replace(indep_cfg, train_seed=seed)
         seed_wsonly_cfg = dataclasses.replace(wsonly_cfg, train_seed=seed)
@@ -470,17 +471,17 @@ def test_criterion_08_mil_trend():
         tagged, test_set = prepared_world(mix_cfg)
         wsonly_tagged, _, _ = prepare_world(seed_wsonly_cfg)
         fs_tagged = fs_part(tagged)
-        specs += [
-            FitSpec(tagged, mix_cfg, test_set),
-            FitSpec(tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_set),
-            FitSpec(wsonly_tagged, seed_wsonly_cfg, test_set),
-            FitSpec(fs_tagged, mix_cfg, test_set),
+        calls += [
+            partial(fit, tagged, mix_cfg, test_set),
+            partial(fit, tagged, dataclasses.replace(shared_cfg, train_seed=seed), test_set),
+            partial(fit, wsonly_tagged, seed_wsonly_cfg, test_set),
+            partial(fit, fs_tagged, mix_cfg, test_set),
         ]
     with returns_within(900):
-        all_arms = run_many(specs)
+        all_arms = run_many(calls)
     for seed in range(5):
         arms = dict(zip(runs, all_arms[4 * seed : 4 * seed + 4]))
-        worlds = dict(zip(runs, (spec.world for spec in specs[4 * seed : 4 * seed + 4])))
+        worlds = dict(zip(runs, (call.args[0] for call in calls[4 * seed : 4 * seed + 4])))
         indep_run = arms["indep"]
 
         def trained(name, tag):
@@ -531,7 +532,7 @@ def test_criterion_09_element_swap_trend():
     with returns_within(600):
         runs = run_many(
             [
-                experiment_spec(dataclasses.replace(cfg, train_seed=seed))
+                experiment_fit(dataclasses.replace(cfg, train_seed=seed))
                 for seed in range(5)
                 for cfg in (on_cfg, off_cfg)
             ]
@@ -562,7 +563,7 @@ def test_criterion_10_ratio_monotonicity():
     with returns_within(1200):
         runs = run_many(
             [
-                experiment_spec(
+                experiment_fit(
                     default_cfg(ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed)
                 )
                 for ws, fs, us in ratios

@@ -3,7 +3,8 @@
 A pair holds one run of each side. The change wins a pair when it reads
 better than the parent, ties count for neither side, a gain needs at least
 nine tenths of the pairs won and medians further apart than the parent's
-interquartile range, and a metric is within its bound when the change's
+interquartile range and no larger share of failed runs than the parent's, and
+a metric is within its bound when the change's
 median is no worse than the parent's by more than bound × the parent's
 median."""
 
@@ -19,15 +20,21 @@ WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 MAP = {"name": "map_full", "unit": "ratio", "better": "higher", "bound": 0.25}
 
 
-def pairs(metric: dict, parent: list[float], change: list[float]) -> list[dict]:
-    def run(value):
-        return {"metrics": {metric["name"]: {"value": value}}}
+def pairs(metric: dict, parent: list[float], change: list[float], failed=(0, 0)) -> list[dict]:
+    """One pair per value; each run attempted 10 runs, of which the first
+    pair's failed failed[0] (parent) and failed[1] (change)."""
 
-    return [{"parent": run(p), "change": run(c)} for p, c in zip(parent, change)]
+    def run(value, failed):
+        return {"metrics": {metric["name"]: {"value": value}}, "attempted": 10, "failed": failed}
+
+    return [
+        {"parent": run(p, failed[0] if k == 0 else 0), "change": run(c, failed[1] if k == 0 else 0)}
+        for k, (p, c) in enumerate(zip(parent, change))
+    ]
 
 
-def summary(metric: dict, parent: list[float], change: list[float]) -> dict:
-    return compare.summarise(pairs(metric, parent, change), metric)
+def summary(metric: dict, parent: list[float], change: list[float], failed=(0, 0)) -> dict:
+    return compare.summarise(pairs(metric, parent, change, failed), metric)
 
 
 def test_ties_count_for_neither_side():
@@ -62,6 +69,15 @@ def test_a_gain_needs_medians_further_apart_than_the_parent_iqr():
     s = summary(WALL, PARENT, [p - 0.05 for p in PARENT])
     assert s["wins"] == 10 and s["parent_iqr"] < 0.05
     assert s["gain_holds"]
+
+
+def test_a_gain_needs_no_larger_share_of_failed_runs():
+    better = [p - 0.5 for p in PARENT]
+    assert summary(WALL, PARENT, better)["gain_holds"]
+    assert summary(WALL, PARENT, better, failed=(1, 1))["gain_holds"]
+    assert summary(WALL, PARENT, better, failed=(2, 1))["gain_holds"]
+    assert not summary(WALL, PARENT, better, failed=(0, 1))["gain_holds"]
+    assert not summary(WALL, PARENT, better, failed=(1, 2))["gain_holds"]
 
 
 def test_higher_is_better_for_map_full():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from hoimix.model import ModelParams
 from hoimix.evaluation import evaluate, prepare_eval_set
 from hoimix.experiment import (
     ExperimentConfig,
-    FitSpec,
     TrainingDiverged,
     fit,
     load_config,
@@ -44,6 +45,7 @@ from experiment_helpers import (
     permute_labels,
     prepared_world,
     record_preparations,
+    record_world_builds,
     returns_within,
 )
 from image_reference import images_of, with_appearance, world_of
@@ -184,11 +186,65 @@ def test_fits_on_one_test_set_leave_it_unchanged_and_report_alike():
     assert first.csv_row == second.csv_row
 
 
-def test_a_ratio_sweep_prepares_one_test_set_per_seed_before_it_forks(monkeypatch, tmp_path):
+def test_a_ratio_sweep_builds_each_seeds_world_and_test_set_once_in_a_child(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     preparations = record_preparations(monkeypatch, tmp_path / "preparations")
+    builds = record_world_builds(monkeypatch, tmp_path / "builds")
     with returns_within(60.0):
         run_ratio_sweep(tiny_cfg(iterations=60), [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0)], seeds=[0, 1])
-    assert preparations() == [os.getpid()] * 2
+    assert_no_child_left()
+    # ratio-major cells on two children: each child fits one seed's cells
+    # and builds that seed's world and test set, the caller none
+    assert len(preparations()) == 2
+    assert sorted(seed for _, seed in builds()) == [TINY_WORLD.seed, TINY_WORLD.seed + 1]
+    pids = {pid for pid, _ in builds()}
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert set(preparations()) == pids
+
+
+def test_a_ratio_sweep_child_builds_a_seeds_world_at_most_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    preparations = record_preparations(monkeypatch, tmp_path / "preparations")
+    builds = record_world_builds(monkeypatch, tmp_path / "builds")
+    cfg = tiny_cfg(iterations=60, n_test_images=8)
+    ratios = [(1.0, 0.0, 0.0), (0.3, 0.7, 0.0)]
+    with returns_within(60.0):
+        rows, _ = run_ratio_sweep(cfg, ratios, seeds=[0, 1, 2])
+    assert_no_child_left()
+    # 6 cells on two children: each child fits cells of all 3 seeds
+    assert os.getpid() not in {pid for pid, _ in builds()}
+    assert len(builds()) == len(set(builds())) == len(preparations()) == 6
+    expected = []
+    for ws, fs, us in ratios:
+        for seed in (0, 1, 2):
+            world = dataclasses.replace(cfg.world, seed=cfg.world.seed + seed)
+            cell = dataclasses.replace(
+                cfg, ws_fraction=ws, fs_fraction=fs, us_fraction=us, train_seed=seed, world=world
+            )
+            expected.append(run_experiment(cell, run_id=f"sweep-{cell.ratio_string()}-s{seed}").csv_row)
+    assert rows == expected
+
+
+def test_a_ratio_sweep_rejects_a_bad_ratio_before_any_world_is_built(monkeypatch, tmp_path):
+    def unbuildable(cfg):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(hoimix.experiment, "generate_world", unbuildable)
+    monkeypatch.setattr(hoimix.experiment, "_Forked", unbuildable)
+    with pytest.raises(ValueError, match="ws_fraction"):
+        run_ratio_sweep(tiny_cfg(), [(0.5, 0.5, 0.0), (1.5, -0.5, 0.0)], [0, 1], out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_ratio_sweep_raises_a_cells_fraction_sum_from_its_child():
+    cfg = tiny_cfg(iterations=60)
+    with pytest.raises(ValueError) as serial:
+        run_experiment(dataclasses.replace(cfg, ws_fraction=0.5, fs_fraction=0.6))
+    with pytest.raises(ValueError) as swept, returns_within(60.0):
+        run_ratio_sweep(cfg, [(0.5, 0.5, 0.0), (0.5, 0.6, 0.0)], seeds=[0])
+    assert str(swept.value) == str(serial.value)
+    assert str(swept.value).startswith("fractions must sum to 1")
+    assert_no_child_left()
 
 
 def test_a_class_split_prepares_one_test_set_for_its_three_fits(monkeypatch, tmp_path):
@@ -567,7 +623,7 @@ def test_a_run_many_worker_builds_its_blocks_itself(monkeypatch, tmp_path):
     use_block_path(monkeypatch, "producer")
     built = block_builders(monkeypatch, tmp_path / "blocks")
     with returns_within(60.0):
-        run_many([FitSpec(tagged, cfg, test_set), FitSpec(tagged, _shared(cfg), test_set)])
+        run_many([partial(fit, tagged, cfg, test_set), partial(fit, tagged, _shared(cfg), test_set)])
     # every block was built by a worker, a child of this process, not by a
     # producer that a worker forked
     assert len(built()) == 4
@@ -719,21 +775,19 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
     cfg = tiny_cfg(iterations=200, eval_every=100)
     tagged, test_set = prepared_world(cfg)
     fs_only = fs_part(tagged)
-    specs = [
+    calls = [
         # the longest fit first, so that it is not the first to finish
-        FitSpec(tagged, dataclasses.replace(cfg, iterations=500), test_set, run_id="long"),
-        FitSpec(tagged, _shared(cfg), test_set, run_id="shared", periodic_eval=True),
-        FitSpec(tagged, cfg, test_set, run_id="indep", periodic_eval=True),
-        FitSpec(fs_only, _shared(cfg), test_set, run_id="shared-fs"),
+        partial(fit, tagged, dataclasses.replace(cfg, iterations=500), test_set, run_id="long"),
+        partial(fit, tagged, _shared(cfg), test_set, run_id="shared", periodic_eval=True),
+        partial(fit, tagged, cfg, test_set, run_id="indep", periodic_eval=True),
+        partial(fit, fs_only, _shared(cfg), test_set, run_id="shared-fs"),
     ]
     with returns_within(60.0):
-        runs = run_many(specs)
+        runs = run_many(calls)
     assert_no_child_left()
-    assert [run.run_id for run in runs] == [spec.run_id for spec in specs]
-    for spec, run in zip(specs, runs):
-        serial = fit(
-            spec.world, spec.cfg, spec.test_set, run_id=spec.run_id, periodic_eval=spec.periodic_eval
-        )
+    assert [run.run_id for run in runs] == [call.keywords["run_id"] for call in calls]
+    for call, run in zip(calls, runs):
+        serial = call()
         assert run.csv_row == serial.csv_row
         assert run.params.flat.tobytes() == serial.params.flat.tobytes()
         assert run.state.buffers.tobytes() == serial.state.buffers.tobytes()
@@ -744,11 +798,11 @@ def test_run_many_equals_serial_fits_in_spec_order(tmp_path):
         assert [(it, r.map_full) for it, r in run.log.evals] == [
             (it, r.map_full) for it, r in serial.log.evals
         ]
-        write_run_outputs(run, str(tmp_path / "pool" / spec.run_id))
-        write_run_outputs(serial, str(tmp_path / "serial" / spec.run_id))
+        write_run_outputs(run, str(tmp_path / "pool" / run.run_id))
+        write_run_outputs(serial, str(tmp_path / "serial" / run.run_id))
         for name in ("metrics.csv", "checkpoint.ckpt"):
-            pooled = (tmp_path / "pool" / spec.run_id / name).read_bytes()
-            assert pooled == (tmp_path / "serial" / spec.run_id / name).read_bytes(), name
+            pooled = (tmp_path / "pool" / run.run_id / name).read_bytes()
+            assert pooled == (tmp_path / "serial" / run.run_id / name).read_bytes(), name
 
 
 def test_run_many_raises_a_workers_divergence():
@@ -760,15 +814,15 @@ def test_run_many_raises_a_workers_divergence():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDiverged) as serial:
             fit(tagged, diverging, test_set)
-    specs = [FitSpec(tagged, cfg, test_set), FitSpec(tagged, diverging, test_set)]
+    calls = [partial(fit, tagged, cfg, test_set), partial(fit, tagged, diverging, test_set)]
     with pytest.raises(TrainingDiverged) as pooled, returns_within(60.0):
-        run_many(specs)
+        run_many(calls)
     assert str(pooled.value) == str(serial.value)
     assert str(pooled.value).startswith("aborted at iteration")
     assert_no_child_left()
 
 
-def test_run_many_raises_a_failing_spec_without_waiting_for_its_siblings(monkeypatch, tmp_path):
+def test_run_many_raises_a_failing_spec_without_waiting_for_its_siblings(tmp_path):
     cfg = tiny_cfg(iterations=50)
     tagged, test_set = prepared_world(cfg)
     diverging = dataclasses.replace(cfg, optimizer=OptimizerConfig(alpha_ws=1e300, alpha_fs=1e300))
@@ -777,31 +831,22 @@ def test_run_many_raises_a_failing_spec_without_waiting_for_its_siblings(monkeyp
         with pytest.raises(TrainingDiverged) as serial:
             fit(tagged, diverging, test_set)
     marker = tmp_path / "sibling-finished"
-    real_fit = hoimix.experiment.fit
 
     def marking_fit(*args, **kwargs):
-        run = real_fit(*args, **kwargs)
-        marker.write_text(run.run_id)  # in the forked child, which inherits this wrap
+        run = fit(*args, **kwargs)
+        marker.write_text(run.run_id)  # in the forked child, which inherits this call
         return run
 
-    monkeypatch.setattr(hoimix.experiment, "fit", marking_fit)
-    specs = [
-        FitSpec(tagged, diverging, test_set, run_id="diverging"),
+    calls = [
+        partial(marking_fit, tagged, diverging, test_set, run_id="diverging"),
         # seconds of training, which the failure must not wait for
-        FitSpec(tagged, dataclasses.replace(cfg, iterations=12000), test_set, run_id="sibling"),
+        partial(marking_fit, tagged, dataclasses.replace(cfg, iterations=12000), test_set, run_id="sibling"),
     ]
     with pytest.raises(TrainingDiverged) as pooled, returns_within(60.0):
-        run_many(specs)
+        run_many(calls)
     assert str(pooled.value) == str(serial.value)
     assert not marker.exists()
     assert_no_child_left()
-
-
-def _serial_fits(specs):
-    return [
-        fit(s.world, s.cfg, s.test_set, run_id=s.run_id, periodic_eval=s.periodic_eval)
-        for s in specs
-    ]
 
 
 def _same_runs(runs, serial):
@@ -811,26 +856,33 @@ def _same_runs(runs, serial):
         assert run.state.buffers.tobytes() == expected.state.buffers.tobytes()
 
 
-def _two_specs():
+def _two_calls():
     cfg = tiny_cfg(iterations=60)
     tagged, test_set = prepared_world(cfg)
     return [
-        FitSpec(tagged, cfg, test_set, run_id="indep"),
-        FitSpec(tagged, _shared(cfg), test_set, run_id="shared"),
+        partial(fit, tagged, cfg, test_set, run_id="indep"),
+        partial(fit, tagged, _shared(cfg), test_set, run_id="shared"),
     ]
 
 
 def test_run_many_workers_inherit_their_specs(monkeypatch):
-    specs = _two_specs()
-    serial = _serial_fits(specs)
+    calls = _two_calls()
+    serial = [call() for call in calls]
+
+    def closure(call):
+        return lambda: call()
+
+    closures = [closure(call) for call in calls]
+    # pickle stores a function by its importable name, which a closure lacks
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(closures[0])
 
     def unpicklable(self, protocol):
         raise AssertionError(f"{type(self).__name__} was pickled")
 
-    monkeypatch.setattr(FitSpec, "__reduce_ex__", unpicklable, raising=False)
     monkeypatch.setattr(World, "__reduce_ex__", unpicklable, raising=False)
     with returns_within(60.0):
-        _same_runs(run_many(specs), serial)
+        _same_runs(run_many(closures), serial)
     assert_no_child_left()
 
 
@@ -841,8 +893,8 @@ def _threads() -> int:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_run_many_forks_a_process_with_blas_threads_without_hanging():
-    specs = _two_specs()
-    serial = _serial_fits(specs)
+    calls = _two_calls()
+    serial = [call() for call in calls]
     product = np.random.default_rng(0).random((400, 400))
     with returns_within(60.0):
         for _ in range(3):
@@ -851,7 +903,7 @@ def test_run_many_forks_a_process_with_blas_threads_without_hanging():
             product @ product
             if len(os.sched_getaffinity(0)) >= 2:
                 assert _threads() >= 2
-            _same_runs(run_many(specs), serial)
+            _same_runs(run_many(calls), serial)
             assert_no_child_left()
 
 

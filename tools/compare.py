@@ -15,8 +15,9 @@ The result, BENCH_<short sha256 of the change's src>.json unless --out says
 otherwise, holds for every workload and end-to-end metric of BENCHMARK.json
 the per-pair values, each side's median and quartiles, the change's wins,
 losses and ties, the parent's interquartile range, and whether a gain holds:
-at least nine tenths of the pairs won and the medians further apart than the
-parent's interquartile range. It also holds the machine record of every run
+at least nine tenths of the pairs won, the medians further apart than the
+parent's interquartile range, and no larger share of failed runs than the
+parent's. It also holds the machine record of every run
 and both sides' `src` sha256 digests.
 """
 
@@ -89,6 +90,10 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
     parent_iqr = parent_q[2] - parent_q[0]
     median_gain = sign * (parent_q[1] - change_q[1])
     wins = sum(g > 0 for g in gains)
+    fail_share = {
+        side: sum(p[side]["failed"] for p in pairs) / sum(p[side]["attempted"] for p in pairs)
+        for side in ("parent", "change")
+    }
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -104,7 +109,9 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
         "wins": wins,
         "losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains),
-        "gain_holds": wins >= 0.9 * len(pairs) and median_gain > parent_iqr,
+        "gain_holds": wins >= 0.9 * len(pairs)
+        and median_gain > parent_iqr
+        and fail_share["change"] <= fail_share["parent"],
         # the change's median is no worse than the parent's by more than the bound
         "within_bound": -median_gain <= metric["bound"] * abs(parent_q[1]),
     }
